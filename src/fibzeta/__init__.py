@@ -6,7 +6,8 @@ and Lucas numbers (D = 5 reproduces them).  This package evaluates the
 Dirichlet series over F and its odd/even-indexed halves, and continues
 them meromorphically to all of C by independent routes - binomial series,
 Poisson summation, and square-detecting shifted convolutions - so that
-each value can be cross-validated.
+each value can be cross-validated.  evaluate(field, s, parity, method, tol)
+is the single entry point that picks the route.
 """
 
 from .config import Settings, default_settings, make_settings
@@ -36,6 +37,7 @@ from .crosscheck import (
     shifted_convolution_odd,
     special_value_even_minus_one,
 )
+from .dispatch import evaluate
 from .errors import (
     ContourThroughPoleError,
     DomainError,

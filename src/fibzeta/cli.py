@@ -18,25 +18,12 @@ from functools import lru_cache
 from typing import Sequence
 
 from .config import Settings, make_settings
-from .continuation import (
-    METHODS,
-    PARITIES,
-    PARITY_COMBINED,
-    PARITY_EVEN,
-    PARITY_ODD,
-    ZetaEvaluation,
-    direct_terms_for,
-    zeta_combined_binomial,
-    zeta_direct,
-    zeta_even_binomial,
-    zeta_norm_plus_one,
-    zeta_odd_binomial,
-)
-from .crosscheck import pole_lattice, shifted_convolution_even, shifted_convolution_odd
+from .continuation import METHODS, PARITIES, PARITY_COMBINED
+from .crosscheck import pole_lattice
+from .dispatch import evaluate
 from .errors import DomainError, NumericalError, PoleProximityError
-from .poisson import zeta_even_poisson, zeta_odd_poisson
 from .quadfield import QuadraticField, is_fib, make_field, sequence_terms
-from .suites import SHIFTED_CONV_BOUND, SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, run_suite
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _PURE_REAL_RE = re.compile(rf"^\s*(?P<re>[+-]?{_NUM})\s*$")
@@ -105,68 +92,16 @@ class GridRequest:
         return [lo + i * step for i in range(max(n, 0))]
 
 
-def evaluate(
-    field: QuadraticField,
-    s: complex,
-    parity: str,
-    method: str,
-    tol: float,
-    settings: Settings,
-) -> ZetaEvaluation:
-    """Dispatch one evaluation; norm +1 fields only support the combined parity."""
-    if not field.is_norm_minus_one:
-        if parity != PARITY_COMBINED:
-            field.require_norm_minus_one()
-        if method == "binomial":
-            return zeta_norm_plus_one(field, s, tol, settings)
-        if method == "direct":
-            return zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity), settings)
-        field.require_norm_minus_one()
-
-    if method == "binomial":
-        fun = {
-            PARITY_ODD: zeta_odd_binomial,
-            PARITY_EVEN: zeta_even_binomial,
-            PARITY_COMBINED: zeta_combined_binomial,
-        }[parity]
-        return fun(field, s, tol, settings)
-    if method == "poisson":
-        if parity == PARITY_ODD:
-            return zeta_odd_poisson(field, s, tol, settings)
-        if parity == PARITY_EVEN:
-            return zeta_even_poisson(field, s, tol, settings)
-        odd = zeta_odd_poisson(field, s, tol, settings)
-        even = zeta_even_poisson(field, s, tol, settings)
-        return ZetaEvaluation(
-            value=odd.value + even.value,
-            method="poisson",
-            terms_used=odd.terms_used + even.terms_used,
-            tail=type(odd.tail)(odd.tail.bound + even.tail.bound, False),
-            nearest_pole_distance=min(odd.nearest_pole_distance, even.nearest_pole_distance),
-        )
-    if method == "direct":
-        return zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity), settings)
-    if method == "shifted_convolution":
-        if parity == PARITY_ODD:
-            return shifted_convolution_odd(field, s, SHIFTED_CONV_BOUND)
-        if parity == PARITY_EVEN:
-            return shifted_convolution_even(field, s, SHIFTED_CONV_BOUND)
-        odd = shifted_convolution_odd(field, s, SHIFTED_CONV_BOUND)
-        even = shifted_convolution_even(field, s, SHIFTED_CONV_BOUND)
-        return ZetaEvaluation(
-            value=odd.value + even.value,
-            method="shifted_convolution",
-            terms_used=odd.terms_used + even.terms_used,
-            tail=type(odd.tail)(odd.tail.bound + even.tail.bound, True),
-            nearest_pole_distance=odd.nearest_pole_distance,
-        )
-    raise DomainError(f"unknown method {method!r}")
-
-
 # -------------------------------------------------------------------- commands
 
-def cmd_eval(args: argparse.Namespace, settings: Settings) -> int:
-    field = make_field(args.D, settings)
+def _settings(args: argparse.Namespace) -> Settings:
+    """Settings for eval and grid, the only commands whose output they change."""
+    return make_settings(config_path=args.config, pole_guard_radius=args.pole_guard)
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    settings = _settings(args)
+    field = make_field(args.D)
     s = parse_complex(args.s)
     ev = evaluate(field, s, args.parity, args.method, args.tol, settings)
     record = {
@@ -187,14 +122,14 @@ def cmd_eval(args: argparse.Namespace, settings: Settings) -> int:
 
 
 @lru_cache(maxsize=8)
-def _cached_field(d: int, settings: Settings) -> QuadraticField:
-    return make_field(d, settings)
+def _cached_field(d: int) -> QuadraticField:
+    return make_field(d)
 
 
 def _point_rows(task) -> list[list[str]]:
     """Rows for one grid point (module-level so worker processes can run it)."""
     d, settings, re_part, im, parity, methods, tol = task
-    field = _cached_field(d, settings)
+    field = _cached_field(d)
     s = complex(re_part, im)
     rows = []
     for method in methods:
@@ -231,7 +166,8 @@ def _grid_rows(request: GridRequest, settings: Settings, workers: int = 1) -> li
 GRID_HEADER = ["re_s", "im_s", "method", "re_z", "im_z", "tail_bound", "pole_distance", "status"]
 
 
-def cmd_grid(args: argparse.Namespace, settings: Settings) -> int:
+def cmd_grid(args: argparse.Namespace) -> int:
+    settings = _settings(args)
     request = GridRequest(
         D=args.D,
         parity=args.parity,
@@ -258,8 +194,8 @@ def cmd_grid(args: argparse.Namespace, settings: Settings) -> int:
     return 0
 
 
-def cmd_poles(args: argparse.Namespace, settings: Settings) -> int:
-    field = make_field(args.D, settings)
+def cmd_poles(args: argparse.Namespace) -> int:
+    field = make_field(args.D)
     specs = pole_lattice(field, args.kmax, args.mmax, args.which)
     writer = csv.writer(sys.stdout)
     writer.writerow(["k", "m", "re_s0", "im_s0", "re_residue_odd", "im_residue_odd",
@@ -274,7 +210,7 @@ def cmd_poles(args: argparse.Namespace, settings: Settings) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     d_list = [int(tok) for tok in args.D.split(",")] if args.D else None
     names = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
     for name in names:
@@ -292,8 +228,8 @@ def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
     return 0
 
 
-def cmd_sequence(args: argparse.Namespace, settings: Settings) -> int:
-    field = make_field(args.D, settings)
+def cmd_sequence(args: argparse.Namespace) -> int:
+    field = make_field(args.D)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "fib", "lucas", "norm_identity"])
     for t in sequence_terms(field, args.n + 1):
@@ -302,8 +238,8 @@ def cmd_sequence(args: argparse.Namespace, settings: Settings) -> int:
     return 0
 
 
-def cmd_detect(args: argparse.Namespace, settings: Settings) -> int:
-    field = make_field(args.D, settings)
+def cmd_detect(args: argparse.Namespace) -> int:
+    field = make_field(args.D)
     result = is_fib(field, args.n)
     print(f"verdict: {result.verdict}")
     if result.witness is not None:
@@ -318,10 +254,9 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value settings file")
-    common.add_argument("--precision", type=int, help="decimal digits for field constants")
-    common.add_argument("--pole-guard", type=float, help="pole guard radius")
+    evaluation = argparse.ArgumentParser(add_help=False)
+    evaluation.add_argument("--config", help="key=value settings file")
+    evaluation.add_argument("--pole-guard", type=float, help="pole guard radius")
 
     parser = argparse.ArgumentParser(
         prog="fibzeta",
@@ -329,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate one point")
+    p = sub.add_parser("eval", parents=[evaluation], help="evaluate one point")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--s", required=True, help="complex literal, e.g. 1.5-2i (use --s=-1 for negatives)")
     p.add_argument("--parity", choices=PARITIES, default=PARITY_COMBINED)
@@ -338,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fun=cmd_eval)
 
-    p = sub.add_parser("grid", parents=[common], help="evaluate a rectangular grid")
+    p = sub.add_parser("grid", parents=[evaluation], help="evaluate a rectangular grid")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--parity", choices=PARITIES, default=PARITY_COMBINED)
     p.add_argument("--re", type=float, nargs=3, required=True, metavar=("LO", "HI", "STEP"))
@@ -350,14 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1, help="parallel evaluation processes")
     p.set_defaults(fun=cmd_grid)
 
-    p = sub.add_parser("poles", parents=[common], help="pole lattice with residues")
+    p = sub.add_parser("poles", help="pole lattice with residues")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--kmax", type=int, default=2)
     p.add_argument("--mmax", type=int, default=3)
     p.add_argument("--which", choices=("odd", "even", "combined"), default="odd")
     p.set_defaults(fun=cmd_poles)
 
-    p = sub.add_parser("verify", parents=[common], help="run verification suites")
+    p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", required=True, help=f"one of {', '.join(SUITE_NAMES)}, or all")
     p.add_argument("--D", help="comma list of fields, e.g. 5,10")
     p.add_argument("--seed", type=int, default=0)
@@ -365,12 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=200, help="grid points per field")
     p.set_defaults(fun=cmd_verify)
 
-    p = sub.add_parser("sequence", parents=[common], help="print sequence terms")
+    p = sub.add_parser("sequence", help="print sequence terms")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fun=cmd_sequence)
 
-    p = sub.add_parser("detect", parents=[common], help="Pell-type membership test")
+    p = sub.add_parser("detect", help="Pell-type membership test")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fun=cmd_detect)
@@ -385,12 +320,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        settings = make_settings(
-            config_path=args.config,
-            precision_dps=args.precision,
-            pole_guard_radius=args.pole_guard,
-        )
-        return args.fun(args, settings)
+        return args.fun(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ to Euler-Maclaurin near the zeros of (1 - 2^(1-s)) where the alternating
 form loses digits, and the functional equation for Re s < 1/2.
 
 Complex values are the builtin complex type throughout.  All functions are
-pure; BinomialStream is caller-local state.
+pure.
 """
 
 from __future__ import annotations
@@ -200,29 +200,3 @@ def _zeta_right(s: complex) -> complex:
     terms = 24 + int(0.75 * t)
     terms = ((terms + 7) // 8) * 8  # quantize for coefficient-cache reuse
     return _zeta_borwein(s, terms)
-
-
-class BinomialStream:
-    """Iterator over generalized binomial coefficients C(-s, k), k = 0, 1, 2, ...
-
-    Each step is one multiply/divide: C(-s, k+1) = C(-s, k) (-s - k)/(k + 1).
-    """
-
-    def __init__(self, s: complex):
-        self.s = complex(s)
-        self.k = -1
-        self.current: complex = 1.0 + 0j
-
-    def __iter__(self) -> "BinomialStream":
-        return self
-
-    def __next__(self) -> complex:
-        if self.k >= 0:
-            self.current = self.current * (-self.s - self.k) / (self.k + 1)
-        self.k += 1
-        return self.current
-
-
-def binom_next(stream: BinomialStream) -> complex:
-    """Advance the stream one step and return C(-s, k) for the new k."""
-    return next(stream)

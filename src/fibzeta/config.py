@@ -1,57 +1,34 @@
-"""Runtime settings: precision, pole guard, region boundaries.
+"""Runtime settings: pole guard, even-region boundaries, summation cap.
 
-Settings may come from (in increasing priority) defaults, the environment
-variable FIBZETA_PRECISION, an optional key=value config file, and explicit
-keyword overrides / CLI flags.
+Settings come from (in increasing priority) defaults, an optional
+key=value config file, and explicit keyword overrides / CLI flags.  Every
+field changes the output of some evaluation; field constants are exact
+integers plus one float log eps, so there is no precision setting.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields, replace
-
-ENV_PRECISION = "FIBZETA_PRECISION"
 
 
 @dataclass(frozen=True)
 class Settings:
-    # decimal digits used for exact-field constants (log eps, sqrt q)
-    precision_dps: int = 64
     # evaluations raise PoleProximityError inside this distance of a lattice pole
     pole_guard_radius: float = 1e-3
     # region boundaries for the even-index Poisson evaluation
     region_direct_min: float = 0.5
     region_left_max: float = -0.25
     near_one_radius: float = 0.1
-    # optional extension of the strip form toward Re s < 2 (None = conservative)
-    strip_extension_max: float | None = None
     # hard cap on Fourier-side summation lengths
     max_fourier_terms: int = 2_000_000
 
 
-_FLOAT_KEYS = {
-    "pole_guard_radius",
-    "region_direct_min",
-    "region_left_max",
-    "near_one_radius",
-    "strip_extension_max",
-}
-_INT_KEYS = {"precision_dps", "max_fourier_terms"}
+_INT_KEYS = {"max_fourier_terms"}
 
 
 def default_settings() -> Settings:
-    """Settings from defaults plus the FIBZETA_PRECISION environment variable."""
-    s = Settings()
-    raw = os.environ.get(ENV_PRECISION)
-    if raw:
-        try:
-            dps = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{ENV_PRECISION} must be an integer, got {raw!r}") from exc
-        if dps < 16:
-            raise ValueError(f"{ENV_PRECISION} must be at least 16, got {dps}")
-        s = replace(s, precision_dps=dps)
-    return s
+    """The built-in defaults."""
+    return Settings()
 
 
 def read_config_file(path: str) -> dict:
@@ -67,20 +44,14 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-            if key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                out[key] = None if value.lower() == "none" else float(value)
-            else:
-                out[key] = value
+            out[key] = int(value) if key in _INT_KEYS else float(value)
     return out
 
 
 def make_settings(config_path: str | None = None, **overrides) -> Settings:
-    """Assemble settings: defaults+env, then the config file, then overrides."""
+    """Assemble settings: defaults, then the config file, then overrides."""
     s = default_settings()
     if config_path:
         s = replace(s, **read_config_file(config_path))

@@ -80,7 +80,7 @@ def nearest_lattice_pole(
     plus_one: s0 = -2k + 2 pi i m / log eps
     """
     s = complex(s)
-    log_eps = field.log_eps_float
+    log_eps = field.log_eps
     spacing = math.pi / log_eps
     if lattice == LATTICE_PLUS_ONE:
         spacing = 2.0 * math.pi / log_eps
@@ -121,7 +121,7 @@ def _binomial_sum(field: QuadraticField, s: complex, tol: float, kind: str) -> t
       combined: u / (1 - u) for even k, u / (1 + u) for odd k
       plus_one: (-1)^k u / (1 - u)
     """
-    log_eps = field.log_eps_float
+    log_eps = field.log_eps
     decay = math.exp(-2.0 * log_eps)
     abs_s = abs(s)
     k_min = int(math.ceil(abs_s)) + 5
@@ -151,6 +151,7 @@ def _binomial_sum(field: QuadraticField, s: complex, tol: float, kind: str) -> t
 
 
 def _q_power(field: QuadraticField, s: complex) -> complex:
+    """q^(s/2), the prefactor shared by the binomial, Poisson and residue formulas."""
     return cmath.exp(0.5 * s * math.log(field.q))
 
 
@@ -241,7 +242,7 @@ def zeta_norm_plus_one(
 def direct_terms_for(field: QuadraticField, s: complex, tol: float, parity: str) -> int:
     """Number of direct-series terms for a relative tail below tol."""
     stride = 1 if parity == PARITY_COMBINED else 2
-    rate = stride * s.real * field.log_eps_float
+    rate = stride * s.real * field.log_eps
     if rate <= 0:
         raise OutOfRegionError(f"direct series diverges at Re s = {s.real}")
     need = int(math.ceil(-math.log(tol * 0.1) / rate)) + 8
@@ -253,7 +254,6 @@ def zeta_direct(
     s: complex,
     parity: str = PARITY_COMBINED,
     n_max: int = 200,
-    settings: Settings | None = None,
 ) -> ZetaEvaluation:
     """Partial sum of the defining Dirichlet series (Re s > 0 only).
 
@@ -288,8 +288,8 @@ def zeta_direct(
     if prev_f is not None:
         ratio = math.exp(-s.real * (math.log(last_f) - math.log(prev_f)))
     else:
-        ratio = math.exp(-stride * s.real * field.log_eps_float)
-    ratio = max(ratio, math.exp(-stride * s.real * field.log_eps_float))
+        ratio = math.exp(-stride * s.real * field.log_eps)
+    ratio = max(ratio, math.exp(-stride * s.real * field.log_eps))
     last_term = math.exp(-s.real * math.log(last_f))
     tail = last_term * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
     dist = nearest_lattice_pole(

@@ -23,6 +23,7 @@ from .continuation import (
     METHOD_SHIFTED,
     SeriesTail,
     ZetaEvaluation,
+    _q_power,
     nearest_lattice_pole,
 )
 from .errors import ContourThroughPoleError, OutOfRegionError
@@ -38,6 +39,10 @@ __all__ = [
     "EvenMinusOneValue",
     "special_value_even_minus_one",
 ]
+
+# default scan bound of the shifted-convolution series: 10^5 square
+# candidates n = t^2 per (D, sign)
+SHIFTED_CONV_BOUND = 10_000_000_000
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,11 @@ class PoleSpec:
 
 
 def _binomial_coefficient(s0: complex, k: int) -> complex:
+    """C(-s0, k) by the recurrence C(-s, j+1) = C(-s, j) (-s - j)/(j + 1).
+
+    continuation._binomial_sum runs the same recurrence inline, one step per
+    series term.
+    """
     out: complex = 1.0 + 0j
     for j in range(k):
         out = out * (-s0 - j) / (j + 1.0)
@@ -69,13 +79,9 @@ def _binomial_coefficient(s0: complex, k: int) -> complex:
 
 
 def _pole_spec(field: QuadraticField, k: int, m: int) -> PoleSpec:
-    log_eps = field.log_eps_float
+    log_eps = field.log_eps
     s0 = complex(-2.0 * k, math.pi * m / log_eps)
-    base = (
-        cmath.exp(0.5 * s0 * math.log(field.q))
-        * _binomial_coefficient(s0, k)
-        / (2.0 * log_eps)
-    )
+    base = _q_power(field, s0) * _binomial_coefficient(s0, k) / (2.0 * log_eps)
     res_odd = base * ((-1) ** m)
     res_even = base * ((-1) ** k)
     return PoleSpec(
@@ -191,7 +197,7 @@ def _shifted_convolution(
     # members grow at least geometrically (ratio eps^2 in sqrt(n)), so the
     # tail is below the first candidate past the scan bound
     first_out = math.exp(-0.5 * s.real * math.log(n_max))
-    ratio = math.exp(-2.0 * s.real * field.log_eps_float)
+    ratio = math.exp(-2.0 * s.real * field.log_eps)
     tail = first_out / (1.0 - ratio)
     dist = nearest_lattice_pole(field, s)[3]
     return ZetaEvaluation(
@@ -203,7 +209,9 @@ def _shifted_convolution(
     )
 
 
-def shifted_convolution_odd(field: QuadraticField, s: complex, n_max: int) -> ZetaEvaluation:
+def shifted_convolution_odd(
+    field: QuadraticField, s: complex, n_max: int = SHIFTED_CONV_BOUND
+) -> ZetaEvaluation:
     """Z_odd(s) = (1/4) sum_n r1(n) r1(D n - ell) n^(-s/2), truncated at n_max.
 
     Nonzero terms occur exactly at n = F(2r-1)^2, each contributing
@@ -212,7 +220,9 @@ def shifted_convolution_odd(field: QuadraticField, s: complex, n_max: int) -> Ze
     return _shifted_convolution(field, s, n_max, -1)
 
 
-def shifted_convolution_even(field: QuadraticField, s: complex, n_max: int) -> ZetaEvaluation:
+def shifted_convolution_even(
+    field: QuadraticField, s: complex, n_max: int = SHIFTED_CONV_BOUND
+) -> ZetaEvaluation:
     """Z_even(s) = (1/4) sum_n r1(n) r1(D n + ell) n^(-s/2), truncated at n_max."""
     return _shifted_convolution(field, s, n_max, +1)
 

@@ -34,6 +34,7 @@ from .continuation import (
     PARITY_EVEN,
     SeriesTail,
     ZetaEvaluation,
+    _q_power,
     check_pole_guard,
     direct_terms_for,
     zeta_direct,
@@ -63,14 +64,12 @@ class RegionSelector:
     direct_min: float = 0.5
     left_max: float = -0.25
     near_one_radius: float = 0.1
-    strip_extension_max: float | None = None
 
     def classify(self, s: complex) -> str:
         x = complex(s).real
         if x <= self.left_max:
             return REGION_LEFT
-        hi = self.direct_min if self.strip_extension_max is None else self.strip_extension_max
-        if x < hi and abs(s - 1.0) > self.near_one_radius:
+        if x < self.direct_min and abs(s - 1.0) > self.near_one_radius:
             return REGION_STRIP
         return REGION_DIRECT
 
@@ -80,12 +79,7 @@ class RegionSelector:
             direct_min=settings.region_direct_min,
             left_max=settings.region_left_max,
             near_one_radius=settings.near_one_radius,
-            strip_extension_max=settings.strip_extension_max,
         )
-
-
-def _q_power(field: QuadraticField, s: complex) -> complex:
-    return cmath.exp(0.5 * s * math.log(field.q))
 
 
 def fourier_coefficient_odd(
@@ -101,7 +95,7 @@ def fourier_coefficient_odd(
     """
     settings = settings or default_settings()
     s = complex(s)
-    log_eps = field.log_eps_float
+    log_eps = field.log_eps
     w = math.pi * m / log_eps
     for sign in (1.0, -1.0):
         arg = 0.5 * s + sign * 1j * w
@@ -127,7 +121,7 @@ def zeta_odd_poisson(
     s = complex(s)
     dist = check_pole_guard(field, s, LATTICE_SPLIT, guard)
 
-    log_eps = field.log_eps_float
+    log_eps = field.log_eps
     half_step = math.pi / (2.0 * log_eps)
     decay = math.exp(-math.pi * half_step)  # per-unit-m asymptotic shrink factor
     total = cmath.exp(2.0 * log_gamma(0.5 * s))
@@ -183,7 +177,7 @@ def _ratio_pair_core(
     the order-0 part is left out entirely (the strip form carries it as its
     explicit zeta(s) term).  Returns (sum, pairs_used, tail_estimate).
     """
-    log_eps = field.log_eps_float
+    log_eps = field.log_eps
     half_step = math.pi / (2.0 * log_eps)
     a = 0.5 * s
     e2 = -_bernoulli_b3(a) / 3.0
@@ -242,7 +236,7 @@ def _ratio_pair_core(
 
 
 def _even_prefactor(field: QuadraticField, s: complex) -> complex:
-    return _q_power(field, s) * cmath.exp(log_gamma(1.0 - s)) / (4.0 * field.log_eps_float)
+    return _q_power(field, s) * cmath.exp(log_gamma(1.0 - s)) / (4.0 * field.log_eps)
 
 
 def zeta_even_poisson_strip(
@@ -269,7 +263,7 @@ def zeta_even_poisson_strip(
             f"strip form unstable within {settings.near_one_radius} of s=1"
         )
     dist = check_pole_guard(field, s, LATTICE_SPLIT, guard)
-    log_eps = field.log_eps_float
+    log_eps = field.log_eps
     scale = _q_power(field, s)
     zeta_term = scale * czeta(s) * cmath.exp(-s * math.log(4.0 * log_eps))
     pref = _even_prefactor(field, s)
@@ -331,7 +325,7 @@ def _even_left_plain(
     dist: float,
 ) -> ZetaEvaluation:
     """Literal truncation of the gamma-ratio sum with tail C M^(Re s) / |Re s|."""
-    log_eps = field.log_eps_float
+    log_eps = field.log_eps
     half_step = math.pi / (2.0 * log_eps)
     x = s.real
     # projected length from the tail model C M^x / |x|, C calibrated from
@@ -380,15 +374,12 @@ def zeta_even_poisson(
         guard = settings.pole_guard_radius if pole_guard is None else pole_guard
         dist = check_pole_guard(field, s, LATTICE_SPLIT, guard)
         n_terms = direct_terms_for(field, s, tol, PARITY_EVEN)
-        ev = zeta_direct(field, s, PARITY_EVEN, n_terms, settings)
+        ev = zeta_direct(field, s, PARITY_EVEN, n_terms)
         return replace(ev, method=METHOD_POISSON, nearest_pole_distance=dist)
     if region == REGION_STRIP:
-        try:
-            return zeta_even_poisson_strip(field, s, tol, settings, pole_guard)
-        except NearOneSingularityError:
-            n_terms = direct_terms_for(field, s, tol, PARITY_EVEN)
-            ev = zeta_direct(field, s, PARITY_EVEN, n_terms, settings)
-            return replace(ev, method=METHOD_POISSON)
+        # the selector keeps points within near_one_radius of 1 in the direct
+        # region, so the strip form's own near-one check cannot fire here
+        return zeta_even_poisson_strip(field, s, tol, settings, pole_guard)
     return zeta_even_poisson_left(field, s, tol, settings, pole_guard)
 
 
@@ -419,7 +410,7 @@ def regularized_fourier_integral(
         # Gamma(1-s) poles; the full integral stays finite but the two closed
         # pieces individually blow up
         raise PoleProximityError(s, complex(n, 0), n, 0, abs(s - n))
-    log_eps = field.log_eps_float
+    log_eps = field.log_eps
     w = math.pi * m / (2.0 * log_eps)
     arg = 0.5 * s - 1j * w
     k = round(arg.real)
@@ -455,7 +446,7 @@ def zeta_functional_reconstruction(
     if s.real >= 0:
         raise OutOfRegionError(f"needs Re s < 0, got {s.real}")
     x = s.real
-    log_eps = field.log_eps_float
+    log_eps = field.log_eps
     gamma_1ms = cmath.exp(log_gamma(1.0 - s))
     phase_pair = cmath.exp(0.5j * math.pi * (1.0 - s)) + cmath.exp(-0.5j * math.pi * (1.0 - s))
     coeff = (

@@ -5,8 +5,10 @@ fraction of sqrt(D), or of (1+sqrt(D))/2 when D = 1 mod 4), the
 integer-recurrence Fibonacci/Lucas analogues built from traces of unit
 powers, and Pell-type membership tests.
 
-Everything here is exact big-integer or high-precision real arithmetic;
-fields are immutable and safe to share between threads or processes.
+Everything here is exact big-integer arithmetic, apart from the one float
+log eps that the evaluators use, which is rounded once from a 40-digit
+decimal value; fields are immutable and safe to share between threads or
+processes.
 
 The sign of the unit norm decides which evaluations exist downstream: the
 odd/even index split needs N(eps) = -1 (possible only for D = 1, 2 mod 4),
@@ -18,12 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterator
 
-import mpmath as mp
-
-from .config import Settings, default_settings
 from .errors import DomainError, NormPlusOneError, NotSquarefreeError
 
 NOT_MEMBER = "not_member"
@@ -95,11 +95,6 @@ class UnitElement:
         assert a % 2 == 0 and b % 2 == 0
         return UnitElement(a // 2, b // 2, self.q)
 
-    def real_value(self, dps: int = 30) -> mp.mpf:
-        """Real embedding (positive square root) at dps decimal digits."""
-        with mp.workdps(dps):
-            return (self.a + self.b * mp.sqrt(self.q)) / 2
-
     def __str__(self) -> str:
         if self.a % 2 == 0 and self.b % 2 == 0:
             return f"{self.a // 2} + {self.b // 2}*sqrt({self.q})"
@@ -118,7 +113,8 @@ class QuadraticField:
     """Q(sqrt(D)) with its fundamental unit and derived constants.
 
     q is D when D = 1 mod 4 and 4D otherwise; ell is the matching shift
-    (4 resp. 1) used by the shifted-convolution series.  Immutable.
+    (4 resp. 1) used by the shifted-convolution series; log_eps is the
+    natural log of the fundamental unit as a float.  Immutable.
     """
 
     D: int
@@ -126,12 +122,7 @@ class QuadraticField:
     ell: int
     eps: UnitElement
     norm_eps: int
-    log_eps: mp.mpf
-    precision_dps: int
-
-    @property
-    def log_eps_float(self) -> float:
-        return float(self.log_eps)
+    log_eps: float
 
     @property
     def is_norm_minus_one(self) -> bool:
@@ -216,9 +207,8 @@ def _unit_by_search(q: int, b_cap: int) -> tuple[int, int] | None:
     return None
 
 
-def make_field(d: int, settings: Settings | None = None) -> QuadraticField:
+def make_field(d: int) -> QuadraticField:
     """Construct and validate the field Q(sqrt(d)) for squarefree d >= 2."""
-    settings = settings or default_settings()
     if not isinstance(d, int) or d < 2:
         raise DomainError(f"D must be an integer >= 2, got {d!r}")
     p = squarefree_violation(d)
@@ -241,12 +231,11 @@ def make_field(d: int, settings: Settings | None = None) -> QuadraticField:
                 f"fundamental-unit check failed for D={d}: "
                 f"continued fraction gave {eps} but search found {found}"
             )
-    dps = settings.precision_dps
-    with mp.workdps(dps + 10):
-        log_eps = mp.log((a + b * mp.sqrt(q)) / 2)
-    return QuadraticField(
-        D=d, q=q, ell=ell, eps=eps, norm_eps=eps.norm, log_eps=log_eps, precision_dps=dps
-    )
+    # 40 digits leave the one rounding to float as the only error
+    with localcontext() as ctx:
+        ctx.prec = 40
+        log_eps = float(((a + b * Decimal(q).sqrt()) / 2).ln())
+    return QuadraticField(D=d, q=q, ell=ell, eps=eps, norm_eps=eps.norm, log_eps=log_eps)
 
 
 def iter_sequence(field: QuadraticField) -> Iterator[SequenceTerm]:

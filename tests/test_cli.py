@@ -267,7 +267,7 @@ def test_verify_deterministic_with_seed(capsys):
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "fibzeta.conf"
-    cfg.write_text("pole_guard_radius = 0.5\nprecision_dps = 32  # comment\n")
+    cfg.write_text("pole_guard_radius = 0.5  # comment\n")
     # inside the configured (huge) guard radius -> pole proximity
     code, _, err = run_cli(capsys, "eval", "--D", "5", "--s", "0.4", "--parity", "odd",
                            "--config", str(cfg))
@@ -278,16 +278,19 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert code == 0
 
 
-def test_precision_env_variable(monkeypatch):
-    from fibzeta.config import default_settings
+def test_config_unknown_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "fibzeta.conf"
+    cfg.write_text("precision_dps = 32\n")
+    code, _, err = run_cli(capsys, "eval", "--D", "5", "--s", "2", "--config", str(cfg))
+    assert code == 2 and "unknown setting 'precision_dps'" in err
 
-    monkeypatch.setenv("FIBZETA_PRECISION", "48")
-    assert default_settings().precision_dps == 48
-    monkeypatch.setenv("FIBZETA_PRECISION", "asdf")
-    with pytest.raises(ValueError):
-        default_settings()
-    monkeypatch.delenv("FIBZETA_PRECISION")
-    assert default_settings().precision_dps == 64
+
+def test_settings_flags_only_where_they_change_output(capsys):
+    code, _, err = run_cli(capsys, "verify", "--suite", "sequences", "--pole-guard", "1")
+    assert code == 2 and "unrecognized arguments" in err
+    for argv in (["poles", "--D", "5"], ["sequence", "--D", "5", "--n", "3"],
+                 ["detect", "--D", "5", "--n", "8"]):
+        assert main(argv + ["--config", "x.conf"]) == 2
 
 
 def test_usage_error_exit_code(capsys):

@@ -7,14 +7,8 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from fibzeta.complexfn import (
-    BinomialStream,
-    binom_next,
-    cgamma,
-    czeta,
-    log_gamma,
-    rgamma,
-)
+from fibzeta.complexfn import cgamma, czeta, log_gamma, rgamma
+from fibzeta.crosscheck import _binomial_coefficient
 from fibzeta.errors import PoleAtNonpositiveIntegerError, PoleAtOneError
 
 mp.mp.dps = 30
@@ -150,20 +144,19 @@ def test_zeta_symmetric_functional_equation():
     assert worst < 1e-10
 
 
-# -------------------------------------------------------------- binomial stream
+# ----------------------------------------------- binomial coefficients C(-s, k)
 
 def test_binomial_stream_first_values():
-    stream = BinomialStream(complex(2.0, 0.0))
-    assert binom_next(stream) == 1.0  # C(-s, 0)
-    assert binom_next(stream) == -2.0  # C(-s, 1) = -s
-    assert binom_next(stream) == 3.0  # C(-2, 2)
-    assert stream.k == 2
+    s = complex(2.0, 0.0)
+    assert _binomial_coefficient(s, 0) == 1.0  # C(-s, 0)
+    assert _binomial_coefficient(s, 1) == -2.0  # C(-s, 1) = -s
+    assert _binomial_coefficient(s, 2) == 3.0  # C(-2, 2)
 
 
 def test_binomial_stream_arbitrary_s_first_term():
-    stream = BinomialStream(complex(0.7, -3.1))
-    assert binom_next(stream) == 1.0
-    assert binom_next(stream) == complex(-0.7, 3.1)
+    s = complex(0.7, -3.1)
+    assert _binomial_coefficient(s, 0) == 1.0
+    assert _binomial_coefficient(s, 1) == complex(-0.7, 3.1)
 
 
 @given(
@@ -172,18 +165,15 @@ def test_binomial_stream_arbitrary_s_first_term():
 )
 @hyp_settings(max_examples=200, deadline=None)
 def test_binomial_stream_recurrence(s, k):
-    stream = BinomialStream(s)
-    vals = [binom_next(stream) for _ in range(k + 2)]
-    lhs = vals[k + 1] * (k + 1)
-    rhs = vals[k] * (-s - k)
+    lhs = _binomial_coefficient(s, k + 1) * (k + 1)
+    rhs = _binomial_coefficient(s, k) * (-s - k)
     assert cmath.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-300)
 
 
 @pytest.mark.parametrize("s", [1.5, complex(2.5, 1.0), complex(-0.3, 4.0), 3.0])
 def test_binomial_stream_polynomial_growth(s):
     degree = math.ceil(abs(s))
-    stream = BinomialStream(s)
-    coeffs = [binom_next(stream) for _ in range(1001)]
+    coeffs = [_binomial_coefficient(s, k) for k in range(1001)]
     scale = max(abs(c) / (k + 1) ** degree for k, c in enumerate(coeffs[:50]))
     for k, c in enumerate(coeffs):
         assert abs(c) <= 1.0001 * scale * (k + 1) ** degree

@@ -152,7 +152,7 @@ def test_region_consistency_binomial_vs_direct():
 def test_denominator_factorization_identity():
     """eps^(2s+4k) - 1 factors as (eps^(s+2k) - 1)(eps^(s+2k) + 1) at every
     term actually evaluated (checked in the overflow-free exponent range)."""
-    log_eps = F5.log_eps_float
+    log_eps = F5.log_eps
     rng = random.Random(3)
     for _ in range(25):
         s = complex(rng.uniform(-4, 4), rng.uniform(-8, 8))
@@ -210,7 +210,7 @@ def test_pole_proximity_raised_at_origin():
 
 
 def test_pole_proximity_at_imaginary_lattice_point():
-    s0 = complex(0.0, math.pi / F5.log_eps_float)
+    s0 = complex(0.0, math.pi / F5.log_eps)
     with pytest.raises(PoleProximityError) as exc:
         zeta_even_binomial(F5, s0 + 1e-6)
     assert (exc.value.k, exc.value.m) == (0, 1)
@@ -218,7 +218,7 @@ def test_pole_proximity_at_imaginary_lattice_point():
 
 def test_combined_evaluates_at_cancelled_pole():
     # k=0, m=1 cancels in the combined function; the split ones blow up there
-    s0 = complex(0.0, math.pi / F5.log_eps_float)
+    s0 = complex(0.0, math.pi / F5.log_eps)
     ev = zeta_combined_binomial(F5, s0, tol=1e-12)
     assert abs(ev.value) < 10.0  # finite, ordinary value
 
@@ -227,7 +227,7 @@ def test_simple_pole_signature():
     """|Z(s0 + delta e^(i theta)) * delta| is nearly direction-independent
     at a simple pole, for lattice points with k <= 2, |m| <= 2."""
     delta = 1e-3
-    log_eps = F5.log_eps_float
+    log_eps = F5.log_eps
     for k in range(3):
         for m in range(-2, 3):
             s0 = complex(-2.0 * k, math.pi * m / log_eps)

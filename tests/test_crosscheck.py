@@ -36,7 +36,7 @@ def test_pole_lattice_counts_and_locations():
     origin = [p for p in poles if p.k == 0 and p.m == 0][0]
     assert origin.location == 0
     assert abs(origin.residue_odd - 1.0390434606175138) < 1e-12
-    assert abs(origin.residue_odd - 1.0 / (2.0 * F5.log_eps_float)) < 1e-14
+    assert abs(origin.residue_odd - 1.0 / (2.0 * F5.log_eps)) < 1e-14
 
 
 def test_pole_lattice_combined_keeps_half():
@@ -63,7 +63,7 @@ def test_residue_cancellation_iff_m_plus_k_odd():
 
 def test_unit_power_identity_at_pole():
     """eps^(s0 + 2k) evaluated numerically equals (-1)^m at lattice points."""
-    log_eps = F5.log_eps_float
+    log_eps = F5.log_eps
     for k in range(3):
         for m in range(-3, 4):
             s0 = complex(-2.0 * k, math.pi * m / log_eps)
@@ -96,7 +96,7 @@ def test_numeric_residues_match_analytic():
 
 def test_combined_residue_vanishes_at_cancelled_point():
     # k=0, m=1: cancelled in the combined zeta
-    s0 = complex(0.0, math.pi / F5.log_eps_float)
+    s0 = complex(0.0, math.pi / F5.log_eps)
     res = residue_numeric(
         lambda s: zeta_combined_binomial(F5, s, tol=1e-12, pole_guard=1e-4).value,
         s0,
@@ -106,7 +106,7 @@ def test_combined_residue_vanishes_at_cancelled_point():
 
 
 def test_even_poisson_residue_at_imaginary_pole():
-    s0 = complex(0.0, math.pi / F5.log_eps_float)
+    s0 = complex(0.0, math.pi / F5.log_eps)
     spec = [p for p in pole_lattice(F5, 0, 1, "even") if p.m == 1][0]
     res = residue_numeric(
         lambda s: zeta_even_poisson(F5, s, tol=1e-12, pole_guard=1e-4).value,

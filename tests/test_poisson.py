@@ -69,27 +69,30 @@ def test_odd_poisson_rejects_norm_plus_one():
 def test_fourier_coefficient_m0_closed_forms():
     # Gamma(1)^2 / Gamma(2) = 1
     val = fourier_coefficient_odd(F5, 2.0, 0)
-    assert abs(val - 1.0 / (2.0 * F5.log_eps_float)) < 1e-13
+    assert abs(val - 1.0 / (2.0 * F5.log_eps)) < 1e-13
     # Gamma(1/2)^2 = pi
     val = fourier_coefficient_odd(F5, 1.0, 0)
-    assert abs(val - math.pi / (2.0 * F5.log_eps_float)) < 1e-13
+    assert abs(val - math.pi / (2.0 * F5.log_eps)) < 1e-13
 
 
 def test_fourier_coefficient_against_quadrature():
-    from scipy.integrate import quad
+    import mpmath as mp
 
     phi = (1.0 + math.sqrt(5.0)) / 2.0
 
     def f(x):
         return 1.0 / (phi**x + phi**-x)
 
-    ref0, err0 = quad(f, 0.0, 60.0, epsabs=1e-14, limit=400)
+    # double precision is enough for these tolerances (a global higher
+    # mp.dps set by another test module would double the cost)
+    with mp.workdps(15):
+        ref0 = float(mp.quad(f, [0, 60]))
+        ref1, err1 = mp.quad(lambda x: f(x) * mp.cos(2 * mp.pi * x), mp.linspace(0, 60, 61),
+                             error=True)
+        ref1 = float(ref1)
     val0 = fourier_coefficient_odd(F5, 1.0, 0)
     assert abs(val0 - 2.0 * ref0) < 1e-8
 
-    import numpy as np
-
-    ref1, err1 = quad(f, 0.0, np.inf, weight="cos", wvar=2.0 * math.pi, epsabs=1e-13, limit=400)
     val1 = fourier_coefficient_odd(F5, 1.0, 1)
     assert err1 < 1e-10
     assert abs(val1 - 2.0 * ref1) < 1e-8
@@ -105,7 +108,7 @@ def test_fourier_coefficient_conjugate_in_m():
 def test_fourier_coefficient_pole_guard():
     # s/2 - pi i m / log eps hits a gamma pole only for real frequencies that
     # cancel the imaginary part; engineered: s = -2 + 2 pi i / log eps, m = 1
-    w = math.pi / F5.log_eps_float
+    w = math.pi / F5.log_eps
     s = complex(-2.0, 2.0 * w)
     with pytest.raises(PoleProximityError):
         fourier_coefficient_odd(F5, s, 1)
@@ -146,7 +149,7 @@ def test_region_selector_classification():
     assert sel.classify(0.2) == "strip"
     assert sel.classify(complex(-0.25, 3.0)) == "left"
     assert sel.classify(complex(-0.1, 0.0)) == "strip"
-    ext = RegionSelector(strip_extension_max=1.8)
+    ext = RegionSelector(direct_min=1.8)
     assert ext.classify(complex(1.02, 0.0)) == "direct"  # inside the s=1 disk
     assert ext.classify(complex(1.5, 0.0)) == "strip"
 
@@ -184,7 +187,7 @@ def test_strip_overlap_with_direct():
 def test_strip_near_one_raises_and_public_api_redirects():
     with pytest.raises(NearOneSingularityError):
         zeta_even_poisson_strip(F5, complex(1.02, 0.0))
-    settings = make_settings(strip_extension_max=1.8)
+    settings = make_settings(region_direct_min=1.8)
     ev = zeta_even_poisson(F5, complex(1.02, 0.0), tol=1e-12, settings=settings)
     b = zeta_even_binomial(F5, complex(1.02, 0.0), tol=1e-12)
     assert abs(ev.value - b.value) < 1e-9

@@ -22,7 +22,7 @@ from fibzeta import (
     r1,
     sequence_terms,
 )
-from fibzeta.quadfield import UnitElement, _unit_by_search, is_square
+from fibzeta.quadfield import UnitElement, _unit_by_search, is_square, squarefree_violation
 
 
 # ---------------------------------------------------------------- construction
@@ -32,7 +32,7 @@ def test_field_d5_unit_is_golden_ratio():
     assert (f.eps.a, f.eps.b) == (1, 1)
     assert f.q == 5 and f.ell == 4
     assert f.norm_eps == -1
-    assert abs(f.log_eps_float - math.log((1 + math.sqrt(5)) / 2)) < 1e-15
+    assert abs(f.log_eps - math.log((1 + math.sqrt(5)) / 2)) < 1e-15
 
 
 def test_field_d3_unit_trace_and_norm():
@@ -91,13 +91,15 @@ def test_unit_element_validation():
         UnitElement(1, 1, 12)  # (1 + sqrt(12))/2 is not an algebraic integer
 
 
-def test_log_eps_precision_follows_settings():
-    from fibzeta import make_settings
-
-    f = make_field(5, make_settings(precision_dps=80))
-    with mp.workdps(90):
-        ref = mp.log((1 + mp.sqrt(5)) / 2)
-        assert abs(f.log_eps - ref) < mp.mpf(10) ** (-78)
+def test_log_eps_is_correctly_rounded():
+    """The float log eps equals the 50-digit mpmath value rounded once."""
+    for d in range(2, 500):
+        if squarefree_violation(d) is not None:
+            continue
+        f = make_field(d)
+        with mp.workdps(50):
+            ref = float(mp.log((f.eps.a + f.eps.b * mp.sqrt(f.q)) / 2))
+        assert f.log_eps == ref, d
 
 
 # ------------------------------------------------------------------- sequences
