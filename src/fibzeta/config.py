@@ -25,6 +25,10 @@ class Settings:
 
 _INT_KEYS = {"max_fourier_terms"}
 
+# the even-index Poisson strip form converges for Re s < 2 and is evaluated
+# only below this real part, so the direct region must begin at or below it
+STRIP_RE_MAX = 1.95
+
 
 def default_settings() -> Settings:
     """The built-in defaults."""
@@ -58,4 +62,9 @@ def make_settings(config_path: str | None = None, **overrides) -> Settings:
     cleaned = {k: v for k, v in overrides.items() if v is not None}
     if cleaned:
         s = replace(s, **cleaned)
+    if s.region_direct_min > STRIP_RE_MAX:
+        raise ValueError(
+            f"region_direct_min = {s.region_direct_min} is above {STRIP_RE_MAX}, "
+            "where the strip form of the even Poisson evaluation ends"
+        )
     return s

@@ -8,6 +8,8 @@ dispatched call.
 
 from __future__ import annotations
 
+import math
+
 from .config import Settings
 from .continuation import (
     METHOD_BINOMIAL,
@@ -27,8 +29,8 @@ from .continuation import (
     zeta_norm_plus_one,
     zeta_odd_binomial,
 )
-from .crosscheck import shifted_convolution_even, shifted_convolution_odd
-from .errors import DomainError
+from .crosscheck import SHIFTED_CONV_BOUND, shifted_convolution_even, shifted_convolution_odd
+from .errors import DomainError, TooSlowConvergenceError
 from .poisson import zeta_even_poisson, zeta_odd_poisson
 from .quadfield import QuadraticField
 
@@ -49,6 +51,21 @@ def _sum_of_parts(odd: ZetaEvaluation, even: ZetaEvaluation) -> ZetaEvaluation:
     )
 
 
+def _shifted_within_tol(ev: ZetaEvaluation, s: complex, tol: float) -> ZetaEvaluation:
+    """ev itself if its tail is below tol relative to |Z|, else raise.
+
+    The shifted-convolution scan tests sqrt(n_max) candidates and its tail
+    falls like n_max^(-Re s/2), so reaching tol takes (bound / target)^(1/Re s)
+    times as many candidates as the scan tests.
+    """
+    target = tol * max(abs(ev.value), 1e-30)
+    if ev.tail.bound <= target:
+        return ev
+    cap = math.isqrt(SHIFTED_CONV_BOUND)
+    log_needed = math.log(cap) + math.log(ev.tail.bound / target) / complex(s).real
+    raise TooSlowConvergenceError(math.exp(min(log_needed, 709.0)), cap)
+
+
 def evaluate(
     field: QuadraticField,
     s: complex,
@@ -61,8 +78,9 @@ def evaluate(
 
     Norm +1 fields have no odd/even split: only the combined parity by the
     binomial or direct route exists there, anything else raises
-    NormPlusOneError.  The shifted-convolution route ignores tol and scans
-    to its default bound.
+    NormPlusOneError.  The shifted-convolution route scans to its default
+    bound and raises TooSlowConvergenceError when its tail bound there
+    exceeds tol relative to the value.
     """
     if parity not in PARITIES:
         raise DomainError(f"parity must be one of {PARITIES}, got {parity!r}")
@@ -90,8 +108,11 @@ def evaluate(
                              zeta_even_poisson(field, s, tol, settings))
     if method == METHOD_SHIFTED:
         if parity == PARITY_ODD:
-            return shifted_convolution_odd(field, s)
-        if parity == PARITY_EVEN:
-            return shifted_convolution_even(field, s)
-        return _sum_of_parts(shifted_convolution_odd(field, s), shifted_convolution_even(field, s))
+            ev = shifted_convolution_odd(field, s)
+        elif parity == PARITY_EVEN:
+            ev = shifted_convolution_even(field, s)
+        else:
+            ev = _sum_of_parts(shifted_convolution_odd(field, s),
+                               shifted_convolution_even(field, s))
+        return _shifted_within_tol(ev, s, tol)
     raise DomainError(f"unknown method {method!r}")

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .complexfn import czeta, log_gamma, rgamma
-from .config import Settings, default_settings
+from .config import STRIP_RE_MAX, Settings, default_settings
 from .continuation import (
     LATTICE_SPLIT,
     METHOD_POISSON,
@@ -256,7 +256,7 @@ def zeta_even_poisson_strip(
     settings = settings or default_settings()
     guard = settings.pole_guard_radius if pole_guard is None else pole_guard
     s = complex(s)
-    if s.real >= 1.95:
+    if s.real >= STRIP_RE_MAX:
         raise OutOfRegionError(f"strip form needs Re s < 2, got {s.real}")
     if abs(s - 1.0) <= settings.near_one_radius:
         raise NearOneSingularityError(

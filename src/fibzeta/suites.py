@@ -38,7 +38,17 @@ from .poisson import (
     zeta_functional_reconstruction,
     zeta_odd_poisson,
 )
-from .quadfield import QuadraticField, fib_upto, is_fib, make_field, sequence_terms
+from .quadfield import (
+    MEMBER,
+    MEMBER_EVEN_INDEX,
+    MEMBER_ODD_INDEX,
+    NOT_MEMBER,
+    QuadraticField,
+    fib_upto,
+    is_fib,
+    make_field,
+    sequence_terms,
+)
 
 DEFAULT_FIELDS = (2, 5, 10, 13)
 
@@ -110,18 +120,14 @@ def pell_check(field: QuadraticField, bound: int = 1_000_000) -> CheckResult:
     for t in fib_upto(field, bound):
         (odd_set if t.index % 2 else even_set).add(t.fib)
     members = odd_set | even_set
-    split = field.is_norm_minus_one
+    allowed = {MEMBER: members, MEMBER_ODD_INDEX: odd_set, MEMBER_EVEN_INDEX: even_set}
     mismatches = 0
     for n in range(1, bound + 1):
-        r = is_fib(field, n)
-        if bool(r) != (n in members):
+        verdict = is_fib(field, n).verdict
+        if verdict == NOT_MEMBER:
+            mismatches += n in members
+        elif n not in allowed[verdict]:
             mismatches += 1
-            continue
-        if split and r:
-            if r.verdict == "member_odd_index" and n not in odd_set:
-                mismatches += 1
-            elif r.verdict == "member_even_index" and n not in even_set:
-                mismatches += 1
     return CheckResult(
         f"pell-membership D={field.D}",
         mismatches == 0,

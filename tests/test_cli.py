@@ -118,6 +118,18 @@ def test_grid_marks_pole_rows(capsys):
     assert status["1"] == "ok"
 
 
+def test_grid_marks_shifted_convolution_rows_that_miss_tol(capsys):
+    code, out, _ = run_cli(
+        capsys, "grid", "--D", "5", "--parity", "odd",
+        "--re", "1", "4", "3", "--im", "0", "0", "1",
+        "--methods", "shifted_convolution", "--tol", "1e-12",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    status = {row[0]: row[7] for row in rows}
+    assert status == {"1": "TooSlowConvergenceError", "4": "ok"}
+
+
 def test_grid_empty_range_header_only(capsys):
     code, out, _ = run_cli(
         capsys, "grid", "--D", "5", "--re", "2", "1", "1", "--im", "0", "0", "1",
@@ -283,6 +295,19 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     cfg.write_text("precision_dps = 32\n")
     code, _, err = run_cli(capsys, "eval", "--D", "5", "--s", "2", "--config", str(cfg))
     assert code == 2 and "unknown setting 'precision_dps'" in err
+
+
+def test_config_direct_region_must_start_where_the_strip_form_ends(tmp_path, capsys):
+    argv = ["eval", "--D", "5", "--s", "2.2", "--parity", "even", "--method", "poisson"]
+    cfg = tmp_path / "fibzeta.conf"
+    cfg.write_text("region_direct_min = 2.5\n")
+    code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and "region_direct_min" in err
+    cfg.write_text("region_direct_min = 1.8\n")
+    code, out_18, _ = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    code, out_default, _ = run_cli(capsys, *argv)
+    assert code == 0 and out_18 == out_default
 
 
 def test_settings_flags_only_where_they_change_output(capsys):

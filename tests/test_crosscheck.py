@@ -22,7 +22,7 @@ from fibzeta import (
     zeta_even_poisson,
     zeta_odd_binomial,
 )
-from fibzeta.crosscheck import Surd
+from fibzeta.crosscheck import SHIFTED_CONV_BOUND, Surd, _square_pair_support
 
 F5 = make_field(5)
 F10 = make_field(10)
@@ -173,6 +173,19 @@ def test_support_equality_with_membership(d):
         if r1(n) * r1(field.D * n - field.ell) != 0:
             found.add(n)
     assert found == {n for n in odd_squares if n <= bound}
+
+
+@pytest.mark.parametrize("d", [5, 13, 29])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_square_pair_support_matches_plain_isqrt_scan(d, sign):
+    field = make_field(d)
+    shift = sign * field.ell
+    plain = []
+    for t in range(1, math.isqrt(SHIFTED_CONV_BOUND) + 1):
+        other = d * t * t + shift
+        if other > 0 and math.isqrt(other) ** 2 == other:
+            plain.append((t * t, 1))
+    assert _square_pair_support(field, shift, SHIFTED_CONV_BOUND) == plain
 
 
 # ------------------------------------------------------------- special values

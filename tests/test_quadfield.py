@@ -22,7 +22,16 @@ from fibzeta import (
     r1,
     sequence_terms,
 )
-from fibzeta.quadfield import UnitElement, _unit_by_search, is_square, squarefree_violation
+from fibzeta.quadfield import (
+    _SQUARES_MOD_2431,
+    _SQUARES_MOD_4032,
+    _VALIDATION_SCAN_CAP,
+    MembershipResult,
+    UnitElement,
+    _unit_by_search,
+    is_square,
+    squarefree_violation,
+)
 
 
 # ---------------------------------------------------------------- construction
@@ -84,6 +93,24 @@ def test_continued_fraction_agrees_with_search_for_small_d():
         assert abs(f.eps.norm) == 1
         found = _unit_by_search(f.q, f.eps.b)
         assert found == (f.eps.a, f.eps.b), f"D={d}"
+
+
+def _unit_by_plain_search(q, b_cap):
+    """_unit_by_search with a bare isqrt square test, as the reference."""
+    for b in range(1, b_cap + 1):
+        roots = [r for t in (q * b * b - 4, q * b * b + 4) if t >= 0
+                 for r in (math.isqrt(t),) if r * r == t]
+        if roots:
+            return min(roots), b
+    return None
+
+
+def test_unit_search_matches_plain_isqrt_search():
+    squarefree = [d for d in range(2, 500) if squarefree_violation(d) is None]
+    for d in squarefree:
+        f = make_field(d)
+        cap = min(f.eps.b, _VALIDATION_SCAN_CAP)
+        assert _unit_by_search(f.q, cap) == _unit_by_plain_search(f.q, cap), f"D={d}"
 
 
 def test_unit_element_validation():
@@ -195,6 +222,67 @@ def test_is_fib_invalid_input():
         is_fib(f, 0)
 
 
+def _reference_witnesses(field, n):
+    """Witnesses of X^2 = q n^2 - 4 and + 4 (None where unsolvable), by bare isqrt."""
+    if field.q % 4 == 0:
+        base, unit_shift, scale = field.D * n * n, 1, 2
+    else:
+        base, unit_shift, scale = field.q * n * n, 4, 1
+    out = []
+    for t in (base - unit_shift, base + unit_shift):
+        r = math.isqrt(t) if t >= 0 else -1
+        out.append(scale * r if r >= 0 and r * r == t else None)
+    return out
+
+
+def _reference_is_fib(witness_minus, witness_plus, split):
+    """is_fib's verdict rule before the residue filter: a new result every call."""
+    if not split:
+        if witness_plus is not None:
+            return MembershipResult(MEMBER, witness_plus)
+        if witness_minus is not None:
+            return MembershipResult(MEMBER, witness_minus)
+        return MembershipResult(NOT_MEMBER, None)
+    if witness_minus is not None:
+        return MembershipResult(MEMBER_ODD_INDEX, witness_minus)
+    if witness_plus is not None:
+        return MembershipResult(MEMBER_EVEN_INDEX, witness_plus)
+    return MembershipResult(NOT_MEMBER, None)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 29])
+def test_is_fib_matches_plain_isqrt_reference(d):
+    f = make_field(d)
+    cases = [(None, f.is_norm_minus_one), (False, False)]
+    if f.is_norm_minus_one:
+        cases.append((True, True))
+    for n in range(1, 200_001):
+        wm, wp = _reference_witnesses(f, n)
+        for split, rule in cases:
+            assert is_fib(f, n, split) == _reference_is_fib(wm, wp, rule), (n, split)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 29])
+def test_is_fib_large_members_give_lucas_witness(d):
+    f = make_field(d)
+    for k in (299, 300):
+        n = fib(f, k)
+        assert n > 10**40
+        r = is_fib(f, n)
+        if f.is_norm_minus_one:
+            assert r.verdict == (MEMBER_ODD_INDEX if k % 2 else MEMBER_EVEN_INDEX)
+        else:
+            assert r.verdict == MEMBER
+        assert r.witness == lucas(f, k)
+        assert is_fib(f, n + 1).verdict == NOT_MEMBER
+
+
+def test_is_fib_non_members_share_one_result():
+    f = make_field(5)
+    assert is_fib(f, 4) is is_fib(f, 6) is is_fib(f, 10**30)
+    assert not is_fib(f, 4)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 10, 13])
 def test_membership_matches_enumeration(d):
     f = make_field(d)
@@ -230,10 +318,33 @@ def test_r1_counts_integer_roots(n):
     assert r1(n) == brute
 
 
-@given(st.integers(min_value=0, max_value=10**12))
-@hyp_settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**40))
+@hyp_settings(max_examples=500, deadline=None)
 def test_is_square_consistent_with_isqrt(n):
     assert is_square(n) == (math.isqrt(n) ** 2 == n)
+
+
+@pytest.mark.parametrize("m,table", [(4032, _SQUARES_MOD_4032), (2431, _SQUARES_MOD_2431)])
+def test_square_residue_tables_are_exact(m, table):
+    squares = {i * i % m for i in range(m)}
+    assert table == bytes(r in squares for r in range(m))
+
+
+def test_is_square_exhaustive_on_small_and_near_square_integers():
+    for n in range(-2 * 4032, 2 * 4032 * 17):
+        assert is_square(n) == (n >= 0 and math.isqrt(n) ** 2 == n), n
+    for k in range(1, 100_000):
+        assert is_square(k * k)
+        assert not is_square(k * k + 1)
+        assert is_square(k * k - 1) == (k == 1)
+
+
+@given(st.integers(min_value=2, max_value=10**20))
+@hyp_settings(max_examples=300, deadline=None)
+def test_is_square_on_squares_and_neighbours(k):
+    assert is_square(k * k)
+    assert not is_square(k * k - 1)
+    assert not is_square(k * k + 1)
 
 
 def test_iter_sequence_is_lazy_and_consistent():
