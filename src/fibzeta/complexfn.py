@@ -79,12 +79,22 @@ def _log_sin_pi(z: complex) -> complex:
     return cmath.log(cmath.sin(math.pi * z))
 
 
+(
+    _C0, _C1, _C2, _C3, _C4, _C5, _C6, _C7,
+    _C8, _C9, _C10, _C11, _C12, _C13, _C14,
+) = _LANCZOS_COEFFS
+
+
 def _log_gamma_right(z: complex) -> complex:
     """Lanczos log-gamma, valid for Re z >= 0.5."""
     zz = z - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for k in range(1, 15):
-        acc += _LANCZOS_COEFFS[k] / (zz + k)
+    # c0 + sum_k c_k / (zz + k), summed left to right: the order fixes the last bit
+    acc = (
+        _C0 + _C1 / (zz + 1) + _C2 / (zz + 2) + _C3 / (zz + 3) + _C4 / (zz + 4)
+        + _C5 / (zz + 5) + _C6 / (zz + 6) + _C7 / (zz + 7) + _C8 / (zz + 8)
+        + _C9 / (zz + 9) + _C10 / (zz + 10) + _C11 / (zz + 11) + _C12 / (zz + 12)
+        + _C13 / (zz + 13) + _C14 / (zz + 14)
+    )
     t = zz + _LANCZOS_G + 0.5
     return _HALF_LOG_TWO_PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(acc)
 

@@ -4,11 +4,16 @@ Settings come from (in increasing priority) defaults, an optional
 key=value config file, and explicit keyword overrides / CLI flags.  Every
 field changes the output of some evaluation; field constants are exact
 integers plus one float log eps, so there is no precision setting.
+A Settings value is checked when it is built, however it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+
+# the even-index Poisson strip form converges for Re s < 2 and is evaluated
+# only below this real part, so the direct region must begin at or below it
+STRIP_RE_MAX = 1.95
 
 
 @dataclass(frozen=True)
@@ -22,12 +27,15 @@ class Settings:
     # hard cap on Fourier-side summation lengths
     max_fourier_terms: int = 2_000_000
 
+    def __post_init__(self) -> None:
+        if self.region_direct_min > STRIP_RE_MAX:
+            raise ValueError(
+                f"region_direct_min = {self.region_direct_min} is above {STRIP_RE_MAX}, "
+                "where the strip form of the even Poisson evaluation ends"
+            )
+
 
 _INT_KEYS = {"max_fourier_terms"}
-
-# the even-index Poisson strip form converges for Re s < 2 and is evaluated
-# only below this real part, so the direct region must begin at or below it
-STRIP_RE_MAX = 1.95
 
 
 def default_settings() -> Settings:
@@ -62,9 +70,4 @@ def make_settings(config_path: str | None = None, **overrides) -> Settings:
     cleaned = {k: v for k, v in overrides.items() if v is not None}
     if cleaned:
         s = replace(s, **cleaned)
-    if s.region_direct_min > STRIP_RE_MAX:
-        raise ValueError(
-            f"region_direct_min = {s.region_direct_min} is above {STRIP_RE_MAX}, "
-            "where the strip form of the even Poisson evaluation ends"
-        )
     return s

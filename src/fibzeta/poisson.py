@@ -17,7 +17,10 @@ for Re s well left of 0 the bare gamma-ratio sum.  The gamma-ratio sums are
 accelerated exactly: the ratio Gamma(z + a)/Gamma(z + 1 - a) admits an
 asymptotic expansion in even powers of 1/z whose term-by-term m-sums are
 Riemann zeta values, so subtracting two correction orders leaves a remainder
-falling like m^(Re s - 7).
+falling like m^(Re s - 7).  The two ratios of a pair +-m share their Lanczos
+values: for Re s < 1 the reflection of each numerator Gamma(s/2 -+ i v_m)
+needs log Gamma(1 - s/2 +- i v_m), the other ratio's denominator, so a pair
+costs two Lanczos sums, not four.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .complexfn import czeta, log_gamma, rgamma
+from .complexfn import _LOG_PI, _log_sin_pi, czeta, log_gamma, rgamma
 from .config import STRIP_RE_MAX, Settings, default_settings
 from .continuation import (
     LATTICE_SPLIT,
@@ -124,14 +127,17 @@ def zeta_odd_poisson(
     log_eps = field.log_eps
     half_step = math.pi / (2.0 * log_eps)
     decay = math.exp(-math.pi * half_step)  # per-unit-m asymptotic shrink factor
-    total = cmath.exp(2.0 * log_gamma(0.5 * s))
+    half_s = 0.5 * s
+    total = cmath.exp(2.0 * log_gamma(half_s))
     m = 0
     term_abs = abs(total)
+    sign = 2.0  # 2 (-1)^m, flipped before each term
     while True:
         m += 1
         v = half_step * m
-        pair = cmath.exp(log_gamma(0.5 * s + 1j * v) + log_gamma(0.5 * s - 1j * v))
-        term = 2.0 * ((-1) ** m) * pair
+        sign = -sign
+        pair = cmath.exp(log_gamma(half_s + 1j * v) + log_gamma(half_s - 1j * v))
+        term = sign * pair
         total += term
         term_abs = abs(term)
         if m >= 3 and term_abs <= tol * max(abs(total), 1e-30):
@@ -160,6 +166,24 @@ def _bernoulli_b5(x: complex) -> complex:
 def _gamma_ratio(s: complex, w: float) -> complex:
     """Gamma(s/2 - i w) / Gamma(1 - s/2 - i w), in log space."""
     return cmath.exp(log_gamma(0.5 * s - 1j * w) - log_gamma(1.0 - 0.5 * s - 1j * w))
+
+
+def _ratio_pair(s: complex, v: float) -> complex:
+    """_gamma_ratio(s, v) + _gamma_ratio(s, -v) from two Lanczos values.
+
+    For Re s < 1 both numerators Gamma(s/2 -+ i v) lie left of Re 1/2, and
+    the reflection of each evaluates log Gamma(1 - s/2 +- i v), which is the
+    other ratio's denominator.  The arguments are built as _gamma_ratio builds
+    them and combined in its order, so the sum is the same float.
+    """
+    a = 0.5 * s
+    if a.real >= 0.5:
+        return _gamma_ratio(s, v) + _gamma_ratio(s, -v)
+    l_minus = log_gamma(1.0 - a - 1j * v)
+    l_plus = log_gamma(1.0 - a - 1j * -v)
+    return cmath.exp((_LOG_PI - _log_sin_pi(a - 1j * v) - l_plus) - l_minus) + cmath.exp(
+        (_LOG_PI - _log_sin_pi(a - 1j * -v) - l_minus) - l_plus
+    )
 
 
 def _ratio_pair_core(
@@ -209,7 +233,7 @@ def _ratio_pair_core(
     while True:
         m += 1
         v = half_step * m
-        pair = _gamma_ratio(s, v) + _gamma_ratio(s, -v)
+        pair = _ratio_pair(s, v)
         log_v = math.log(v)
         asym = (
             2.0
@@ -341,7 +365,7 @@ def _even_left_plain(
     while True:
         m += 1
         v = half_step * m
-        term = _gamma_ratio(s, v) + _gamma_ratio(s, -v)
+        term = _ratio_pair(s, v)
         total += term
         term_abs = abs(term)
         tail = term_abs * m / abs(x)

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from fibzeta.complexfn import cgamma, czeta, log_gamma, rgamma
+from fibzeta.complexfn import (
+    _HALF_LOG_TWO_PI,
+    _LANCZOS_COEFFS,
+    _LANCZOS_G,
+    _log_gamma_right,
+    cgamma,
+    czeta,
+    log_gamma,
+    rgamma,
+)
 from fibzeta.crosscheck import _binomial_coefficient
 from fibzeta.errors import PoleAtNonpositiveIntegerError, PoleAtOneError
 
@@ -88,6 +97,25 @@ def test_rgamma_is_entire_and_zero_at_poles():
     assert rgamma(0.0) == 0.0
     assert abs(rgamma(-3.0)) < 1e-14
     assert rel_err(rgamma(0.5 + 2j), 1.0 / complex(mp.gamma(0.5 + 2j))) < 1e-13
+
+
+def _log_gamma_right_loop(z):
+    """Reference: the Lanczos sum accumulated in a loop over the coefficients."""
+    zz = z - 1.0
+    acc = _LANCZOS_COEFFS[0]
+    for k in range(1, 15):
+        acc += _LANCZOS_COEFFS[k] / (zz + k)
+    t = zz + _LANCZOS_G + 0.5
+    return _HALF_LOG_TWO_PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(acc)
+
+
+def test_log_gamma_right_equals_the_loop_reference_exactly():
+    re_axis = [0.5 + 11.5 * i / 46 for i in range(47)]
+    im_axis = [-200.0 + 400.0 * j / 160 for j in range(161)] + [1e-9, -0.3, 0.7071, 123.456]
+    for x in re_axis:
+        for y in im_axis:
+            z = complex(x, y)
+            assert _log_gamma_right(z) == _log_gamma_right_loop(z), z
 
 
 def test_log_gamma_matches_mpmath_after_exponentiation():

@@ -9,6 +9,8 @@ tail bound exceeds tol, so its three D=5 strip records (tail bound 0.126 and
 0.252 at tol 1e-12) became TooSlowConvergenceError.
 """
 
+import dataclasses
+
 import pytest
 
 import fibzeta
@@ -102,3 +104,16 @@ def test_shifted_convolution_returns_the_scan_only_within_tol():
     assert ev.tail.bound <= 1e-8 * abs(ev.value)
     with pytest.raises(fibzeta.TooSlowConvergenceError):
         fibzeta.evaluate(field, 2.0, "odd", "shifted_convolution", 1e-12)
+
+
+def test_settings_reject_a_direct_region_past_the_strip_form():
+    # the strip form stops at Re s = STRIP_RE_MAX, so a later direct region
+    # would leave a gap that the even Poisson evaluation cannot cover
+    with pytest.raises(ValueError, match="region_direct_min"):
+        fibzeta.Settings(region_direct_min=2.5)
+    with pytest.raises(ValueError, match="region_direct_min"):
+        dataclasses.replace(fibzeta.default_settings(), region_direct_min=2.5)
+    field = make_field(5)
+    at_limit = fibzeta.Settings(region_direct_min=fibzeta.config.STRIP_RE_MAX)
+    ev = fibzeta.evaluate(field, 2.2, "even", "poisson", 1e-12, at_limit)
+    assert ev == fibzeta.evaluate(field, 2.2, "even", "poisson", 1e-12)

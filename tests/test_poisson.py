@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings as hyp_settings
+from hypothesis import strategies as st
 
 from fibzeta import (
     NearOneSingularityError,
@@ -20,8 +22,11 @@ from fibzeta import (
     zeta_odd_binomial,
     zeta_odd_poisson,
 )
+from fibzeta.complexfn import log_gamma
 from fibzeta.poisson import (
     RegionSelector,
+    _gamma_ratio,
+    _ratio_pair,
     zeta_even_poisson_left,
     zeta_even_poisson_strip,
 )
@@ -271,3 +276,87 @@ def test_zeta_cancellation_identity():
 def test_zeta_cancellation_out_of_region():
     with pytest.raises(OutOfRegionError):
         zeta_functional_reconstruction(F5, 0.5)
+
+
+# ------------------------------------------------------- gamma-ratio pairs
+
+RATIO_PAIR_FIELDS = {d: make_field(d) for d in (5, 13, 29)}
+
+
+@given(
+    re_s=st.floats(min_value=-8.0, max_value=1.95, exclude_max=True),
+    im_s=st.floats(min_value=-80.0, max_value=80.0),
+    d=st.sampled_from(sorted(RATIO_PAIR_FIELDS)),
+    m=st.integers(min_value=1, max_value=200),
+)
+@example(re_s=-3.3, im_s=17.0, d=13, m=41)  # shared Lanczos values
+@example(re_s=1.5, im_s=-12.0, d=5, m=7)  # Re s >= 1: the four-call sum
+@hyp_settings(max_examples=400, deadline=None)
+def test_ratio_pair_equals_the_two_ratio_sum_exactly(re_s, im_s, d, m):
+    s = complex(re_s, im_s)
+    v = m * math.pi / (2.0 * RATIO_PAIR_FIELDS[d].log_eps)
+    assert _ratio_pair(s, v) == _gamma_ratio(s, v) + _gamma_ratio(s, -v)
+
+
+@pytest.mark.parametrize("s, calls", [(complex(-2.7, 9.0), 2), (complex(0.95, -3.0), 2),
+                                      (complex(1.0, 4.0), 4), (complex(1.6, 0.5), 4)])
+def test_ratio_pair_evaluates_two_log_gammas_left_of_one(monkeypatch, s, calls):
+    args = []
+
+    def counting(z):
+        args.append(z)
+        return log_gamma(z)
+
+    monkeypatch.setattr("fibzeta.poisson.log_gamma", counting)
+    _ratio_pair(s, 1.3)
+    assert len(args) == calls
+    if calls == 2:
+        # only the denominators 1 - s/2 -+ i v, which need no reflection
+        assert all(z.real >= 0.5 for z in args)
+
+
+# repr values recorded before the gamma-ratio pairs shared their Lanczos
+# values and before the Lanczos sum lost its loop; both changes keep every
+# float, so these must repeat exactly: (D, form, s, value, terms_used)
+FROZEN_POISSON = [
+    (5, "even", complex(0.3, 2.0), (0.5610063221450912-0.21275098527916342j), 43),
+    (5, "even", complex(-0.1, 5.5), (1.2642077950519084+1.2078408782124797j), 101),
+    (5, "even", complex(0.45, -12.25), (1.9159361237004715+0.28253513327379864j), 411),
+    (5, "even", complex(-1.5, 0.5), (-0.6266072680554785+0.24076014735803491j), 13),
+    (5, "even", complex(-3.7, 11.0), (-1.6627647114479451+0.4573539314157088j), 55),
+    (5, "even", complex(-6.2, -4.3), (0.09907639642693082-0.06680965717923218j), 17),
+    (5, "odd", complex(0.3, 2.0), (0.7910265627061253-0.5578800190552188j), 7),
+    (5, "odd", complex(-2.5, 7.0), (1.6345150077047164-3.2297347629570217j), 9),
+    (5, "odd", complex(1.5, -15.0), (0.8606687303594369-0.3506495610536581j), 13),
+    (5, "plain", complex(-3.5, 1.0), (0.15690904236187858-0.08164138132506904j), 69),
+    (5, "plain", complex(-5.25, -2.0), (-0.02592013211974791+0.007838180466004561j), 23),
+    (5, "strip", complex(1.5, 3.0), (0.8457836330828984+0.029514036272694194j), 91),
+    (5, "strip", complex(1.2, -0.5), (1.2646814617583764+0.24563215522897286j), 37),
+    (13, "even", complex(0.3, 2.0), (-0.10776260209644706-0.6605860001960463j), 109),
+    (13, "even", complex(-0.1, 5.5), (0.14974411161188944-1.548768758725048j), 245),
+    (13, "even", complex(0.45, -12.25), (0.4141357701775332+0.30736084319504053j), 1009),
+    (13, "even", complex(-1.5, 0.5), (-0.14431366558490227-0.02209891861203902j), 29),
+    (13, "even", complex(-3.7, 11.0), (-0.17007778340284102-0.1126307172016203j), 109),
+    (13, "even", complex(-6.2, -4.3), (-0.007526025088323379-0.005655825605742928j), 33),
+    (13, "odd", complex(0.3, 2.0), (0.7489961554911357+0.38827349199206973j), 17),
+    (13, "odd", complex(-2.5, 7.0), (0.03811172025876826-0.1188043816173347j), 19),
+    (13, "odd", complex(1.5, -15.0), (0.9686751243662575+0.0014137935910211036j), 27),
+    (13, "plain", complex(-3.5, 1.0), (0.0129705478020445+0.010914050341953023j), 105),
+    (13, "plain", complex(-5.25, -2.0), (0.0024525488781564565+0.011673911127156548j), 35),
+    (13, "strip", complex(1.5, 3.0), (-0.192664072671059+0.034317818307706305j), 227),
+    (13, "strip", complex(1.2, -0.5), (0.22469389909823678+0.15465045200950045j), 87),
+]
+
+
+@pytest.mark.parametrize("d, form, s, value, terms", FROZEN_POISSON)
+def test_poisson_values_repeat_bit_for_bit(d, form, s, value, terms):
+    field = RATIO_PAIR_FIELDS[d]
+    if form == "even":  # strip region for Re s > -0.25, left region below
+        ev = zeta_even_poisson(field, s, tol=1e-12)
+    elif form == "odd":
+        ev = zeta_odd_poisson(field, s, tol=1e-12)
+    elif form == "plain":  # the unaccelerated left-region sum
+        ev = zeta_even_poisson_left(field, s, tol=1e-8, accelerated=False)
+    else:  # strip form at Re s >= 1, where the pairs take the four-call sum
+        ev = zeta_even_poisson_strip(field, s, tol=1e-12)
+    assert (ev.value, ev.terms_used) == (value, terms)
