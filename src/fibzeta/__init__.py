@@ -10,7 +10,7 @@ each value can be cross-validated.  evaluate(field, s, parity, method, tol)
 is the single entry point that picks the route.
 """
 
-from .config import Settings, default_settings, make_settings
+from .config import Settings, default_settings
 from .continuation import (
     METHOD_BINOMIAL,
     METHOD_DIRECT,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .config import Settings, make_settings
+from .config import Settings, default_settings
 from .continuation import METHODS, PARITIES, PARITY_COMBINED
 from .crosscheck import pole_lattice
 from .dispatch import evaluate
@@ -75,7 +75,13 @@ class GridRequest:
     def __post_init__(self):
         for lo, hi, step in (self.re_range, self.im_range):
             if step <= 0 or not all(math.isfinite(v) for v in (lo, hi, step)):
-                raise DomainError(f"grid ranges must be finite with step > 0")
+                raise DomainError("grid ranges must be finite with step > 0")
+            if hi < lo:
+                raise DomainError(f"grid range needs hi >= lo, got {lo} > {hi}")
+            if not math.isfinite((hi - lo) / step):
+                raise DomainError(
+                    f"grid range {lo}..{hi} in steps of {step} gives no finite number of points"
+                )
         if not (0.0 < self.tol <= 1e-2):
             raise DomainError(f"tol must be in (0, 1e-2], got {self.tol}")
         if self.parity not in PARITIES:
@@ -89,14 +95,16 @@ class GridRequest:
     def axis(self, which: str) -> list[float]:
         lo, hi, step = self.re_range if which == "re" else self.im_range
         n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return [lo + i * step for i in range(max(n, 0))]
+        return [lo + i * step for i in range(n)]
 
 
 # -------------------------------------------------------------------- commands
 
 def _settings(args: argparse.Namespace) -> Settings:
     """Settings for eval and grid, the only commands whose output they change."""
-    return make_settings(config_path=args.config, pole_guard_radius=args.pole_guard)
+    if args.pole_guard is None:
+        return default_settings()
+    return Settings(pole_guard_radius=args.pole_guard)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -126,41 +134,25 @@ def _cached_field(d: int) -> QuadraticField:
     return make_field(d)
 
 
-def _point_rows(task) -> list[list[str]]:
-    """Rows for one grid point (module-level so worker processes can run it)."""
-    d, settings, re_part, im, parity, methods, tol = task
-    field = _cached_field(d)
-    s = complex(re_part, im)
+def _grid_rows(request: GridRequest, settings: Settings) -> list[list[str]]:
+    """One row per (point, method), Im s outer, Re s inner, methods innermost."""
+    field = _cached_field(request.D)
+    re_axis = request.axis("re")
     rows = []
-    for method in methods:
-        base = [fmt(re_part), fmt(im), method]
-        try:
-            ev = evaluate(field, s, parity, method, tol, settings)
-            rows.append(base + [fmt(ev.value.real), fmt(ev.value.imag),
-                                fmt(ev.tail_bound), fmt(ev.nearest_pole_distance), "ok"])
-        except PoleProximityError as exc:
-            rows.append(base + ["", "", "", fmt(exc.distance), "pole"])
-        except NumericalError as exc:
-            rows.append(base + ["", "", "", "", type(exc).__name__])
+    for im in request.axis("im"):
+        for re_part in re_axis:
+            s = complex(re_part, im)
+            for method in request.methods:
+                base = [fmt(re_part), fmt(im), method]
+                try:
+                    ev = evaluate(field, s, request.parity, method, request.tol, settings)
+                    rows.append(base + [fmt(ev.value.real), fmt(ev.value.imag),
+                                        fmt(ev.tail_bound), fmt(ev.nearest_pole_distance), "ok"])
+                except PoleProximityError as exc:
+                    rows.append(base + ["", "", "", fmt(exc.distance), "pole"])
+                except NumericalError as exc:
+                    rows.append(base + ["", "", "", "", type(exc).__name__])
     return rows
-
-
-def _grid_rows(request: GridRequest, settings: Settings, workers: int = 1) -> list[list[str]]:
-    """Evaluate all grid points; rows come back in grid order even when the
-    work fans out across processes."""
-    tasks = [
-        (request.D, settings, re_part, im, request.parity, request.methods, request.tol)
-        for im in request.axis("im")
-        for re_part in request.axis("re")
-    ]
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_point_rows, tasks, chunksize=4))
-    else:
-        chunks = [_point_rows(t) for t in tasks]
-    return [row for chunk in chunks for row in chunk]
 
 
 GRID_HEADER = ["re_s", "im_s", "method", "re_z", "im_z", "tail_bound", "pole_distance", "status"]
@@ -177,7 +169,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         tol=args.tol,
         output=args.format,
     )
-    rows = _grid_rows(request, settings, workers=args.workers)
+    rows = _grid_rows(request, settings)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         if request.output == "csv":
@@ -213,6 +205,10 @@ def cmd_poles(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     d_list = [int(tok) for tok in args.D.split(",")] if args.D else None
     names = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
+    if args.points < 5:
+        raise UsageError(f"--points must be at least 5, got {args.points}")
+    if args.bound < 1:
+        raise UsageError(f"--bound must be at least 1, got {args.bound}")
     for name in names:
         if name not in SUITE_NAMES:
             raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all")
@@ -255,7 +251,6 @@ class UsageError(Exception):
 
 def build_parser() -> argparse.ArgumentParser:
     evaluation = argparse.ArgumentParser(add_help=False)
-    evaluation.add_argument("--config", help="key=value settings file")
     evaluation.add_argument("--pole-guard", type=float, help="pole guard radius")
 
     parser = argparse.ArgumentParser(
@@ -282,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="write to file instead of stdout")
-    p.add_argument("--workers", type=int, default=1, help="parallel evaluation processes")
     p.set_defaults(fun=cmd_grid)
 
     p = sub.add_parser("poles", help="pole lattice with residues")

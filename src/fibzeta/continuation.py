@@ -162,12 +162,10 @@ def _binomial_eval(
     kind: str,
     lattice: str,
     settings: Settings | None,
-    pole_guard: float | None,
 ) -> ZetaEvaluation:
     settings = settings or default_settings()
-    guard = settings.pole_guard_radius if pole_guard is None else pole_guard
     s = complex(s)
-    dist = check_pole_guard(field, s, lattice, guard)
+    dist = check_pole_guard(field, s, lattice, settings.pole_guard_radius)
     total, terms, tail = _binomial_sum(field, s, tol, kind)
     scale = _q_power(field, s)
     return ZetaEvaluation(
@@ -184,11 +182,10 @@ def zeta_odd_binomial(
     s: complex,
     tol: float = 1e-12,
     settings: Settings | None = None,
-    pole_guard: float | None = None,
 ) -> ZetaEvaluation:
     """Odd-indexed zeta sum_{n>=1} F(2n-1)^(-s), continued to C (norm -1 only)."""
     field.require_norm_minus_one()
-    return _binomial_eval(field, s, tol, "odd", LATTICE_SPLIT, settings, pole_guard)
+    return _binomial_eval(field, s, tol, "odd", LATTICE_SPLIT, settings)
 
 
 def zeta_even_binomial(
@@ -196,11 +193,10 @@ def zeta_even_binomial(
     s: complex,
     tol: float = 1e-12,
     settings: Settings | None = None,
-    pole_guard: float | None = None,
 ) -> ZetaEvaluation:
     """Even-indexed zeta sum_{n>=1} F(2n)^(-s), continued to C (norm -1 only)."""
     field.require_norm_minus_one()
-    return _binomial_eval(field, s, tol, "even", LATTICE_SPLIT, settings, pole_guard)
+    return _binomial_eval(field, s, tol, "even", LATTICE_SPLIT, settings)
 
 
 def zeta_combined_binomial(
@@ -208,7 +204,6 @@ def zeta_combined_binomial(
     s: complex,
     tol: float = 1e-12,
     settings: Settings | None = None,
-    pole_guard: float | None = None,
 ) -> ZetaEvaluation:
     """Full zeta sum_{n>=1} F(n)^(-s) via the collapsed single series.
 
@@ -216,7 +211,7 @@ def zeta_combined_binomial(
     m + k even survive as poles, so it evaluates cleanly at the other half.
     """
     field.require_norm_minus_one()
-    return _binomial_eval(field, s, tol, "combined", LATTICE_COMBINED, settings, pole_guard)
+    return _binomial_eval(field, s, tol, "combined", LATTICE_COMBINED, settings)
 
 
 def zeta_norm_plus_one(
@@ -224,7 +219,6 @@ def zeta_norm_plus_one(
     s: complex,
     tol: float = 1e-12,
     settings: Settings | None = None,
-    pole_guard: float | None = None,
 ) -> ZetaEvaluation:
     """Full zeta for a norm +1 field, where F(n) = (eps^n - eps^-n)/sqrt(q).
 
@@ -236,7 +230,7 @@ def zeta_norm_plus_one(
         raise NormMinusOneError(
             f"D={field.D} has a norm -1 unit; use the odd/even split instead"
         )
-    return _binomial_eval(field, s, tol, "plus_one", LATTICE_PLUS_ONE, settings, pole_guard)
+    return _binomial_eval(field, s, tol, "plus_one", LATTICE_PLUS_ONE, settings)
 
 
 def direct_terms_for(field: QuadraticField, s: complex, tol: float, parity: str) -> int:

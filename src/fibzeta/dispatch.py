@@ -8,6 +8,7 @@ dispatched call.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .config import Settings
@@ -76,14 +77,16 @@ def evaluate(
 ) -> ZetaEvaluation:
     """Z(s) of the given parity by the given method.
 
-    Norm +1 fields have no odd/even split: only the combined parity by the
-    binomial or direct route exists there, anything else raises
-    NormPlusOneError.  The shifted-convolution route scans to its default
-    bound and raises TooSlowConvergenceError when its tail bound there
-    exceeds tol relative to the value.
+    A non-finite s raises DomainError.  Norm +1 fields have no odd/even
+    split: only the combined parity by the binomial or direct route exists
+    there, anything else raises NormPlusOneError.  The shifted-convolution
+    route scans to its default bound and raises TooSlowConvergenceError when
+    its tail bound there exceeds tol relative to the value.
     """
     if parity not in PARITIES:
         raise DomainError(f"parity must be one of {PARITIES}, got {parity!r}")
+    if not cmath.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
     if method == METHOD_DIRECT:
         if parity != PARITY_COMBINED:
             field.require_norm_minus_one()

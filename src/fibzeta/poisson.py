@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .complexfn import _LOG_PI, _log_sin_pi, czeta, log_gamma, rgamma
-from .config import STRIP_RE_MAX, Settings, default_settings
+from .config import Settings, default_settings
 from .continuation import (
     LATTICE_SPLIT,
     METHOD_POISSON,
@@ -55,34 +55,41 @@ REGION_STRIP = "strip"
 REGION_LEFT = "left"
 
 
-@dataclass(frozen=True)
+# the even-indexed evaluation uses the direct series for Re s >= REGION_DIRECT_MIN,
+# the bare gamma-ratio sum for Re s <= REGION_LEFT_MAX and the strip form between
+REGION_DIRECT_MIN = 0.5
+REGION_LEFT_MAX = -0.25
+# the strip form converges for Re s < 2 and is evaluated only below this real part
+STRIP_RE_MAX = 1.95
+# the strip form refuses points this close to s = 1
+NEAR_ONE_RADIUS = 0.1
+# hard cap on Fourier-side summation lengths
+MAX_FOURIER_TERMS = 2_000_000
+
+
 class RegionSelector:
     """Dispatch boundaries for the even-indexed Poisson evaluation.
 
-    The strip form is provably convergent for Re s < 2 but is only used by
-    default on (left_max, direct_min); overlap bands with both neighbours
-    remain available for consistency testing.
+    The strip form is provably convergent for Re s < 2 but is only used on
+    (REGION_LEFT_MAX, REGION_DIRECT_MIN); the overlap bands with both
+    neighbours remain callable for consistency testing.  The strip region
+    ends left of Re s = 1 - NEAR_ONE_RADIUS, so no point it selects is near 1.
     """
 
-    direct_min: float = 0.5
-    left_max: float = -0.25
-    near_one_radius: float = 0.1
-
-    def classify(self, s: complex) -> str:
+    @staticmethod
+    def classify(s: complex) -> str:
         x = complex(s).real
-        if x <= self.left_max:
+        if x <= REGION_LEFT_MAX:
             return REGION_LEFT
-        if x < self.direct_min and abs(s - 1.0) > self.near_one_radius:
+        if x < REGION_DIRECT_MIN:
             return REGION_STRIP
         return REGION_DIRECT
 
     @staticmethod
     def from_settings(settings: Settings) -> "RegionSelector":
-        return RegionSelector(
-            direct_min=settings.region_direct_min,
-            left_max=settings.region_left_max,
-            near_one_radius=settings.near_one_radius,
-        )
+        # the boundaries are fixed; bench/tracing.py names each even-index
+        # evaluation by its region through this call
+        return RegionSelector()
 
 
 def fourier_coefficient_odd(
@@ -115,14 +122,12 @@ def zeta_odd_poisson(
     s: complex,
     tol: float = 1e-12,
     settings: Settings | None = None,
-    pole_guard: float | None = None,
 ) -> ZetaEvaluation:
     """Odd-indexed zeta via the two-sided gamma series (valid on all of C)."""
     field.require_norm_minus_one()
     settings = settings or default_settings()
-    guard = settings.pole_guard_radius if pole_guard is None else pole_guard
     s = complex(s)
-    dist = check_pole_guard(field, s, LATTICE_SPLIT, guard)
+    dist = check_pole_guard(field, s, LATTICE_SPLIT, settings.pole_guard_radius)
 
     log_eps = field.log_eps
     half_step = math.pi / (2.0 * log_eps)
@@ -142,8 +147,8 @@ def zeta_odd_poisson(
         term_abs = abs(term)
         if m >= 3 and term_abs <= tol * max(abs(total), 1e-30):
             break
-        if m > settings.max_fourier_terms:
-            raise TooSlowConvergenceError(float(m), settings.max_fourier_terms)
+        if m > MAX_FOURIER_TERMS:
+            raise TooSlowConvergenceError(float(m), MAX_FOURIER_TERMS)
     prefactor = _q_power(field, s) * rgamma(s) / (8.0 * log_eps)
     tail = term_abs * decay / (1.0 - decay) * abs(prefactor)
     return ZetaEvaluation(
@@ -190,7 +195,6 @@ def _ratio_pair_core(
     field: QuadraticField,
     s: complex,
     tol_abs: float,
-    settings: Settings,
     include_leading: bool,
 ) -> tuple[complex, int, float]:
     """sum over m in Z of the gamma-ratio terms, asymptotics summed exactly.
@@ -253,8 +257,8 @@ def _ratio_pair_core(
             noise_floor = 2.3e-16 * (6.0 + 3.2 * v) * (abs(pair) + abs(asym))
             if residual_abs * m * tail_factor <= tol_abs or residual_abs <= noise_floor:
                 break
-        if m > settings.max_fourier_terms:
-            raise TooSlowConvergenceError(float(m), settings.max_fourier_terms)
+        if m > MAX_FOURIER_TERMS:
+            raise TooSlowConvergenceError(float(m), MAX_FOURIER_TERMS)
     tail = max(residual_abs * m * tail_factor, residual_abs * math.sqrt(m))
     return total, m, tail
 
@@ -268,7 +272,6 @@ def zeta_even_poisson_strip(
     s: complex,
     tol: float = 1e-12,
     settings: Settings | None = None,
-    pole_guard: float | None = None,
 ) -> ZetaEvaluation:
     """Strip-form evaluation: valid for Re s < 2 away from poles and s=1.
 
@@ -278,21 +281,18 @@ def zeta_even_poisson_strip(
     """
     field.require_norm_minus_one()
     settings = settings or default_settings()
-    guard = settings.pole_guard_radius if pole_guard is None else pole_guard
     s = complex(s)
     if s.real >= STRIP_RE_MAX:
         raise OutOfRegionError(f"strip form needs Re s < 2, got {s.real}")
-    if abs(s - 1.0) <= settings.near_one_radius:
-        raise NearOneSingularityError(
-            f"strip form unstable within {settings.near_one_radius} of s=1"
-        )
-    dist = check_pole_guard(field, s, LATTICE_SPLIT, guard)
+    if abs(s - 1.0) <= NEAR_ONE_RADIUS:
+        raise NearOneSingularityError(f"strip form unstable within {NEAR_ONE_RADIUS} of s=1")
+    dist = check_pole_guard(field, s, LATTICE_SPLIT, settings.pole_guard_radius)
     log_eps = field.log_eps
     scale = _q_power(field, s)
     zeta_term = scale * czeta(s) * cmath.exp(-s * math.log(4.0 * log_eps))
     pref = _even_prefactor(field, s)
     tol_abs = tol * max(abs(zeta_term), 1.0) / max(abs(pref), 1e-30)
-    core, pairs, tail = _ratio_pair_core(field, s, tol_abs, settings, include_leading=False)
+    core, pairs, tail = _ratio_pair_core(field, s, tol_abs, include_leading=False)
     return ZetaEvaluation(
         value=zeta_term + pref * core,
         method=METHOD_POISSON,
@@ -307,7 +307,6 @@ def zeta_even_poisson_left(
     s: complex,
     tol: float = 1e-12,
     settings: Settings | None = None,
-    pole_guard: float | None = None,
     accelerated: bool = True,
 ) -> ZetaEvaluation:
     """Left-region evaluation: the bare gamma-ratio sum, Re s < 0.
@@ -317,19 +316,18 @@ def zeta_even_poisson_left(
     accelerated=True (default) sums the asymptotic orders through Riemann
     zeta values, leaving a remainder that falls like m^(Re s - 7); the plain
     truncated sum decays only like m^(Re s) in the tail and refuses to run
-    when the projected length passes the configured cap.
+    when the projected length passes MAX_FOURIER_TERMS.
     """
     field.require_norm_minus_one()
     settings = settings or default_settings()
-    guard = settings.pole_guard_radius if pole_guard is None else pole_guard
     s = complex(s)
     if s.real >= 0:
         raise OutOfRegionError(f"left form needs Re s < 0, got {s.real}")
-    dist = check_pole_guard(field, s, LATTICE_SPLIT, guard)
+    dist = check_pole_guard(field, s, LATTICE_SPLIT, settings.pole_guard_radius)
     pref = _even_prefactor(field, s)
     if accelerated:
         tol_abs = tol * 1.0 / max(abs(pref), 1e-30)
-        core, pairs, tail = _ratio_pair_core(field, s, tol_abs, settings, include_leading=True)
+        core, pairs, tail = _ratio_pair_core(field, s, tol_abs, include_leading=True)
         return ZetaEvaluation(
             value=pref * core,
             method=METHOD_POISSON,
@@ -337,14 +335,13 @@ def zeta_even_poisson_left(
             tail=SeriesTail(bound=tail * abs(pref), rigorous=False),
             nearest_pole_distance=dist,
         )
-    return _even_left_plain(field, s, tol, settings, pref, dist)
+    return _even_left_plain(field, s, tol, pref, dist)
 
 
 def _even_left_plain(
     field: QuadraticField,
     s: complex,
     tol: float,
-    settings: Settings,
     pref: complex,
     dist: float,
 ) -> ZetaEvaluation:
@@ -357,8 +354,8 @@ def _even_left_plain(
     c_est = abs(pref) * 2.0 * math.exp((x - 1.0) * math.log(half_step))
     tol_abs = tol  # absolute target on Z
     needed = (c_est / (tol_abs * abs(x))) ** (1.0 / abs(x))
-    if x > -0.25 or needed > settings.max_fourier_terms:
-        raise TooSlowConvergenceError(needed, settings.max_fourier_terms)
+    if x > -0.25 or needed > MAX_FOURIER_TERMS:
+        raise TooSlowConvergenceError(needed, MAX_FOURIER_TERMS)
     total = _gamma_ratio(s, 0.0)
     m = 0
     term_abs = 0.0
@@ -371,8 +368,8 @@ def _even_left_plain(
         tail = term_abs * m / abs(x)
         if m >= 8 and tail * abs(pref) <= tol_abs:
             break
-        if m > settings.max_fourier_terms:
-            raise TooSlowConvergenceError(float(m), settings.max_fourier_terms)
+        if m > MAX_FOURIER_TERMS:
+            raise TooSlowConvergenceError(float(m), MAX_FOURIER_TERMS)
     return ZetaEvaluation(
         value=pref * total,
         method=METHOD_POISSON,
@@ -387,24 +384,22 @@ def zeta_even_poisson(
     s: complex,
     tol: float = 1e-12,
     settings: Settings | None = None,
-    pole_guard: float | None = None,
 ) -> ZetaEvaluation:
     """Even-indexed zeta via truncated Poisson summation, region-dispatched."""
     field.require_norm_minus_one()
     settings = settings or default_settings()
     s = complex(s)
-    region = RegionSelector.from_settings(settings).classify(s)
+    region = RegionSelector.classify(s)
     if region == REGION_DIRECT:
-        guard = settings.pole_guard_radius if pole_guard is None else pole_guard
-        dist = check_pole_guard(field, s, LATTICE_SPLIT, guard)
+        dist = check_pole_guard(field, s, LATTICE_SPLIT, settings.pole_guard_radius)
         n_terms = direct_terms_for(field, s, tol, PARITY_EVEN)
         ev = zeta_direct(field, s, PARITY_EVEN, n_terms)
         return replace(ev, method=METHOD_POISSON, nearest_pole_distance=dist)
     if region == REGION_STRIP:
-        # the selector keeps points within near_one_radius of 1 in the direct
-        # region, so the strip form's own near-one check cannot fire here
-        return zeta_even_poisson_strip(field, s, tol, settings, pole_guard)
-    return zeta_even_poisson_left(field, s, tol, settings, pole_guard)
+        # the strip region ends left of the strip form's near-one disk, so
+        # that check cannot fire here
+        return zeta_even_poisson_strip(field, s, tol, settings)
+    return zeta_even_poisson_left(field, s, tol, settings)
 
 
 def regularized_fourier_integral(
@@ -456,7 +451,6 @@ def zeta_functional_reconstruction(
     field: QuadraticField,
     s: complex,
     tol: float = 1e-10,
-    settings: Settings | None = None,
 ) -> tuple[complex, complex, int]:
     """The |m|^(1-s) parts of the strip form, summed against their closed form.
 
@@ -465,7 +459,6 @@ def zeta_functional_reconstruction(
     functional equation.  Returns (reconstructed, reference, terms): the
     literal partial sum with its prefactors, and -q^(s/2) zeta(s)/(4 log eps)^s.
     """
-    settings = settings or default_settings()
     s = complex(s)
     if s.real >= 0:
         raise OutOfRegionError(f"needs Re s < 0, got {s.real}")
@@ -488,8 +481,8 @@ def zeta_functional_reconstruction(
         partial += term
         if m >= 8 and abs(term) * m / abs(x) <= tol / max(abs(coeff), 1e-30):
             break
-        if m > settings.max_fourier_terms:
-            raise TooSlowConvergenceError(float(m), settings.max_fourier_terms)
+        if m > MAX_FOURIER_TERMS:
+            raise TooSlowConvergenceError(float(m), MAX_FOURIER_TERMS)
     reconstructed = coeff * partial
     reference = -_q_power(field, s) * czeta(s) * cmath.exp(-s * math.log(4.0 * log_eps))
     return reconstructed, reference, m

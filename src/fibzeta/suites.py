@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .complexfn import cgamma, czeta
+from .config import Settings
 from .continuation import (
     PARITY_EVEN,
     PARITY_ODD,
@@ -258,11 +259,13 @@ def golden_specialization_checks(rng: random.Random) -> list[CheckResult]:
 # -------------------------------------------------------------------- residues
 
 def residue_checks(field: QuadraticField, k_max: int = 2, m_max: int = 3) -> list[CheckResult]:
+    # the contour of radius 1e-3 passes inside the default pole guard
+    settings = Settings(pole_guard_radius=1e-4)
     worst_rel = 0.0
     for which, fun in (("odd", zeta_odd_binomial), ("even", zeta_even_binomial)):
         for p in pole_lattice(field, k_max, m_max, which):
             num = residue_numeric(
-                lambda s, fun=fun: fun(field, s, 1e-12, pole_guard=1e-4).value,
+                lambda s, fun=fun: fun(field, s, 1e-12, settings).value,
                 p.location,
                 1e-3,
             )

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from fibzeta.cli import GridRequest, main, parse_complex
+from fibzeta.cli import GridRequest, build_parser, main, parse_complex
 from fibzeta.errors import DomainError
 
 
@@ -71,6 +73,13 @@ def test_eval_pole_proximity_exit_code(capsys):
     assert "PoleProximityError" in err
 
 
+@pytest.mark.parametrize("s", ["1e999", "1e999i"])
+def test_eval_non_finite_s_is_domain_error(capsys, s):
+    code, out, err = run_cli(capsys, "eval", "--D", "5", "--s", s)
+    assert code == 4 and out == ""
+    assert "DomainError" in err and "finite" in err
+
+
 def test_eval_json_output(capsys):
     code, out, _ = run_cli(capsys, "eval", "--D", "5", "--s", "2", "--json")
     assert code == 0
@@ -130,13 +139,13 @@ def test_grid_marks_shifted_convolution_rows_that_miss_tol(capsys):
     assert status == {"1": "TooSlowConvergenceError", "4": "ok"}
 
 
-def test_grid_empty_range_header_only(capsys):
-    code, out, _ = run_cli(
-        capsys, "grid", "--D", "5", "--re", "2", "1", "1", "--im", "0", "0", "1",
-    )
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert len(rows) == 1  # header only
+def test_grid_reversed_or_endless_range_is_domain_error(capsys):
+    for re_range in (("2", "1", "1"), ("1", "0", "0.5"), ("0", "1e308", "1e-300")):
+        code, out, err = run_cli(
+            capsys, "grid", "--D", "5", "--re", *re_range, "--im", "0", "0", "1",
+        )
+        assert code == 4 and out == "", re_range
+        assert "DomainError" in err
 
 
 def test_grid_csv_round_trip_bit_identical(capsys):
@@ -150,15 +159,6 @@ def test_grid_csv_round_trip_bit_identical(capsys):
     for row in rows:
         for cell in (row[3], row[4]):
             assert f"{float(cell):.17g}" == cell
-
-
-def test_grid_workers_deterministic(capsys):
-    args = ["grid", "--D", "5", "--parity", "odd", "--re", "0.5", "2", "0.5",
-            "--im", "-1", "1", "1", "--methods", "binomial,poisson"]
-    code1, out1, _ = run_cli(capsys, *args)
-    code2, out2, _ = run_cli(capsys, *args, "--workers", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2
 
 
 def test_grid_json_format(capsys):
@@ -181,6 +181,12 @@ def test_grid_request_validation():
         GridRequest(5, "odd", (0.0, 1.0, 0.1), (0.0, 1.0, 0.5), ("sorcery",), 1e-10, "csv")
     with pytest.raises(DomainError):
         GridRequest(5, "whatever", (0.0, 1.0, 0.1), (0.0, 1.0, 0.5), ("binomial",), 1e-10, "csv")
+    with pytest.raises(DomainError):
+        GridRequest(5, "odd", (0.0, 1.0, 0.1), (1.0, 0.0, 0.5), ("binomial",), 1e-10, "csv")
+    with pytest.raises(DomainError):
+        GridRequest(5, "odd", (-1e308, 1e308, 1.0), (0.0, 1.0, 0.5), ("binomial",), 1e-10, "csv")
+    one_point = GridRequest(5, "odd", (1.0, 1.0, 0.1), (0.0, 0.0, 0.5), ("binomial",), 1e-10, "csv")
+    assert one_point.axis("re") == [1.0] and one_point.axis("im") == [0.0]
 
 
 # ----------------------------------------------------------------------- poles
@@ -267,6 +273,13 @@ def test_verify_unknown_suite_usage_error(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("flag", [["--points", "4"], ["--points", "-5"], ["--bound", "0"]])
+def test_verify_rejects_empty_samples(capsys, flag):
+    for suite in ("cross-method", "pell", "sequences"):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--D", "5", *flag)
+        assert code == 2 and out == "" and flag[0] in err
+
+
 def test_verify_deterministic_with_seed(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--suite", "zeta-cancellation",
                              "--D", "5", "--seed", "42")
@@ -275,39 +288,25 @@ def test_verify_deterministic_with_seed(capsys):
     assert (code1, out1) == (code2, out2)
 
 
-# ------------------------------------------------------------- config handling
+# ------------------------------------------------------------ settings flags
 
-def test_config_file_and_flag_precedence(tmp_path, capsys):
-    cfg = tmp_path / "fibzeta.conf"
-    cfg.write_text("pole_guard_radius = 0.5  # comment\n")
-    # inside the configured (huge) guard radius -> pole proximity
-    code, _, err = run_cli(capsys, "eval", "--D", "5", "--s", "0.4", "--parity", "odd",
-                           "--config", str(cfg))
+def test_pole_guard_flag_sets_the_radius(capsys):
+    argv = ["eval", "--D", "5", "--s", "0.4", "--parity", "odd"]
+    # inside a huge guard radius -> pole proximity
+    code, _, err = run_cli(capsys, *argv, "--pole-guard", "0.5")
     assert code == 3 and "PoleProximityError" in err
-    # flag overrides the config file
-    code, out, _ = run_cli(capsys, "eval", "--D", "5", "--s", "0.4", "--parity", "odd",
-                           "--config", str(cfg), "--pole-guard", "1e-3")
-    assert code == 0
+    code, out_flag, _ = run_cli(capsys, *argv, "--pole-guard", "1e-3")
+    code_default, out_default, _ = run_cli(capsys, *argv)
+    assert code == code_default == 0 and out_flag == out_default
 
 
-def test_config_unknown_key_is_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "fibzeta.conf"
-    cfg.write_text("precision_dps = 32\n")
-    code, _, err = run_cli(capsys, "eval", "--D", "5", "--s", "2", "--config", str(cfg))
-    assert code == 2 and "unknown setting 'precision_dps'" in err
-
-
-def test_config_direct_region_must_start_where_the_strip_form_ends(tmp_path, capsys):
-    argv = ["eval", "--D", "5", "--s", "2.2", "--parity", "even", "--method", "poisson"]
-    cfg = tmp_path / "fibzeta.conf"
-    cfg.write_text("region_direct_min = 2.5\n")
-    code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
-    assert code == 2 and "region_direct_min" in err
-    cfg.write_text("region_direct_min = 1.8\n")
-    code, out_18, _ = run_cli(capsys, *argv, "--config", str(cfg))
-    assert code == 0
-    code, out_default, _ = run_cli(capsys, *argv)
-    assert code == 0 and out_18 == out_default
+@pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
+def test_pole_guard_must_be_finite_and_positive(capsys, radius):
+    for argv in (["eval", "--D", "5", "--s", "0", "--parity", "odd", "--method", "binomial"],
+                 ["grid", "--D", "5", "--parity", "odd", "--re", "0", "1", "1",
+                  "--im", "0", "0", "1", "--methods", "binomial"]):
+        code, out, err = run_cli(capsys, *argv, f"--pole-guard={radius}")
+        assert code == 2 and out == "" and "pole_guard_radius" in err
 
 
 def test_settings_flags_only_where_they_change_output(capsys):
@@ -315,7 +314,28 @@ def test_settings_flags_only_where_they_change_output(capsys):
     assert code == 2 and "unrecognized arguments" in err
     for argv in (["poles", "--D", "5"], ["sequence", "--D", "5", "--n", "3"],
                  ["detect", "--D", "5", "--n", "8"]):
-        assert main(argv + ["--config", "x.conf"]) == 2
+        assert main(argv + ["--pole-guard", "1"]) == 2
+
+
+@pytest.mark.parametrize("flag", [["--config", "x.conf"], ["--workers", "2"]])
+def test_removed_options_are_usage_errors(capsys, flag):
+    for argv in (["eval", "--D", "5", "--s", "2"],
+                 ["grid", "--D", "5", "--re", "1", "2", "1", "--im", "0", "0", "1"],
+                 ["poles", "--D", "5"], ["verify", "--suite", "sequences"],
+                 ["sequence", "--D", "5", "--n", "3"], ["detect", "--D", "5", "--n", "8"]):
+        code, out, err = run_cli(capsys, *argv, *flag)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("fibzeta ")]
+    assert len(commands) >= 6
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])  # exits (SystemExit 2) on an unknown flag
 
 
 def test_usage_error_exit_code(capsys):

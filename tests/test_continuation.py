@@ -9,6 +9,7 @@ from fibzeta import (
     NormPlusOneError,
     OutOfRegionError,
     PoleProximityError,
+    Settings,
     fib,
     make_field,
     nearest_lattice_pole,
@@ -234,7 +235,7 @@ def test_simple_pole_signature():
             mags = []
             for theta in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
                 s = s0 + delta * cmath.exp(1j * theta)
-                ev = zeta_odd_binomial(F5, s, tol=1e-12, pole_guard=delta / 4)
+                ev = zeta_odd_binomial(F5, s, tol=1e-12, settings=Settings(pole_guard_radius=delta / 4))
                 mags.append(abs(ev.value) * delta)
             assert max(mags) / min(mags) < 1.05, (k, m)
 

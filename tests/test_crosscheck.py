@@ -8,6 +8,7 @@ from fibzeta import (
     ContourThroughPoleError,
     NormPlusOneError,
     OutOfRegionError,
+    Settings,
     fib_upto,
     make_field,
     pole_lattice,
@@ -26,6 +27,8 @@ from fibzeta.crosscheck import SHIFTED_CONV_BOUND, Surd, _square_pair_support
 
 F5 = make_field(5)
 F10 = make_field(10)
+# the residue contours of radius 1e-3 pass inside the default pole guard
+FINE_GUARD = Settings(pole_guard_radius=1e-4)
 
 
 # ---------------------------------------------------------------- pole lattice
@@ -74,7 +77,7 @@ def test_unit_power_identity_at_pole():
 # ------------------------------------------------------------- contour residues
 
 def zfun_odd(s):
-    return zeta_odd_binomial(F5, s, tol=1e-12, pole_guard=1e-4).value
+    return zeta_odd_binomial(F5, s, tol=1e-12, settings=FINE_GUARD).value
 
 
 def test_numeric_residue_at_origin():
@@ -86,7 +89,7 @@ def test_numeric_residues_match_analytic():
     for which, fun in (("odd", zeta_odd_binomial), ("even", zeta_even_binomial)):
         for p in pole_lattice(F5, 1, 2, which):
             num = residue_numeric(
-                lambda s, fun=fun: fun(F5, s, tol=1e-12, pole_guard=1e-4).value,
+                lambda s, fun=fun: fun(F5, s, tol=1e-12, settings=FINE_GUARD).value,
                 p.location,
                 1e-3,
             )
@@ -98,7 +101,7 @@ def test_combined_residue_vanishes_at_cancelled_point():
     # k=0, m=1: cancelled in the combined zeta
     s0 = complex(0.0, math.pi / F5.log_eps)
     res = residue_numeric(
-        lambda s: zeta_combined_binomial(F5, s, tol=1e-12, pole_guard=1e-4).value,
+        lambda s: zeta_combined_binomial(F5, s, tol=1e-12, settings=FINE_GUARD).value,
         s0,
         1e-3,
     )
@@ -109,7 +112,7 @@ def test_even_poisson_residue_at_imaginary_pole():
     s0 = complex(0.0, math.pi / F5.log_eps)
     spec = [p for p in pole_lattice(F5, 0, 1, "even") if p.m == 1][0]
     res = residue_numeric(
-        lambda s: zeta_even_poisson(F5, s, tol=1e-12, pole_guard=1e-4).value,
+        lambda s: zeta_even_poisson(F5, s, tol=1e-12, settings=FINE_GUARD).value,
         s0,
         1e-3,
     )

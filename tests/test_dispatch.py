@@ -10,6 +10,8 @@ tail bound exceeds tol, so its three D=5 strip records (tail bound 0.126 and
 """
 
 import dataclasses
+import inspect
+import math
 
 import pytest
 
@@ -106,14 +108,25 @@ def test_shifted_convolution_returns_the_scan_only_within_tol():
         fibzeta.evaluate(field, 2.0, "odd", "shifted_convolution", 1e-12)
 
 
-def test_settings_reject_a_direct_region_past_the_strip_form():
-    # the strip form stops at Re s = STRIP_RE_MAX, so a later direct region
-    # would leave a gap that the even Poisson evaluation cannot cover
-    with pytest.raises(ValueError, match="region_direct_min"):
-        fibzeta.Settings(region_direct_min=2.5)
-    with pytest.raises(ValueError, match="region_direct_min"):
-        dataclasses.replace(fibzeta.default_settings(), region_direct_min=2.5)
+def test_settings_hold_only_the_pole_guard():
+    assert [f.name for f in dataclasses.fields(fibzeta.Settings)] == ["pole_guard_radius"]
+    for module in (fibzeta.continuation, fibzeta.poisson, fibzeta.crosscheck, fibzeta.dispatch):
+        for name, fun in inspect.getmembers(module, inspect.isfunction):
+            assert "pole_guard" not in inspect.signature(fun).parameters, name
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+def test_settings_reject_a_pole_guard_that_is_not_finite_and_positive(radius):
+    with pytest.raises(ValueError, match="pole_guard_radius"):
+        fibzeta.Settings(pole_guard_radius=radius)
+    with pytest.raises(ValueError, match="pole_guard_radius"):
+        dataclasses.replace(fibzeta.default_settings(), pole_guard_radius=radius)
+
+
+@pytest.mark.parametrize("s", [complex(math.inf, 0.0), complex(0.0, math.inf),
+                               complex(math.nan, 1.0), -math.inf])
+def test_evaluate_rejects_a_non_finite_s(s):
     field = make_field(5)
-    at_limit = fibzeta.Settings(region_direct_min=fibzeta.config.STRIP_RE_MAX)
-    ev = fibzeta.evaluate(field, 2.2, "even", "poisson", 1e-12, at_limit)
-    assert ev == fibzeta.evaluate(field, 2.2, "even", "poisson", 1e-12)
+    for method in fibzeta.continuation.METHODS:
+        with pytest.raises(fibzeta.DomainError):
+            fibzeta.evaluate(field, s, "combined", method, 1e-12)

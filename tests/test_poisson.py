@@ -10,10 +10,10 @@ from fibzeta import (
     NormPlusOneError,
     OutOfRegionError,
     PoleProximityError,
+    Settings,
     TooSlowConvergenceError,
     fourier_coefficient_odd,
     make_field,
-    make_settings,
     nearest_lattice_pole,
     regularized_fourier_integral,
     zeta_even_binomial,
@@ -154,9 +154,10 @@ def test_region_selector_classification():
     assert sel.classify(0.2) == "strip"
     assert sel.classify(complex(-0.25, 3.0)) == "left"
     assert sel.classify(complex(-0.1, 0.0)) == "strip"
-    ext = RegionSelector(direct_min=1.8)
-    assert ext.classify(complex(1.02, 0.0)) == "direct"  # inside the s=1 disk
-    assert ext.classify(complex(1.5, 0.0)) == "strip"
+    assert sel.classify(complex(0.49, 5.0)) == "strip"
+    assert sel.classify(complex(0.5, 5.0)) == "direct"
+    assert sel.classify(complex(1.02, 0.0)) == "direct"  # inside the s=1 disk
+    assert RegionSelector.from_settings(Settings(pole_guard_radius=0.5)).classify(0.2) == "strip"
 
 
 def test_strip_overlap_with_left():
@@ -192,8 +193,7 @@ def test_strip_overlap_with_direct():
 def test_strip_near_one_raises_and_public_api_redirects():
     with pytest.raises(NearOneSingularityError):
         zeta_even_poisson_strip(F5, complex(1.02, 0.0))
-    settings = make_settings(region_direct_min=1.8)
-    ev = zeta_even_poisson(F5, complex(1.02, 0.0), tol=1e-12, settings=settings)
+    ev = zeta_even_poisson(F5, complex(1.02, 0.0), tol=1e-12)
     b = zeta_even_binomial(F5, complex(1.02, 0.0), tol=1e-12)
     assert abs(ev.value - b.value) < 1e-9
 
