@@ -20,7 +20,7 @@ from typing import Sequence
 from .config import Settings, default_settings
 from .continuation import METHODS, PARITIES, PARITY_COMBINED
 from .crosscheck import pole_lattice
-from .dispatch import evaluate
+from .dispatch import check_tol, evaluate
 from .errors import DomainError, NumericalError, PoleProximityError
 from .quadfield import QuadraticField, is_fib, make_field, sequence_terms
 from .suites import SUITE_NAMES, run_suite
@@ -82,8 +82,7 @@ class GridRequest:
                 raise DomainError(
                     f"grid range {lo}..{hi} in steps of {step} gives no finite number of points"
                 )
-        if not (0.0 < self.tol <= 1e-2):
-            raise DomainError(f"tol must be in (0, 1e-2], got {self.tol}")
+        check_tol(self.tol)
         if self.parity not in PARITIES:
             raise DomainError(f"parity must be one of {PARITIES}")
         for m in self.methods:

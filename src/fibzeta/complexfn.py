@@ -7,7 +7,8 @@ double range.
 
 zeta: Borwein's accelerated alternating series for Re s >= 1/2, switching
 to Euler-Maclaurin near the zeros of (1 - 2^(1-s)) where the alternating
-form loses digits, and the functional equation for Re s < 1/2.
+form loses digits, and the functional equation for Re s < 1/2 except in a
+small disk around s = 0, where Euler-Maclaurin is used directly.
 
 Complex values are the builtin complex type throughout.  All functions are
 pure.
@@ -184,6 +185,14 @@ def _zeta_euler_maclaurin(s: complex) -> complex:
     return acc
 
 
+# Near s = 0 the functional equation multiplies sin(pi s/2) ~ 0 by the pole
+# of zeta(1 - s), and 1 - s has lost the digits of s: against mpmath its
+# relative error is about 1e-16/|s| (1e-10 at |s| = 1e-6, a division by zero
+# at s = 0), while Euler-Maclaurin stays near 3e-14.  The two meet at
+# |s| ~ 4e-3 (max over 256 points per circle: 2.8e-14 vs 2.7e-14).
+_NEAR_ZERO_RADIUS = 4e-3
+
+
 def czeta(s: complex) -> complex:
     """Riemann zeta for complex s != 1."""
     s = complex(s)
@@ -191,6 +200,8 @@ def czeta(s: complex) -> complex:
         raise PoleAtOneError()
     if s.real >= 0.5:
         return _zeta_right(s)
+    if abs(s) < _NEAR_ZERO_RADIUS:
+        return _zeta_euler_maclaurin(s)
     # functional equation: zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
     chi = (
         cmath.exp(s * math.log(2.0) + (s - 1.0) * _LOG_PI)

@@ -166,7 +166,12 @@ def _binomial_eval(
     settings = settings or default_settings()
     s = complex(s)
     dist = check_pole_guard(field, s, lattice, settings.pole_guard_radius)
-    total, terms, tail = _binomial_sum(field, s, tol, kind)
+    try:
+        total, terms, tail = _binomial_sum(field, s, tol, kind)
+    except ZeroDivisionError:
+        # a denominator 1 -+ u rounded to zero: to double precision s is a
+        # lattice pole, however small the guard radius
+        raise PoleProximityError(s, *nearest_lattice_pole(field, s, lattice)) from None
     scale = _q_power(field, s)
     return ZetaEvaluation(
         value=scale * total,

@@ -26,7 +26,7 @@ from .continuation import (
     _q_power,
     nearest_lattice_pole,
 )
-from .errors import ContourThroughPoleError, OutOfRegionError
+from .errors import ContourThroughPoleError, OutOfRegionError, TooSlowConvergenceError
 from .quadfield import QuadraticField, is_square
 
 __all__ = [
@@ -198,6 +198,9 @@ def _shifted_convolution(
     # tail is below the first candidate past the scan bound
     first_out = math.exp(-0.5 * s.real * math.log(n_max))
     ratio = math.exp(-2.0 * s.real * field.log_eps)
+    if ratio == 1.0:
+        # Re s is too small for eps^(-2 Re s) to differ from 1: no tail bound
+        raise TooSlowConvergenceError(math.inf, math.isqrt(n_max))
     tail = first_out / (1.0 - ratio)
     dist = nearest_lattice_pole(field, s)[3]
     return ZetaEvaluation(

@@ -36,6 +36,12 @@ from .poisson import zeta_even_poisson, zeta_odd_poisson
 from .quadfield import QuadraticField
 
 
+def check_tol(tol: float) -> None:
+    """Raise DomainError unless 0 < tol <= 1e-2 (so a NaN tol is rejected too)."""
+    if not (0.0 < tol <= 1e-2):
+        raise DomainError(f"tol must be in (0, 1e-2], got {tol}")
+
+
 def _sum_of_parts(odd: ZetaEvaluation, even: ZetaEvaluation) -> ZetaEvaluation:
     """Z = Z_odd + Z_even for routes without a collapsed combined series.
 
@@ -77,16 +83,18 @@ def evaluate(
 ) -> ZetaEvaluation:
     """Z(s) of the given parity by the given method.
 
-    A non-finite s raises DomainError.  Norm +1 fields have no odd/even
-    split: only the combined parity by the binomial or direct route exists
-    there, anything else raises NormPlusOneError.  The shifted-convolution
-    route scans to its default bound and raises TooSlowConvergenceError when
-    its tail bound there exceeds tol relative to the value.
+    A non-finite s or a tol outside (0, 1e-2] raises DomainError.  Norm +1
+    fields have no odd/even split: only the combined parity by the binomial
+    or direct route exists there, anything else raises NormPlusOneError.
+    The shifted-convolution route scans to its default bound and raises
+    TooSlowConvergenceError when its tail bound there exceeds tol relative
+    to the value.
     """
     if parity not in PARITIES:
         raise DomainError(f"parity must be one of {PARITIES}, got {parity!r}")
     if not cmath.isfinite(s):
         raise DomainError(f"s must be finite, got {s!r}")
+    check_tol(tol)
     if method == METHOD_DIRECT:
         if parity != PARITY_COMBINED:
             field.require_norm_minus_one()

@@ -7,8 +7,8 @@ powers, and Pell-type membership tests.
 
 Everything here is exact big-integer arithmetic, apart from the one float
 log eps that the evaluators use, which is rounded once from a 40-digit
-decimal value; fields are immutable and safe to share between threads or
-processes.
+decimal value; fields are immutable (each caches its membership screens on
+first use) and safe to share between threads or processes.
 
 The sign of the unit norm decides which evaluations exist downstream: the
 odd/even index split needs N(eps) = -1 (possible only for D = 1, 2 mod 4),
@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .errors import DomainError, NormPlusOneError, NotSquarefreeError
@@ -43,12 +44,27 @@ def _squares_mod(m: int) -> bytes:
     return bytes(t)
 
 
-# Quadratic-residue filters (Cohen, GTM 138, Alg. 1.7.3).  Together the two
-# moduli pass 1.6-3.7% of the is_fib arguments of D = 2, 5, 10, 13 on to
-# isqrt and take 0.2 ms to build at import; a single table mod 64*63*5 was
-# no faster per call, passed up to 24% and took three times as long to build.
+# Quadratic-residue filters (Cohen, GTM 138, Alg. 1.7.3), 0.2 ms to build at
+# import.  Together the two moduli pass 1.6-3.7% of the is_fib arguments of
+# D = 2, 5, 10, 13 on to isqrt; a single table mod 64*63*5 was no faster per
+# call, passed up to 24% and took three times as long to build.  is_square
+# reads them at its argument; is_fib reads them through per-field tables
+# indexed by n itself (_membership_table), which pass 3.1-7.3% of n <= 10^6.
 _SQUARES_MOD_4032 = _squares_mod(64 * 63)
 _SQUARES_MOD_2431 = _squares_mod(11 * 13 * 17)
+
+
+def _membership_table(d: int, ell: int, m: int, squares: bytes) -> bytes:
+    """Table t over r mod m: bit 0 of t[r] is squares[(d r^2 - ell) mod m],
+    bit 1 is squares[(d r^2 + ell) mod m].
+
+    d n^2 +- ell mod m depends only on n mod m, so t[n % m] is the residue
+    screen of both is_fib arguments without forming them.
+    """
+    return bytes(
+        squares[(d * r * r - ell) % m] | squares[(d * r * r + ell) % m] << 1
+        for r in range(m)
+    )
 
 
 def is_square(n: int) -> bool:
@@ -155,6 +171,15 @@ class QuadraticField:
     @property
     def trace_eps(self) -> int:
         return self.eps.trace
+
+    @cached_property
+    def _membership_tables(self) -> tuple[bytes, bytes]:
+        """is_fib's residue screens mod 4032 and mod 2431, built on first use
+        (about 2 ms) so that fields which never test membership skip them."""
+        return (
+            _membership_table(self.D, self.ell, 4032, _SQUARES_MOD_4032),
+            _membership_table(self.D, self.ell, 2431, _SQUARES_MOD_2431),
+        )
 
     def require_norm_minus_one(self) -> None:
         if self.norm_eps != -1:
@@ -337,13 +362,21 @@ class MembershipResult:
 _NOT_A_MEMBER = MembershipResult(NOT_MEMBER, None)
 
 
+def _exact_root(x: int) -> int:
+    """isqrt(x) if x is a positive square, else 0."""
+    r = math.isqrt(x)
+    return r if r * r == x else 0
+
+
 def is_fib(field: QuadraticField, n: int, split: bool | None = None) -> MembershipResult:
     """Pell-type membership test: is n a term of the F sequence?
 
-    Decides solvability of X^2 = q n^2 +- 4 by the exact is_square test
-    (reduced to Y^2 = D n^2 +- 1 when q = 4D, witness X = 2Y); its residue
-    tables reject almost every non-member without a square root, and a
-    non-member gets one shared result, so the common case allocates nothing.
+    Decides solvability of X^2 = q n^2 +- 4 exactly (reduced to
+    Y^2 = D n^2 +- 1 when q = 4D, witness X = 2Y), so both arguments are
+    D n^2 +- ell.  The field's residue tables, read at n mod 4032 and n mod
+    2431, reject almost every non-member with two lookups and no big-integer
+    product; only the signs that pass get the exact isqrt test.  A non-member
+    gets one shared result, so the common case allocates nothing.
     With a norm -1 unit the solvable sign determines the index parity: -4
     for odd index, +4 for even.  When both signs solve (only n=1 for D=5),
     the odd-index verdict is reported.
@@ -353,25 +386,21 @@ def is_fib(field: QuadraticField, n: int, split: bool | None = None) -> Membersh
     """
     if n < 1:
         raise DomainError(f"membership test needs a positive integer, got {n}")
-    norm_minus_one = field.norm_eps == -1
-    if split is None:
-        split = norm_minus_one
-    elif split and not norm_minus_one:
+    if split:
         field.require_norm_minus_one()
 
-    if field.q % 4 == 0:
-        base, unit_shift, scale = field.D * n * n, 1, 2
-    else:
-        base, unit_shift, scale = field.q * n * n, 4, 1
-
-    minus = is_square(base - unit_shift)
-    plus = is_square(base + unit_shift)
+    screen_4032, screen_2431 = field._membership_tables
+    signs = screen_4032[n % 4032] & screen_2431[n % 2431]
+    if not signs:
+        return _NOT_A_MEMBER
+    base, ell = field.D * n * n, field.ell
+    minus = signs & 1 and _exact_root(base - ell)
+    plus = signs & 2 and _exact_root(base + ell)
     if not (minus or plus):
         return _NOT_A_MEMBER
-    if split:
+    scale = 2 if ell == 1 else 1  # q = 4D: X = 2Y
+    if split or (split is None and field.norm_eps == -1):
         if minus:
-            return MembershipResult(MEMBER_ODD_INDEX, scale * math.isqrt(base - unit_shift))
-        return MembershipResult(MEMBER_EVEN_INDEX, scale * math.isqrt(base + unit_shift))
-    if plus:
-        return MembershipResult(MEMBER, scale * math.isqrt(base + unit_shift))
-    return MembershipResult(MEMBER, scale * math.isqrt(base - unit_shift))
+            return MembershipResult(MEMBER_ODD_INDEX, scale * minus)
+        return MembershipResult(MEMBER_EVEN_INDEX, scale * plus)
+    return MembershipResult(MEMBER, scale * (plus or minus))

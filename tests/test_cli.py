@@ -80,6 +80,15 @@ def test_eval_non_finite_s_is_domain_error(capsys, s):
     assert "DomainError" in err and "finite" in err
 
 
+@pytest.mark.parametrize("method", ["direct", "binomial", "poisson", "shifted_convolution"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "1", "0.0100001"])
+def test_eval_tol_out_of_range_is_domain_error(capsys, method, tol):
+    code, out, err = run_cli(capsys, "eval", "--D", "5", "--s", "0.3+2i", "--parity", "even",
+                             "--method", method, f"--tol={tol}")
+    assert code == 4 and out == ""
+    assert "DomainError: tol must be in (0, 1e-2]" in err
+
+
 def test_eval_json_output(capsys):
     code, out, _ = run_cli(capsys, "eval", "--D", "5", "--s", "2", "--json")
     assert code == 0
@@ -175,8 +184,9 @@ def test_grid_json_format(capsys):
 def test_grid_request_validation():
     with pytest.raises(DomainError):
         GridRequest(5, "odd", (0.0, 1.0, -0.1), (0.0, 1.0, 0.5), ("binomial",), 1e-10, "csv")
-    with pytest.raises(DomainError):
-        GridRequest(5, "odd", (0.0, 1.0, 0.1), (0.0, 1.0, 0.5), ("binomial",), 0.5, "csv")
+    for tol in (0.5, 0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError, match=r"tol must be in \(0, 1e-2\]"):
+            GridRequest(5, "odd", (0.0, 1.0, 0.1), (0.0, 1.0, 0.5), ("binomial",), tol, "csv")
     with pytest.raises(DomainError):
         GridRequest(5, "odd", (0.0, 1.0, 0.1), (0.0, 1.0, 0.5), ("sorcery",), 1e-10, "csv")
     with pytest.raises(DomainError):

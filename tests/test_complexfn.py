@@ -138,6 +138,11 @@ def test_zeta_near_first_nontrivial_zero():
     assert abs(czeta(complex(0.5, 14.134725))) < 1e-4
 
 
+def test_zeta_zero_is_minus_one_half():
+    assert rel_err(czeta(0.0), -0.5) < 1e-14
+    assert rel_err(czeta(complex(1e-20, -1e-20)), -0.5) < 1e-14
+
+
 def test_zeta_pole_at_one():
     with pytest.raises(PoleAtOneError):
         czeta(1.0)
@@ -150,6 +155,10 @@ def test_zeta_against_mpmath_samples():
     # include the line where the alternating-series factor 1 - 2^(1-s) vanishes
     pts += [complex(1.0, 2 * math.pi * k / math.log(2.0)) for k in (1, 2, 3, -4)]
     pts += [complex(1.0001, 2 * math.pi / math.log(2.0) + 1e-4), complex(0.5, 49.9)]
+    # next to s = 0, where the functional equation cancels a zero against a
+    # pole, and on both sides of the disk where czeta avoids it
+    pts += [0j, 1e-20, -1e-18, 1e-12, complex(1e-6, 1e-6), complex(-3e-20, 2e-20)]
+    pts += [r * cmath.exp(1j * t) for r in (3.9e-3, 4.1e-3) for t in (0.3, 2.0, 3.1, 4.5)]
     for s in pts:
         if abs(s - 1.0) < 1e-6:
             continue

@@ -9,6 +9,7 @@ tail bound exceeds tol, so its three D=5 strip records (tail bound 0.126 and
 0.252 at tol 1e-12) became TooSlowConvergenceError.
 """
 
+import cmath
 import dataclasses
 import inspect
 import math
@@ -130,3 +131,57 @@ def test_evaluate_rejects_a_non_finite_s(s):
     for method in fibzeta.continuation.METHODS:
         with pytest.raises(fibzeta.DomainError):
             fibzeta.evaluate(field, s, "combined", method, 1e-12)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1.0, 0.0100001, math.inf])
+def test_evaluate_rejects_a_tol_outside_its_range(tol):
+    field = make_field(5)
+    for method in fibzeta.continuation.METHODS:
+        for parity in fibzeta.continuation.PARITIES:
+            with pytest.raises(fibzeta.DomainError, match=r"tol must be in \(0, 1e-2\]"):
+                fibzeta.evaluate(field, S_STRIP, parity, method, tol)
+
+
+def test_evaluate_accepts_the_top_of_the_tol_range():
+    ev = fibzeta.evaluate(make_field(5), S_STRIP, "odd", "binomial", 1e-2)
+    assert math.isfinite(ev.value.real)
+
+
+# Below the resolution of a double the guard lets through points that are
+# lattice poles to working precision; no route may then divide by zero.
+TINY_GUARD = fibzeta.Settings(pole_guard_radius=1e-30)
+NEAR_ZERO = [1e-20, -1e-20, complex(1e-20, 1e-20), 1e-17, 1e-16]
+# the direct series has no denominator to round to zero, and at 0 < Re s ~ 0
+# it sums its whole 100,000-term cap, seconds a call: it is checked where it refuses
+ROUTE_POINTS = [(method, complex(s)) for method in fibzeta.continuation.METHODS
+                for s in NEAR_ZERO if method != "direct" or complex(s).real <= 0]
+
+
+def _near_zero_outcome(method, s):
+    """The error each route raises at s next to the pole 0, or None for a value."""
+    if method in ("direct", "shifted_convolution") and s.real <= 0:
+        return fibzeta.OutOfRegionError
+    if method == "shifted_convolution":
+        return fibzeta.TooSlowConvergenceError  # eps^(-2 Re s) rounds to 1
+    if method == "binomial" and s.imag == 0:
+        return fibzeta.PoleProximityError  # 1 - u^2 rounds to 0 at k = 0
+    return None
+
+
+@pytest.mark.parametrize("parity", ["odd", "even", "combined"])
+@pytest.mark.parametrize("method,s", ROUTE_POINTS)
+def test_routes_raise_a_numerical_error_instead_of_dividing_by_zero(method, s, parity):
+    field = make_field(5)
+    expected = _near_zero_outcome(method, s)
+    if expected is not None:
+        with pytest.raises(expected) as exc:
+            fibzeta.evaluate(field, s, parity, method, 1e-12, TINY_GUARD)
+        if expected is fibzeta.PoleProximityError:
+            assert (exc.value.k, exc.value.m) == (0, 0) and exc.value.distance == abs(s)
+        return
+    ev = fibzeta.evaluate(field, s, parity, method, 1e-12, TINY_GUARD)
+    assert cmath.isfinite(ev.value)
+    if method == "poisson":
+        # Z_odd and Z_even both behave like 1/(2 s log eps) at the pole s = 0
+        lead = (1 if parity != "combined" else 2) / (2.0 * s * field.log_eps)
+        assert abs(ev.value - lead) < 1e-12 * abs(lead)

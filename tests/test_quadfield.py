@@ -222,6 +222,44 @@ def test_is_fib_invalid_input():
         is_fib(f, 0)
 
 
+def test_is_fib_checks_n_before_the_split():
+    f = make_field(3)  # norm +1, and 5 is not a member
+    with pytest.raises(DomainError) as exc:
+        is_fib(f, 0, split=True)
+    assert not isinstance(exc.value, NormPlusOneError)
+    with pytest.raises(NormPlusOneError):
+        is_fib(f, 5, split=True)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 29])
+def test_membership_tables_screen_both_signs_by_residue_of_n(d):
+    f = make_field(d)
+    assert "_membership_tables" not in vars(f)  # built on the first is_fib call
+    is_fib(f, 1)
+    assert "_membership_tables" in vars(f)
+    for m, squares, table in zip((4032, 2431), (_SQUARES_MOD_4032, _SQUARES_MOD_2431),
+                                 f._membership_tables):
+        assert len(table) == m
+        for r in range(m):
+            minus = squares[(d * r * r - f.ell) % m]
+            plus = squares[(d * r * r + f.ell) % m]
+            assert table[r] == minus | plus << 1, (m, r)
+
+
+def test_pell_check_sends_every_integer_through_is_fib(monkeypatch):
+    from fibzeta import suites
+
+    seen = []
+
+    def counting_is_fib(field, n, split=None):
+        seen.append(n)
+        return is_fib(field, n, split)
+
+    monkeypatch.setattr(suites, "is_fib", counting_is_fib)
+    assert suites.pell_check(make_field(5), bound=5000).passed
+    assert seen == list(range(1, 5001))
+
+
 def _reference_witnesses(field, n):
     """Witnesses of X^2 = q n^2 - 4 and + 4 (None where unsolvable), by bare isqrt."""
     if field.q % 4 == 0:
