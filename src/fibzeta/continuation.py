@@ -8,7 +8,7 @@ For a norm -1 unit the odd- and even-indexed series continue to all of C as
 and their sum collapses to q^(s/2) sum_k C(-s,k) / (eps^(s+2k) + (-1)^(k+1)).
 Each summand is rewritten in terms of u = eps^(-(s+2k)) so no intermediate
 can overflow; the k-sum converges geometrically for every s off the pole
-lattice s = -2k + pi i m / log eps.
+lattice s = -2k + pi i m / log eps.  A norm +1 zeta is Z_even of eps^(1/2).
 
 All evaluators are pure functions of (field, s, tol) and record the terms
 used, a tail bound, and the distance to the nearest lattice pole.
@@ -27,6 +27,7 @@ from .errors import (
     PoleProximityError,
     TooSlowConvergenceError,
 )
+from .quadfield import PARITIES, PARITY_COMBINED, PARITY_EVEN, PARITY_ODD  # re-exported
 from .quadfield import QuadraticField, iter_sequence
 
 METHOD_DIRECT = "direct"
@@ -35,18 +36,14 @@ METHOD_POISSON = "poisson"
 METHOD_SHIFTED = "shifted_convolution"
 METHODS = (METHOD_DIRECT, METHOD_BINOMIAL, METHOD_POISSON, METHOD_SHIFTED)
 
-PARITY_ODD = "odd"
-PARITY_EVEN = "even"
-PARITY_COMBINED = "combined"
-PARITIES = (PARITY_ODD, PARITY_EVEN, PARITY_COMBINED)
-
-# pole lattices: "split" for Z_odd/Z_even, "combined" for their sum,
-# "plus_one" for the norm +1 full zeta
+# pole lattices: "split" for Z_odd and the even function of the half unit,
+# "combined" for Z_odd + Z_even of a norm -1 unit
 LATTICE_SPLIT = "split"
 LATTICE_COMBINED = "combined"
-LATTICE_PLUS_ONE = "plus_one"
 
 _MAX_BINOMIAL_TERMS = 100_000
+_MAX_DIRECT_TERMS = 100_000
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -75,15 +72,11 @@ def nearest_lattice_pole(
 ) -> tuple[complex, int, int, float]:
     """Nearest pole (location, k, m, distance) of the requested lattice.
 
-    split:    s0 = -2k + pi i m / log eps,   k >= 0, m in Z
+    split:    s0 = -2k + pi i m / log eta,   k >= 0, m in Z (eta of HalfUnit)
     combined: same points restricted to m + k even
-    plus_one: s0 = -2k + 2 pi i m / log eps
     """
     s = complex(s)
-    log_eps = field.log_eps
-    spacing = math.pi / log_eps
-    if lattice == LATTICE_PLUS_ONE:
-        spacing = 2.0 * math.pi / log_eps
+    spacing = math.pi / field.half_unit.log_eta
     k_mid = max(0, round(-s.real / 2.0))
     m_mid = round(s.imag / spacing)
     best = None
@@ -112,32 +105,30 @@ def check_pole_guard(
     return dist
 
 
-def _binomial_sum(field: QuadraticField, s: complex, tol: float, kind: str) -> tuple[complex, int, float]:
+def _binomial_sum(log_eta: float, s: complex, tol: float, kind: str) -> tuple[complex, int, float]:
     """Shared k-sum; returns (sum, terms, tail) without the q^(s/2) factor.
 
-    kind picks the summand shape, written via u = eps^(-(s+2k)):
+    kind picks the summand shape, written via u = eta^(-(s+2k)):
       odd:      u / (1 - u^2)
       even:     (-1)^k u^2 / (1 - u^2)
       combined: u / (1 - u) for even k, u / (1 + u) for odd k
-      plus_one: (-1)^k u / (1 - u)
+    A norm +1 field sums the even kind at log eta = log eps / 2.
     """
-    log_eps = field.log_eps
-    decay = math.exp(-2.0 * log_eps)
+    decay = math.exp(-2.0 * log_eta)
     abs_s = abs(s)
     k_min = int(math.ceil(abs_s)) + 5
     coeff: complex = 1.0 + 0j
     total: complex = 0j
     k = 0
+    sign = 1  # (-1)^k; an int, so coeff * sign rounds exactly as coeff * (-1) ** k
     while True:
-        u = cmath.exp(-(s + 2.0 * k) * log_eps)
+        u = cmath.exp(-(s + 2.0 * k) * log_eta)
         if kind == "odd":
             term = coeff * u / (1.0 - u * u)
         elif kind == "even":
-            term = coeff * ((-1) ** k) * u * u / (1.0 - u * u)
-        elif kind == "combined":
-            term = coeff * u / (1.0 - u) if k % 2 == 0 else coeff * u / (1.0 + u)
-        else:  # plus_one
-            term = coeff * ((-1) ** k) * u / (1.0 - u)
+            term = coeff * sign * u * u / (1.0 - u * u)
+        else:  # combined
+            term = coeff * u / (1.0 - u) if sign > 0 else coeff * u / (1.0 + u)
         total += term
         ratio = (abs_s + k) / (k + 1.0) * decay
         if k >= k_min and ratio < 1.0:
@@ -146,6 +137,7 @@ def _binomial_sum(field: QuadraticField, s: complex, tol: float, kind: str) -> t
                 return total, k + 1, tail
         coeff = coeff * (-s - k) / (k + 1.0)
         k += 1
+        sign = -sign
         if k > _MAX_BINOMIAL_TERMS:
             raise TooSlowConvergenceError(float(k), _MAX_BINOMIAL_TERMS)
 
@@ -165,9 +157,16 @@ def _binomial_eval(
 ) -> ZetaEvaluation:
     settings = settings or default_settings()
     s = complex(s)
-    dist = check_pole_guard(field, s, lattice, settings.pole_guard_radius)
+    log_eta = field.half_unit.log_eta
+    # The singular denominator (1 - u^2, or 1 -+ u for the combined kind)
+    # grows by `slope` per unit distance from its pole, and rounding u leaves
+    # it an absolute error near 2^-53: closer than 2^-53 / (slope tol), that
+    # error alone is more than tol relative to the value.
+    slope = log_eta if kind == "combined" else 2.0 * log_eta
+    floor = _UNIT_ROUNDOFF / (slope * tol)
+    dist = check_pole_guard(field, s, lattice, max(settings.pole_guard_radius, floor))
     try:
-        total, terms, tail = _binomial_sum(field, s, tol, kind)
+        total, terms, tail = _binomial_sum(log_eta, s, tol, kind)
     except ZeroDivisionError:
         # a denominator 1 -+ u rounded to zero: to double precision s is a
         # lattice pole, however small the guard radius
@@ -210,13 +209,15 @@ def zeta_combined_binomial(
     tol: float = 1e-12,
     settings: Settings | None = None,
 ) -> ZetaEvaluation:
-    """Full zeta sum_{n>=1} F(n)^(-s) via the collapsed single series.
+    """Full zeta sum_{n>=1} F(n)^(-s) via the collapsed single series (for a
+    norm +1 unit, the even series of the half unit).
 
     Equals zeta_odd_binomial + zeta_even_binomial; only lattice points with
     m + k even survive as poles, so it evaluates cleanly at the other half.
     """
-    field.require_norm_minus_one()
-    return _binomial_eval(field, s, tol, "combined", LATTICE_COMBINED, settings)
+    if field.is_norm_minus_one:
+        return _binomial_eval(field, s, tol, "combined", LATTICE_COMBINED, settings)
+    return _binomial_eval(field, s, tol, "even", LATTICE_SPLIT, settings)
 
 
 def zeta_norm_plus_one(
@@ -225,27 +226,28 @@ def zeta_norm_plus_one(
     tol: float = 1e-12,
     settings: Settings | None = None,
 ) -> ZetaEvaluation:
-    """Full zeta for a norm +1 field, where F(n) = (eps^n - eps^-n)/sqrt(q).
-
-    Same geometric collection as the even-indexed case but with unit index
-    stride: q^(s/2) sum_k C(-s,k) (-1)^k / (eps^(s+2k) - 1).  Poles sit at
-    s = -2k + 2 pi i m / log eps.
-    """
+    """zeta_combined_binomial of a norm +1 field; a norm -1 field raises."""
     if field.is_norm_minus_one:
         raise NormMinusOneError(
             f"D={field.D} has a norm -1 unit; use the odd/even split instead"
         )
-    return _binomial_eval(field, s, tol, "plus_one", LATTICE_PLUS_ONE, settings)
+    return _binomial_eval(field, s, tol, "even", LATTICE_SPLIT, settings)
 
 
 def direct_terms_for(field: QuadraticField, s: complex, tol: float, parity: str) -> int:
-    """Number of direct-series terms for a relative tail below tol."""
+    """Number of direct-series terms for a relative tail below tol.
+
+    Raises TooSlowConvergenceError when that number passes the cap of
+    100,000 terms, as it does for 0 < Re s close to 0.
+    """
     stride = 1 if parity == PARITY_COMBINED else 2
     rate = stride * s.real * field.log_eps
     if rate <= 0:
         raise OutOfRegionError(f"direct series diverges at Re s = {s.real}")
     need = int(math.ceil(-math.log(tol * 0.1) / rate)) + 8
-    return min(max(need, 12), 100_000)
+    if need > _MAX_DIRECT_TERMS:
+        raise TooSlowConvergenceError(need, _MAX_DIRECT_TERMS)
+    return max(need, 12)
 
 
 def zeta_direct(
@@ -291,11 +293,7 @@ def zeta_direct(
     ratio = max(ratio, math.exp(-stride * s.real * field.log_eps))
     last_term = math.exp(-s.real * math.log(last_f))
     tail = last_term * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    dist = nearest_lattice_pole(
-        field,
-        s,
-        LATTICE_PLUS_ONE if not field.is_norm_minus_one else LATTICE_SPLIT,
-    )[3]
+    dist = nearest_lattice_pole(field, s)[3]
     return ZetaEvaluation(
         value=total,
         method=METHOD_DIRECT,

@@ -185,7 +185,6 @@ def _support_cached(field: QuadraticField, shift: int, n_max: int) -> list[tuple
 def _shifted_convolution(
     field: QuadraticField, s: complex, n_max: int, shift_sign: int
 ) -> ZetaEvaluation:
-    field.require_norm_minus_one()
     s = complex(s)
     if s.real <= 0:
         raise OutOfRegionError(f"shifted convolution needs Re s > 0, got {s.real}")
@@ -194,12 +193,12 @@ def _shifted_convolution(
     total = 0j
     for n, coeff in support:
         total += coeff * cmath.exp(-0.5 * s * math.log(n))
-    # members grow at least geometrically (ratio eps^2 in sqrt(n)), so the
-    # tail is below the first candidate past the scan bound
+    # members grow at least geometrically (ratio eta^2 in sqrt(n), eta of
+    # HalfUnit), so the tail is below the first candidate past the scan bound
     first_out = math.exp(-0.5 * s.real * math.log(n_max))
-    ratio = math.exp(-2.0 * s.real * field.log_eps)
+    ratio = math.exp(-2.0 * s.real * field.half_unit.log_eta)
     if ratio == 1.0:
-        # Re s is too small for eps^(-2 Re s) to differ from 1: no tail bound
+        # Re s is too small for eta^(-2 Re s) to differ from 1: no tail bound
         raise TooSlowConvergenceError(math.inf, math.isqrt(n_max))
     tail = first_out / (1.0 - ratio)
     dist = nearest_lattice_pole(field, s)[3]
@@ -220,13 +219,15 @@ def shifted_convolution_odd(
     Nonzero terms occur exactly at n = F(2r-1)^2, each contributing
     F(2r-1)^(-s); an evaluation route independent of the unit machinery.
     """
+    field.require_norm_minus_one()
     return _shifted_convolution(field, s, n_max, -1)
 
 
 def shifted_convolution_even(
     field: QuadraticField, s: complex, n_max: int = SHIFTED_CONV_BOUND
 ) -> ZetaEvaluation:
-    """Z_even(s) = (1/4) sum_n r1(n) r1(D n + ell) n^(-s/2), truncated at n_max."""
+    """Z_even(s) = (1/4) sum_n r1(n) r1(D n + ell) n^(-s/2), truncated at n_max
+    (for a norm +1 unit every F(n)^2 is a hit: the full zeta)."""
     return _shifted_convolution(field, s, n_max, +1)
 
 

@@ -27,7 +27,6 @@ from .continuation import (
     zeta_combined_binomial,
     zeta_direct,
     zeta_even_binomial,
-    zeta_norm_plus_one,
     zeta_odd_binomial,
 )
 from .crosscheck import SHIFTED_CONV_BOUND, shifted_convolution_even, shifted_convolution_odd
@@ -42,12 +41,15 @@ def check_tol(tol: float) -> None:
         raise DomainError(f"tol must be in (0, 1e-2], got {tol}")
 
 
-def _sum_of_parts(odd: ZetaEvaluation, even: ZetaEvaluation) -> ZetaEvaluation:
-    """Z = Z_odd + Z_even for routes without a collapsed combined series.
-
-    Values, terms and tail bounds add; the bound is rigorous only if both
-    parts are, and the pole distance is the smaller of the two.
+def _combined(field: QuadraticField, odd_route, even_route, *args) -> ZetaEvaluation:
+    """Z for routes without a collapsed combined series: the even route alone
+    for a norm +1 unit (see HalfUnit), else Z_odd + Z_even, whose values,
+    terms and tail bounds add; the bound is rigorous only if both parts are,
+    and the pole distance is the smaller of the two.
     """
+    if not field.is_norm_minus_one:
+        return even_route(field, *args)
+    odd, even = odd_route(field, *args), even_route(field, *args)
     return ZetaEvaluation(
         value=odd.value + even.value,
         method=odd.method,
@@ -84,26 +86,21 @@ def evaluate(
     """Z(s) of the given parity by the given method.
 
     A non-finite s or a tol outside (0, 1e-2] raises DomainError.  Norm +1
-    fields have no odd/even split: only the combined parity by the binomial
-    or direct route exists there, anything else raises NormPlusOneError.
-    The shifted-convolution route scans to its default bound and raises
-    TooSlowConvergenceError when its tail bound there exceeds tol relative
-    to the value.
+    fields have no odd/even split, so odd and even raise NormPlusOneError
+    there; their combined parity is the even function of the half unit
+    eps^(1/2) and takes every route.  The shifted-convolution route scans to
+    its default bound and raises TooSlowConvergenceError when its tail bound
+    there exceeds tol relative to the value.
     """
     if parity not in PARITIES:
         raise DomainError(f"parity must be one of {PARITIES}, got {parity!r}")
     if not cmath.isfinite(s):
         raise DomainError(f"s must be finite, got {s!r}")
     check_tol(tol)
+    if parity != PARITY_COMBINED:
+        field.require_norm_minus_one()
     if method == METHOD_DIRECT:
-        if parity != PARITY_COMBINED:
-            field.require_norm_minus_one()
         return zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity))
-    if not field.is_norm_minus_one:
-        if parity != PARITY_COMBINED or method != METHOD_BINOMIAL:
-            field.require_norm_minus_one()
-        return zeta_norm_plus_one(field, s, tol, settings)
-
     if method == METHOD_BINOMIAL:
         if parity == PARITY_ODD:
             return zeta_odd_binomial(field, s, tol, settings)
@@ -115,15 +112,13 @@ def evaluate(
             return zeta_odd_poisson(field, s, tol, settings)
         if parity == PARITY_EVEN:
             return zeta_even_poisson(field, s, tol, settings)
-        return _sum_of_parts(zeta_odd_poisson(field, s, tol, settings),
-                             zeta_even_poisson(field, s, tol, settings))
+        return _combined(field, zeta_odd_poisson, zeta_even_poisson, s, tol, settings)
     if method == METHOD_SHIFTED:
         if parity == PARITY_ODD:
             ev = shifted_convolution_odd(field, s)
         elif parity == PARITY_EVEN:
             ev = shifted_convolution_even(field, s)
         else:
-            ev = _sum_of_parts(shifted_convolution_odd(field, s),
-                               shifted_convolution_even(field, s))
+            ev = _combined(field, shifted_convolution_odd, shifted_convolution_even, s)
         return _shifted_within_tol(ev, s, tol)
     raise DomainError(f"unknown method {method!r}")

@@ -20,7 +20,8 @@ Riemann zeta values, so subtracting two correction orders leaves a remainder
 falling like m^(Re s - 7).  The two ratios of a pair +-m share their Lanczos
 values: for Re s < 1 the reflection of each numerator Gamma(s/2 -+ i v_m)
 needs log Gamma(1 - s/2 +- i v_m), the other ratio's denominator, so a pair
-costs two Lanczos sums, not four.
+costs two Lanczos sums, not four.  For a norm +1 unit the even-indexed
+evaluators put eps^(1/2) in place of eps and return the full zeta.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .config import Settings, default_settings
 from .continuation import (
     LATTICE_SPLIT,
     METHOD_POISSON,
-    PARITY_EVEN,
     SeriesTail,
     ZetaEvaluation,
     _q_power,
@@ -192,7 +192,7 @@ def _ratio_pair(s: complex, v: float) -> complex:
 
 
 def _ratio_pair_core(
-    field: QuadraticField,
+    log_eta: float,
     s: complex,
     tol_abs: float,
     include_leading: bool,
@@ -205,8 +205,7 @@ def _ratio_pair_core(
     the order-0 part is left out entirely (the strip form carries it as its
     explicit zeta(s) term).  Returns (sum, pairs_used, tail_estimate).
     """
-    log_eps = field.log_eps
-    half_step = math.pi / (2.0 * log_eps)
+    half_step = math.pi / (2.0 * log_eta)
     a = 0.5 * s
     e2 = -_bernoulli_b3(a) / 3.0
     e4 = -_bernoulli_b5(a) / 10.0 + _bernoulli_b3(a) ** 2 / 18.0
@@ -263,8 +262,8 @@ def _ratio_pair_core(
     return total, m, tail
 
 
-def _even_prefactor(field: QuadraticField, s: complex) -> complex:
-    return _q_power(field, s) * cmath.exp(log_gamma(1.0 - s)) / (4.0 * field.log_eps)
+def _even_prefactor(field: QuadraticField, log_eta: float, s: complex) -> complex:
+    return _q_power(field, s) * cmath.exp(log_gamma(1.0 - s)) / (4.0 * log_eta)
 
 
 def zeta_even_poisson_strip(
@@ -279,7 +278,6 @@ def zeta_even_poisson_strip(
               + q^(s/2) Gamma(1-s) Gamma(s/2) / (4 Gamma(1-s/2) log eps)
               + q^(s/2) sum_{m != 0} [gamma-ratio term - |m|^(s-1) phase term].
     """
-    field.require_norm_minus_one()
     settings = settings or default_settings()
     s = complex(s)
     if s.real >= STRIP_RE_MAX:
@@ -287,12 +285,12 @@ def zeta_even_poisson_strip(
     if abs(s - 1.0) <= NEAR_ONE_RADIUS:
         raise NearOneSingularityError(f"strip form unstable within {NEAR_ONE_RADIUS} of s=1")
     dist = check_pole_guard(field, s, LATTICE_SPLIT, settings.pole_guard_radius)
-    log_eps = field.log_eps
+    log_eta = field.half_unit.log_eta
     scale = _q_power(field, s)
-    zeta_term = scale * czeta(s) * cmath.exp(-s * math.log(4.0 * log_eps))
-    pref = _even_prefactor(field, s)
+    zeta_term = scale * czeta(s) * cmath.exp(-s * math.log(4.0 * log_eta))
+    pref = _even_prefactor(field, log_eta, s)
     tol_abs = tol * max(abs(zeta_term), 1.0) / max(abs(pref), 1e-30)
-    core, pairs, tail = _ratio_pair_core(field, s, tol_abs, include_leading=False)
+    core, pairs, tail = _ratio_pair_core(log_eta, s, tol_abs, include_leading=False)
     return ZetaEvaluation(
         value=zeta_term + pref * core,
         method=METHOD_POISSON,
@@ -318,16 +316,16 @@ def zeta_even_poisson_left(
     truncated sum decays only like m^(Re s) in the tail and refuses to run
     when the projected length passes MAX_FOURIER_TERMS.
     """
-    field.require_norm_minus_one()
     settings = settings or default_settings()
     s = complex(s)
     if s.real >= 0:
         raise OutOfRegionError(f"left form needs Re s < 0, got {s.real}")
     dist = check_pole_guard(field, s, LATTICE_SPLIT, settings.pole_guard_radius)
-    pref = _even_prefactor(field, s)
+    log_eta = field.half_unit.log_eta
+    pref = _even_prefactor(field, log_eta, s)
     if accelerated:
         tol_abs = tol * 1.0 / max(abs(pref), 1e-30)
-        core, pairs, tail = _ratio_pair_core(field, s, tol_abs, include_leading=True)
+        core, pairs, tail = _ratio_pair_core(log_eta, s, tol_abs, include_leading=True)
         return ZetaEvaluation(
             value=pref * core,
             method=METHOD_POISSON,
@@ -335,19 +333,18 @@ def zeta_even_poisson_left(
             tail=SeriesTail(bound=tail * abs(pref), rigorous=False),
             nearest_pole_distance=dist,
         )
-    return _even_left_plain(field, s, tol, pref, dist)
+    return _even_left_plain(log_eta, s, tol, pref, dist)
 
 
 def _even_left_plain(
-    field: QuadraticField,
+    log_eta: float,
     s: complex,
     tol: float,
     pref: complex,
     dist: float,
 ) -> ZetaEvaluation:
     """Literal truncation of the gamma-ratio sum with tail C M^(Re s) / |Re s|."""
-    log_eps = field.log_eps
-    half_step = math.pi / (2.0 * log_eps)
+    half_step = math.pi / (2.0 * log_eta)
     x = s.real
     # projected length from the tail model C M^x / |x|, C calibrated from
     # the term shape |pair_m| ~ 2 (half_step m)^(x-1)
@@ -385,15 +382,15 @@ def zeta_even_poisson(
     tol: float = 1e-12,
     settings: Settings | None = None,
 ) -> ZetaEvaluation:
-    """Even-indexed zeta via truncated Poisson summation, region-dispatched."""
-    field.require_norm_minus_one()
+    """Even-indexed zeta via truncated Poisson summation, region-dispatched
+    (for a norm +1 unit, the full zeta: see HalfUnit)."""
     settings = settings or default_settings()
     s = complex(s)
     region = RegionSelector.classify(s)
     if region == REGION_DIRECT:
         dist = check_pole_guard(field, s, LATTICE_SPLIT, settings.pole_guard_radius)
-        n_terms = direct_terms_for(field, s, tol, PARITY_EVEN)
-        ev = zeta_direct(field, s, PARITY_EVEN, n_terms)
+        parity = field.half_unit.direct_parity
+        ev = zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity))
         return replace(ev, method=METHOD_POISSON, nearest_pole_distance=dist)
     if region == REGION_STRIP:
         # the strip region ends left of the strip form's near-one disk, so

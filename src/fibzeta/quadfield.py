@@ -7,13 +7,15 @@ powers, and Pell-type membership tests.
 
 Everything here is exact big-integer arithmetic, apart from the one float
 log eps that the evaluators use, which is rounded once from a 40-digit
-decimal value; fields are immutable (each caches its membership screens on
-first use) and safe to share between threads or processes.
+decimal value; fields are immutable (each caches its half unit and membership
+screens on first use) and safe to share between threads or processes.
 
 The sign of the unit norm decides which evaluations exist downstream: the
-odd/even index split needs N(eps) = -1 (possible only for D = 1, 2 mod 4),
-while norm +1 fields route through a single full-sequence series.  No
-class-group machinery is provided or needed.
+odd/even index split needs N(eps) = -1 (possible only for D = 1, 2 mod 4).
+A norm +1 field has no split, but F(n) = (eta^(2n) - eta^(-2n))/sqrt(q)
+with eta = eps^(1/2), so its full zeta is the even-indexed function of eta
+and takes every evaluation route through that view.  No class-group
+machinery is provided or needed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, NormPlusOneError, NotSquarefreeError
 
@@ -31,6 +33,11 @@ NOT_MEMBER = "not_member"
 MEMBER = "member"
 MEMBER_EVEN_INDEX = "member_even_index"
 MEMBER_ODD_INDEX = "member_odd_index"
+
+PARITY_ODD = "odd"
+PARITY_EVEN = "even"
+PARITY_COMBINED = "combined"
+PARITIES = (PARITY_ODD, PARITY_EVEN, PARITY_COMBINED)
 
 # bound below which the continued-fraction unit is re-derived by brute search
 _VALIDATION_SCAN_CAP = 4096
@@ -148,6 +155,15 @@ class SequenceTerm:
     lucas: int
 
 
+class HalfUnit(NamedTuple):
+    """The unit eta whose even powers index the even-function series, and the
+    F-sequence that series sums: eta = eps and F(2n) for a norm -1 unit;
+    eta = eps^(1/2) and every F(n) = (eta^(2n) - eta^(-2n))/sqrt(q) for norm +1."""
+
+    log_eta: float
+    direct_parity: str
+
+
 @dataclass(frozen=True)
 class QuadraticField:
     """Q(sqrt(D)) with its fundamental unit and derived constants.
@@ -171,6 +187,12 @@ class QuadraticField:
     @property
     def trace_eps(self) -> int:
         return self.eps.trace
+
+    @cached_property
+    def half_unit(self) -> HalfUnit:
+        if self.norm_eps == -1:
+            return HalfUnit(self.log_eps, PARITY_EVEN)
+        return HalfUnit(0.5 * self.log_eps, PARITY_COMBINED)
 
     @cached_property
     def _membership_tables(self) -> tuple[bytes, bytes]:

@@ -17,6 +17,7 @@ from typing import Sequence
 from .complexfn import cgamma, czeta
 from .config import Settings
 from .continuation import (
+    PARITY_COMBINED,
     PARITY_EVEN,
     PARITY_ODD,
     direct_terms_for,
@@ -149,49 +150,55 @@ def cross_method_check(
     eval_tol: float = 1e-12,
 ) -> list[CheckResult]:
     """Binomial vs Poisson on the standard box, plus direct and
-    shifted-convolution comparisons on their convergent sub-ranges."""
+    shifted-convolution comparisons on their convergent sub-ranges.
+
+    A norm -1 field is checked part by part (odd, even); a norm +1 field,
+    which has no split, on its full zeta, the even function of the half unit.
+    """
     n_box = points - 2 * (points // 5)
     box = sample_points(field, rng, n_box, -4.0, 3.0, 8.0)
     direct_pts = sample_points(field, rng, points // 5, 0.5, 3.0, 8.0)
     sc_pts = sample_points(field, rng, points // 5, 1.0, 3.0, 8.0)
+    if field.is_norm_minus_one:
+        routes = (
+            (PARITY_ODD, zeta_odd_binomial, zeta_odd_poisson, shifted_convolution_odd),
+            (PARITY_EVEN, zeta_even_binomial, zeta_even_poisson, shifted_convolution_even),
+        )
+    else:
+        routes = (
+            (PARITY_COMBINED, zeta_combined_binomial, zeta_even_poisson, shifted_convolution_even),
+        )
 
-    worst_odd = worst_even = 0.0
-    for s in box + direct_pts + sc_pts:
-        b_odd = zeta_odd_binomial(field, s, eval_tol)
-        p_odd = zeta_odd_poisson(field, s, eval_tol)
-        worst_odd = max(worst_odd, abs(b_odd.value - p_odd.value))
-        b_even = zeta_even_binomial(field, s, eval_tol)
-        p_even = zeta_even_poisson(field, s, eval_tol)
-        worst_even = max(worst_even, abs(b_even.value - p_even.value))
+    d = field.D
+    total = len(box) + len(direct_pts) + len(sc_pts)
+    out = []
+    for parity, binomial, poisson, _ in routes:
+        worst = 0.0
+        for s in box + direct_pts + sc_pts:
+            worst = max(worst, abs(binomial(field, s, eval_tol).value
+                                   - poisson(field, s, eval_tol).value))
+        out.append(CheckResult(f"cross-method {parity} D={d}", worst < tol_cross, worst,
+                               tol_cross, f"{total} points"))
 
     worst_direct = 0.0
     for s in direct_pts:
-        for parity, fun in ((PARITY_ODD, zeta_odd_binomial), (PARITY_EVEN, zeta_even_binomial)):
-            b = fun(field, s, eval_tol)
-            d = zeta_direct(field, s, parity, direct_terms_for(field, s, eval_tol, parity))
-            worst_direct = max(worst_direct, abs(b.value - d.value))
+        for parity, binomial, _, _ in routes:
+            b = binomial(field, s, eval_tol)
+            dr = zeta_direct(field, s, parity, direct_terms_for(field, s, eval_tol, parity))
+            worst_direct = max(worst_direct, abs(b.value - dr.value))
 
     worst_sc = 0.0
     sc_ok = True
     for s in sc_pts:
-        for fun, sc_fun in (
-            (zeta_odd_binomial, shifted_convolution_odd),
-            (zeta_even_binomial, shifted_convolution_even),
-        ):
-            b = fun(field, s, eval_tol)
-            sc = sc_fun(field, s)
+        for _, binomial, _, shifted in routes:
+            b = binomial(field, s, eval_tol)
+            sc = shifted(field, s)
             delta = abs(b.value - sc.value)
             allowed = b.tail_bound + sc.tail_bound + 1e-11
             worst_sc = max(worst_sc, delta - allowed)
             sc_ok = sc_ok and delta <= allowed
 
-    d = field.D
-    total = len(box) + len(direct_pts) + len(sc_pts)
-    return [
-        CheckResult(f"cross-method odd D={d}", worst_odd < tol_cross, worst_odd, tol_cross,
-                    f"{total} points"),
-        CheckResult(f"cross-method even D={d}", worst_even < tol_cross, worst_even, tol_cross,
-                    f"{total} points"),
+    return out + [
         CheckResult(f"binomial-vs-direct D={d}", worst_direct < tol_direct, worst_direct,
                     tol_direct, f"{len(direct_pts)} points, Re s >= 0.5"),
         CheckResult(f"binomial-vs-shifted-convolution D={d}", sc_ok, max(worst_sc, 0.0), 0.0,

@@ -270,6 +270,15 @@ def test_verify_special_values(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_cross_method_on_norm_plus_one_fields(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "cross-method", "--D", "3,7")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 6 and all(line.startswith("PASS") for line in lines)
+    assert "cross-method combined D=3" in lines[0]
+    assert "binomial-vs-shifted-convolution D=7" in lines[5]
+
+
 def test_verify_pell_small_bound(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "pell", "--D", "5",
                            "--bound", "20000")

@@ -173,6 +173,7 @@ def test_norm_plus_one_d3():
     ref2 = direct_sum(F3, 2.0, "combined", 40)
     ev2 = zeta_norm_plus_one(F3, 2.0, tol=1e-13)
     assert abs(ev2.value - ref2) < 1e-10
+    assert zeta_combined_binomial(F3, 2.0, tol=1e-13) == ev2
     ref4 = direct_sum(F3, 4.0, "combined", 30)
     ev4 = zeta_norm_plus_one(F3, 4.0, tol=1e-13)
     assert abs(ev4.value - ref4) < 1e-10
@@ -192,7 +193,7 @@ def test_norm_plus_one_rejects_norm_minus_one_field():
 
 
 def test_split_methods_reject_norm_plus_one_field():
-    for fun in (zeta_odd_binomial, zeta_even_binomial, zeta_combined_binomial):
+    for fun in (zeta_odd_binomial, zeta_even_binomial):
         with pytest.raises(NormPlusOneError):
             fun(F3, 2.0)
 
