@@ -137,12 +137,14 @@ def _grid_rows(request: GridRequest, settings: Settings) -> list[list[str]]:
     """One row per (point, method), Im s outer, Re s inner, methods innermost."""
     field = _cached_field(request.D)
     re_axis = request.axis("re")
+    re_labels = [fmt(re_part) for re_part in re_axis]
     rows = []
     for im in request.axis("im"):
-        for re_part in re_axis:
+        im_label = fmt(im)
+        for re_part, re_label in zip(re_axis, re_labels):
             s = complex(re_part, im)
             for method in request.methods:
-                base = [fmt(re_part), fmt(im), method]
+                base = [re_label, im_label, method]
                 try:
                     ev = evaluate(field, s, request.parity, method, request.tol, settings)
                     rows.append(base + [fmt(ev.value.real), fmt(ev.value.imag),

@@ -74,22 +74,54 @@ def nearest_lattice_pole(
 
     split:    s0 = -2k + pi i m / log eta,   k >= 0, m in Z (eta of HalfUnit)
     combined: same points restricted to m + k even
+
+    The squared distance separates into (Re s + 2k)^2 + (Im s - m pi/log eta)^2,
+    so k and m are each the nearer of the two lattice lines around s.  Where
+    the two lines are within rounding of one another both stay candidates,
+    and a combined-lattice candidate with k + m odd gives way to its four
+    neighbours.  Of the candidates in (k, m) order the first nearest wins.
     """
     s = complex(s)
     spacing = math.pi / field.half_unit.log_eta
-    k_mid = max(0, round(-s.real / 2.0))
-    m_mid = round(s.imag / spacing)
-    best = None
-    for k in range(max(0, k_mid - 1), k_mid + 2):
-        for m in range(m_mid - 2, m_mid + 3):
-            if lattice == LATTICE_COMBINED and (m + k) % 2 != 0:
-                continue
+    k = max(0, math.floor(-0.5 * s.real))
+    ks = _nearer_lines(k, abs(s.real + 2.0 * k), abs(s.real + 2.0 * (k + 1)))
+    m = math.floor(s.imag / spacing)
+    ms = _nearer_lines(m, abs(s.imag - m * spacing), abs(s.imag - (m + 1) * spacing))
+    if len(ks) == len(ms) == 1:
+        k, m = ks[0], ms[0]
+        if lattice != LATTICE_COMBINED or (k + m) % 2 == 0:
             loc = complex(-2.0 * k, m * spacing)
-            dist = abs(s - loc)
-            if best is None or dist < best[3]:
-                best = (loc, k, m, dist)
-    assert best is not None
+            return loc, k, m, abs(s - loc)
+        cands = _neighbours(k, m)
+    else:
+        cands = [(k, m) for k in ks for m in ms]
+        if lattice == LATTICE_COMBINED:
+            cands = sorted({c for k, m in cands
+                            for c in ([(k, m)] if (k + m) % 2 == 0 else _neighbours(k, m))})
+    best = None
+    for k, m in cands:
+        if k < 0:
+            continue
+        loc = complex(-2.0 * k, m * spacing)
+        dist = abs(s - loc)
+        if best is None or dist < best[3]:
+            best = (loc, k, m, dist)
     return best
+
+
+def _nearer_lines(i: int, d_lo: float, d_hi: float) -> tuple[int, ...]:
+    """Index i or i + 1, whichever line is nearer (d_lo, d_hi away), or both
+    when the two distances might round to one complex distance."""
+    if d_hi - d_lo > 1e-9 * d_hi:
+        return (i,)
+    if d_lo - d_hi > 1e-9 * d_lo:
+        return (i + 1,)
+    return (i, i + 1)
+
+
+def _neighbours(k: int, m: int) -> tuple[tuple[int, int], ...]:
+    """The four lattice points next to (k, m), in (k, m) order."""
+    return ((k - 1, m), (k, m - 1), (k, m + 1), (k + 1, m))
 
 
 def check_pole_guard(
@@ -105,17 +137,24 @@ def check_pole_guard(
     return dist
 
 
-def _binomial_sum(log_eta: float, s: complex, tol: float, kind: str) -> tuple[complex, int, float]:
+def _binomial_sum(
+    field: QuadraticField, s: complex, tol: float, kind: str
+) -> tuple[complex, int, float]:
     """Shared k-sum; returns (sum, terms, tail) without the q^(s/2) factor.
 
     kind picks the summand shape, written via u = eta^(-(s+2k)):
       odd:      u / (1 - u^2)
       even:     (-1)^k u^2 / (1 - u^2)
       combined: u / (1 - u) for even k, u / (1 + u) for odd k
-    A norm +1 field sums the even kind at log eta = log eps / 2.
+    A norm +1 field sums the even kind at log eta = log eps / 2.  Every
+    summand falls at least like eps^(-2) per k (u for norm -1, u^2 = eps^(-2k)
+    up to a constant for norm +1), the decay the tail bound assumes.
     """
-    decay = math.exp(-2.0 * log_eta)
+    log_eta = field.half_unit.log_eta
+    decay = math.exp(-2.0 * field.log_eps)
+    odd, even = kind == "odd", kind == "even"
     abs_s = abs(s)
+    neg_s = -s
     k_min = int(math.ceil(abs_s)) + 5
     coeff: complex = 1.0 + 0j
     total: complex = 0j
@@ -123,19 +162,24 @@ def _binomial_sum(log_eta: float, s: complex, tol: float, kind: str) -> tuple[co
     sign = 1  # (-1)^k; an int, so coeff * sign rounds exactly as coeff * (-1) ** k
     while True:
         u = cmath.exp(-(s + 2.0 * k) * log_eta)
-        if kind == "odd":
+        if odd:
             term = coeff * u / (1.0 - u * u)
-        elif kind == "even":
+        elif even:
             term = coeff * sign * u * u / (1.0 - u * u)
-        else:  # combined
-            term = coeff * u / (1.0 - u) if sign > 0 else coeff * u / (1.0 + u)
+        elif sign > 0:
+            term = coeff * u / (1.0 - u)
+        else:
+            term = coeff * u / (1.0 + u)
         total += term
-        ratio = (abs_s + k) / (k + 1.0) * decay
-        if k >= k_min and ratio < 1.0:
-            tail = abs(term) * ratio / (1.0 - ratio)
-            if tail <= tol * max(abs(total), 1e-30) or abs(term) < 1e-280:
-                return total, k + 1, tail
-        coeff = coeff * (-s - k) / (k + 1.0)
+        k1 = k + 1.0
+        if k >= k_min:
+            ratio = (abs_s + k) / k1 * decay
+            if ratio < 1.0:
+                size = abs(term)
+                tail = size * ratio / (1.0 - ratio)
+                if tail <= tol * max(abs(total), 1e-30) or size < 1e-280:
+                    return total, k + 1, tail
+        coeff = coeff * (neg_s - k) / k1
         k += 1
         sign = -sign
         if k > _MAX_BINOMIAL_TERMS:
@@ -166,7 +210,7 @@ def _binomial_eval(
     floor = _UNIT_ROUNDOFF / (slope * tol)
     dist = check_pole_guard(field, s, lattice, max(settings.pole_guard_radius, floor))
     try:
-        total, terms, tail = _binomial_sum(log_eta, s, tol, kind)
+        total, terms, tail = _binomial_sum(field, s, tol, kind)
     except ZeroDivisionError:
         # a denominator 1 -+ u rounded to zero: to double precision s is a
         # lattice pole, however small the guard radius
@@ -293,7 +337,9 @@ def zeta_direct(
     ratio = max(ratio, math.exp(-stride * s.real * field.log_eps))
     last_term = math.exp(-s.real * math.log(last_f))
     tail = last_term * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    dist = nearest_lattice_pole(field, s)[3]
+    # the poles with k + m odd cancel in the full zeta of a norm -1 unit
+    combined = parity == PARITY_COMBINED and field.is_norm_minus_one
+    dist = nearest_lattice_pole(field, s, LATTICE_COMBINED if combined else LATTICE_SPLIT)[3]
     return ZetaEvaluation(
         value=total,
         method=METHOD_DIRECT,

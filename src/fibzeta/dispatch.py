@@ -13,6 +13,7 @@ import math
 
 from .config import Settings
 from .continuation import (
+    LATTICE_COMBINED,
     METHOD_BINOMIAL,
     METHOD_DIRECT,
     METHOD_POISSON,
@@ -24,6 +25,7 @@ from .continuation import (
     SeriesTail,
     ZetaEvaluation,
     direct_terms_for,
+    nearest_lattice_pole,
     zeta_combined_binomial,
     zeta_direct,
     zeta_even_binomial,
@@ -41,22 +43,23 @@ def check_tol(tol: float) -> None:
         raise DomainError(f"tol must be in (0, 1e-2], got {tol}")
 
 
-def _combined(field: QuadraticField, odd_route, even_route, *args) -> ZetaEvaluation:
+def _combined(field: QuadraticField, odd_route, even_route, s, *args) -> ZetaEvaluation:
     """Z for routes without a collapsed combined series: the even route alone
     for a norm +1 unit (see HalfUnit), else Z_odd + Z_even, whose values,
-    terms and tail bounds add; the bound is rigorous only if both parts are,
-    and the pole distance is the smaller of the two.
+    terms and tail bounds add; the bound is rigorous only if both parts are.
+    The pole distance is to the combined lattice, since the split poles with
+    k + m odd cancel in the sum (each part still refuses near its own).
     """
     if not field.is_norm_minus_one:
-        return even_route(field, *args)
-    odd, even = odd_route(field, *args), even_route(field, *args)
+        return even_route(field, s, *args)
+    odd, even = odd_route(field, s, *args), even_route(field, s, *args)
     return ZetaEvaluation(
         value=odd.value + even.value,
         method=odd.method,
         terms_used=odd.terms_used + even.terms_used,
         tail=SeriesTail(odd.tail.bound + even.tail.bound,
                         odd.tail.rigorous and even.tail.rigorous),
-        nearest_pole_distance=min(odd.nearest_pole_distance, even.nearest_pole_distance),
+        nearest_pole_distance=nearest_lattice_pole(field, s, LATTICE_COMBINED)[3],
     )
 
 

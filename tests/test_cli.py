@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import shlex
@@ -157,6 +158,15 @@ def test_grid_reversed_or_endless_range_is_domain_error(capsys):
         assert "DomainError" in err
 
 
+# SHA-256 of the CSV of D=5 binomial grids with pole rows: how the grid path
+# builds its rows and finds poles must leave these bytes as they are
+GRID_SHA256 = {
+    "odd": "59c2892ac1da2f525ebcf69d62f4adaba15ed080d795d5a624b85a1f868445ea",
+    "even": "67ae4b0ea9c74fb3743244abc6cb4a67ce90379dc190692f4ff01fa0e25a9bdb",
+    "combined": "1330a288f8df4b2f79c3db0723e29286dc8d6285dc96c00f3da8bf8fc2448644",
+}
+
+
 def test_grid_csv_round_trip_bit_identical(capsys):
     code, out, _ = run_cli(
         capsys, "grid", "--D", "5", "--parity", "even",
@@ -168,6 +178,13 @@ def test_grid_csv_round_trip_bit_identical(capsys):
     for row in rows:
         for cell in (row[3], row[4]):
             assert f"{float(cell):.17g}" == cell
+    for parity, digest in GRID_SHA256.items():
+        code, out, _ = run_cli(
+            capsys, "grid", "--D", "5", "--parity", parity,
+            "--re", "-3", "2", "0.5", "--im", "-7", "7", "1", "--methods", "binomial",
+        )
+        assert code == 0 and out.count(",pole") > 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, parity
 
 
 def test_grid_json_format(capsys):

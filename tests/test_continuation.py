@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 from fibzeta import (
     NormMinusOneError,
@@ -10,6 +12,7 @@ from fibzeta import (
     OutOfRegionError,
     PoleProximityError,
     Settings,
+    TooSlowConvergenceError,
     fib,
     make_field,
     nearest_lattice_pole,
@@ -20,6 +23,7 @@ from fibzeta import (
     zeta_norm_plus_one,
     zeta_odd_binomial,
 )
+from fibzeta.continuation import _MAX_BINOMIAL_TERMS, _binomial_sum
 
 F5 = make_field(5)
 F3 = make_field(3)
@@ -246,3 +250,99 @@ def test_nearest_pole_distance_reported():
     loc, k, m, dist = nearest_lattice_pole(F5, complex(-1.0, 0.5))
     assert ev.nearest_pole_distance == pytest.approx(dist)
     assert dist > 0.4
+
+
+# ------------------------------------------- reference copies of earlier code
+
+def scan_nearest_pole(field, s, lattice="split"):
+    """The 15-candidate scan that nearest_lattice_pole replaced."""
+    s = complex(s)
+    spacing = math.pi / field.half_unit.log_eta
+    k_mid = max(0, round(-s.real / 2.0))
+    m_mid = round(s.imag / spacing)
+    best = None
+    for k in range(max(0, k_mid - 1), k_mid + 2):
+        for m in range(m_mid - 2, m_mid + 3):
+            if lattice == "combined" and (m + k) % 2 != 0:
+                continue
+            loc = complex(-2.0 * k, m * spacing)
+            dist = abs(s - loc)
+            if best is None or dist < best[3]:
+                best = (loc, k, m, dist)
+    return best
+
+
+def string_kind_binomial_sum(log_eta, s, tol, kind):
+    """The k-loop that compared kind on every term and tested the tail on
+    every k, with its per-k decay eta^(-2)."""
+    decay = math.exp(-2.0 * log_eta)
+    abs_s = abs(s)
+    k_min = int(math.ceil(abs_s)) + 5
+    coeff = 1.0 + 0j
+    total = 0j
+    k = 0
+    sign = 1
+    while True:
+        u = cmath.exp(-(s + 2.0 * k) * log_eta)
+        if kind == "odd":
+            term = coeff * u / (1.0 - u * u)
+        elif kind == "even":
+            term = coeff * sign * u * u / (1.0 - u * u)
+        else:
+            term = coeff * u / (1.0 - u) if sign > 0 else coeff * u / (1.0 + u)
+        total += term
+        ratio = (abs_s + k) / (k + 1.0) * decay
+        if k >= k_min and ratio < 1.0:
+            tail = abs(term) * ratio / (1.0 - ratio)
+            if tail <= tol * max(abs(total), 1e-30) or abs(term) < 1e-280:
+                return total, k + 1, tail
+        coeff = coeff * (-s - k) / (k + 1.0)
+        k += 1
+        sign = -sign
+        if k > _MAX_BINOMIAL_TERMS:
+            raise TooSlowConvergenceError(float(k), _MAX_BINOMIAL_TERMS)
+
+
+@pytest.mark.parametrize("lattice", ["split", "combined"])
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 29])
+def test_nearest_pole_equals_the_candidate_scan(d, lattice):
+    """Same (location, k, m, distance) as the scan: on random points, on the
+    ties where -Re s/2 or Im s log eta/pi is a half-integer (or both), on
+    lattice lines, and right of Re s = 0 where k is clamped to 0."""
+    field = make_field(d)
+    spacing = math.pi / field.half_unit.log_eta
+    rng = random.Random(d)
+    points = [complex(rng.uniform(-10, 5), rng.uniform(-30, 30)) for _ in range(2000)]
+    for _ in range(500):
+        k_half = -(2.0 * rng.randint(0, 5) + 1.0)
+        m_half = (rng.randint(-6, 5) + 0.5) * spacing
+        points += [complex(k_half, rng.uniform(-30, 30)),
+                   complex(rng.uniform(-10, 5), m_half),
+                   complex(k_half, m_half),
+                   complex(-2.0 * rng.randint(0, 5), rng.randint(-6, 6) * spacing),
+                   complex(rng.uniform(0, 5), rng.uniform(-30, 30)),
+                   complex(rng.uniform(0, 5), m_half)]
+    for s in points:
+        assert nearest_lattice_pole(field, s, lattice) == scan_nearest_pole(field, s, lattice), s
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from([2, 5, 13, 29]),
+    kind=st.sampled_from(["odd", "even", "combined"]),
+    re=st.floats(-8.0, 4.0),
+    im=st.floats(-80.0, 80.0),
+    tol=st.sampled_from([1e-6, 1e-10, 1e-12, 1e-14]),
+)
+def test_binomial_sum_equals_the_string_kind_loop(d, kind, re, im, tol):
+    """Norm -1 sums, term counts and tails are bit for bit those of the
+    loop that picked its summand per term."""
+    field = make_field(d)
+    s = complex(re, im)
+    try:
+        expected = string_kind_binomial_sum(field.log_eps, s, tol, kind)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            _binomial_sum(field, s, tol, kind)
+        return
+    assert _binomial_sum(field, s, tol, kind) == expected

@@ -11,8 +11,15 @@ The departures:
 - D=3 (norm +1) combined is the even function of the half unit eps^(1/2) on
   every route: the poisson records are values instead of NormPlusOneError,
   the shifted-convolution records are the refusals of its region and tol,
-  and the binomial records are those of the even series (one more term at
-  the strip point, values within the summed tail bounds of the old ones).
+  and the binomial records are those of the even series;
+- the binomial tail bound takes its per-k decay as eps^(-2), how the norm +1
+  even summand falls (it took eta^(-2) = eps^(-1) before): the D=3 strip
+  record sums 11 terms instead of 12 and its value moves by 4.2e-13, within
+  the summed tail bounds, and the D=3 S_LEFT record keeps its value with a
+  tail bound of 2.4e-14 instead of 1.1e-13;
+- a norm -1 combined value reports its distance to the combined lattice,
+  where the split poles with k + m odd cancel, on every route: the D=5
+  S_LEFT poisson record moved from 0.7071 to 1.5811, the binomial record's.
 """
 
 import cmath
@@ -36,7 +43,7 @@ FROZEN = [
     (3, S_STRIP, 'direct', 'combined', ((0.6000505445941159-0.06933418371245682j), 'direct', 84, 1.1574247392151013e-14, True, 2.0223748416156684)),
     (3, S_STRIP, 'binomial', 'odd', 'NormPlusOneError'),
     (3, S_STRIP, 'binomial', 'even', 'NormPlusOneError'),
-    (3, S_STRIP, 'binomial', 'combined', ((0.6000505445940897-0.06933418371244288j), 'binomial', 12, 1.7055384563843538e-13, True, 2.0223748416156684)),
+    (3, S_STRIP, 'binomial', 'combined', ((0.6000505445937837-0.06933418371216113j), 'binomial', 11, 5.172364567219617e-13, True, 2.0223748416156684)),
     (3, S_STRIP, 'poisson', 'odd', 'NormPlusOneError'),
     (3, S_STRIP, 'poisson', 'even', 'NormPlusOneError'),
     (3, S_STRIP, 'poisson', 'combined', ((0.6000505445933498-0.06933418371242145j), 'poisson', 61, 8.931413516020548e-13, False, 2.0223748416156684)),
@@ -48,7 +55,7 @@ FROZEN = [
     (3, S_LEFT, 'direct', 'combined', 'OutOfRegionError'),
     (3, S_LEFT, 'binomial', 'odd', 'NormPlusOneError'),
     (3, S_LEFT, 'binomial', 'even', 'NormPlusOneError'),
-    (3, S_LEFT, 'binomial', 'combined', ((-0.254284422456699+0.025529330206674j), 'binomial', 10, 1.1353787603803413e-13, True, 0.7071067811865476)),
+    (3, S_LEFT, 'binomial', 'combined', ((-0.254284422456699+0.025529330206674j), 'binomial', 10, 2.3589045179296616e-14, True, 0.7071067811865476)),
     (3, S_LEFT, 'poisson', 'odd', 'NormPlusOneError'),
     (3, S_LEFT, 'poisson', 'even', 'NormPlusOneError'),
     (3, S_LEFT, 'poisson', 'combined', ((-0.2542844224569773+0.02552933020653344j), 'poisson', 17, 1.4230150667738961e-12, False, 0.7071067811865476)),
@@ -75,7 +82,7 @@ FROZEN = [
     (5, S_LEFT, 'binomial', 'combined', ((-0.20956756529853546-0.39232701671206605j), 'binomial', 22, 3.5691425651624005e-13, True, 1.5811388300841898)),
     (5, S_LEFT, 'poisson', 'odd', ((0.4170397027565595-0.6330871640700885j), 'poisson', 7, 4.9563958889078056e-21, False, 0.7071067811865476)),
     (5, S_LEFT, 'poisson', 'even', ((-0.6266072680554785+0.24076014735803491j), 'poisson', 13, 2.6083496295609156e-12, False, 0.7071067811865476)),
-    (5, S_LEFT, 'poisson', 'combined', ((-0.209567565298919-0.39232701671205356j), 'poisson', 20, 2.6083496345173116e-12, False, 0.7071067811865476)),
+    (5, S_LEFT, 'poisson', 'combined', ((-0.209567565298919-0.39232701671205356j), 'poisson', 20, 2.6083496345173116e-12, False, 1.5811388300841898)),
     (5, S_LEFT, 'shifted_convolution', 'odd', 'OutOfRegionError'),
     (5, S_LEFT, 'shifted_convolution', 'even', 'OutOfRegionError'),
     (5, S_LEFT, 'shifted_convolution', 'combined', 'OutOfRegionError'),
@@ -121,6 +128,25 @@ def test_norm_plus_one_combined_agrees_with_binomial_on_every_route(d):
             assert abs(ev.value - ref) <= 1e-8 * abs(ref), (method, s)
             returned += method == "shifted_convolution"
     assert returned > 0
+
+
+@pytest.mark.parametrize("d,first", [(5, complex(1.2, 6.5)), (13, complex(0.3, 2.0))])
+def test_combined_routes_report_the_combined_pole_distance(d, first):
+    """The split poles with k + m odd cancel in Z_odd + Z_even, so every
+    route reports the distance to the combined lattice for a norm -1 field."""
+    field = make_field(d)
+    points = (first, complex(2.5, 30.0), complex(-1.5, 0.5))
+    for s in points:
+        dist = fibzeta.nearest_lattice_pole(field, s, "combined")[3]
+        for method in METHODS:
+            try:
+                ev = fibzeta.evaluate(field, s, "combined", method, 1e-8)
+            except (fibzeta.OutOfRegionError, fibzeta.TooSlowConvergenceError):
+                continue
+            assert ev.nearest_pole_distance == dist, (method, s)
+    # the nearest split pole is a cancelled one at every point
+    assert all(fibzeta.nearest_lattice_pole(field, s)[3]
+               < fibzeta.nearest_lattice_pole(field, s, "combined")[3] for s in points)
 
 
 def test_evaluate_rejects_unknown_parity():

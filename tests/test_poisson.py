@@ -23,6 +23,7 @@ from fibzeta import (
     zeta_odd_poisson,
 )
 from fibzeta.complexfn import log_gamma
+from fibzeta.suites import fourier_quadrature
 from fibzeta.poisson import (
     RegionSelector,
     _gamma_ratio,
@@ -102,6 +103,19 @@ def test_fourier_coefficient_against_quadrature():
     assert err1 < 1e-10
     assert abs(val1 - 2.0 * ref1) < 1e-8
     assert abs(val1 - FOURIER_D5_S1_M1) < 1e-14 + 1e-6 * abs(val1)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_fourier_quadrature_agrees_with_a_40_digit_integral(m):
+    """The trapezoid reference of the special-functions suite."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        phi = (1 + mp.sqrt(5)) / 2
+        # one cosine period per interval, and phi^-50 ~ 4e-11 before the last
+        ref = 2 * mp.quad(lambda x: mp.cos(2 * mp.pi * m * x) / (phi**x + phi**-x),
+                          mp.linspace(0, 50, 51) + [mp.inf])
+        assert abs(fourier_quadrature(m) - ref) < 1e-12
 
 
 def test_fourier_coefficient_conjugate_in_m():
