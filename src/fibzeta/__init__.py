@@ -41,6 +41,7 @@ from .dispatch import evaluate
 from .errors import (
     ContourThroughPoleError,
     DomainError,
+    FactorOverflowError,
     FibZetaError,
     NearOneSingularityError,
     NormMinusOneError,

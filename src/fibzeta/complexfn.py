@@ -11,7 +11,10 @@ form loses digits, and the functional equation for Re s < 1/2 except in a
 small disk around s = 0, where Euler-Maclaurin is used directly.
 
 Complex values are the builtin complex type throughout.  All functions are
-pure.
+pure.  Constants that meet a complex operand in a hot expression are stored
+as complex: a float on the left of a complex first gets NotImplemented from
+float's own operator and is then converted to complex(x, 0.0) anyway, so
+the stored constant gives the same bits without that detour.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ _LANCZOS_COEFFS = (
 )
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
+_LOG_TWO = math.log(2.0)
+_ONE = complex(1.0, 0.0)
+_PI = complex(math.pi, 0.0)
+_LOG_PI_C = complex(_LOG_PI, 0.0)
 
 # B_{2j} for j = 1..14, used by the Euler-Maclaurin zeta tail
 _BERNOULLI_EVEN = (
@@ -62,28 +69,30 @@ _BERNOULLI_EVEN = (
 )
 
 
+# -1j * math.pi etc. as the inline products evaluate them, left to right
+_NEG_I_PI = -1j * math.pi
+_TWO_I_PI = 2j * math.pi
+_I_PI = 1j * math.pi
+_NEG_TWO_I_PI = -2j * math.pi
+_LOG_HALF_I_SHIFT = complex(-_LOG_TWO, 0.5 * math.pi)
+_LOG_TWO_I_SHIFT = complex(_LOG_TWO, 0.5 * math.pi)
+
+
 def _log_sin_pi(z: complex) -> complex:
     """log(sin(pi z)), stable for large |Im z| (branch only matters mod 2 pi i)."""
     if z.imag > 7.0:
         # sin(pi z) = -e^{-i pi z} (1 - e^{2 i pi z}) / (2i)
-        return (
-            -1j * math.pi * z
-            + cmath.log(1.0 - cmath.exp(2j * math.pi * z))
-            + complex(-math.log(2.0), 0.5 * math.pi)
-        )
+        return _NEG_I_PI * z + cmath.log(_ONE - cmath.exp(_TWO_I_PI * z)) + _LOG_HALF_I_SHIFT
     if z.imag < -7.0:
-        return (
-            1j * math.pi * z
-            + cmath.log(1.0 - cmath.exp(-2j * math.pi * z))
-            - complex(math.log(2.0), 0.5 * math.pi)
-        )
-    return cmath.log(cmath.sin(math.pi * z))
+        return _I_PI * z + cmath.log(_ONE - cmath.exp(_NEG_TWO_I_PI * z)) - _LOG_TWO_I_SHIFT
+    return cmath.log(cmath.sin(_PI * z))
 
 
 (
     _C0, _C1, _C2, _C3, _C4, _C5, _C6, _C7,
     _C8, _C9, _C10, _C11, _C12, _C13, _C14,
-) = _LANCZOS_COEFFS
+) = (complex(c, 0.0) for c in _LANCZOS_COEFFS)
+_HALF_LOG_TWO_PI_C = complex(_HALF_LOG_TWO_PI, 0.0)
 
 
 def _log_gamma_right(z: complex) -> complex:
@@ -91,13 +100,13 @@ def _log_gamma_right(z: complex) -> complex:
     zz = z - 1.0
     # c0 + sum_k c_k / (zz + k), summed left to right: the order fixes the last bit
     acc = (
-        _C0 + _C1 / (zz + 1) + _C2 / (zz + 2) + _C3 / (zz + 3) + _C4 / (zz + 4)
-        + _C5 / (zz + 5) + _C6 / (zz + 6) + _C7 / (zz + 7) + _C8 / (zz + 8)
-        + _C9 / (zz + 9) + _C10 / (zz + 10) + _C11 / (zz + 11) + _C12 / (zz + 12)
-        + _C13 / (zz + 13) + _C14 / (zz + 14)
+        _C0 + _C1 / (zz + 1.0) + _C2 / (zz + 2.0) + _C3 / (zz + 3.0) + _C4 / (zz + 4.0)
+        + _C5 / (zz + 5.0) + _C6 / (zz + 6.0) + _C7 / (zz + 7.0) + _C8 / (zz + 8.0)
+        + _C9 / (zz + 9.0) + _C10 / (zz + 10.0) + _C11 / (zz + 11.0) + _C12 / (zz + 12.0)
+        + _C13 / (zz + 13.0) + _C14 / (zz + 14.0)
     )
     t = zz + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    return _HALF_LOG_TWO_PI_C + (zz + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
 def log_gamma(z: complex) -> complex:
@@ -109,7 +118,7 @@ def log_gamma(z: complex) -> complex:
     z = complex(z)
     if z.real >= 0.5:
         return _log_gamma_right(z)
-    return _LOG_PI - _log_sin_pi(z) - _log_gamma_right(1.0 - z)
+    return _LOG_PI_C - _log_sin_pi(z) - _log_gamma_right(_ONE - z)
 
 
 def _nonpositive_integer_near(z: complex, tol: float = 1e-12) -> int | None:
@@ -134,10 +143,9 @@ def rgamma(z: complex) -> complex:
     if z.real >= 0.5:
         return cmath.exp(-_log_gamma_right(z))
     # reflection: 1/Gamma(z) = sin(pi z) Gamma(1-z) / pi
-    return cmath.sin(math.pi * z) * cmath.exp(_log_gamma_right(1.0 - z) - _LOG_PI)
+    return cmath.sin(_PI * z) * cmath.exp(_log_gamma_right(_ONE - z) - _LOG_PI)
 
 
-@lru_cache(maxsize=32)
 def _borwein_d(n: int) -> tuple[tuple[int, ...], int]:
     """Exact integer coefficients d_k of Borwein's algorithm 2."""
     d = []
@@ -153,14 +161,24 @@ def _borwein_d(n: int) -> tuple[tuple[int, ...], int]:
     return tuple(d), d[-1]
 
 
+@lru_cache(maxsize=32)
+def _borwein_table(n: int) -> tuple[tuple[tuple[complex, float], ...], complex]:
+    """Pairs ((-1)^k (d_k - d_n), log(k + 1)) for k < n, and d_n, each rounded
+    once to the complex value that the big integer becomes in the sum."""
+    d, dn = _borwein_d(n)
+    pairs = tuple(
+        (complex(float((-1) ** k * (d[k] - dn)), 0.0), math.log(k + 1)) for k in range(n)
+    )
+    return pairs, complex(float(dn), 0.0)
+
+
 def _zeta_borwein(s: complex, terms: int) -> complex:
-    d, dn = _borwein_d(terms)
+    pairs, dn = _borwein_table(terms)
+    neg_s = -s
     acc = 0j
-    sign = 1
-    for k in range(terms):
-        acc += sign * (d[k] - dn) * cmath.exp(-s * math.log(k + 1))
-        sign = -sign
-    eta_factor = 1.0 - cmath.exp((1.0 - s) * math.log(2.0))
+    for weight, log_k1 in pairs:
+        acc += weight * cmath.exp(neg_s * log_k1)
+    eta_factor = _ONE - cmath.exp((_ONE - s) * _LOG_TWO)
     return -acc / (dn * eta_factor)
 
 

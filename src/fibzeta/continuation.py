@@ -28,7 +28,7 @@ from .errors import (
     TooSlowConvergenceError,
 )
 from .quadfield import PARITIES, PARITY_COMBINED, PARITY_EVEN, PARITY_ODD  # re-exported
-from .quadfield import QuadraticField, iter_sequence
+from .quadfield import QuadraticField, log_fib_upto
 
 METHOD_DIRECT = "direct"
 METHOD_BINOMIAL = "binomial"
@@ -305,6 +305,8 @@ def zeta_direct(
     parity selects which indices enter: odd -> F(1), F(3), ...; even ->
     F(2), F(4), ...; combined -> every F(n), n >= 1.  Sums n_max terms and
     attaches a geometric tail bound from the growth F(n+stride)/F(n) -> eps^stride.
+    The logs of F(n) come from the field's table, so repeated calls redo no
+    big-integer work.
     """
     s = complex(s)
     if s.real <= 0:
@@ -314,28 +316,19 @@ def zeta_direct(
     stride = 1 if parity == PARITY_COMBINED else 2
     start = 1 if parity != PARITY_EVEN else 2
 
+    count = max(n_max, 1)
+    last = start + stride * (count - 1)
+    logs = log_fib_upto(field, last)[start - 1:last:stride]
+    neg_s = -s
     total = 0j
-    count = 0
-    prev_f = None
-    last_f = None
-    gen = iter_sequence(field)
-    next(gen)  # skip index 0
-    for term in gen:
-        idx = term.index
-        if idx < start or (idx - start) % stride != 0:
-            continue
-        total += cmath.exp(-s * math.log(term.fib))
-        prev_f, last_f = last_f, term.fib
-        count += 1
-        if count >= n_max:
-            break
-    assert last_f is not None
-    if prev_f is not None:
-        ratio = math.exp(-s.real * (math.log(last_f) - math.log(prev_f)))
+    for log_f in logs:
+        total += cmath.exp(neg_s * log_f)
+    if count > 1:
+        ratio = math.exp(-s.real * (logs[-1] - logs[-2]))
     else:
         ratio = math.exp(-stride * s.real * field.log_eps)
     ratio = max(ratio, math.exp(-stride * s.real * field.log_eps))
-    last_term = math.exp(-s.real * math.log(last_f))
+    last_term = math.exp(-s.real * logs[-1])
     tail = last_term * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
     # the poles with k + m odd cancel in the full zeta of a norm -1 unit
     combined = parity == PARITY_COMBINED and field.is_norm_minus_one

@@ -69,6 +69,16 @@ class NearOneSingularityError(NumericalError):
     individually diverge; use the direct series instead."""
 
 
+class FactorOverflowError(NumericalError):
+    """A factor of a formula leaves double range at the requested point,
+    although the value it belongs to may not."""
+
+    def __init__(self, factor: str, s: complex):
+        super().__init__(f"the factor {factor} leaves double range at s={s}")
+        self.factor = factor
+        self.s = s
+
+
 class TooSlowConvergenceError(NumericalError):
     def __init__(self, needed: float, cap: int):
         super().__init__(

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 
-from .complexfn import _LOG_PI, _log_sin_pi, czeta, log_gamma, rgamma
+from .complexfn import _LOG_PI_C, _ONE, _log_sin_pi, czeta, log_gamma, rgamma
 from .config import Settings, default_settings
 from .continuation import (
     LATTICE_SPLIT,
@@ -43,6 +44,7 @@ from .continuation import (
     zeta_direct,
 )
 from .errors import (
+    FactorOverflowError,
     NearOneSingularityError,
     OutOfRegionError,
     PoleProximityError,
@@ -92,6 +94,16 @@ class RegionSelector:
         return RegionSelector()
 
 
+@contextmanager
+def _in_double_range(factor: str, s: complex):
+    """Raise FactorOverflowError(factor, s) for an OverflowError in the block:
+    cmath.exp and cmath.sin raise it where a factor leaves double range."""
+    try:
+        yield
+    except OverflowError:
+        raise FactorOverflowError(factor, s) from None
+
+
 def fourier_coefficient_odd(
     field: QuadraticField,
     s: complex,
@@ -133,23 +145,26 @@ def zeta_odd_poisson(
     half_step = math.pi / (2.0 * log_eps)
     decay = math.exp(-math.pi * half_step)  # per-unit-m asymptotic shrink factor
     half_s = 0.5 * s
-    total = cmath.exp(2.0 * log_gamma(half_s))
-    m = 0
-    term_abs = abs(total)
-    sign = 2.0  # 2 (-1)^m, flipped before each term
-    while True:
-        m += 1
-        v = half_step * m
-        sign = -sign
-        pair = cmath.exp(log_gamma(half_s + 1j * v) + log_gamma(half_s - 1j * v))
-        term = sign * pair
-        total += term
-        term_abs = abs(term)
-        if m >= 3 and term_abs <= tol * max(abs(total), 1e-30):
-            break
-        if m > MAX_FOURIER_TERMS:
-            raise TooSlowConvergenceError(float(m), MAX_FOURIER_TERMS)
-    prefactor = _q_power(field, s) * rgamma(s) / (8.0 * log_eps)
+    with _in_double_range("Gamma(s/2 + i v_m) Gamma(s/2 - i v_m)", s):
+        total = cmath.exp(2.0 * log_gamma(half_s))
+        m = 0
+        term_abs = abs(total)
+        sign = 2.0  # 2 (-1)^m, flipped before each term
+        while True:
+            m += 1
+            iv = 1j * (half_step * m)
+            sign = -sign
+            pair = cmath.exp(log_gamma(half_s + iv) + log_gamma(half_s - iv))
+            term = sign * pair
+            total += term
+            term_abs = abs(term)
+            if m >= 3 and term_abs <= tol * max(abs(total), 1e-30):
+                break
+            if m > MAX_FOURIER_TERMS:
+                raise TooSlowConvergenceError(float(m), MAX_FOURIER_TERMS)
+    with _in_double_range("1/Gamma(s)", s):
+        gamma_factor = rgamma(s)
+    prefactor = _q_power(field, s) * gamma_factor / (8.0 * log_eps)
     tail = term_abs * decay / (1.0 - decay) * abs(prefactor)
     return ZetaEvaluation(
         value=prefactor * total,
@@ -174,20 +189,29 @@ def _gamma_ratio(s: complex, w: float) -> complex:
 
 
 def _ratio_pair(s: complex, v: float) -> complex:
-    """_gamma_ratio(s, v) + _gamma_ratio(s, -v) from two Lanczos values.
+    """_gamma_ratio(s, v) + _gamma_ratio(s, -v) from two Lanczos values, v > 0.
 
     For Re s < 1 both numerators Gamma(s/2 -+ i v) lie left of Re 1/2, and
     the reflection of each evaluates log Gamma(1 - s/2 +- i v), which is the
-    other ratio's denominator.  The arguments are built as _gamma_ratio builds
-    them and combined in its order, so the sum is the same float.
+    other ratio's denominator (see _reflected_pair).
     """
     a = 0.5 * s
     if a.real >= 0.5:
         return _gamma_ratio(s, v) + _gamma_ratio(s, -v)
-    l_minus = log_gamma(1.0 - a - 1j * v)
-    l_plus = log_gamma(1.0 - a - 1j * -v)
-    return cmath.exp((_LOG_PI - _log_sin_pi(a - 1j * v) - l_plus) - l_minus) + cmath.exp(
-        (_LOG_PI - _log_sin_pi(a - 1j * -v) - l_minus) - l_plus
+    return _reflected_pair(a, _ONE - a, 1j * v)
+
+
+def _reflected_pair(a: complex, one_minus_a: complex, iv: complex) -> complex:
+    """The pair sum of _ratio_pair for Re a < 1/2, given a = s/2, 1 - a and i v.
+
+    The arguments are built as _gamma_ratio builds them and combined in its
+    order, so the sum is the same float: 1j * -v is -(1j * v) to the bit for
+    v > 0, and subtracting it adds 1j * v.
+    """
+    l_minus = log_gamma(one_minus_a - iv)
+    l_plus = log_gamma(one_minus_a + iv)
+    return cmath.exp((_LOG_PI_C - _log_sin_pi(a - iv) - l_plus) - l_minus) + cmath.exp(
+        (_LOG_PI_C - _log_sin_pi(a + iv) - l_minus) - l_plus
     )
 
 
@@ -209,7 +233,8 @@ def _ratio_pair_core(
     a = 0.5 * s
     e2 = -_bernoulli_b3(a) / 3.0
     e4 = -_bernoulli_b5(a) / 10.0 + _bernoulli_b3(a) ** 2 / 18.0
-    sin_half = cmath.sin(0.5 * math.pi * s)
+    with _in_double_range("sin(pi s/2)", s):
+        sin_half = cmath.sin(0.5 * math.pi * s)
 
     total = _gamma_ratio(s, 0.0)
     # closed-form asymptotic sums: 2 sin(pi s/2) (-1)^j e_2j step^(s-1-2j) zeta(1+2j-s)
@@ -233,19 +258,18 @@ def _ratio_pair_core(
     m = 0
     residual_abs = 0.0
     tail_factor = 1.0 / max(2.0, 6.0 - s.real)
+    # loop invariants, each the value its inline expression had
+    two_sin_half = 2.0 * sin_half
+    s_1, s_3, s_5 = s - 1.0, s - 3.0, s - 5.0
+    one_minus_a = _ONE - a
+    reflected = a.real < 0.5
     while True:
         m += 1
         v = half_step * m
-        pair = _ratio_pair(s, v)
+        pair = _reflected_pair(a, one_minus_a, 1j * v) if reflected else _ratio_pair(s, v)
         log_v = math.log(v)
-        asym = (
-            2.0
-            * sin_half
-            * (
-                cmath.exp((s - 1.0) * log_v)
-                - e2 * cmath.exp((s - 3.0) * log_v)
-                + e4 * cmath.exp((s - 5.0) * log_v)
-            )
+        asym = two_sin_half * (
+            cmath.exp(s_1 * log_v) - e2 * cmath.exp(s_3 * log_v) + e4 * cmath.exp(s_5 * log_v)
         )
         residual = pair - asym
         total += residual
@@ -263,7 +287,9 @@ def _ratio_pair_core(
 
 
 def _even_prefactor(field: QuadraticField, log_eta: float, s: complex) -> complex:
-    return _q_power(field, s) * cmath.exp(log_gamma(1.0 - s)) / (4.0 * log_eta)
+    with _in_double_range("Gamma(1 - s)", s):
+        gamma_1ms = cmath.exp(log_gamma(1.0 - s))
+    return _q_power(field, s) * gamma_1ms / (4.0 * log_eta)
 
 
 def zeta_even_poisson_strip(
@@ -287,7 +313,9 @@ def zeta_even_poisson_strip(
     dist = check_pole_guard(field, s, LATTICE_SPLIT, settings.pole_guard_radius)
     log_eta = field.half_unit.log_eta
     scale = _q_power(field, s)
-    zeta_term = scale * czeta(s) * cmath.exp(-s * math.log(4.0 * log_eta))
+    with _in_double_range("zeta(s)", s):
+        zeta_s = czeta(s)
+    zeta_term = scale * zeta_s * cmath.exp(-s * math.log(4.0 * log_eta))
     pref = _even_prefactor(field, log_eta, s)
     tol_abs = tol * max(abs(zeta_term), 1.0) / max(abs(pref), 1e-30)
     core, pairs, tail = _ratio_pair_core(log_eta, s, tol_abs, include_leading=False)

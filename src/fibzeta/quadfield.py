@@ -7,8 +7,9 @@ powers, and Pell-type membership tests.
 
 Everything here is exact big-integer arithmetic, apart from the one float
 log eps that the evaluators use, which is rounded once from a 40-digit
-decimal value; fields are immutable (each caches its half unit and membership
-screens on first use) and safe to share between threads or processes.
+decimal value, and the table of math.log(F(n)) that the direct series reads;
+fields are immutable (each caches its half unit, membership screens and that
+table on first use) and safe to share between threads or processes.
 
 The sign of the unit norm decides which evaluations exist downstream: the
 odd/even index split needs N(eps) = -1 (possible only for D = 1, 2 mod 4).
@@ -203,6 +204,11 @@ class QuadraticField:
             _membership_table(self.D, self.ell, 2431, _SQUARES_MOD_2431),
         )
 
+    @cached_property
+    def _log_fib_table(self) -> _LogFibTable:
+        """math.log(F(n)), built on first use and grown by log_fib_upto."""
+        return _LogFibTable(self.trace_eps, self.norm_eps, self.eps.b)
+
     def require_norm_minus_one(self) -> None:
         if self.norm_eps != -1:
             raise NormPlusOneError(
@@ -326,6 +332,41 @@ def iter_sequence(field: QuadraticField) -> Iterator[SequenceTerm]:
         f0, f1 = f1, t * f1 - norm * f0
         l0, l1 = l1, t * l1 - norm * l0
         n += 1
+
+
+class _LogFibTable:
+    """math.log(F(1)), math.log(F(2)), ... with the two exact terms that
+    continue the recurrence past the last entry.
+
+    Growing replaces the whole state at once, so a thread that reads it sees
+    either the old table or the new one, never a half-grown one.
+    """
+
+    __slots__ = ("_trace", "_norm", "_state")
+
+    def __init__(self, trace: int, norm: int, f1: int):
+        self._trace, self._norm = trace, norm
+        # (logs of F(1) .. F(n), F(n), F(n + 1)), from n = 0
+        self._state: tuple[tuple[float, ...], int, int] = ((), 0, f1)
+
+    def upto(self, n: int) -> tuple[float, ...]:
+        logs, f0, f1 = self._state
+        if len(logs) >= n:
+            return logs
+        t, norm = self._trace, self._norm
+        grown = list(logs)
+        while len(grown) < n:
+            grown.append(math.log(f1))
+            f0, f1 = f1, t * f1 - norm * f0
+        logs = tuple(grown)
+        self._state = (logs, f0, f1)
+        return logs
+
+
+def log_fib_upto(field: QuadraticField, n: int) -> tuple[float, ...]:
+    """math.log(F(k)) at index k - 1 for k = 1 .. n at least (possibly more),
+    from the field's table, which grows from its last two exact terms."""
+    return field._log_fib_table.upto(n)
 
 
 def sequence_terms(field: QuadraticField, count: int) -> list[SequenceTerm]:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -72,6 +73,38 @@ def test_eval_pole_proximity_exit_code(capsys):
     code, _, err = run_cli(capsys, "eval", "--D", "5", "--s", "1e-9", "--parity", "odd")
     assert code == 3
     assert "PoleProximityError" in err
+
+
+@pytest.mark.parametrize("s, parity, factor", [
+    ("0.3+300i", "odd", "1/Gamma(s)"),  # cmath.sin(pi s) overflows in rgamma
+    ("-400+1i", "even", "Gamma(1 - s)"),  # the left-region prefactor
+    ("400", "odd", "Gamma(s/2 + i v_m) Gamma(s/2 - i v_m)"),
+    ("-3+1000i", "even", "sin(pi s/2)"),
+    ("0.3+1000i", "even", "zeta(s)"),
+])
+def test_eval_poisson_factor_out_of_double_range_is_numerical_error(capsys, s, parity, factor):
+    code, out, err = run_cli(capsys, "eval", "--D", "5", f"--s={s}", "--parity", parity,
+                             "--method", "poisson")
+    assert code == 3 and out == ""
+    assert err == f"error: FactorOverflowError: the factor {factor} leaves double range " \
+                  f"at s={parse_complex(s)}\n"
+
+
+@pytest.mark.parametrize("parity, re_range, im_range, bad", [
+    ("odd", ("0.3", "0.3", "1"), ("100", "300", "100"), {("0.29999999999999999", "300")}),
+    ("even", ("-401", "-1", "200"), ("1", "1", "1"), {("-401", "1"), ("-201", "1")}),
+])
+def test_grid_keeps_its_good_rows_around_a_factor_overflow(capsys, parity, re_range, im_range, bad):
+    code, out, _ = run_cli(capsys, "grid", "--D", "5", "--parity", parity, "--methods", "poisson",
+                           "--re", *re_range, "--im", *im_range)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 3
+    for row in rows:
+        if (row[0], row[1]) in bad:
+            assert row[3:] == ["", "", "", "", "FactorOverflowError"]
+        else:
+            assert row[7] == "ok" and all(math.isfinite(float(cell)) for cell in row[3:7])
 
 
 @pytest.mark.parametrize("s", ["1e999", "1e999i"])
@@ -185,6 +218,22 @@ def test_grid_csv_round_trip_bit_identical(capsys):
         )
         assert code == 0 and out.count(",pole") > 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, parity
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_poisson_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, parity):
+    """A D = 29 box over the left (Re s <= -0.25), strip and direct regions of
+    the even form, and the odd series on the same points.  The CSV was
+    recorded before the Lanczos, reflection, Borwein and pair-sum kernels
+    were rewritten; any drift in the last bit of a value changes its bytes."""
+    out = tmp_path / "grid.csv"
+    code = main(["grid", "--D", "29", "--parity", parity, "--methods", "poisson",
+                 "--re", "-6.5", "1.0", "0.375", "--im", "-19", "17", "6", "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"grid_poisson_d29_{parity}.csv").read_bytes()
 
 
 def test_grid_json_format(capsys):

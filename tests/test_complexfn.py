@@ -11,7 +11,10 @@ from fibzeta.complexfn import (
     _HALF_LOG_TWO_PI,
     _LANCZOS_COEFFS,
     _LANCZOS_G,
+    _borwein_d,
     _log_gamma_right,
+    _log_sin_pi,
+    _zeta_borwein,
     cgamma,
     czeta,
     log_gamma,
@@ -118,6 +121,34 @@ def test_log_gamma_right_equals_the_loop_reference_exactly():
             assert _log_gamma_right(z) == _log_gamma_right_loop(z), z
 
 
+def _log_sin_pi_inline(z):
+    """Reference: _log_sin_pi with its constants formed inline on every call."""
+    if z.imag > 7.0:
+        return (
+            -1j * math.pi * z
+            + cmath.log(1.0 - cmath.exp(2j * math.pi * z))
+            + complex(-math.log(2.0), 0.5 * math.pi)
+        )
+    if z.imag < -7.0:
+        return (
+            1j * math.pi * z
+            + cmath.log(1.0 - cmath.exp(-2j * math.pi * z))
+            - complex(math.log(2.0), 0.5 * math.pi)
+        )
+    return cmath.log(cmath.sin(math.pi * z))
+
+
+@given(
+    re=st.floats(min_value=-60.0, max_value=60.0),
+    im=st.floats(min_value=7.0, max_value=400.0, exclude_min=True),
+    upper=st.booleans(),
+)
+@hyp_settings(max_examples=400, deadline=None)
+def test_log_sin_pi_equals_the_inline_constant_expression_exactly(re, im, upper):
+    z = complex(re, im if upper else -im)
+    assert _log_sin_pi(z) == _log_sin_pi_inline(z)
+
+
 def test_log_gamma_matches_mpmath_after_exponentiation():
     # log_gamma is defined up to 2 pi i; exp() must agree
     for z in [complex(-0.5, 40.0), complex(-15.3, -22.0), complex(0.25, -3.75)]:
@@ -136,6 +167,29 @@ def test_zeta_minus_one():
 
 def test_zeta_near_first_nontrivial_zero():
     assert abs(czeta(complex(0.5, 14.134725))) < 1e-4
+
+
+def _zeta_borwein_big_integer(s, terms):
+    """Reference: Borwein's sum with the big-integer weights formed per term."""
+    d, dn = _borwein_d(terms)
+    acc = 0j
+    sign = 1
+    for k in range(terms):
+        acc += sign * (d[k] - dn) * cmath.exp(-s * math.log(k + 1))
+        sign = -sign
+    eta_factor = 1.0 - cmath.exp((1.0 - s) * math.log(2.0))
+    return -acc / (dn * eta_factor)
+
+
+@given(
+    terms=st.sampled_from(range(24, 97, 8)),
+    re=st.floats(min_value=0.5, max_value=10.0),
+    im=st.floats(min_value=-90.0, max_value=90.0),
+)
+@hyp_settings(max_examples=300, deadline=None)
+def test_zeta_borwein_equals_the_big_integer_loop_exactly(terms, re, im):
+    s = complex(re, im)
+    assert _zeta_borwein(s, terms) == _zeta_borwein_big_integer(s, terms)
 
 
 def test_zeta_zero_is_minus_one_half():

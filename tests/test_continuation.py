@@ -24,6 +24,7 @@ from fibzeta import (
     zeta_odd_binomial,
 )
 from fibzeta.continuation import _MAX_BINOMIAL_TERMS, _binomial_sum
+from fibzeta.quadfield import iter_sequence, log_fib_upto
 
 F5 = make_field(5)
 F3 = make_field(3)
@@ -346,3 +347,72 @@ def test_binomial_sum_equals_the_string_kind_loop(d, kind, re, im, tol):
             _binomial_sum(field, s, tol, kind)
         return
     assert _binomial_sum(field, s, tol, kind) == expected
+
+
+def iter_sequence_direct(field, s, parity, n_max):
+    """The direct sum that walked iter_sequence and took a big-integer log of
+    every F(n): (value, terms_used, tail bound)."""
+    s = complex(s)
+    stride = 1 if parity == "combined" else 2
+    start = 1 if parity != "even" else 2
+    total = 0j
+    count = 0
+    prev_f = None
+    last_f = None
+    gen = iter_sequence(field)
+    next(gen)
+    for term in gen:
+        idx = term.index
+        if idx < start or (idx - start) % stride != 0:
+            continue
+        total += cmath.exp(-s * math.log(term.fib))
+        prev_f, last_f = last_f, term.fib
+        count += 1
+        if count >= n_max:
+            break
+    if prev_f is not None:
+        ratio = math.exp(-s.real * (math.log(last_f) - math.log(prev_f)))
+    else:
+        ratio = math.exp(-stride * s.real * field.log_eps)
+    ratio = max(ratio, math.exp(-stride * s.real * field.log_eps))
+    last_term = math.exp(-s.real * math.log(last_f))
+    tail = last_term * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+    return total, count, tail
+
+
+DIRECT_TABLE_S = (complex(0.05, 7.3), complex(1.5, -2.0), complex(3.0, 0.0))
+
+
+@pytest.mark.parametrize("order", ["rising", "falling"])
+@pytest.mark.parametrize("d", [3, 5, 13, 29])
+def test_direct_table_equals_the_iter_sequence_sum(d, order):
+    """Value, terms and tail are the floats of the big-integer walk, whether
+    the field's log F(n) table grows call by call or is longest first."""
+    field = make_field(d)  # a fresh field, so its table starts empty
+    sizes = [12, 200, 5000] if order == "rising" else [5000, 200, 12]
+    seen = []
+    for n_max in sizes:
+        for parity in ("odd", "even", "combined"):
+            for s in DIRECT_TABLE_S:
+                ev = zeta_direct(field, s, parity, n_max)
+                value, terms, tail = iter_sequence_direct(field, s, parity, n_max)
+                assert (ev.value, ev.terms_used, ev.tail_bound) == (value, terms, tail)
+        seen.append(len(log_fib_upto(field, 1)))
+    # the odd and even parities of n_max terms reach index 2 n_max
+    if order == "rising":
+        assert seen == [24, 400, 10000]
+    else:
+        assert seen == [10000] * 3
+
+
+def test_direct_table_belongs_to_its_field():
+    """Norm +1 D = 3 and D = 5 share F(1) = 1; each field reads its own table,
+    in either order of first use."""
+    for first, second in ((make_field(5), make_field(3)), (make_field(3), make_field(5))):
+        for field in (first, second):
+            for parity in ("odd", "even", "combined"):
+                ev = zeta_direct(field, complex(0.7, 2.0), parity, 50)
+                value, terms, tail = iter_sequence_direct(field, complex(0.7, 2.0), parity, 50)
+                assert (ev.value, ev.terms_used, ev.tail_bound) == (value, terms, tail)
+        assert log_fib_upto(first, 100)[:100] != log_fib_upto(second, 100)[:100]
+    assert log_fib_upto(make_field(3), 3) == tuple(math.log(f) for f in (1, 4, 15))

@@ -22,6 +22,7 @@ from fibzeta import (
     zeta_odd_binomial,
     zeta_odd_poisson,
 )
+from fibzeta import complexfn
 from fibzeta.complexfn import log_gamma
 from fibzeta.suites import fourier_quadrature
 from fibzeta.poisson import (
@@ -374,3 +375,34 @@ def test_poisson_values_repeat_bit_for_bit(d, form, s, value, terms):
     else:  # strip form at Re s >= 1, where the pairs take the four-call sum
         ev = zeta_even_poisson_strip(field, s, tol=1e-12)
     assert (ev.value, ev.terms_used) == (value, terms)
+
+
+@pytest.mark.parametrize("parity, s, calls, outside", [
+    ("even", complex(-3.7, 11.0), 83, 0),  # left region
+    ("even", complex(0.2, 15.0), 839, 1),  # strip region: czeta(s) reflects
+    ("odd", complex(-3.7, 11.0), 25, 1),  # 1/Gamma(s) in rgamma
+    ("odd", complex(0.2, 15.0), 31, 1),
+])
+def test_poisson_lanczos_sums_go_through_log_gamma(monkeypatch, parity, s, calls, outside):
+    """The benchmark tracer counts log_gamma through fibzeta.poisson's binding.
+    The even left and strip forms call it terms_used + 2 times (Gamma(1 - s)
+    and the m = 0 ratio besides the pairs), the odd series terms_used times;
+    the only Lanczos sums outside it are those of rgamma and czeta."""
+    calls_seen, lanczos_seen = [], []
+    lanczos = complexfn._log_gamma_right
+
+    def counting(z):
+        calls_seen.append(z)
+        return log_gamma(z)
+
+    def counting_lanczos(z):
+        lanczos_seen.append(z)
+        return lanczos(z)
+
+    monkeypatch.setattr("fibzeta.poisson.log_gamma", counting)
+    monkeypatch.setattr("fibzeta.complexfn._log_gamma_right", counting_lanczos)
+    evaluator = zeta_even_poisson if parity == "even" else zeta_odd_poisson
+    ev = evaluator(RATIO_PAIR_FIELDS[29], s, tol=1e-10)
+    assert len(calls_seen) == calls
+    assert calls == ev.terms_used + (2 if parity == "even" else 0)
+    assert len(lanczos_seen) == calls + outside

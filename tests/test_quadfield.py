@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import mpmath as mp
 import pytest
@@ -30,6 +32,7 @@ from fibzeta.quadfield import (
     UnitElement,
     _unit_by_search,
     is_square,
+    log_fib_upto,
     squarefree_violation,
 )
 
@@ -390,3 +393,34 @@ def test_iter_sequence_is_lazy_and_consistent():
     it = iter_sequence(f)
     first = [next(it) for _ in range(8)]
     assert [t.fib for t in first] == [0, 1, 3, 10, 33, 109, 360, 1189]
+
+
+def test_log_fib_table_grows_correctly_under_racing_threads():
+    """Threads that grow one field's table at once may redo each other's work,
+    but every table any of them reads holds math.log(F(n)) at index n - 1."""
+    field = make_field(13)
+    reference = [math.log(t.fib) for t in sequence_terms(field, 3001)[1:]]
+    sizes = [7, 3000, 40, 1500, 2999, 1, 800, 2200]
+    errors = []
+
+    def grow(n):
+        try:
+            for k in range(n, 3001, 397):
+                logs = log_fib_upto(field, k)
+                if len(logs) < k or list(logs) != reference[:len(logs)]:
+                    errors.append((n, k, len(logs)))
+        except Exception as exc:  # a thread's failure must fail the test
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(n,)) for n in sizes]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
