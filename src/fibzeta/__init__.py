@@ -44,7 +44,6 @@ from .errors import (
     FactorOverflowError,
     FibZetaError,
     NearOneSingularityError,
-    NormMinusOneError,
     NormPlusOneError,
     NotSquarefreeError,
     NumericalError,

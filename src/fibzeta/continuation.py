@@ -21,12 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .config import Settings, default_settings
-from .errors import (
-    NormMinusOneError,
-    OutOfRegionError,
-    PoleProximityError,
-    TooSlowConvergenceError,
-)
+from .errors import OutOfRegionError, PoleProximityError, TooSlowConvergenceError
 from .quadfield import PARITIES, PARITY_COMBINED, PARITY_EVEN, PARITY_ODD  # re-exported
 from .quadfield import QuadraticField, log_fib_upto
 
@@ -264,18 +259,9 @@ def zeta_combined_binomial(
     return _binomial_eval(field, s, tol, "even", LATTICE_SPLIT, settings)
 
 
-def zeta_norm_plus_one(
-    field: QuadraticField,
-    s: complex,
-    tol: float = 1e-12,
-    settings: Settings | None = None,
-) -> ZetaEvaluation:
-    """zeta_combined_binomial of a norm +1 field; a norm -1 field raises."""
-    if field.is_norm_minus_one:
-        raise NormMinusOneError(
-            f"D={field.D} has a norm -1 unit; use the odd/even split instead"
-        )
-    return _binomial_eval(field, s, tol, "even", LATTICE_SPLIT, settings)
+# zeta_combined_binomial under its older norm +1 name, which the package
+# exports and bench/tracing.py hooks
+zeta_norm_plus_one = zeta_combined_binomial
 
 
 def direct_terms_for(field: QuadraticField, s: complex, tol: float, parity: str) -> int:

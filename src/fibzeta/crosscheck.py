@@ -17,6 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .continuation import (
@@ -150,6 +151,7 @@ def residue_numeric(
     return acc * radius / num_points
 
 
+@lru_cache(maxsize=64)
 def _square_pair_support(
     field: QuadraticField, shift: int, n_max: int
 ) -> list[tuple[int, int]]:
@@ -157,6 +159,8 @@ def _square_pair_support(
 
     Scans n = t^2 only (r1 kills the rest) and tests D t^2 + shift for
     squareness; the product r1 r1 / 4 is 1 at every hit (both factors 2).
+    Cached, since every scan at one (field, shift, n_max) finds the same
+    support; callers only read the list.
     """
     d = field.D
     out = []
@@ -168,20 +172,6 @@ def _square_pair_support(
     return out
 
 
-_SUPPORT_CACHE: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-
-
-def _support_cached(field: QuadraticField, shift: int, n_max: int) -> list[tuple[int, int]]:
-    key = (field.D, shift, n_max)
-    hit = _SUPPORT_CACHE.get(key)
-    if hit is None:
-        hit = _square_pair_support(field, shift, n_max)
-        if len(_SUPPORT_CACHE) > 64:
-            _SUPPORT_CACHE.clear()
-        _SUPPORT_CACHE[key] = hit
-    return hit
-
-
 def _shifted_convolution(
     field: QuadraticField, s: complex, n_max: int, shift_sign: int
 ) -> ZetaEvaluation:
@@ -189,7 +179,7 @@ def _shifted_convolution(
     if s.real <= 0:
         raise OutOfRegionError(f"shifted convolution needs Re s > 0, got {s.real}")
     shift = shift_sign * field.ell
-    support = _support_cached(field, shift, n_max)
+    support = _square_pair_support(field, shift, n_max)
     total = 0j
     for n, coeff in support:
         total += coeff * cmath.exp(-0.5 * s * math.log(n))

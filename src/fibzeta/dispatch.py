@@ -1,9 +1,9 @@
 """The one mapping from (unit norm, method, parity) to an evaluator.
 
-Every caller that picks a route by name - the CLI, grids, library users -
-goes through evaluate().  Evaluators are looked up by their module-level
-names at call time, so a wrapper installed on one of those names sees every
-dispatched call.
+Every caller that picks a route by name - the CLI, grids, the verify
+suites, library users - goes through evaluate().  Evaluators are looked up
+by their module-level names at call time, so a wrapper installed on one of
+those names sees every dispatched call.
 """
 
 from __future__ import annotations

@@ -27,10 +27,6 @@ class NormPlusOneError(DomainError):
     """Operation requires a fundamental unit of norm -1."""
 
 
-class NormMinusOneError(DomainError):
-    """Operation requires a fundamental unit of norm +1."""
-
-
 class NumericalError(FibZetaError):
     """Evaluation failed for numerical reasons (pole, region, convergence)."""
 

@@ -132,17 +132,6 @@ class UnitElement:
     def norm(self) -> int:
         return (self.a * self.a - self.q * self.b * self.b) // 4
 
-    def conjugate(self) -> "UnitElement":
-        return UnitElement(self.a, -self.b, self.q)
-
-    def __mul__(self, other: "UnitElement") -> "UnitElement":
-        if self.q != other.q:
-            raise ValueError("mixed-field multiplication")
-        a = self.a * other.a + self.q * self.b * other.b
-        b = self.a * other.b + self.b * other.a
-        assert a % 2 == 0 and b % 2 == 0
-        return UnitElement(a // 2, b // 2, self.q)
-
     def __str__(self) -> str:
         if self.a % 2 == 0 and self.b % 2 == 0:
             return f"{self.a // 2} + {self.b // 2}*sqrt({self.q})"
@@ -431,7 +420,7 @@ def _exact_root(x: int) -> int:
     return r if r * r == x else 0
 
 
-def is_fib(field: QuadraticField, n: int, split: bool | None = None) -> MembershipResult:
+def is_fib(field: QuadraticField, n: int) -> MembershipResult:
     """Pell-type membership test: is n a term of the F sequence?
 
     Decides solvability of X^2 = q n^2 +- 4 exactly (reduced to
@@ -442,15 +431,11 @@ def is_fib(field: QuadraticField, n: int, split: bool | None = None) -> Membersh
     gets one shared result, so the common case allocates nothing.
     With a norm -1 unit the solvable sign determines the index parity: -4
     for odd index, +4 for even.  When both signs solve (only n=1 for D=5),
-    the odd-index verdict is reported.
-
-    split=True demands the parity verdict and raises NormPlusOneError on
-    norm +1 fields; split=None picks it from the field norm.
+    the odd-index verdict is reported.  A norm +1 unit has no split, and its
+    members get the plain MEMBER verdict.
     """
     if n < 1:
         raise DomainError(f"membership test needs a positive integer, got {n}")
-    if split:
-        field.require_norm_minus_one()
 
     screen_4032, screen_2431 = field._membership_tables
     signs = screen_4032[n % 4032] & screen_2431[n % 2431]
@@ -462,7 +447,7 @@ def is_fib(field: QuadraticField, n: int, split: bool | None = None) -> Membersh
     if not (minus or plus):
         return _NOT_A_MEMBER
     scale = 2 if ell == 1 else 1  # q = 4D: X = 2Y
-    if split or (split is None and field.norm_eps == -1):
+    if field.norm_eps == -1:
         if minus:
             return MembershipResult(MEMBER_ODD_INDEX, scale * minus)
         return MembershipResult(MEMBER_EVEN_INDEX, scale * plus)

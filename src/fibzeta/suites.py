@@ -3,7 +3,9 @@
 Each check returns a CheckResult with the worst observed deviation so the
 caller can print one line per check and compare against its tolerance.
 Randomized grids are driven by a caller-supplied seed and are rejection
-sampled away from the pole lattice.
+sampled away from the pole lattice.  Every zeta value a check compares
+comes from dispatch.evaluate, except the raw shifted-convolution scan,
+which is checked against its own tail bound rather than evaluate's tol.
 """
 
 from __future__ import annotations
@@ -12,20 +14,19 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .complexfn import cgamma, czeta
 from .config import Settings
 from .continuation import (
+    LATTICE_COMBINED,
+    METHOD_BINOMIAL,
+    METHOD_DIRECT,
+    METHOD_POISSON,
     PARITY_COMBINED,
     PARITY_EVEN,
     PARITY_ODD,
-    direct_terms_for,
     nearest_lattice_pole,
-    zeta_combined_binomial,
-    zeta_direct,
-    zeta_even_binomial,
-    zeta_odd_binomial,
 )
 from .crosscheck import (
     pole_lattice,
@@ -34,12 +35,8 @@ from .crosscheck import (
     shifted_convolution_odd,
     special_value_even_minus_one,
 )
-from .poisson import (
-    fourier_coefficient_odd,
-    zeta_even_poisson,
-    zeta_functional_reconstruction,
-    zeta_odd_poisson,
-)
+from .dispatch import evaluate
+from .poisson import fourier_coefficient_odd, zeta_functional_reconstruction
 from .quadfield import (
     MEMBER,
     MEMBER_EVEN_INDEX,
@@ -154,44 +151,41 @@ def cross_method_check(
 
     A norm -1 field is checked part by part (odd, even); a norm +1 field,
     which has no split, on its full zeta, the even function of the half unit.
+    The shifted-convolution scan is called directly: the check allows its
+    own tail bound, which evaluate's tol gate would refuse.
     """
     n_box = points - 2 * (points // 5)
     box = sample_points(field, rng, n_box, -4.0, 3.0, 8.0)
     direct_pts = sample_points(field, rng, points // 5, 0.5, 3.0, 8.0)
     sc_pts = sample_points(field, rng, points // 5, 1.0, 3.0, 8.0)
-    if field.is_norm_minus_one:
-        routes = (
-            (PARITY_ODD, zeta_odd_binomial, zeta_odd_poisson, shifted_convolution_odd),
-            (PARITY_EVEN, zeta_even_binomial, zeta_even_poisson, shifted_convolution_even),
-        )
-    else:
-        routes = (
-            (PARITY_COMBINED, zeta_combined_binomial, zeta_even_poisson, shifted_convolution_even),
-        )
+    parities = (PARITY_ODD, PARITY_EVEN) if field.is_norm_minus_one else (PARITY_COMBINED,)
+
+    def value(s: complex, parity: str, method: str) -> complex:
+        return evaluate(field, s, parity, method, eval_tol).value
 
     d = field.D
     total = len(box) + len(direct_pts) + len(sc_pts)
     out = []
-    for parity, binomial, poisson, _ in routes:
+    for parity in parities:
         worst = 0.0
         for s in box + direct_pts + sc_pts:
-            worst = max(worst, abs(binomial(field, s, eval_tol).value
-                                   - poisson(field, s, eval_tol).value))
+            worst = max(worst, abs(value(s, parity, METHOD_BINOMIAL)
+                                   - value(s, parity, METHOD_POISSON)))
         out.append(CheckResult(f"cross-method {parity} D={d}", worst < tol_cross, worst,
                                tol_cross, f"{total} points"))
 
     worst_direct = 0.0
     for s in direct_pts:
-        for parity, binomial, _, _ in routes:
-            b = binomial(field, s, eval_tol)
-            dr = zeta_direct(field, s, parity, direct_terms_for(field, s, eval_tol, parity))
-            worst_direct = max(worst_direct, abs(b.value - dr.value))
+        for parity in parities:
+            worst_direct = max(worst_direct, abs(value(s, parity, METHOD_BINOMIAL)
+                                                 - value(s, parity, METHOD_DIRECT)))
 
     worst_sc = 0.0
     sc_ok = True
     for s in sc_pts:
-        for _, binomial, _, shifted in routes:
-            b = binomial(field, s, eval_tol)
+        for parity in parities:
+            b = evaluate(field, s, parity, METHOD_BINOMIAL, eval_tol)
+            shifted = shifted_convolution_odd if parity == PARITY_ODD else shifted_convolution_even
             sc = shifted(field, s)
             delta = abs(b.value - sc.value)
             allowed = b.tail_bound + sc.tail_bound + 1e-11
@@ -214,9 +208,8 @@ def splitting_check(
     worst = 0.0
     ok = True
     for s in sample_points(field, rng, points, -6.0, 4.0, 10.0):
-        odd = zeta_odd_binomial(field, s, 1e-13)
-        even = zeta_even_binomial(field, s, 1e-13)
-        comb = zeta_combined_binomial(field, s, 1e-13)
+        odd, even, comb = (evaluate(field, s, parity, METHOD_BINOMIAL, 1e-13)
+                           for parity in (PARITY_ODD, PARITY_EVEN, PARITY_COMBINED))
         delta = abs(comb.value - (odd.value + even.value))
         allowed = odd.tail_bound + even.tail_bound + comb.tail_bound + 1e-9
         worst = max(worst, delta)
@@ -238,7 +231,7 @@ def golden_specialization_checks(rng: random.Random) -> list[CheckResult]:
     done = 0
     while done < 20:
         s = complex(rng.uniform(-3.0, 3.0), rng.uniform(-6.0, 6.0))
-        if nearest_lattice_pole(field, s, "combined")[3] <= 0.1:
+        if nearest_lattice_pole(field, s, LATTICE_COMBINED)[3] <= 0.1:
             continue
         coeff = 1.0 + 0j
         acc = 0j
@@ -246,13 +239,13 @@ def golden_specialization_checks(rng: random.Random) -> list[CheckResult]:
             acc += coeff / (phi ** (s + 2 * k) + (-1.0) ** (k + 1))
             coeff = coeff * (-s - k) / (k + 1.0)
         inline = 5.0 ** (s / 2.0) * acc
-        mine = zeta_combined_binomial(field, s, 1e-14).value
+        mine = evaluate(field, s, PARITY_COMBINED, METHOD_BINOMIAL, 1e-14).value
         worst_rel = max(worst_rel, abs(mine - inline) / max(abs(inline), 1e-30))
         done += 1
 
     terms = [t.fib for t in sequence_terms(field, 102)]
     recip = sum(1.0 / terms[n] for n in range(1, 101))
-    at_one = zeta_combined_binomial(field, 1.0, 1e-14).value
+    at_one = evaluate(field, 1.0, PARITY_COMBINED, METHOD_BINOMIAL, 1e-14).value
     dev_one = abs(at_one - 3.359885666243)
 
     return [
@@ -269,18 +262,18 @@ def residue_checks(field: QuadraticField, k_max: int = 2, m_max: int = 3) -> lis
     # the contour of radius 1e-3 passes inside the default pole guard
     settings = Settings(pole_guard_radius=1e-4)
     worst_rel = 0.0
-    for which, fun in (("odd", zeta_odd_binomial), ("even", zeta_even_binomial)):
-        for p in pole_lattice(field, k_max, m_max, which):
+    for parity in (PARITY_ODD, PARITY_EVEN):
+        for p in pole_lattice(field, k_max, m_max, parity):
             num = residue_numeric(
-                lambda s, fun=fun: fun(field, s, 1e-12, settings).value,
+                lambda s: evaluate(field, s, parity, METHOD_BINOMIAL, 1e-12, settings).value,
                 p.location,
                 1e-3,
             )
-            ana = p.residue_odd if which == "odd" else p.residue_even
+            ana = p.residue_odd if parity == PARITY_ODD else p.residue_even
             worst_rel = max(worst_rel, abs(num - ana) / max(1.0, abs(ana)))
     worst_cancel = 0.0
-    for p in pole_lattice(field, k_max, m_max, "odd"):
-        if (p.m + p.k) % 2 == 1:
+    for p in pole_lattice(field, k_max, m_max, PARITY_ODD):
+        if not p.survives_in_combined:
             worst_cancel = max(worst_cancel, abs(p.residue_odd + p.residue_even))
     return [
         CheckResult(f"residues-contour-vs-analytic D={field.D}", worst_rel < 1e-6, worst_rel,
@@ -293,13 +286,16 @@ def residue_checks(field: QuadraticField, k_max: int = 2, m_max: int = 3) -> lis
 # ---------------------------------------------------------------- trivial zeros
 
 def trivial_zero_checks(field: QuadraticField) -> list[CheckResult]:
+    def size(s: float, parity: str, method: str) -> float:
+        return abs(evaluate(field, s, parity, method, 1e-13).value)
+
     worst_p = worst_b = 0.0
     even_min = math.inf
     for j in range(1, 6):
         s = -(2.0 * j - 1.0)
-        worst_p = max(worst_p, abs(zeta_odd_poisson(field, s, 1e-13).value))
-        worst_b = max(worst_b, abs(zeta_odd_binomial(field, s, 1e-13).value))
-        even_min = min(even_min, abs(zeta_even_poisson(field, s, 1e-13).value))
+        worst_p = max(worst_p, size(s, PARITY_ODD, METHOD_POISSON))
+        worst_b = max(worst_b, size(s, PARITY_ODD, METHOD_BINOMIAL))
+        even_min = min(even_min, size(s, PARITY_EVEN, METHOD_POISSON))
     return [
         CheckResult(f"trivial-zeros poisson D={field.D}", worst_p < 1e-10, worst_p, 1e-10,
                     "s = -1, -3, ..., -9"),
@@ -315,9 +311,8 @@ def trivial_zero_checks(field: QuadraticField) -> list[CheckResult]:
 def special_value_checks(field: QuadraticField) -> list[CheckResult]:
     val = special_value_even_minus_one(field)
     exact = float(val.rational)
-    b = zeta_even_binomial(field, -1.0, 1e-13).value
-    p = zeta_even_poisson(field, -1.0, 1e-13).value
-    worst = max(abs(b - exact), abs(p - exact))
+    worst = max(abs(evaluate(field, -1.0, PARITY_EVEN, method, 1e-13).value - exact)
+                for method in (METHOD_BINOMIAL, METHOD_POISSON))
     out = [
         CheckResult(
             f"special-value even(-1) D={field.D}",
@@ -416,8 +411,34 @@ def special_function_checks(rng: random.Random) -> list[CheckResult]:
 
 # -------------------------------------------------------------- suite registry
 
-def _fields(d_list: Sequence[int]) -> list[QuadraticField]:
-    return [make_field(d) for d in d_list]
+class _SuiteRun(NamedTuple):
+    """The arguments of one run_suite call, as its runner reads them."""
+
+    d_list: Sequence[int]
+    rng: random.Random
+    bound: int
+    points: int
+
+    def fields(self) -> list[QuadraticField]:
+        return [make_field(d) for d in self.d_list]
+
+
+# suite name -> runner; the fields are built only by suites that check them
+_SUITES: dict[str, Callable[[_SuiteRun], list[CheckResult]]] = {
+    "sequences": lambda run: sequence_checks(),
+    "pell": lambda run: [pell_check(f, run.bound) for f in run.fields()],
+    "cross-method": lambda run: [
+        res for f in run.fields() for res in cross_method_check(f, run.rng, run.points)],
+    "splitting": lambda run: [splitting_check(f, run.rng) for f in run.fields()],
+    "golden": lambda run: golden_specialization_checks(run.rng),
+    "residues": lambda run: [res for f in run.fields() for res in residue_checks(f)],
+    "trivial-zeros": lambda run: [res for f in run.fields() for res in trivial_zero_checks(f)],
+    "special-values": lambda run: [res for f in run.fields() for res in special_value_checks(f)],
+    "zeta-cancellation": lambda run: [zeta_cancellation_check(f, run.rng) for f in run.fields()],
+    "special-functions": lambda run: special_function_checks(run.rng),
+}
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(
@@ -428,52 +449,6 @@ def run_suite(
     points: int = 200,
 ) -> list[CheckResult]:
     """Run one named suite; raises KeyError for an unknown name."""
-    rng = random.Random(seed)
-    d_list = list(d_list) if d_list else list(DEFAULT_FIELDS)
-    if name == "sequences":
-        return sequence_checks()
-    if name == "pell":
-        return [pell_check(f, bound) for f in _fields(d_list)]
-    if name == "cross-method":
-        out = []
-        for f in _fields(d_list):
-            out.extend(cross_method_check(f, rng, points))
-        return out
-    if name == "splitting":
-        return [splitting_check(f, rng) for f in _fields(d_list)]
-    if name == "golden":
-        return golden_specialization_checks(rng)
-    if name == "residues":
-        out = []
-        for f in _fields(d_list):
-            out.extend(residue_checks(f))
-        return out
-    if name == "trivial-zeros":
-        out = []
-        for f in _fields(d_list):
-            out.extend(trivial_zero_checks(f))
-        return out
-    if name == "special-values":
-        out = []
-        for f in _fields(d_list):
-            out.extend(special_value_checks(f))
-        return out
-    if name == "zeta-cancellation":
-        return [zeta_cancellation_check(f, rng) for f in _fields(d_list)]
-    if name == "special-functions":
-        return special_function_checks(rng)
-    raise KeyError(name)
-
-
-SUITE_NAMES = (
-    "sequences",
-    "pell",
-    "cross-method",
-    "splitting",
-    "golden",
-    "residues",
-    "trivial-zeros",
-    "special-values",
-    "zeta-cancellation",
-    "special-functions",
-)
+    runner = _SUITES[name]
+    return runner(_SuiteRun(list(d_list) if d_list else list(DEFAULT_FIELDS),
+                            random.Random(seed), bound, points))

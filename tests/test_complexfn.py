@@ -220,6 +220,22 @@ def test_zeta_against_mpmath_samples():
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("s", [0.3 + 460j, 0.3 + 1000j, -2 + 600j, 0.49 - 800j, -7 + 455j,
+                               0.1 + 2000j])
+def test_zeta_far_up_left_of_the_critical_line_matches_mpmath(s):
+    # sin(pi s/2) alone leaves double range past |Im s| = 452.3
+    with mp.workdps(40):
+        ref = complex(mp.zeta(s))
+    assert rel_err(czeta(s), ref) < 2e-12
+
+
+def test_zeta_keeps_the_product_form_of_chi_below_the_log_form_switch():
+    s = 0.3 + 420j
+    chi = (cmath.exp(s * math.log(2.0) + (s - 1.0) * math.log(math.pi))
+           * cmath.sin(0.5 * math.pi * s) * cmath.exp(log_gamma(1.0 - s)))
+    assert czeta(s) == chi * czeta(1.0 - s)
+
+
 def test_zeta_symmetric_functional_equation():
     # xi(s) = 0.5 s (s-1) pi^(-s/2) Gamma(s/2) zeta(s) satisfies xi(s) = xi(1-s)
     def xi(s):

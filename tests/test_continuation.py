@@ -7,7 +7,6 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from fibzeta import (
-    NormMinusOneError,
     NormPlusOneError,
     OutOfRegionError,
     PoleProximityError,
@@ -190,11 +189,6 @@ def test_norm_plus_one_d7():
     ev = zeta_norm_plus_one(f7, 2.0, tol=1e-13)
     ref = direct_sum(f7, 2.0, "combined", 30)
     assert abs(ev.value - ref) < 1e-10
-
-
-def test_norm_plus_one_rejects_norm_minus_one_field():
-    with pytest.raises(NormMinusOneError):
-        zeta_norm_plus_one(F5, 2.0)
 
 
 def test_split_methods_reject_norm_plus_one_field():

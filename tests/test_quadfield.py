@@ -13,7 +13,6 @@ from fibzeta import (
     MEMBER_EVEN_INDEX,
     MEMBER_ODD_INDEX,
     NOT_MEMBER,
-    NormPlusOneError,
     NotSquarefreeError,
     fib,
     fib_upto,
@@ -210,11 +209,8 @@ def test_is_fib_witness_is_lucas_value():
     assert r.witness == lucas(f, 2)  # 38 = 2 * 19, from Y^2 = 10*36 + 1
 
 
-def test_is_fib_rejects_split_on_norm_plus_one():
+def test_is_fib_gives_norm_plus_one_members_the_plain_verdict():
     f = make_field(3)
-    with pytest.raises(NormPlusOneError):
-        is_fib(f, 4, split=True)
-    # without the split the plain member verdict works
     assert is_fib(f, 4).verdict == MEMBER
     assert is_fib(f, 5).verdict == NOT_MEMBER
 
@@ -225,13 +221,10 @@ def test_is_fib_invalid_input():
         is_fib(f, 0)
 
 
-def test_is_fib_checks_n_before_the_split():
-    f = make_field(3)  # norm +1, and 5 is not a member
-    with pytest.raises(DomainError) as exc:
-        is_fib(f, 0, split=True)
-    assert not isinstance(exc.value, NormPlusOneError)
-    with pytest.raises(NormPlusOneError):
-        is_fib(f, 5, split=True)
+def test_is_fib_rejects_nonpositive_n_on_norm_plus_one_field():
+    f = make_field(3)
+    with pytest.raises(DomainError):
+        is_fib(f, 0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 29])
@@ -254,9 +247,9 @@ def test_pell_check_sends_every_integer_through_is_fib(monkeypatch):
 
     seen = []
 
-    def counting_is_fib(field, n, split=None):
+    def counting_is_fib(field, n):
         seen.append(n)
-        return is_fib(field, n, split)
+        return is_fib(field, n)
 
     monkeypatch.setattr(suites, "is_fib", counting_is_fib)
     assert suites.pell_check(make_field(5), bound=5000).passed
@@ -277,7 +270,8 @@ def _reference_witnesses(field, n):
 
 
 def _reference_is_fib(witness_minus, witness_plus, split):
-    """is_fib's verdict rule before the residue filter: a new result every call."""
+    """is_fib's verdict rule before the residue filter: a new result every call;
+    split gives the parity verdicts of a norm -1 field."""
     if not split:
         if witness_plus is not None:
             return MembershipResult(MEMBER, witness_plus)
@@ -294,13 +288,9 @@ def _reference_is_fib(witness_minus, witness_plus, split):
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 29])
 def test_is_fib_matches_plain_isqrt_reference(d):
     f = make_field(d)
-    cases = [(None, f.is_norm_minus_one), (False, False)]
-    if f.is_norm_minus_one:
-        cases.append((True, True))
     for n in range(1, 200_001):
         wm, wp = _reference_witnesses(f, n)
-        for split, rule in cases:
-            assert is_fib(f, n, split) == _reference_is_fib(wm, wp, rule), (n, split)
+        assert is_fib(f, n) == _reference_is_fib(wm, wp, f.is_norm_minus_one), n
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 13, 29])
