@@ -6,7 +6,9 @@
 - numeric residues by trapezoid contour integration, for validating them;
 - shifted-convolution Dirichlet series whose coefficients r1(n) r1(D n -+ ell)
   detect pairs of squares: an evaluation route that never touches eps, gamma,
-  or zeta;
+  or zeta.  Its scan reads the field's residue tables, which depend only on
+  D and ell, so the support is still found without the unit (eps enters
+  only the tail bound and the pole distance);
 - the exact rational value of the even zeta at s = -1, computed in Q(sqrt(q))
   with big-integer rationals, plus its Galois-cancellation witness.
 """
@@ -28,7 +30,7 @@ from .continuation import (
     nearest_lattice_pole,
 )
 from .errors import ContourThroughPoleError, OutOfRegionError, TooSlowConvergenceError
-from .quadfield import QuadraticField, is_square
+from .quadfield import QuadraticField, pell_solutions_upto
 
 __all__ = [
     "PoleSpec",
@@ -153,23 +155,20 @@ def residue_numeric(
 
 @lru_cache(maxsize=64)
 def _square_pair_support(
-    field: QuadraticField, shift: int, n_max: int
-) -> list[tuple[int, int]]:
-    """All (n, coefficient) with r1(n) r1(D n + shift) != 0 for n <= n_max.
+    field: QuadraticField, shift_sign: int, n_max: int
+) -> tuple[tuple[int, int], ...]:
+    """All (n, coefficient) with r1(n) r1(D n + shift_sign*ell) != 0 for
+    n <= n_max, ascending.
 
-    Scans n = t^2 only (r1 kills the rest) and tests D t^2 + shift for
-    squareness; the product r1 r1 / 4 is 1 at every hit (both factors 2).
-    Cached, since every scan at one (field, shift, n_max) finds the same
-    support; callers only read the list.
+    Only n = t^2 can count (r1 kills the rest), and D t^2 +- ell must be a
+    square: quadfield.pell_solutions_upto finds those t through the same
+    residue tables that screen is_fib.  The product r1 r1 / 4 is 1 at every
+    hit (both factors 2).  Cached, since every scan at one (field, sign,
+    n_max) finds the same support; a tuple, so callers share it safely.
     """
-    d = field.D
-    out = []
-    for t in range(1, math.isqrt(n_max) + 1):
-        n = t * t
-        other = d * n + shift
-        if other > 0 and is_square(other):
-            out.append((n, 1))
-    return out
+    return tuple(
+        (t * t, 1) for t in pell_solutions_upto(field, shift_sign, math.isqrt(n_max))
+    )
 
 
 def _shifted_convolution(
@@ -178,8 +177,7 @@ def _shifted_convolution(
     s = complex(s)
     if s.real <= 0:
         raise OutOfRegionError(f"shifted convolution needs Re s > 0, got {s.real}")
-    shift = shift_sign * field.ell
-    support = _square_pair_support(field, shift, n_max)
+    support = _square_pair_support(field, shift_sign, n_max)
     total = 0j
     for n, coeff in support:
         total += coeff * cmath.exp(-0.5 * s * math.log(n))

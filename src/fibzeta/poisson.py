@@ -487,7 +487,8 @@ def zeta_functional_reconstruction(
     s = complex(s)
     if s.real >= 0:
         raise OutOfRegionError(f"needs Re s < 0, got {s.real}")
-    x = s.real
+    abs_x = abs(s.real)
+    s_minus_1 = s - 1.0
     log_eps = field.log_eps
     gamma_1ms = cmath.exp(log_gamma(1.0 - s))
     phase_pair = cmath.exp(0.5j * math.pi * (1.0 - s)) + cmath.exp(-0.5j * math.pi * (1.0 - s))
@@ -495,16 +496,17 @@ def zeta_functional_reconstruction(
         -_q_power(field, s)
         * gamma_1ms
         * phase_pair
-        * cmath.exp((s - 1.0) * math.log(2.0 * math.pi))
+        * cmath.exp(s_minus_1 * math.log(2.0 * math.pi))
         * cmath.exp(-s * math.log(4.0 * log_eps))
     )
+    target = tol / max(abs(coeff), 1e-30)
     partial = 0j
     m = 0
     while True:
         m += 1
-        term = cmath.exp((s - 1.0) * math.log(m))
+        term = cmath.exp(s_minus_1 * math.log(m))
         partial += term
-        if m >= 8 and abs(term) * m / abs(x) <= tol / max(abs(coeff), 1e-30):
+        if m >= 8 and abs(term) * m / abs_x <= target:
             break
         if m > MAX_FOURIER_TERMS:
             raise TooSlowConvergenceError(float(m), MAX_FOURIER_TERMS)

@@ -56,8 +56,9 @@ def _squares_mod(m: int) -> bytes:
 # import.  Together the two moduli pass 1.6-3.7% of the is_fib arguments of
 # D = 2, 5, 10, 13 on to isqrt; a single table mod 64*63*5 was no faster per
 # call, passed up to 24% and took three times as long to build.  is_square
-# reads them at its argument; is_fib reads them through per-field tables
-# indexed by n itself (_membership_table), which pass 3.1-7.3% of n <= 10^6.
+# reads them at its argument.  is_fib and pell_solutions_upto read them
+# through per-field tables indexed by n (or t) itself (_membership_table):
+# the mod-4032 table alone settles 55-82% of n <= 10^6, both pass 3.1-7.3%.
 _SQUARES_MOD_4032 = _squares_mod(64 * 63)
 _SQUARES_MOD_2431 = _squares_mod(11 * 13 * 17)
 
@@ -186,8 +187,10 @@ class QuadraticField:
 
     @cached_property
     def _membership_tables(self) -> tuple[bytes, bytes]:
-        """is_fib's residue screens mod 4032 and mod 2431, built on first use
-        (about 2 ms) so that fields which never test membership skip them."""
+        """The residue screens of D n^2 +- ell mod 4032 and mod 2431 (bit 0
+        the minus sign, bit 1 the plus sign), read by is_fib and by
+        pell_solutions_upto.  Built on first use (about 2 ms), so that fields
+        which never test membership or scan for squares skip them."""
         return (
             _membership_table(self.D, self.ell, 4032, _SQUARES_MOD_4032),
             _membership_table(self.D, self.ell, 2431, _SQUARES_MOD_2431),
@@ -426,9 +429,11 @@ def is_fib(field: QuadraticField, n: int) -> MembershipResult:
     Decides solvability of X^2 = q n^2 +- 4 exactly (reduced to
     Y^2 = D n^2 +- 1 when q = 4D, witness X = 2Y), so both arguments are
     D n^2 +- ell.  The field's residue tables, read at n mod 4032 and n mod
-    2431, reject almost every non-member with two lookups and no big-integer
-    product; only the signs that pass get the exact isqrt test.  A non-member
-    gets one shared result, so the common case allocates nothing.
+    2431, reject almost every non-member with no big-integer product: the
+    mod-4032 table alone settles most n, and the mod-2431 table is read only
+    for those it passes.  Only the signs that pass both get the exact isqrt
+    test.  A non-member gets one shared result, so the common case allocates
+    nothing.
     With a norm -1 unit the solvable sign determines the index parity: -4
     for odd index, +4 for even.  When both signs solve (only n=1 for D=5),
     the odd-index verdict is reported.  A norm +1 unit has no split, and its
@@ -438,7 +443,10 @@ def is_fib(field: QuadraticField, n: int) -> MembershipResult:
         raise DomainError(f"membership test needs a positive integer, got {n}")
 
     screen_4032, screen_2431 = field._membership_tables
-    signs = screen_4032[n % 4032] & screen_2431[n % 2431]
+    signs = screen_4032[n % 4032]
+    if not signs:
+        return _NOT_A_MEMBER
+    signs &= screen_2431[n % 2431]
     if not signs:
         return _NOT_A_MEMBER
     base, ell = field.D * n * n, field.ell
@@ -452,3 +460,27 @@ def is_fib(field: QuadraticField, n: int) -> MembershipResult:
             return MembershipResult(MEMBER_ODD_INDEX, scale * minus)
         return MembershipResult(MEMBER_EVEN_INDEX, scale * plus)
     return MembershipResult(MEMBER, scale * (plus or minus))
+
+
+def pell_solutions_upto(field: QuadraticField, sign: int, t_max: int) -> tuple[int, ...]:
+    """Every t with 1 <= t <= t_max for which D t^2 + sign*ell is a positive
+    square, ascending; sign is +1 or -1.
+
+    The field's residue tables screen t as is_fib screens n: the walk visits
+    only the classes r mod 4032 whose entry has the sign's bit, steps
+    t = r, r + 4032, ... through each (4032, 8064, ... for r = 0), and gives
+    the exact isqrt test only to the t that the mod-2431 table also passes,
+    so the result is exact.
+    """
+    bit = 2 if sign > 0 else 1
+    d, shift = field.D, sign * field.ell  # D - ell >= 1, so every argument is > 0
+    screen_4032, screen_2431 = field._membership_tables
+    found = [
+        t
+        for r in range(4032)
+        if screen_4032[r] & bit
+        for t in range(r or 4032, t_max + 1, 4032)
+        if screen_2431[t % 2431] & bit and _exact_root(d * t * t + shift)
+    ]
+    found.sort()
+    return tuple(found)

@@ -163,28 +163,32 @@ def cross_method_check(
     def value(s: complex, parity: str, method: str) -> complex:
         return evaluate(field, s, parity, method, eval_tol).value
 
+    # one binomial evaluation per (point, parity) serves every comparison there
+    all_pts = box + direct_pts + sc_pts
+    binomial = {parity: [evaluate(field, s, parity, METHOD_BINOMIAL, eval_tol) for s in all_pts]
+                for parity in parities}
+    direct_at, sc_at = len(box), len(box) + len(direct_pts)
+
     d = field.D
-    total = len(box) + len(direct_pts) + len(sc_pts)
     out = []
     for parity in parities:
         worst = 0.0
-        for s in box + direct_pts + sc_pts:
-            worst = max(worst, abs(value(s, parity, METHOD_BINOMIAL)
-                                   - value(s, parity, METHOD_POISSON)))
+        for s, b in zip(all_pts, binomial[parity]):
+            worst = max(worst, abs(b.value - value(s, parity, METHOD_POISSON)))
         out.append(CheckResult(f"cross-method {parity} D={d}", worst < tol_cross, worst,
-                               tol_cross, f"{total} points"))
+                               tol_cross, f"{len(all_pts)} points"))
 
     worst_direct = 0.0
-    for s in direct_pts:
+    for i, s in enumerate(direct_pts, direct_at):
         for parity in parities:
-            worst_direct = max(worst_direct, abs(value(s, parity, METHOD_BINOMIAL)
+            worst_direct = max(worst_direct, abs(binomial[parity][i].value
                                                  - value(s, parity, METHOD_DIRECT)))
 
     worst_sc = 0.0
     sc_ok = True
-    for s in sc_pts:
+    for i, s in enumerate(sc_pts, sc_at):
         for parity in parities:
-            b = evaluate(field, s, parity, METHOD_BINOMIAL, eval_tol)
+            b = binomial[parity][i]
             shifted = shifted_convolution_odd if parity == PARITY_ODD else shifted_convolution_even
             sc = shifted(field, s)
             delta = abs(b.value - sc.value)

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -178,17 +179,70 @@ def test_support_equality_with_membership(d):
     assert found == {n for n in odd_squares if n <= bound}
 
 
-@pytest.mark.parametrize("d", [5, 13, 29])
-@pytest.mark.parametrize("sign", [-1, 1])
-def test_square_pair_support_matches_plain_isqrt_scan(d, sign):
-    field = make_field(d)
-    shift = sign * field.ell
+@functools.lru_cache(maxsize=None)
+def _plain_isqrt_scan(d: int, sign: int) -> tuple[tuple[int, int], ...]:
+    """(t^2, 1) for every t with d t^2 + sign*ell a positive square, t^2 up to
+    the default bound, by isqrt on every candidate."""
+    shift = sign * make_field(d).ell
     plain = []
     for t in range(1, math.isqrt(SHIFTED_CONV_BOUND) + 1):
         other = d * t * t + shift
         if other > 0 and math.isqrt(other) ** 2 == other:
             plain.append((t * t, 1))
-    assert _square_pair_support(field, shift, SHIFTED_CONV_BOUND) == plain
+    return tuple(plain)
+
+
+# 4031^2 and 4032^2 end the scan on either side of the r = 0 class mod 4032,
+# 4032^2 + 1 just past it, 10^10 - 1 in a class cut short, 1 below every class
+@pytest.mark.parametrize("n_max", [1, 4031**2, 4032**2, 4032**2 + 1, 10**10 - 1,
+                                   SHIFTED_CONV_BOUND])
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 10, 13, 29])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_square_pair_support_matches_plain_isqrt_scan(d, sign, n_max):
+    plain = [pair for pair in _plain_isqrt_scan(d, sign) if pair[0] <= n_max]
+    assert _square_pair_support(make_field(d), sign, n_max) == tuple(plain)
+
+
+# repr values and term counts recorded before the scan read the residue
+# tables; the support is the same, so every sum must repeat exactly:
+# (D, parity, s, value, terms_used)
+FROZEN_SHIFTED = [
+    (2, "odd", (1+0j), (1.2416192180307242+0j), 7),
+    (2, "odd", (1.5-7.25j), (1.0609882185135995-0.0744006962337139j), 7),
+    (2, "odd", (2.2+3.1j), (1.0075915448976658+0.028404072912662656j), 7),
+    (2, "odd", (3+8j), (1.0076110391813144-0.0024736952588899916j), 7),
+    (2, "even", (1+0j), (0.600575078525269+0j), 7),
+    (2, "even", (1.5-7.25j), (0.1265202278982458-0.3552330120930285j), 7),
+    (2, "even", (2.2+3.1j), (-0.11819084298238346-0.18651465879331455j), 7),
+    (2, "even", (3+8j), (0.09277191004352085+0.08360433856689964j), 7),
+    (5, "odd", (1+0j), (1.8245069196996433+0j), 13),
+    (5, "odd", (1.5-7.25j), (1.1901819641047893-0.40818589981710696j), 13),
+    (5, "odd", (2.2+3.1j), (0.8886633279233115-0.157546016280057j), 13),
+    (5, "odd", (3+8j), (1.100026356032023+0.08121493983948894j), 13),
+    (5, "even", (1+0j), (1.5353571799458823+0j), 12),
+    (5, "even", (1.5-7.25j), (0.9309900108955748+0.21411297971368645j), 12),
+    (5, "even", (2.2+3.1j), (0.9229691801467156+0.02164294893047513j), 12),
+    (5, "even", (3+8j), (0.9691120812153671-0.020361152892704952j), 12),
+    (13, "odd", (1+0j), (1.1100924558221061+0j), 5),
+    (13, "odd", (1.5-7.25j), (0.981798436216219-0.025887134453849037j), 5),
+    (13, "odd", (2.2+3.1j), (1.0041280957757508-0.004790574306317835j), 5),
+    (13, "odd", (3+8j), (1.0009101959421862+0.00041597742309510023j), 5),
+    (13, "even", (1+0j), (0.36669213303276904+0j), 5),
+    (13, "even", (1.5-7.25j), (-0.016124430678222414+0.19225953466872672j), 5),
+    (13, "even", (2.2+3.1j), (-0.08616995629643548+0.0237356846892597j), 5),
+    (13, "even", (3+8j), (-0.029824719490095693-0.02200404249219783j), 5),
+    (3, "even", (1+0j), (1.3410507854448437+0j), 9),
+    (3, "even", (1.5-7.25j), (0.90957042786141-0.06270730724318267j), 9),
+    (3, "even", (2.2+3.1j), (0.9797129386127332+0.04114931009014504j), 9),
+    (3, "even", (3+8j), (1.0012021644611517+0.015455840603960214j), 9),
+]
+
+
+@pytest.mark.parametrize("d, parity, s, value, terms", FROZEN_SHIFTED)
+def test_shifted_convolution_values_repeat_bit_for_bit(d, parity, s, value, terms):
+    scan = shifted_convolution_odd if parity == "odd" else shifted_convolution_even
+    ev = scan(make_field(d), s)
+    assert (repr(ev.value), ev.terms_used) == (repr(value), terms)
 
 
 # ------------------------------------------------------------- special values
