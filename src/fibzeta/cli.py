@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Subcommands: eval, grid, poles, verify, sequence, detect.  Output is plain
-key: value records, CSV (17 significant digits, bit-exact round trips), or
-JSON.  Exit codes: 0 success, 2 usage, 3 numerical failure, 4 domain error.
+key: value records, CSV (17 significant digits, bit-exact round trips;
+comma-separated, CRLF line ends, never quoted), or JSON.  Exit codes:
+0 success, 2 usage, 3 numerical failure, 4 domain error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
@@ -159,6 +159,14 @@ def _grid_rows(request: GridRequest, settings: Settings) -> list[list[str]]:
 GRID_HEADER = ["re_s", "im_s", "method", "re_z", "im_z", "tail_bound", "pole_distance", "status"]
 
 
+def _write_csv(out, header: list[str], rows: list[list[str]]) -> None:
+    """The header and rows as csv.writer's default dialect writes them:
+    fields joined by commas, each row ended by CRLF.  No field of the CLI's
+    tables (formatted numbers, method names, status words, exception class
+    names) can hold a comma, a quote or a line break, so none is quoted."""
+    out.write("".join([",".join(row) + "\r\n" for row in [header, *rows]]))
+
+
 def cmd_grid(args: argparse.Namespace) -> int:
     settings = _settings(args)
     request = GridRequest(
@@ -170,13 +178,16 @@ def cmd_grid(args: argparse.Namespace) -> int:
         tol=args.tol,
         output=args.format,
     )
-    rows = _grid_rows(request, settings)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    out = sys.stdout
+    if args.out:
+        try:
+            out = open(args.out, "w", newline="")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror}")
     try:
+        rows = _grid_rows(request, settings)
         if request.output == "csv":
-            writer = csv.writer(out)
-            writer.writerow(GRID_HEADER)
-            writer.writerows(rows)
+            _write_csv(out, GRID_HEADER, rows)
         else:
             records = [dict(zip(GRID_HEADER, row)) for row in rows]
             json.dump(records, out, indent=1)
@@ -188,18 +199,18 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_poles(args: argparse.Namespace) -> int:
+    for flag, value in (("--kmax", args.kmax), ("--mmax", args.mmax)):
+        if value < 0:
+            raise UsageError(f"{flag} must be at least 0, got {value}")
     field = make_field(args.D)
     specs = pole_lattice(field, args.kmax, args.mmax, args.which)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["k", "m", "re_s0", "im_s0", "re_residue_odd", "im_residue_odd",
-                     "re_residue_even", "im_residue_even", "survives_in_combined"])
-    for p in specs:
-        writer.writerow([
-            p.k, p.m, fmt(p.location.real), fmt(p.location.imag),
-            fmt(p.residue_odd.real), fmt(p.residue_odd.imag),
-            fmt(p.residue_even.real), fmt(p.residue_even.imag),
-            int(p.survives_in_combined),
-        ])
+    _write_csv(sys.stdout,
+               ["k", "m", "re_s0", "im_s0", "re_residue_odd", "im_residue_odd",
+                "re_residue_even", "im_residue_even", "survives_in_combined"],
+               [[str(p.k), str(p.m), fmt(p.location.real), fmt(p.location.imag),
+                 fmt(p.residue_odd.real), fmt(p.residue_odd.imag),
+                 fmt(p.residue_even.real), fmt(p.residue_even.imag),
+                 str(int(p.survives_in_combined))] for p in specs])
     return 0
 
 
@@ -226,12 +237,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise UsageError(f"--n must be at least 0, got {args.n}")
     field = make_field(args.D)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "fib", "lucas", "norm_identity"])
+    rows = []
     for t in sequence_terms(field, args.n + 1):
         ok = t.lucas**2 - field.q * t.fib**2 == 4 * field.norm_eps**t.index
-        writer.writerow([t.index, t.fib, t.lucas, "ok" if ok else "VIOLATED"])
+        rows.append([str(t.index), str(t.fib), str(t.lucas), "ok" if ok else "VIOLATED"])
+    _write_csv(sys.stdout, ["n", "fib", "lucas", "norm_identity"], rows)
     return 0
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import Settings, default_settings
 from .errors import OutOfRegionError, PoleProximityError, TooSlowConvergenceError
@@ -41,16 +41,16 @@ _MAX_DIRECT_TERMS = 100_000
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-@dataclass(frozen=True)
-class SeriesTail:
+class SeriesTail(NamedTuple):
     """Truncation-error estimate; rigorous=False marks a calibrated model."""
 
     bound: float
     rigorous: bool
 
 
-@dataclass(frozen=True)
-class ZetaEvaluation:
+class ZetaEvaluation(NamedTuple):
+    """One evaluation: an immutable record, derived with ev._replace(...)."""
+
     value: complex
     method: str
     terms_used: int

@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 
 from .complexfn import _LOG_PI_C, _ONE, _log_sin_pi, czeta, log_gamma, rgamma
 from .config import Settings, default_settings
@@ -419,7 +418,7 @@ def zeta_even_poisson(
         dist = check_pole_guard(field, s, LATTICE_SPLIT, settings.pole_guard_radius)
         parity = field.half_unit.direct_parity
         ev = zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity))
-        return replace(ev, method=METHOD_POISSON, nearest_pole_distance=dist)
+        return ev._replace(method=METHOD_POISSON, nearest_pole_distance=dist)
     if region == REGION_STRIP:
         # the strip region ends left of the strip form's near-one disk, so
         # that check cannot fire here

@@ -265,6 +265,51 @@ def test_grid_request_validation():
     assert one_point.axis("re") == [1.0] and one_point.axis("im") == [0.0]
 
 
+def test_grid_out_to_an_unopenable_path_is_usage_error(capsys, tmp_path):
+    grid = ("grid", "--D", "5", "--methods", "binomial", "--re", "1", "2", "1", "--im", "0", "0", "1")
+    for target in (tmp_path / "missing" / "grid.csv", tmp_path):
+        code, out, err = run_cli(capsys, *grid, "--out", str(target))
+        assert code == 2 and out == "", target
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _csv_writer_text(rows):
+    """The reference dialect: what the default csv.writer writes for rows."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ("grid", "--D", "5", "--parity", "even", "--methods", "poisson,binomial",
+     "--re", "-402", "-2", "200", "--im", "0", "1", "1"),
+    ("poles", "--D", "5", "--which", "combined"),
+    ("sequence", "--D", "10", "--n", "12"),
+])
+def test_csv_tables_are_what_csv_writer_writes(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert out == _csv_writer_text(rows)
+    if argv[0] == "grid":
+        assert {row[7] for row in rows[1:]} == {"ok", "pole", "FactorOverflowError"}
+        path = tmp_path / "grid.csv"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == _csv_writer_text(rows).encode()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("sequence", "--D", "5", "--n", "-1"), "--n"),
+    (("poles", "--D", "5", "--kmax", "-1"), "--kmax"),
+    (("poles", "--D", "5", "--mmax", "-2"), "--mmax"),
+])
+def test_negative_table_sizes_are_usage_errors(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1, err
+
+
 # ----------------------------------------------------------------------- poles
 
 def test_poles_odd_table(capsys):

@@ -23,6 +23,7 @@ from fibzeta import (
     zeta_odd_poisson,
 )
 from fibzeta import complexfn
+from fibzeta.continuation import direct_terms_for, zeta_direct
 from fibzeta.complexfn import log_gamma
 from fibzeta.suites import fourier_quadrature
 from fibzeta.poisson import (
@@ -161,6 +162,28 @@ def test_even_poisson_direct_region():
     b = zeta_even_binomial(F5, s, tol=1e-12)
     assert p.method == "poisson"
     assert abs(p.value - b.value) < 1e-10
+
+
+@pytest.mark.parametrize("d", [5, 3])
+@pytest.mark.parametrize("s", [complex(0.5, 5.0), complex(1.3, 0.7), complex(2.5, -11.0)])
+def test_even_poisson_direct_region_is_the_direct_series_as_a_poisson_record(d, s):
+    """Re s >= 0.5 hands the point to the direct series; only the method and
+    the pole distance are the Poisson route's own.  D = 3 is norm +1, whose
+    even function is the full zeta of the half unit."""
+    field = make_field(d)
+    tol = 1e-12
+    parity = field.half_unit.direct_parity
+    direct = zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity))
+    p = zeta_even_poisson(field, s, tol=tol)
+    assert p.value == direct.value
+    assert p.terms_used == direct.terms_used
+    assert p.tail == direct.tail
+    assert p.method == "poisson"
+    assert p.nearest_pole_distance == nearest_lattice_pole(field, s)[3]
+    with pytest.raises(AttributeError):
+        p.value = 0j
+    with pytest.raises(AttributeError):
+        p.tail.bound = 0.0
 
 
 def test_region_selector_classification():
