@@ -43,7 +43,6 @@ from .errors import (
     DomainError,
     FactorOverflowError,
     FibZetaError,
-    NearOneSingularityError,
     NormPlusOneError,
     NotSquarefreeError,
     NumericalError,
@@ -56,7 +55,6 @@ from .errors import (
 from .poisson import (
     RegionSelector,
     fourier_coefficient_odd,
-    regularized_fourier_integral,
     zeta_even_poisson,
     zeta_functional_reconstruction,
     zeta_odd_poisson,

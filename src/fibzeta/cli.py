@@ -133,9 +133,10 @@ def _cached_field(d: int) -> QuadraticField:
     return make_field(d)
 
 
-def _grid_rows(request: GridRequest, settings: Settings) -> list[list[str]]:
+def _grid_rows(
+    field: QuadraticField, request: GridRequest, settings: Settings
+) -> list[list[str]]:
     """One row per (point, method), Im s outer, Re s inner, methods innermost."""
-    field = _cached_field(request.D)
     re_axis = request.axis("re")
     re_labels = [fmt(re_part) for re_part in re_axis]
     rows = []
@@ -178,6 +179,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
         tol=args.tol,
         output=args.format,
     )
+    # a field or parity that every row would refuse fails before --out is opened
+    field = _cached_field(request.D)
+    if request.parity != PARITY_COMBINED:
+        field.require_norm_minus_one()
     out = sys.stdout
     if args.out:
         try:
@@ -185,7 +190,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise UsageError(f"cannot write --out {args.out}: {exc.strerror}")
     try:
-        rows = _grid_rows(request, settings)
+        rows = _grid_rows(field, request, settings)
         if request.output == "csv":
             _write_csv(out, GRID_HEADER, rows)
         else:

@@ -61,8 +61,9 @@ class OutOfRegionError(NumericalError):
 
 
 class NearOneSingularityError(NumericalError):
-    """Strip-form evaluation requested too close to s=1, where its pieces
-    individually diverge; use the direct series instead."""
+    """No longer raised: the strip form runs only at Re s < 1/2, far from
+    s = 1.  Kept because bench/tracing.py counts it as
+    poisson.even.strip_fallback."""
 
 
 class FactorOverflowError(NumericalError):

@@ -10,18 +10,20 @@ v_m = pi m / (2 log eps), whose terms decay like exp(-pi v_m).  The 1/Gamma(s)
 prefactor forces zeros at negative odd integers.
 
 Even-indexed case: the summand vanishes at n=0 only after regularizing by
-(4 x log eps)^(-s), and truncated Poisson summation yields a three-region
-evaluation: the direct series for Re s >= 1/2; a strip form built from
-zeta(s), a closed-form constant phase, and bracketed gamma-ratio terms; and
-for Re s well left of 0 the bare gamma-ratio sum.  The gamma-ratio sums are
-accelerated exactly: the ratio Gamma(z + a)/Gamma(z + 1 - a) admits an
-asymptotic expansion in even powers of 1/z whose term-by-term m-sums are
-Riemann zeta values, so subtracting two correction orders leaves a remainder
-falling like m^(Re s - 7).  The two ratios of a pair +-m share their Lanczos
-values: for Re s < 1 the reflection of each numerator Gamma(s/2 -+ i v_m)
-needs log Gamma(1 - s/2 +- i v_m), the other ratio's denominator, so a pair
-costs two Lanczos sums, not four.  For a norm +1 unit the even-indexed
-evaluators put eps^(1/2) in place of eps and return the full zeta.
+(4 x log eps)^(-s), and truncated Poisson summation yields one evaluator,
+zeta_even_poisson, with three regions: the direct series for Re s >= 1/2;
+for -1/4 < Re s < 1/2 a strip form built from zeta(s), a closed-form
+constant phase, and bracketed gamma-ratio terms; and for Re s <= -1/4 the
+bare gamma-ratio sum.  The gamma-ratio sums are accelerated exactly: the
+ratio Gamma(z + a)/Gamma(z + 1 - a) admits an asymptotic expansion in even
+powers of 1/z whose term-by-term m-sums are Riemann zeta values, so
+subtracting two correction orders leaves a remainder falling like
+m^(Re s - 7).  The two ratios of a pair +-m share their Lanczos values:
+since Re s < 1/2 in both regions that sum them, the reflection of each
+numerator Gamma(s/2 -+ i v_m) needs log Gamma(1 - s/2 +- i v_m), the other
+ratio's denominator, so a pair costs two Lanczos sums, not four.  For a
+norm +1 unit the even-indexed evaluator puts eps^(1/2) in place of eps and
+returns the full zeta.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .continuation import (
 )
 from .errors import (
     FactorOverflowError,
-    NearOneSingularityError,
     OutOfRegionError,
     PoleProximityError,
     TooSlowConvergenceError,
@@ -60,21 +61,15 @@ REGION_LEFT = "left"
 # the bare gamma-ratio sum for Re s <= REGION_LEFT_MAX and the strip form between
 REGION_DIRECT_MIN = 0.5
 REGION_LEFT_MAX = -0.25
-# the strip form converges for Re s < 2 and is evaluated only below this real part
-STRIP_RE_MAX = 1.95
-# the strip form refuses points this close to s = 1
-NEAR_ONE_RADIUS = 0.1
 # hard cap on Fourier-side summation lengths
 MAX_FOURIER_TERMS = 2_000_000
 
 
 class RegionSelector:
-    """Dispatch boundaries for the even-indexed Poisson evaluation.
-
-    The strip form is provably convergent for Re s < 2 but is only used on
-    (REGION_LEFT_MAX, REGION_DIRECT_MIN); the overlap bands with both
-    neighbours remain callable for consistency testing.  The strip region
-    ends left of Re s = 1 - NEAR_ONE_RADIUS, so no point it selects is near 1.
+    """Regions of the even-indexed Poisson evaluation: left for Re s <=
+    REGION_LEFT_MAX, strip for REGION_LEFT_MAX < Re s < REGION_DIRECT_MIN,
+    direct for Re s >= REGION_DIRECT_MIN.  Each branch of zeta_even_poisson
+    runs only in its own region, so no point of the strip is near s = 1.
     """
 
     @staticmethod
@@ -187,22 +182,12 @@ def _gamma_ratio(s: complex, w: float) -> complex:
     return cmath.exp(log_gamma(0.5 * s - 1j * w) - log_gamma(1.0 - 0.5 * s - 1j * w))
 
 
-def _ratio_pair(s: complex, v: float) -> complex:
-    """_gamma_ratio(s, v) + _gamma_ratio(s, -v) from two Lanczos values, v > 0.
-
-    For Re s < 1 both numerators Gamma(s/2 -+ i v) lie left of Re 1/2, and
-    the reflection of each evaluates log Gamma(1 - s/2 +- i v), which is the
-    other ratio's denominator (see _reflected_pair).
-    """
-    a = 0.5 * s
-    if a.real >= 0.5:
-        return _gamma_ratio(s, v) + _gamma_ratio(s, -v)
-    return _reflected_pair(a, _ONE - a, 1j * v)
-
-
 def _reflected_pair(a: complex, one_minus_a: complex, iv: complex) -> complex:
-    """The pair sum of _ratio_pair for Re a < 1/2, given a = s/2, 1 - a and i v.
+    """_gamma_ratio(s, v) + _gamma_ratio(s, -v) from two Lanczos values, for
+    v > 0 and Re a < 1/2, given a = s/2, 1 - a and i v.
 
+    Both numerators Gamma(a -+ i v) lie left of Re 1/2, and the reflection of
+    each evaluates log Gamma(1 - a +- i v), the other ratio's denominator.
     The arguments are built as _gamma_ratio builds them and combined in its
     order, so the sum is the same float: 1j * -v is -(1j * v) to the bit for
     v > 0, and subtracting it adds 1j * v.
@@ -226,7 +211,8 @@ def _ratio_pair_core(
     asymptotic series, subtracts orders 0/2/4 from every pair, and restores
     them through zeta(1-s), zeta(3-s), zeta(5-s).  With include_leading=False
     the order-0 part is left out entirely (the strip form carries it as its
-    explicit zeta(s) term).  Returns (sum, pairs_used, tail_estimate).
+    explicit zeta(s) term).  Both callers have Re s < 1/2, so every pair is
+    summed by _reflected_pair.  Returns (sum, pairs_used, tail_estimate).
     """
     half_step = math.pi / (2.0 * log_eta)
     a = 0.5 * s
@@ -261,11 +247,10 @@ def _ratio_pair_core(
     two_sin_half = 2.0 * sin_half
     s_1, s_3, s_5 = s - 1.0, s - 3.0, s - 5.0
     one_minus_a = _ONE - a
-    reflected = a.real < 0.5
     while True:
         m += 1
         v = half_step * m
-        pair = _reflected_pair(a, one_minus_a, 1j * v) if reflected else _ratio_pair(s, v)
+        pair = _reflected_pair(a, one_minus_a, 1j * v)
         log_v = math.log(v)
         asym = two_sin_half * (
             cmath.exp(s_1 * log_v) - e2 * cmath.exp(s_3 * log_v) + e4 * cmath.exp(s_5 * log_v)
@@ -297,7 +282,8 @@ def zeta_even_poisson_strip(
     tol: float = 1e-12,
     settings: Settings | None = None,
 ) -> ZetaEvaluation:
-    """Strip-form evaluation: valid for Re s < 2 away from poles and s=1.
+    """The strip branch of zeta_even_poisson, for REGION_LEFT_MAX < Re s <
+    REGION_DIRECT_MIN; any other point raises OutOfRegionError.
 
     Z_even(s) = q^(s/2) zeta(s) / (4 log eps)^s
               + q^(s/2) Gamma(1-s) Gamma(s/2) / (4 Gamma(1-s/2) log eps)
@@ -305,10 +291,10 @@ def zeta_even_poisson_strip(
     """
     settings = settings or default_settings()
     s = complex(s)
-    if s.real >= STRIP_RE_MAX:
-        raise OutOfRegionError(f"strip form needs Re s < 2, got {s.real}")
-    if abs(s - 1.0) <= NEAR_ONE_RADIUS:
-        raise NearOneSingularityError(f"strip form unstable within {NEAR_ONE_RADIUS} of s=1")
+    if RegionSelector.classify(s) != REGION_STRIP:
+        raise OutOfRegionError(
+            f"strip form needs {REGION_LEFT_MAX} < Re s < {REGION_DIRECT_MIN}, got {s.real}"
+        )
     dist = check_pole_guard(field, s, LATTICE_SPLIT, settings.pole_guard_radius)
     log_eta = field.half_unit.log_eta
     scale = _q_power(field, s)
@@ -327,78 +313,24 @@ def zeta_even_poisson_strip(
     )
 
 
-def zeta_even_poisson_left(
-    field: QuadraticField,
-    s: complex,
-    tol: float = 1e-12,
-    settings: Settings | None = None,
-    accelerated: bool = True,
+def _even_left(
+    field: QuadraticField, s: complex, tol: float, settings: Settings
 ) -> ZetaEvaluation:
-    """Left-region evaluation: the bare gamma-ratio sum, Re s < 0.
+    """The left branch of zeta_even_poisson, for Re s <= REGION_LEFT_MAX:
+    the bare gamma-ratio sum
 
     Z_even(s) = q^(s/2) Gamma(1-s) / (4 log eps) * sum_m ratio(m).
-
-    accelerated=True (default) sums the asymptotic orders through Riemann
-    zeta values, leaving a remainder that falls like m^(Re s - 7); the plain
-    truncated sum decays only like m^(Re s) in the tail and refuses to run
-    when the projected length passes MAX_FOURIER_TERMS.
     """
-    settings = settings or default_settings()
-    s = complex(s)
-    if s.real >= 0:
-        raise OutOfRegionError(f"left form needs Re s < 0, got {s.real}")
     dist = check_pole_guard(field, s, LATTICE_SPLIT, settings.pole_guard_radius)
     log_eta = field.half_unit.log_eta
     pref = _even_prefactor(field, log_eta, s)
-    if accelerated:
-        tol_abs = tol * 1.0 / max(abs(pref), 1e-30)
-        core, pairs, tail = _ratio_pair_core(log_eta, s, tol_abs, include_leading=True)
-        return ZetaEvaluation(
-            value=pref * core,
-            method=METHOD_POISSON,
-            terms_used=2 * pairs + 1,
-            tail=SeriesTail(bound=tail * abs(pref), rigorous=False),
-            nearest_pole_distance=dist,
-        )
-    return _even_left_plain(log_eta, s, tol, pref, dist)
-
-
-def _even_left_plain(
-    log_eta: float,
-    s: complex,
-    tol: float,
-    pref: complex,
-    dist: float,
-) -> ZetaEvaluation:
-    """Literal truncation of the gamma-ratio sum with tail C M^(Re s) / |Re s|."""
-    half_step = math.pi / (2.0 * log_eta)
-    x = s.real
-    # projected length from the tail model C M^x / |x|, C calibrated from
-    # the term shape |pair_m| ~ 2 (half_step m)^(x-1)
-    c_est = abs(pref) * 2.0 * math.exp((x - 1.0) * math.log(half_step))
-    tol_abs = tol  # absolute target on Z
-    needed = (c_est / (tol_abs * abs(x))) ** (1.0 / abs(x))
-    if x > -0.25 or needed > MAX_FOURIER_TERMS:
-        raise TooSlowConvergenceError(needed, MAX_FOURIER_TERMS)
-    total = _gamma_ratio(s, 0.0)
-    m = 0
-    term_abs = 0.0
-    while True:
-        m += 1
-        v = half_step * m
-        term = _ratio_pair(s, v)
-        total += term
-        term_abs = abs(term)
-        tail = term_abs * m / abs(x)
-        if m >= 8 and tail * abs(pref) <= tol_abs:
-            break
-        if m > MAX_FOURIER_TERMS:
-            raise TooSlowConvergenceError(float(m), MAX_FOURIER_TERMS)
+    tol_abs = tol / max(abs(pref), 1e-30)
+    core, pairs, tail = _ratio_pair_core(log_eta, s, tol_abs, include_leading=True)
     return ZetaEvaluation(
-        value=pref * total,
+        value=pref * core,
         method=METHOD_POISSON,
-        terms_used=2 * m + 1,
-        tail=SeriesTail(bound=term_abs * m / abs(x) * abs(pref), rigorous=False),
+        terms_used=2 * pairs + 1,
+        tail=SeriesTail(bound=tail * abs(pref), rigorous=False),
         nearest_pole_distance=dist,
     )
 
@@ -420,55 +352,8 @@ def zeta_even_poisson(
         ev = zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity))
         return ev._replace(method=METHOD_POISSON, nearest_pole_distance=dist)
     if region == REGION_STRIP:
-        # the strip region ends left of the strip form's near-one disk, so
-        # that check cannot fire here
         return zeta_even_poisson_strip(field, s, tol, settings)
-    return zeta_even_poisson_left(field, s, tol, settings)
-
-
-def regularized_fourier_integral(
-    field: QuadraticField,
-    s: complex,
-    m: int,
-    settings: Settings | None = None,
-) -> complex:
-    """Closed form of the one-sided regularized Fourier integral
-
-        int_0^inf [(eps^2x - eps^-2x)^(-s) - (4 x log eps)^(-s)] e(m x) dx
-
-    for nonzero integer frequency m (well behaved for Re s in (0, 3)):
-
-        Gamma(1-s) Gamma(s/2 - i w) / (4 log eps Gamma(1 - s/2 - i w))
-        - Gamma(1-s) e^(i pi (1-s) sgn(m) / 2) / ((2 pi |m|)^(1-s) (4 log eps)^s),
-
-    with w = pi m / (2 log eps).
-    """
-    settings = settings or default_settings()
-    if m == 0:
-        raise ValueError("frequency m must be nonzero; the m=0 phase has its own closed form")
-    s = complex(s)
-    guard = settings.pole_guard_radius
-    n = round(s.real)
-    if n >= 1 and abs(s - n) <= guard:
-        # Gamma(1-s) poles; the full integral stays finite but the two closed
-        # pieces individually blow up
-        raise PoleProximityError(s, complex(n, 0), n, 0, abs(s - n))
-    log_eps = field.log_eps
-    w = math.pi * m / (2.0 * log_eps)
-    arg = 0.5 * s - 1j * w
-    k = round(arg.real)
-    if k <= 0 and abs(arg - k) <= guard:
-        raise PoleProximityError(s, s, -k, m, abs(arg - k))
-    gamma_1ms = cmath.exp(log_gamma(1.0 - s))
-    first = gamma_1ms * _gamma_ratio(s, w) / (4.0 * log_eps)
-    sgn = 1.0 if m > 0 else -1.0
-    second = (
-        gamma_1ms
-        * cmath.exp(0.5j * math.pi * (1.0 - s) * sgn)
-        * cmath.exp(-(1.0 - s) * math.log(2.0 * math.pi * abs(m)))
-        * cmath.exp(-s * math.log(4.0 * log_eps))
-    )
-    return first - second
+    return _even_left(field, s, tol, settings)
 
 
 def zeta_functional_reconstruction(

@@ -274,6 +274,21 @@ def test_grid_out_to_an_unopenable_path_is_usage_error(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("d, parity", [("4", "odd"), ("3", "odd"), ("3", "even")])
+def test_grid_domain_error_leaves_out_untouched(capsys, tmp_path, d, parity):
+    """A D that is not squarefree, or odd/even on a norm +1 field, refuses
+    every row: the grid exits 4 before --out is opened."""
+    grid = ("grid", "--D", d, "--parity", parity, "--re", "0", "1", "1", "--im", "0", "0", "1")
+    keep = tmp_path / "keep.csv"
+    keep.write_bytes(b"re_s,im_s\r\n1,2\r\n")
+    for target, before in ((keep, keep.read_bytes()), (tmp_path / "new.csv", None)):
+        code, out, err = run_cli(capsys, *grid, "--out", str(target))
+        assert code == 4 and out == "", target
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert (target.read_bytes() if target.exists() else None) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
+
+
 def _csv_writer_text(rows):
     """The reference dialect: what the default csv.writer writes for rows."""
     buf = io.StringIO(newline="")

@@ -6,16 +6,14 @@ from hypothesis import example, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from fibzeta import (
-    NearOneSingularityError,
     NormPlusOneError,
     OutOfRegionError,
     PoleProximityError,
     Settings,
-    TooSlowConvergenceError,
+    evaluate,
     fourier_coefficient_odd,
     make_field,
     nearest_lattice_pole,
-    regularized_fourier_integral,
     zeta_even_binomial,
     zeta_even_poisson,
     zeta_functional_reconstruction,
@@ -29,19 +27,14 @@ from fibzeta.suites import fourier_quadrature
 from fibzeta.poisson import (
     RegionSelector,
     _gamma_ratio,
-    _ratio_pair,
-    zeta_even_poisson_left,
+    _reflected_pair,
     zeta_even_poisson_strip,
 )
 
 F5 = make_field(5)
 F10 = make_field(10)
 
-# frozen values from high-precision quadrature of the defining integrals
-# (tanh-sinh near zero where the regularized integrand needs extra digits,
-# oscillatory quadrature with Richardson extrapolation on the tail)
-REGULARIZED_INTEGRAL_D5_S15_M1 = complex(0.003500850553122278, -0.003500856369253147)
-REGULARIZED_INTEGRAL_D10_S25_M3 = complex(-0.011230420334078847, -0.011230255804447188)
+# frozen value from high-precision quadrature of the defining integral
 FOURIER_D5_S1_M1 = 8.081258539205152e-09
 
 
@@ -198,67 +191,31 @@ def test_region_selector_classification():
     assert RegionSelector.from_settings(Settings(pole_guard_radius=0.5)).classify(0.2) == "strip"
 
 
-def test_strip_overlap_with_left():
-    rng = random.Random(11)
-    worst = 0.0
-    checked = 0
-    while checked < 12:
-        s = complex(rng.uniform(-0.5, -0.25), rng.uniform(-6, 6))
-        if nearest_lattice_pole(F5, s)[3] <= 0.08:
-            continue
-        a = zeta_even_poisson_strip(F5, s, tol=1e-12)
-        b = zeta_even_poisson_left(F5, s, tol=1e-12)
-        worst = max(worst, abs(a.value - b.value))
-        checked += 1
-    assert worst < 1e-8
-
-
-def test_strip_overlap_with_direct():
-    rng = random.Random(12)
-    worst = 0.0
-    checked = 0
-    while checked < 12:
-        s = complex(rng.uniform(0.5, 1.5), rng.uniform(-4, 4))
-        if abs(s - 1.0) <= 0.12 or nearest_lattice_pole(F5, s)[3] <= 0.08:
-            continue
-        a = zeta_even_poisson_strip(F5, s, tol=1e-11)
-        b = zeta_even_poisson(F5, s, tol=1e-12)  # direct region
-        worst = max(worst, abs(a.value - b.value))
-        checked += 1
-    assert worst < 1e-8
-
-
-def test_strip_near_one_raises_and_public_api_redirects():
-    with pytest.raises(NearOneSingularityError):
-        zeta_even_poisson_strip(F5, complex(1.02, 0.0))
+def test_even_poisson_near_one_takes_the_direct_series():
     ev = zeta_even_poisson(F5, complex(1.02, 0.0), tol=1e-12)
     b = zeta_even_binomial(F5, complex(1.02, 0.0), tol=1e-12)
     assert abs(ev.value - b.value) < 1e-9
 
 
-def test_strip_rejects_right_of_two():
+@pytest.mark.parametrize("re_s", [-0.25, 0.5, 0.6, 1.5, -3.0])
+def test_strip_form_refuses_points_outside_the_strip(re_s):
     with pytest.raises(OutOfRegionError):
-        zeta_even_poisson_strip(F5, 2.3)
+        zeta_even_poisson_strip(F5, complex(re_s, 2.0))
 
 
-def test_left_plain_truncation_validates_accelerated():
-    s = -3.25
-    plain = zeta_even_poisson_left(F5, s, tol=1e-9, accelerated=False)
-    accel = zeta_even_poisson_left(F5, s, tol=1e-12)
-    assert abs(plain.value - accel.value) < 5e-9
-    assert plain.terms_used > accel.terms_used
+SEAM_FIELDS = {d: make_field(d) for d in (3, 5, 13)}
 
 
-def test_left_plain_truncation_refuses_slow_zone():
-    with pytest.raises(TooSlowConvergenceError):
-        zeta_even_poisson_left(F5, -0.1, tol=1e-8, accelerated=False)
-    with pytest.raises(TooSlowConvergenceError):
-        zeta_even_poisson_left(F5, -0.5, tol=1e-10, accelerated=False)
-
-
-def test_left_rejects_nonnegative_re():
-    with pytest.raises(OutOfRegionError):
-        zeta_even_poisson_left(F5, 0.3)
+@pytest.mark.parametrize("d, parity", [(5, "even"), (13, "even"), (3, "combined")])
+@pytest.mark.parametrize("re_s", [-0.25 - 1e-9, -0.25, -0.25 + 1e-9, 0.5 - 1e-9, 0.5])
+@pytest.mark.parametrize("im_s", [0.7, 4.5, -11.0])
+def test_even_poisson_agrees_with_binomial_across_the_region_seams(d, parity, re_s, im_s):
+    """Each side of the left/strip seam at Re s = -0.25 and the strip/direct
+    seam at Re s = 0.5 (D = 3 is norm +1: its combined zeta is the even one)."""
+    field, s = SEAM_FIELDS[d], complex(re_s, im_s)
+    p = evaluate(field, s, parity, "poisson", 1e-12)
+    b = evaluate(field, s, parity, "binomial", 1e-12)
+    assert abs(p.value - b.value) <= 1e-10 * abs(b.value)
 
 
 # ---------------------------------------------------------- conjugate symmetry
@@ -269,34 +226,6 @@ def test_conjugate_symmetry_all_methods(s):
         a = fun(F5, s, tol=1e-12).value
         b = fun(F5, s.conjugate(), tol=1e-12).value
         assert abs(a - b.conjugate()) < 1e-10 * max(1.0, abs(a))
-
-
-# ------------------------------------------------------- regularized integrals
-
-def test_regularized_integral_d5():
-    val = regularized_fourier_integral(F5, 1.5, 1)
-    assert abs(val - REGULARIZED_INTEGRAL_D5_S15_M1) < 1e-8
-
-
-def test_regularized_integral_conjugate_frequency():
-    val_p = regularized_fourier_integral(F5, 1.5, 1)
-    val_m = regularized_fourier_integral(F5, 1.5, -1)
-    assert abs(val_m - val_p.conjugate()) < 1e-15
-
-
-def test_regularized_integral_d10():
-    val = regularized_fourier_integral(F10, 2.5, 3)
-    assert abs(val - REGULARIZED_INTEGRAL_D10_S25_M3) < 1e-7
-
-
-def test_regularized_integral_rejects_zero_frequency():
-    with pytest.raises(ValueError):
-        regularized_fourier_integral(F5, 1.5, 0)
-
-
-def test_regularized_integral_gamma_pole_guard():
-    with pytest.raises(PoleProximityError):
-        regularized_fourier_integral(F5, 2.0, 1)
 
 
 # -------------------------------------------------- functional-equation check
@@ -322,23 +251,22 @@ RATIO_PAIR_FIELDS = {d: make_field(d) for d in (5, 13, 29)}
 
 
 @given(
-    re_s=st.floats(min_value=-8.0, max_value=1.95, exclude_max=True),
+    re_s=st.floats(min_value=-8.0, max_value=0.5, exclude_max=True),
     im_s=st.floats(min_value=-80.0, max_value=80.0),
     d=st.sampled_from(sorted(RATIO_PAIR_FIELDS)),
     m=st.integers(min_value=1, max_value=200),
 )
 @example(re_s=-3.3, im_s=17.0, d=13, m=41)  # shared Lanczos values
-@example(re_s=1.5, im_s=-12.0, d=5, m=7)  # Re s >= 1: the four-call sum
 @hyp_settings(max_examples=400, deadline=None)
-def test_ratio_pair_equals_the_two_ratio_sum_exactly(re_s, im_s, d, m):
+def test_reflected_pair_equals_the_two_ratio_sum_exactly(re_s, im_s, d, m):
     s = complex(re_s, im_s)
     v = m * math.pi / (2.0 * RATIO_PAIR_FIELDS[d].log_eps)
-    assert _ratio_pair(s, v) == _gamma_ratio(s, v) + _gamma_ratio(s, -v)
+    a = 0.5 * s
+    assert _reflected_pair(a, 1 - a, 1j * v) == _gamma_ratio(s, v) + _gamma_ratio(s, -v)
 
 
-@pytest.mark.parametrize("s, calls", [(complex(-2.7, 9.0), 2), (complex(0.95, -3.0), 2),
-                                      (complex(1.0, 4.0), 4), (complex(1.6, 0.5), 4)])
-def test_ratio_pair_evaluates_two_log_gammas_left_of_one(monkeypatch, s, calls):
+@pytest.mark.parametrize("s", [complex(-2.7, 9.0), complex(0.95, -3.0)])
+def test_reflected_pair_evaluates_two_log_gammas(monkeypatch, s):
     args = []
 
     def counting(z):
@@ -346,11 +274,11 @@ def test_ratio_pair_evaluates_two_log_gammas_left_of_one(monkeypatch, s, calls):
         return log_gamma(z)
 
     monkeypatch.setattr("fibzeta.poisson.log_gamma", counting)
-    _ratio_pair(s, 1.3)
-    assert len(args) == calls
-    if calls == 2:
-        # only the denominators 1 - s/2 -+ i v, which need no reflection
-        assert all(z.real >= 0.5 for z in args)
+    a = 0.5 * s
+    _reflected_pair(a, 1 - a, 1.3j)
+    # only the denominators 1 - s/2 -+ i v, which need no reflection
+    assert len(args) == 2
+    assert all(z.real >= 0.5 for z in args)
 
 
 # repr values recorded before the gamma-ratio pairs shared their Lanczos
@@ -366,10 +294,6 @@ FROZEN_POISSON = [
     (5, "odd", complex(0.3, 2.0), (0.7910265627061253-0.5578800190552188j), 7),
     (5, "odd", complex(-2.5, 7.0), (1.6345150077047164-3.2297347629570217j), 9),
     (5, "odd", complex(1.5, -15.0), (0.8606687303594369-0.3506495610536581j), 13),
-    (5, "plain", complex(-3.5, 1.0), (0.15690904236187858-0.08164138132506904j), 69),
-    (5, "plain", complex(-5.25, -2.0), (-0.02592013211974791+0.007838180466004561j), 23),
-    (5, "strip", complex(1.5, 3.0), (0.8457836330828984+0.029514036272694194j), 91),
-    (5, "strip", complex(1.2, -0.5), (1.2646814617583764+0.24563215522897286j), 37),
     (13, "even", complex(0.3, 2.0), (-0.10776260209644706-0.6605860001960463j), 109),
     (13, "even", complex(-0.1, 5.5), (0.14974411161188944-1.548768758725048j), 245),
     (13, "even", complex(0.45, -12.25), (0.4141357701775332+0.30736084319504053j), 1009),
@@ -379,24 +303,21 @@ FROZEN_POISSON = [
     (13, "odd", complex(0.3, 2.0), (0.7489961554911357+0.38827349199206973j), 17),
     (13, "odd", complex(-2.5, 7.0), (0.03811172025876826-0.1188043816173347j), 19),
     (13, "odd", complex(1.5, -15.0), (0.9686751243662575+0.0014137935910211036j), 27),
-    (13, "plain", complex(-3.5, 1.0), (0.0129705478020445+0.010914050341953023j), 105),
-    (13, "plain", complex(-5.25, -2.0), (0.0024525488781564565+0.011673911127156548j), 35),
-    (13, "strip", complex(1.5, 3.0), (-0.192664072671059+0.034317818307706305j), 227),
-    (13, "strip", complex(1.2, -0.5), (0.22469389909823678+0.15465045200950045j), 87),
+    # norm +1, recorded before the even form lost its overlap bands
+    (3, "even", complex(0.3, 2.0), (0.6000505445933498-0.06933418371242145j), 61),
+    (3, "even", complex(-0.1, 5.5), (0.05369817964533119-0.602567377075327j), 137),
+    (3, "even", complex(-1.5, 0.5), (-0.2542844224569773+0.02552933020653344j), 17),
+    (3, "even", complex(-3.7, 11.0), (-0.1264954920258513+0.0875937487305029j), 63),
 ]
 
 
 @pytest.mark.parametrize("d, form, s, value, terms", FROZEN_POISSON)
 def test_poisson_values_repeat_bit_for_bit(d, form, s, value, terms):
-    field = RATIO_PAIR_FIELDS[d]
+    field = SEAM_FIELDS[d]
     if form == "even":  # strip region for Re s > -0.25, left region below
         ev = zeta_even_poisson(field, s, tol=1e-12)
-    elif form == "odd":
+    else:
         ev = zeta_odd_poisson(field, s, tol=1e-12)
-    elif form == "plain":  # the unaccelerated left-region sum
-        ev = zeta_even_poisson_left(field, s, tol=1e-8, accelerated=False)
-    else:  # strip form at Re s >= 1, where the pairs take the four-call sum
-        ev = zeta_even_poisson_strip(field, s, tol=1e-12)
     assert (ev.value, ev.terms_used) == (value, terms)
 
 
