@@ -111,6 +111,50 @@ def _log_gamma_right(z: complex) -> complex:
     return _HALF_LOG_TWO_PI_C + (zz + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
+def _reflection_logs(
+    a: complex, one_minus_a: complex, iv: complex
+) -> tuple[complex, complex, complex, complex]:
+    """(_log_sin_pi(a - iv), _log_sin_pi(a + iv), _log_gamma_right(one_minus_a
+    - iv), _log_gamma_right(one_minus_a + iv)), each the same float, in one
+    call: a Poisson pair needs all four.  Each body is written out twice with
+    its expressions and summation order unchanged; a loop over the two
+    arguments was slower than the four separate calls."""
+    log, exp = cmath.log, cmath.exp
+    z = a - iv
+    if z.imag > 7.0:
+        s_minus = _NEG_I_PI * z + log(_ONE - exp(_TWO_I_PI * z)) + _LOG_HALF_I_SHIFT
+    elif z.imag < -7.0:
+        s_minus = _I_PI * z + log(_ONE - exp(_NEG_TWO_I_PI * z)) - _LOG_TWO_I_SHIFT
+    else:
+        s_minus = log(cmath.sin(_PI * z))
+    z = a + iv
+    if z.imag > 7.0:
+        s_plus = _NEG_I_PI * z + log(_ONE - exp(_TWO_I_PI * z)) + _LOG_HALF_I_SHIFT
+    elif z.imag < -7.0:
+        s_plus = _I_PI * z + log(_ONE - exp(_NEG_TWO_I_PI * z)) - _LOG_TWO_I_SHIFT
+    else:
+        s_plus = log(cmath.sin(_PI * z))
+    zz = (one_minus_a - iv) - 1.0
+    acc = (
+        _C0 + _C1 / (zz + 1.0) + _C2 / (zz + 2.0) + _C3 / (zz + 3.0) + _C4 / (zz + 4.0)
+        + _C5 / (zz + 5.0) + _C6 / (zz + 6.0) + _C7 / (zz + 7.0) + _C8 / (zz + 8.0)
+        + _C9 / (zz + 9.0) + _C10 / (zz + 10.0) + _C11 / (zz + 11.0) + _C12 / (zz + 12.0)
+        + _C13 / (zz + 13.0) + _C14 / (zz + 14.0)
+    )
+    t = zz + _LANCZOS_G + 0.5
+    l_minus = _HALF_LOG_TWO_PI_C + (zz + 0.5) * log(t) - t + log(acc)
+    zz = (one_minus_a + iv) - 1.0
+    acc = (
+        _C0 + _C1 / (zz + 1.0) + _C2 / (zz + 2.0) + _C3 / (zz + 3.0) + _C4 / (zz + 4.0)
+        + _C5 / (zz + 5.0) + _C6 / (zz + 6.0) + _C7 / (zz + 7.0) + _C8 / (zz + 8.0)
+        + _C9 / (zz + 9.0) + _C10 / (zz + 10.0) + _C11 / (zz + 11.0) + _C12 / (zz + 12.0)
+        + _C13 / (zz + 13.0) + _C14 / (zz + 14.0)
+    )
+    t = zz + _LANCZOS_G + 0.5
+    l_plus = _HALF_LOG_TWO_PI_C + (zz + 0.5) * log(t) - t + log(acc)
+    return s_minus, s_plus, l_minus, l_plus
+
+
 def log_gamma(z: complex) -> complex:
     """log Gamma(z) up to a multiple of 2 pi i; intended to be exponentiated.
 
@@ -177,9 +221,10 @@ def _borwein_table(n: int) -> tuple[tuple[tuple[complex, float], ...], complex]:
 def _zeta_borwein(s: complex, terms: int) -> complex:
     pairs, dn = _borwein_table(terms)
     neg_s = -s
+    exp = cmath.exp
     acc = 0j
     for weight, log_k1 in pairs:
-        acc += weight * cmath.exp(neg_s * log_k1)
+        acc += weight * exp(neg_s * log_k1)
     eta_factor = _ONE - cmath.exp((_ONE - s) * _LOG_TWO)
     return -acc / (dn * eta_factor)
 

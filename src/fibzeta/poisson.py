@@ -7,7 +7,9 @@ Poisson summation over the odd integers gives a two-sided gamma series
                * sum_m (-1)^m Gamma(s/2 + i v_m) Gamma(s/2 - i v_m),
 
 v_m = pi m / (2 log eps), whose terms decay like exp(-pi v_m).  The 1/Gamma(s)
-prefactor forces zeros at negative odd integers.
+prefactor forces zeros at negative odd integers.  Left of Re s = 1 both
+gammas of a term reflect, and one complexfn._reflection_logs call gives the
+two sines and two Lanczos sums that the pair needs.
 
 Even-indexed case: the summand vanishes at n=0 only after regularizing by
 (4 x log eps)^(-s), and truncated Poisson summation yields one evaluator,
@@ -21,7 +23,8 @@ subtracting two correction orders leaves a remainder falling like
 m^(Re s - 7).  The two ratios of a pair +-m share their Lanczos values:
 since Re s < 1/2 in both regions that sum them, the reflection of each
 numerator Gamma(s/2 -+ i v_m) needs log Gamma(1 - s/2 +- i v_m), the other
-ratio's denominator, so a pair costs two Lanczos sums, not four.  For a
+ratio's denominator, so a pair costs two Lanczos sums, not four, and both
+come with the two sines from one complexfn._reflection_logs call.  For a
 norm +1 unit the even-indexed evaluator puts eps^(1/2) in place of eps and
 returns the full zeta.
 """
@@ -30,9 +33,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import contextmanager
 
-from .complexfn import _LOG_PI_C, _ONE, _log_sin_pi, czeta, log_gamma, rgamma
+from .complexfn import (
+    _LOG_PI_C,
+    _ONE,
+    _log_gamma_right,
+    _reflection_logs,
+    czeta,
+    log_gamma,
+    rgamma,
+)
 from .config import Settings, default_settings
 from .continuation import (
     LATTICE_SPLIT,
@@ -88,14 +98,24 @@ class RegionSelector:
         return RegionSelector()
 
 
-@contextmanager
-def _in_double_range(factor: str, s: complex):
+class _in_double_range:
     """Raise FactorOverflowError(factor, s) for an OverflowError in the block:
-    cmath.exp and cmath.sin raise it where a factor leaves double range."""
-    try:
-        yield
-    except OverflowError:
-        raise FactorOverflowError(factor, s) from None
+    cmath.exp and cmath.sin raise it where a factor leaves double range.
+    Any other exception passes through unchanged."""
+
+    __slots__ = ("factor", "s")
+
+    def __init__(self, factor: str, s: complex):
+        self.factor = factor
+        self.s = s
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is not None and issubclass(exc_type, OverflowError):
+            raise FactorOverflowError(self.factor, self.s) from None
+        return False
 
 
 def fourier_coefficient_odd(
@@ -129,7 +149,16 @@ def zeta_odd_poisson(
     tol: float = 1e-12,
     settings: Settings | None = None,
 ) -> ZetaEvaluation:
-    """Odd-indexed zeta via the two-sided gamma series (valid on all of C)."""
+    """Odd-indexed zeta via the two-sided gamma series (valid on all of C).
+
+    Whether s/2 + i v_m reflects is decided once, by log_gamma's own test on
+    Re(s/2): left of it a pair's four logs come from one _reflection_logs
+    call, combined as the two reflected log_gamma values would be, and right
+    of it the two Lanczos sums are called directly.  The tail estimate
+    term * decay / (1 - decay), decay = exp(-pi v_1), models the geometric
+    fall of the terms, which holds only past the saddle, m > |Im s| / (2 v_1);
+    before it the terms stay near exp(-pi |Im s| / 2) in size.
+    """
     field.require_norm_minus_one()
     settings = settings or default_settings()
     s = complex(s)
@@ -139,8 +168,12 @@ def zeta_odd_poisson(
     half_step = math.pi / (2.0 * log_eps)
     decay = math.exp(-math.pi * half_step)  # per-unit-m asymptotic shrink factor
     half_s = 0.5 * s
+    # log_gamma's own test: Re(s/2 +- i v) = Re(s/2) for every m
+    reflected = not half_s.real >= 0.5
+    one_minus_a = _ONE - half_s
+    exp, kernel, lanczos = cmath.exp, _reflection_logs, _log_gamma_right
     with _in_double_range("Gamma(s/2 + i v_m) Gamma(s/2 - i v_m)", s):
-        total = cmath.exp(2.0 * log_gamma(half_s))
+        total = exp(2.0 * log_gamma(half_s))
         m = 0
         term_abs = abs(total)
         sign = 2.0  # 2 (-1)^m, flipped before each term
@@ -148,7 +181,13 @@ def zeta_odd_poisson(
             m += 1
             iv = 1j * (half_step * m)
             sign = -sign
-            pair = cmath.exp(log_gamma(half_s + iv) + log_gamma(half_s - iv))
+            if reflected:
+                # log_gamma(s/2 +- i v) = log pi - log sin pi(s/2 +- i v)
+                # - log Gamma(1 - s/2 -+ i v), its reflection, summed in order
+                s_minus, s_plus, l_minus, l_plus = kernel(half_s, one_minus_a, iv)
+                pair = exp((_LOG_PI_C - s_plus - l_minus) + (_LOG_PI_C - s_minus - l_plus))
+            else:
+                pair = exp(lanczos(half_s + iv) + lanczos(half_s - iv))
             term = sign * pair
             total += term
             term_abs = abs(term)
@@ -182,23 +221,6 @@ def _gamma_ratio(s: complex, w: float) -> complex:
     return cmath.exp(log_gamma(0.5 * s - 1j * w) - log_gamma(1.0 - 0.5 * s - 1j * w))
 
 
-def _reflected_pair(a: complex, one_minus_a: complex, iv: complex) -> complex:
-    """_gamma_ratio(s, v) + _gamma_ratio(s, -v) from two Lanczos values, for
-    v > 0 and Re a < 1/2, given a = s/2, 1 - a and i v.
-
-    Both numerators Gamma(a -+ i v) lie left of Re 1/2, and the reflection of
-    each evaluates log Gamma(1 - a +- i v), the other ratio's denominator.
-    The arguments are built as _gamma_ratio builds them and combined in its
-    order, so the sum is the same float: 1j * -v is -(1j * v) to the bit for
-    v > 0, and subtracting it adds 1j * v.
-    """
-    l_minus = log_gamma(one_minus_a - iv)
-    l_plus = log_gamma(one_minus_a + iv)
-    return cmath.exp((_LOG_PI_C - _log_sin_pi(a - iv) - l_plus) - l_minus) + cmath.exp(
-        (_LOG_PI_C - _log_sin_pi(a + iv) - l_minus) - l_plus
-    )
-
-
 def _ratio_pair_core(
     log_eta: float,
     s: complex,
@@ -211,8 +233,14 @@ def _ratio_pair_core(
     asymptotic series, subtracts orders 0/2/4 from every pair, and restores
     them through zeta(1-s), zeta(3-s), zeta(5-s).  With include_leading=False
     the order-0 part is left out entirely (the strip form carries it as its
-    explicit zeta(s) term).  Both callers have Re s < 1/2, so every pair is
-    summed by _reflected_pair.  Returns (sum, pairs_used, tail_estimate).
+    explicit zeta(s) term).  Returns (sum, pairs_used, tail_estimate).
+
+    Both callers have Re s < 1/2, so both numerators Gamma(a -+ i v) of a
+    pair (a = s/2) lie left of Re 1/2 and the reflection of each needs
+    log Gamma(1 - a +- i v), the other ratio's denominator: one
+    _reflection_logs call gives a pair's four logs, and the pair is
+    combined in _gamma_ratio's order, so it is the float that
+    _gamma_ratio(s, v) + _gamma_ratio(s, -v) gives.
     """
     half_step = math.pi / (2.0 * log_eta)
     a = 0.5 * s
@@ -247,23 +275,26 @@ def _ratio_pair_core(
     two_sin_half = 2.0 * sin_half
     s_1, s_3, s_5 = s - 1.0, s - 3.0, s - 5.0
     one_minus_a = _ONE - a
+    exp, log, kernel = cmath.exp, math.log, _reflection_logs
     while True:
         m += 1
         v = half_step * m
-        pair = _reflected_pair(a, one_minus_a, 1j * v)
-        log_v = math.log(v)
-        asym = two_sin_half * (
-            cmath.exp(s_1 * log_v) - e2 * cmath.exp(s_3 * log_v) + e4 * cmath.exp(s_5 * log_v)
+        s_minus, s_plus, l_minus, l_plus = kernel(a, one_minus_a, 1j * v)
+        pair = exp((_LOG_PI_C - s_minus - l_plus) - l_minus) + exp(
+            (_LOG_PI_C - s_plus - l_minus) - l_plus
         )
+        log_v = log(v)
+        asym = two_sin_half * (exp(s_1 * log_v) - e2 * exp(s_3 * log_v) + e4 * exp(s_5 * log_v))
         residual = pair - asym
         total += residual
         residual_abs = abs(residual)
-        if m >= m_min:
-            # the gamma ratio is exponentiated from log differences of size
-            # ~ pi v, so its rounding error scales with v
-            noise_floor = 2.3e-16 * (6.0 + 3.2 * v) * (abs(pair) + abs(asym))
-            if residual_abs * m * tail_factor <= tol_abs or residual_abs <= noise_floor:
-                break
+        # the gamma ratio is exponentiated from log differences of size
+        # ~ pi v, so its rounding error (the noise floor) scales with v
+        if m >= m_min and (
+            residual_abs * m * tail_factor <= tol_abs
+            or residual_abs <= 2.3e-16 * (6.0 + 3.2 * v) * (abs(pair) + abs(asym))
+        ):
+            break
         if m > MAX_FOURIER_TERMS:
             raise TooSlowConvergenceError(float(m), MAX_FOURIER_TERMS)
     tail = max(residual_abs * m * tail_factor, residual_abs * math.sqrt(m))

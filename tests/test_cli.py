@@ -236,6 +236,19 @@ def test_poisson_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, parity):
     assert out.read_bytes() == (GOLDEN / f"grid_poisson_d29_{parity}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_d5_poisson_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, parity):
+    """A D = 5 box, Re s in [-7, 3] and |Im s| <= 30: the odd series both
+    reflected and not (Re s >= 1), both branches of log sin(pi z) in the pair
+    terms, and a step pi / (2 log eps) other than D = 29's.  The CSV was
+    recorded before the pair loops took their logs from one kernel call."""
+    out = tmp_path / "grid.csv"
+    code = main(["grid", "--D", "5", "--parity", parity, "--methods", "poisson",
+                 "--re", "-7", "3", "0.625", "--im", "-30", "30", "7.5", "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"grid_poisson_d5_{parity}.csv").read_bytes()
+
+
 def test_grid_json_format(capsys):
     code, out, _ = run_cli(
         capsys, "grid", "--D", "5", "--re", "1", "2", "1", "--im", "0", "0", "1",

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from fibzeta import (
+    FactorOverflowError,
     NormPlusOneError,
     OutOfRegionError,
     PoleProximityError,
@@ -22,12 +24,12 @@ from fibzeta import (
 )
 from fibzeta import complexfn
 from fibzeta.continuation import direct_terms_for, zeta_direct
-from fibzeta.complexfn import log_gamma
+from fibzeta.complexfn import _log_gamma_right, _log_sin_pi, _reflection_logs, log_gamma
 from fibzeta.suites import fourier_quadrature
 from fibzeta.poisson import (
     RegionSelector,
     _gamma_ratio,
-    _reflected_pair,
+    _in_double_range,
     zeta_even_poisson_strip,
 )
 
@@ -250,6 +252,43 @@ def test_zeta_cancellation_out_of_region():
 RATIO_PAIR_FIELDS = {d: make_field(d) for d in (5, 13, 29)}
 
 
+def _pair_logs(re_s, im_s, d, m):
+    s = complex(re_s, im_s)
+    v = m * math.pi / (2.0 * RATIO_PAIR_FIELDS[d].log_eps)
+    a = 0.5 * s
+    return s, v, a, _reflection_logs(a, 1 - a, 1j * v)
+
+
+@given(
+    re_s=st.floats(min_value=-8.0, max_value=1.0, exclude_max=True),
+    im_s=st.floats(min_value=-80.0, max_value=80.0),
+    d=st.sampled_from(sorted(RATIO_PAIR_FIELDS)),
+    m=st.integers(min_value=1, max_value=200),
+)
+# (Im(s/2 - i v), Im(s/2 + i v)) on each side of -7 and 7, where _log_sin_pi
+# switches branch: (6.95, 13.48), (7.05, 12.31), (-12.67, -6.95),
+# (-9.68, -7.05), (-15.52, 17.12), (-0.50, 1.41)
+@example(re_s=-2.0, im_s=20.43, d=5, m=1)
+@example(re_s=0.9, im_s=19.36, d=13, m=2)
+@example(re_s=-0.5, im_s=-19.62, d=29, m=3)
+@example(re_s=-5.0, im_s=-16.73, d=13, m=1)
+@example(re_s=-3.3, im_s=1.6, d=5, m=5)
+@example(re_s=-7.9, im_s=0.91, d=29, m=1)
+@hyp_settings(max_examples=400, deadline=None)
+def test_reflection_logs_equal_the_four_functions_exactly(re_s, im_s, d, m):
+    _, v, a, (s_minus, s_plus, l_minus, l_plus) = _pair_logs(re_s, im_s, d, m)
+    iv = 1j * v
+    assert s_minus == _log_sin_pi(a - iv)
+    assert s_plus == _log_sin_pi(a + iv)
+    assert l_minus == _log_gamma_right((1 - a) - iv)
+    assert l_plus == _log_gamma_right((1 - a) + iv)
+    # the odd series' reflected pair: Re(s/2) < 1/2, so log_gamma reflects
+    # both and builds 1 - (s/2 +- i v), the kernel's (1 - s/2) -+ i v
+    pi = complexfn._LOG_PI_C
+    odd_exponent = (pi - s_plus - l_minus) + (pi - s_minus - l_plus)
+    assert odd_exponent == log_gamma(a + iv) + log_gamma(a - iv)
+
+
 @given(
     re_s=st.floats(min_value=-8.0, max_value=0.5, exclude_max=True),
     im_s=st.floats(min_value=-80.0, max_value=80.0),
@@ -258,27 +297,14 @@ RATIO_PAIR_FIELDS = {d: make_field(d) for d in (5, 13, 29)}
 )
 @example(re_s=-3.3, im_s=17.0, d=13, m=41)  # shared Lanczos values
 @hyp_settings(max_examples=400, deadline=None)
-def test_reflected_pair_equals_the_two_ratio_sum_exactly(re_s, im_s, d, m):
-    s = complex(re_s, im_s)
-    v = m * math.pi / (2.0 * RATIO_PAIR_FIELDS[d].log_eps)
-    a = 0.5 * s
-    assert _reflected_pair(a, 1 - a, 1j * v) == _gamma_ratio(s, v) + _gamma_ratio(s, -v)
-
-
-@pytest.mark.parametrize("s", [complex(-2.7, 9.0), complex(0.95, -3.0)])
-def test_reflected_pair_evaluates_two_log_gammas(monkeypatch, s):
-    args = []
-
-    def counting(z):
-        args.append(z)
-        return log_gamma(z)
-
-    monkeypatch.setattr("fibzeta.poisson.log_gamma", counting)
-    a = 0.5 * s
-    _reflected_pair(a, 1 - a, 1.3j)
-    # only the denominators 1 - s/2 -+ i v, which need no reflection
-    assert len(args) == 2
-    assert all(z.real >= 0.5 for z in args)
+def test_reflection_logs_pair_equals_the_two_ratio_sum_exactly(re_s, im_s, d, m):
+    """The even pair as _ratio_pair_core combines the kernel's logs."""
+    s, v, _, (s_minus, s_plus, l_minus, l_plus) = _pair_logs(re_s, im_s, d, m)
+    pi = complexfn._LOG_PI_C
+    pair = cmath.exp((pi - s_minus - l_plus) - l_minus) + cmath.exp(
+        (pi - s_plus - l_minus) - l_plus
+    )
+    assert pair == _gamma_ratio(s, v) + _gamma_ratio(s, -v)
 
 
 # repr values recorded before the gamma-ratio pairs shared their Lanczos
@@ -321,32 +347,57 @@ def test_poisson_values_repeat_bit_for_bit(d, form, s, value, terms):
     assert (ev.value, ev.terms_used) == (value, terms)
 
 
-@pytest.mark.parametrize("parity, s, calls, outside", [
-    ("even", complex(-3.7, 11.0), 83, 0),  # left region
-    ("even", complex(0.2, 15.0), 839, 1),  # strip region: czeta(s) reflects
-    ("odd", complex(-3.7, 11.0), 25, 1),  # 1/Gamma(s) in rgamma
-    ("odd", complex(0.2, 15.0), 31, 1),
+@pytest.mark.parametrize("parity, s, pairs, reflected", [
+    ("even", complex(-3.7, 11.0), 40, True),  # left region
+    ("even", complex(0.2, 15.0), 418, True),  # strip region
+    ("odd", complex(-3.7, 11.0), 12, True),
+    ("odd", complex(0.2, 15.0), 15, True),
+    ("odd", complex(1.5, -7.0), 12, False),  # Re(s/2) >= 1/2: no reflection
 ])
-def test_poisson_lanczos_sums_go_through_log_gamma(monkeypatch, parity, s, calls, outside):
-    """The benchmark tracer counts log_gamma through fibzeta.poisson's binding.
-    The even left and strip forms call it terms_used + 2 times (Gamma(1 - s)
-    and the m = 0 ratio besides the pairs), the odd series terms_used times;
-    the only Lanczos sums outside it are those of rgamma and czeta."""
-    calls_seen, lanczos_seen = [], []
-    lanczos = complexfn._log_gamma_right
+def test_pair_loops_make_one_kernel_call_per_pair_and_no_log_gamma_call(
+    monkeypatch, parity, s, pairs, reflected
+):
+    """Outside the pair loops fibzeta.poisson calls log_gamma for Gamma(1 - s)
+    and the m = 0 ratio (even), or for the m = 0 term (odd).  Each pair is
+    one _reflection_logs call, or two Lanczos sums where s/2 does not
+    reflect."""
+    seen = {"log_gamma": 0, "kernel": 0, "lanczos": 0}
 
-    def counting(z):
-        calls_seen.append(z)
-        return log_gamma(z)
+    def counting(name, fn):
+        def wrapper(*args):
+            seen[name] += 1
+            return fn(*args)
+        return wrapper
 
-    def counting_lanczos(z):
-        lanczos_seen.append(z)
-        return lanczos(z)
-
-    monkeypatch.setattr("fibzeta.poisson.log_gamma", counting)
-    monkeypatch.setattr("fibzeta.complexfn._log_gamma_right", counting_lanczos)
+    monkeypatch.setattr("fibzeta.poisson.log_gamma", counting("log_gamma", log_gamma))
+    monkeypatch.setattr("fibzeta.poisson._reflection_logs", counting("kernel", _reflection_logs))
+    monkeypatch.setattr("fibzeta.poisson._log_gamma_right", counting("lanczos", _log_gamma_right))
     evaluator = zeta_even_poisson if parity == "even" else zeta_odd_poisson
     ev = evaluator(RATIO_PAIR_FIELDS[29], s, tol=1e-10)
-    assert len(calls_seen) == calls
-    assert calls == ev.terms_used + (2 if parity == "even" else 0)
-    assert len(lanczos_seen) == calls + outside
+    assert ev.terms_used == 2 * pairs + 1
+    assert seen == {
+        "log_gamma": 3 if parity == "even" else 1,
+        "kernel": pairs if reflected else 0,
+        "lanczos": 0 if reflected else 2 * pairs,
+    }
+
+
+def test_in_double_range_turns_only_overflow_into_factor_overflow():
+    s = complex(-3.0, 2.0)
+    with pytest.raises(FactorOverflowError) as info:
+        with _in_double_range("Gamma(1 - s)", s):
+            math.exp(1000.0)
+    err = info.value
+    assert (err.factor, err.s) == ("Gamma(1 - s)", s)
+    assert err.__cause__ is None and err.__suppress_context__
+    assert isinstance(err.__context__, OverflowError)
+    for other in (PoleProximityError(s, 0j, 0, 1, 0.0), ZeroDivisionError("x")):
+        with pytest.raises(type(other)) as info:
+            with _in_double_range("Gamma(1 - s)", s):
+                raise other
+        assert info.value is other
+    done = []
+    with _in_double_range("Gamma(1 - s)", s):
+        done.append(1)
+    done.append(2)
+    assert done == [1, 2]
