@@ -7,7 +7,8 @@ Dirichlet series over F and its odd/even-indexed halves, and continues
 them meromorphically to all of C by independent routes - binomial series,
 Poisson summation, and square-detecting shifted convolutions - so that
 each value can be cross-validated.  evaluate(field, s, parity, method, tol)
-is the single entry point that picks the route.
+is the single entry point that picks the route and guards the poles; the
+route functions themselves are unguarded kernels of their modules.
 """
 
 from .config import Settings, default_settings
@@ -22,19 +23,12 @@ from .continuation import (
     SeriesTail,
     ZetaEvaluation,
     nearest_lattice_pole,
-    zeta_combined_binomial,
-    zeta_direct,
-    zeta_even_binomial,
-    zeta_norm_plus_one,
-    zeta_odd_binomial,
 )
 from .crosscheck import (
     EvenMinusOneValue,
     PoleSpec,
     pole_lattice,
     residue_numeric,
-    shifted_convolution_even,
-    shifted_convolution_odd,
     special_value_even_minus_one,
 )
 from .dispatch import evaluate
@@ -52,13 +46,7 @@ from .errors import (
     PoleProximityError,
     TooSlowConvergenceError,
 )
-from .poisson import (
-    RegionSelector,
-    fourier_coefficient_odd,
-    zeta_even_poisson,
-    zeta_functional_reconstruction,
-    zeta_odd_poisson,
-)
+from .poisson import RegionSelector, zeta_functional_reconstruction
 from .quadfield import (
     MEMBER,
     MEMBER_EVEN_INDEX,

@@ -1,9 +1,10 @@
 """Runtime settings: the pole guard radius.
 
-Evaluators raise PoleProximityError within pole_guard_radius of a lattice
-pole; the CLI sets it with --pole-guard on eval and grid.  Region
-boundaries and summation caps are constants of the modules that use them.
-A Settings value is checked when it is built, however it is built.
+dispatch.evaluate raises PoleProximityError within pole_guard_radius of a
+lattice pole where a route refuses; the CLI sets it with --pole-guard on
+eval and grid.  Region boundaries and summation caps are constants of the
+modules that use them.  A Settings value is checked when it is built,
+however it is built.
 """
 
 from __future__ import annotations

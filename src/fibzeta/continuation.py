@@ -10,8 +10,9 @@ Each summand is rewritten in terms of u = eps^(-(s+2k)) so no intermediate
 can overflow; the k-sum converges geometrically for every s off the pole
 lattice s = -2k + pi i m / log eps.  A norm +1 zeta is Z_even of eps^(1/2).
 
-All evaluators are pure functions of (field, s, tol) and record the terms
-used, a tail bound, and the distance to the nearest lattice pole.
+The evaluators are plain series of (field, s, tol): each records its value,
+terms used and tail bound.  dispatch.evaluate checks the unit norm, guards
+the pole lattice and fills in the distance to it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .config import Settings, default_settings
 from .errors import OutOfRegionError, PoleProximityError, TooSlowConvergenceError
 from .quadfield import PARITIES, PARITY_COMBINED, PARITY_EVEN, PARITY_ODD  # re-exported
 from .quadfield import QuadraticField, log_fib_upto
@@ -38,7 +38,6 @@ LATTICE_COMBINED = "combined"
 
 _MAX_BINOMIAL_TERMS = 100_000
 _MAX_DIRECT_TERMS = 100_000
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 class SeriesTail(NamedTuple):
@@ -49,13 +48,14 @@ class SeriesTail(NamedTuple):
 
 
 class ZetaEvaluation(NamedTuple):
-    """One evaluation: an immutable record, derived with ev._replace(...)."""
+    """One evaluation: an immutable record.  A route leaves the pole distance
+    NaN; dispatch.evaluate returns the record with it filled in."""
 
     value: complex
     method: str
     terms_used: int
     tail: SeriesTail
-    nearest_pole_distance: float
+    nearest_pole_distance: float = math.nan
 
     @property
     def tail_bound(self) -> float:
@@ -119,19 +119,6 @@ def _neighbours(k: int, m: int) -> tuple[tuple[int, int], ...]:
     return ((k - 1, m), (k, m - 1), (k, m + 1), (k + 1, m))
 
 
-def check_pole_guard(
-    field: QuadraticField,
-    s: complex,
-    lattice: str,
-    guard: float,
-) -> float:
-    """Distance to the nearest lattice pole; raises inside the guard radius."""
-    loc, k, m, dist = nearest_lattice_pole(field, s, lattice)
-    if dist <= guard:
-        raise PoleProximityError(s, loc, k, m, dist)
-    return dist
-
-
 def _binomial_sum(
     field: QuadraticField, s: complex, tol: float, kind: str
 ) -> tuple[complex, int, float]:
@@ -186,67 +173,32 @@ def _q_power(field: QuadraticField, s: complex) -> complex:
     return cmath.exp(0.5 * s * math.log(field.q))
 
 
-def _binomial_eval(
-    field: QuadraticField,
-    s: complex,
-    tol: float,
-    kind: str,
-    lattice: str,
-    settings: Settings | None,
-) -> ZetaEvaluation:
-    settings = settings or default_settings()
+def _binomial_eval(field: QuadraticField, s: complex, tol: float, kind: str) -> ZetaEvaluation:
     s = complex(s)
-    log_eta = field.half_unit.log_eta
-    # The singular denominator (1 - u^2, or 1 -+ u for the combined kind)
-    # grows by `slope` per unit distance from its pole, and rounding u leaves
-    # it an absolute error near 2^-53: closer than 2^-53 / (slope tol), that
-    # error alone is more than tol relative to the value.
-    slope = log_eta if kind == "combined" else 2.0 * log_eta
-    floor = _UNIT_ROUNDOFF / (slope * tol)
-    dist = check_pole_guard(field, s, lattice, max(settings.pole_guard_radius, floor))
     try:
         total, terms, tail = _binomial_sum(field, s, tol, kind)
     except ZeroDivisionError:
         # a denominator 1 -+ u rounded to zero: to double precision s is a
         # lattice pole, however small the guard radius
+        lattice = LATTICE_COMBINED if kind == "combined" else LATTICE_SPLIT
         raise PoleProximityError(s, *nearest_lattice_pole(field, s, lattice)) from None
     scale = _q_power(field, s)
-    return ZetaEvaluation(
-        value=scale * total,
-        method=METHOD_BINOMIAL,
-        terms_used=terms,
-        tail=SeriesTail(bound=tail * abs(scale), rigorous=True),
-        nearest_pole_distance=dist,
-    )
+    return ZetaEvaluation(scale * total, METHOD_BINOMIAL, terms,
+                          SeriesTail(tail * abs(scale), True))
 
 
-def zeta_odd_binomial(
-    field: QuadraticField,
-    s: complex,
-    tol: float = 1e-12,
-    settings: Settings | None = None,
-) -> ZetaEvaluation:
+def zeta_odd_binomial(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEvaluation:
     """Odd-indexed zeta sum_{n>=1} F(2n-1)^(-s), continued to C (norm -1 only)."""
-    field.require_norm_minus_one()
-    return _binomial_eval(field, s, tol, "odd", LATTICE_SPLIT, settings)
+    return _binomial_eval(field, s, tol, "odd")
 
 
-def zeta_even_binomial(
-    field: QuadraticField,
-    s: complex,
-    tol: float = 1e-12,
-    settings: Settings | None = None,
-) -> ZetaEvaluation:
+def zeta_even_binomial(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEvaluation:
     """Even-indexed zeta sum_{n>=1} F(2n)^(-s), continued to C (norm -1 only)."""
-    field.require_norm_minus_one()
-    return _binomial_eval(field, s, tol, "even", LATTICE_SPLIT, settings)
+    return _binomial_eval(field, s, tol, "even")
 
 
 def zeta_combined_binomial(
-    field: QuadraticField,
-    s: complex,
-    tol: float = 1e-12,
-    settings: Settings | None = None,
+    field: QuadraticField, s: complex, tol: float = 1e-12
 ) -> ZetaEvaluation:
     """Full zeta sum_{n>=1} F(n)^(-s) via the collapsed single series (for a
     norm +1 unit, the even series of the half unit).
@@ -255,12 +207,11 @@ def zeta_combined_binomial(
     m + k even survive as poles, so it evaluates cleanly at the other half.
     """
     if field.is_norm_minus_one:
-        return _binomial_eval(field, s, tol, "combined", LATTICE_COMBINED, settings)
-    return _binomial_eval(field, s, tol, "even", LATTICE_SPLIT, settings)
+        return _binomial_eval(field, s, tol, "combined")
+    return _binomial_eval(field, s, tol, "even")
 
 
-# zeta_combined_binomial under its older norm +1 name, which the package
-# exports and bench/tracing.py hooks
+# zeta_combined_binomial under its older norm +1 name, which bench/tracing.py hooks
 zeta_norm_plus_one = zeta_combined_binomial
 
 
@@ -316,13 +267,4 @@ def zeta_direct(
     ratio = max(ratio, math.exp(-stride * s.real * field.log_eps))
     last_term = math.exp(-s.real * logs[-1])
     tail = last_term * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    # the poles with k + m odd cancel in the full zeta of a norm -1 unit
-    combined = parity == PARITY_COMBINED and field.is_norm_minus_one
-    dist = nearest_lattice_pole(field, s, LATTICE_COMBINED if combined else LATTICE_SPLIT)[3]
-    return ZetaEvaluation(
-        value=total,
-        method=METHOD_DIRECT,
-        terms_used=count,
-        tail=SeriesTail(bound=tail, rigorous=True),
-        nearest_pole_distance=dist,
-    )
+    return ZetaEvaluation(total, METHOD_DIRECT, count, SeriesTail(tail, True))

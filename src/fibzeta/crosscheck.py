@@ -8,7 +8,7 @@
   detect pairs of squares: an evaluation route that never touches eps, gamma,
   or zeta.  Its scan reads the field's residue tables, which depend only on
   D and ell, so the support is still found without the unit (eps enters
-  only the tail bound and the pole distance);
+  only the tail bound);
 - the exact rational value of the even zeta at s = -1, computed in Q(sqrt(q))
   with big-integer rationals, plus its Galois-cancellation witness.
 """
@@ -27,7 +27,6 @@ from .continuation import (
     SeriesTail,
     ZetaEvaluation,
     _q_power,
-    nearest_lattice_pole,
 )
 from .errors import ContourThroughPoleError, OutOfRegionError, TooSlowConvergenceError
 from .quadfield import QuadraticField, pell_solutions_upto
@@ -189,14 +188,7 @@ def _shifted_convolution(
         # Re s is too small for eta^(-2 Re s) to differ from 1: no tail bound
         raise TooSlowConvergenceError(math.inf, math.isqrt(n_max))
     tail = first_out / (1.0 - ratio)
-    dist = nearest_lattice_pole(field, s)[3]
-    return ZetaEvaluation(
-        value=total,
-        method=METHOD_SHIFTED,
-        terms_used=len(support),
-        tail=SeriesTail(bound=tail, rigorous=True),
-        nearest_pole_distance=dist,
-    )
+    return ZetaEvaluation(total, METHOD_SHIFTED, len(support), SeriesTail(tail, True))
 
 
 def shifted_convolution_odd(
@@ -205,9 +197,9 @@ def shifted_convolution_odd(
     """Z_odd(s) = (1/4) sum_n r1(n) r1(D n - ell) n^(-s/2), truncated at n_max.
 
     Nonzero terms occur exactly at n = F(2r-1)^2, each contributing
-    F(2r-1)^(-s); an evaluation route independent of the unit machinery.
+    F(2r-1)^(-s); an evaluation route independent of the unit machinery
+    (norm -1 only).
     """
-    field.require_norm_minus_one()
     return _shifted_convolution(field, s, n_max, -1)
 
 

@@ -4,6 +4,12 @@ Every caller that picks a route by name - the CLI, grids, the verify
 suites, library users - goes through evaluate().  Evaluators are looked up
 by their module-level names at call time, so a wrapper installed on one of
 those names sees every dispatched call.
+
+The evaluators are unguarded series; evaluate() alone applies the pole
+policy.  A norm -1 combined value reports its distance to the combined
+lattice, any other value to the split one.  Binomial refuses near the lattice
+it reports, Poisson near the split one, where each of its parts is singular;
+direct and shifted convolution only report.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import math
 from .config import Settings
 from .continuation import (
     LATTICE_COMBINED,
+    LATTICE_SPLIT,
     METHOD_BINOMIAL,
     METHOD_DIRECT,
     METHOD_POISSON,
@@ -32,9 +39,12 @@ from .continuation import (
     zeta_odd_binomial,
 )
 from .crosscheck import SHIFTED_CONV_BOUND, shifted_convolution_even, shifted_convolution_odd
-from .errors import DomainError, TooSlowConvergenceError
+from .errors import DomainError, PoleProximityError, TooSlowConvergenceError
 from .poisson import zeta_even_poisson, zeta_odd_poisson
 from .quadfield import QuadraticField
+
+_DEFAULT_SETTINGS = Settings()
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def check_tol(tol: float) -> None:
@@ -43,23 +53,45 @@ def check_tol(tol: float) -> None:
         raise DomainError(f"tol must be in (0, 1e-2], got {tol}")
 
 
+def _pole_distance(field: QuadraticField, s: complex, parity: str, method: str,
+                   tol: float, settings: Settings | None) -> float:
+    """The pole policy of the module docstring: the distance to the lattice the
+    value reports, or PoleProximityError where its route refuses."""
+    combined = parity == PARITY_COMBINED and field.is_norm_minus_one
+    lattice = LATTICE_COMBINED if combined else LATTICE_SPLIT
+    radius = (settings or _DEFAULT_SETTINGS).pole_guard_radius
+    if method == METHOD_BINOMIAL:
+        # The singular denominator (1 - u^2, or 1 -+ u for the combined kind)
+        # grows by `slope` per unit distance from its pole, and rounding u leaves
+        # it an absolute error near 2^-53: closer than 2^-53 / (slope tol), that
+        # error alone is more than tol relative to the value.
+        log_eta = field.half_unit.log_eta
+        slope = log_eta if combined else 2.0 * log_eta
+        radius = max(radius, _UNIT_ROUNDOFF / (slope * tol))
+        guarded = lattice
+    elif method == METHOD_POISSON:
+        guarded = LATTICE_SPLIT
+    else:
+        return nearest_lattice_pole(field, s, lattice)[3]
+    loc, k, m, dist = nearest_lattice_pole(field, s, guarded)
+    if dist <= radius:
+        raise PoleProximityError(s, loc, k, m, dist)
+    return dist if guarded == lattice else nearest_lattice_pole(field, s, lattice)[3]
+
+
 def _combined(field: QuadraticField, odd_route, even_route, s, *args) -> ZetaEvaluation:
     """Z for routes without a collapsed combined series: the even route alone
     for a norm +1 unit (see HalfUnit), else Z_odd + Z_even, whose values,
     terms and tail bounds add; the bound is rigorous only if both parts are.
-    The pole distance is to the combined lattice, since the split poles with
-    k + m odd cancel in the sum (each part still refuses near its own).
     """
     if not field.is_norm_minus_one:
         return even_route(field, s, *args)
     odd, even = odd_route(field, s, *args), even_route(field, s, *args)
     return ZetaEvaluation(
-        value=odd.value + even.value,
-        method=odd.method,
-        terms_used=odd.terms_used + even.terms_used,
-        tail=SeriesTail(odd.tail.bound + even.tail.bound,
-                        odd.tail.rigorous and even.tail.rigorous),
-        nearest_pole_distance=nearest_lattice_pole(field, s, LATTICE_COMBINED)[3],
+        odd.value + even.value,
+        odd.method,
+        odd.terms_used + even.terms_used,
+        SeriesTail(odd.tail.bound + even.tail.bound, odd.tail.rigorous and even.tail.rigorous),
     )
 
 
@@ -74,7 +106,7 @@ def _shifted_within_tol(ev: ZetaEvaluation, s: complex, tol: float) -> ZetaEvalu
     if ev.tail.bound <= target:
         return ev
     cap = math.isqrt(SHIFTED_CONV_BOUND)
-    log_needed = math.log(cap) + math.log(ev.tail.bound / target) / complex(s).real
+    log_needed = math.log(cap) + math.log(ev.tail.bound / target) / s.real
     raise TooSlowConvergenceError(math.exp(min(log_needed, 709.0)), cap)
 
 
@@ -93,7 +125,8 @@ def evaluate(
     there; their combined parity is the even function of the half unit
     eps^(1/2) and takes every route.  The shifted-convolution route scans to
     its default bound and raises TooSlowConvergenceError when its tail bound
-    there exceeds tol relative to the value.
+    there exceeds tol relative to the value.  The pole policy (see the
+    module docstring) reads its radius from settings, default Settings().
     """
     if parity not in PARITIES:
         raise DomainError(f"parity must be one of {PARITIES}, got {parity!r}")
@@ -102,26 +135,35 @@ def evaluate(
     check_tol(tol)
     if parity != PARITY_COMBINED:
         field.require_norm_minus_one()
+    s = complex(s)
+    dist = _pole_distance(field, s, parity, method, tol, settings)
     if method == METHOD_DIRECT:
-        return zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity))
-    if method == METHOD_BINOMIAL:
+        ev = zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity))
+    elif method == METHOD_BINOMIAL:
         if parity == PARITY_ODD:
-            return zeta_odd_binomial(field, s, tol, settings)
-        if parity == PARITY_EVEN:
-            return zeta_even_binomial(field, s, tol, settings)
-        return zeta_combined_binomial(field, s, tol, settings)
-    if method == METHOD_POISSON:
+            ev = zeta_odd_binomial(field, s, tol)
+        elif parity == PARITY_EVEN:
+            ev = zeta_even_binomial(field, s, tol)
+        else:
+            ev = zeta_combined_binomial(field, s, tol)
+    elif method == METHOD_POISSON:
         if parity == PARITY_ODD:
-            return zeta_odd_poisson(field, s, tol, settings)
-        if parity == PARITY_EVEN:
-            return zeta_even_poisson(field, s, tol, settings)
-        return _combined(field, zeta_odd_poisson, zeta_even_poisson, s, tol, settings)
-    if method == METHOD_SHIFTED:
+            ev = zeta_odd_poisson(field, s, tol)
+        elif parity == PARITY_EVEN:
+            ev = zeta_even_poisson(field, s, tol)
+        else:
+            ev = _combined(field, zeta_odd_poisson, zeta_even_poisson, s, tol)
+    elif method == METHOD_SHIFTED:
         if parity == PARITY_ODD:
             ev = shifted_convolution_odd(field, s)
         elif parity == PARITY_EVEN:
             ev = shifted_convolution_even(field, s)
         else:
             ev = _combined(field, shifted_convolution_odd, shifted_convolution_even, s)
-        return _shifted_within_tol(ev, s, tol)
-    raise DomainError(f"unknown method {method!r}")
+        ev = _shifted_within_tol(ev, s, tol)
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    # the one record evaluate builds, by the tuple.__new__ call that
+    # ZetaEvaluation._make makes: the constructor's Python-level __new__ would
+    # cost about 1% of a binomial grid row, on top of the route's own record
+    return tuple.__new__(ZetaEvaluation, (ev.value, ev.method, ev.terms_used, ev.tail, dist))

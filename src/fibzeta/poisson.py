@@ -43,23 +43,16 @@ from .complexfn import (
     log_gamma,
     rgamma,
 )
-from .config import Settings, default_settings
+from .config import Settings
 from .continuation import (
-    LATTICE_SPLIT,
     METHOD_POISSON,
     SeriesTail,
     ZetaEvaluation,
     _q_power,
-    check_pole_guard,
     direct_terms_for,
     zeta_direct,
 )
-from .errors import (
-    FactorOverflowError,
-    OutOfRegionError,
-    PoleProximityError,
-    TooSlowConvergenceError,
-)
+from .errors import FactorOverflowError, OutOfRegionError, TooSlowConvergenceError
 from .quadfield import QuadraticField
 
 REGION_DIRECT = "direct"
@@ -118,37 +111,7 @@ class _in_double_range:
         return False
 
 
-def fourier_coefficient_odd(
-    field: QuadraticField,
-    s: complex,
-    m: int,
-    settings: Settings | None = None,
-) -> complex:
-    """Fourier transform of x -> (eps^x + eps^-x)^(-s) at integer frequency m.
-
-    Equals B(s/2 + pi i m/log eps, s/2 - pi i m/log eps) / (2 log eps); the
-    m = 0 value is Gamma(s/2)^2 / (2 Gamma(s) log eps).
-    """
-    settings = settings or default_settings()
-    s = complex(s)
-    log_eps = field.log_eps
-    w = math.pi * m / log_eps
-    for sign in (1.0, -1.0):
-        arg = 0.5 * s + sign * 1j * w
-        n = round(arg.real)
-        if n <= 0 and abs(arg - n) <= settings.pole_guard_radius:
-            pole = complex(2 * n, -2.0 * sign * w)
-            raise PoleProximityError(s, pole, -n, m, abs(arg - n))
-    product = cmath.exp(log_gamma(0.5 * s + 1j * w) + log_gamma(0.5 * s - 1j * w))
-    return product * rgamma(s) / (2.0 * log_eps)
-
-
-def zeta_odd_poisson(
-    field: QuadraticField,
-    s: complex,
-    tol: float = 1e-12,
-    settings: Settings | None = None,
-) -> ZetaEvaluation:
+def zeta_odd_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEvaluation:
     """Odd-indexed zeta via the two-sided gamma series (valid on all of C).
 
     Whether s/2 + i v_m reflects is decided once, by log_gamma's own test on
@@ -159,11 +122,7 @@ def zeta_odd_poisson(
     fall of the terms, which holds only past the saddle, m > |Im s| / (2 v_1);
     before it the terms stay near exp(-pi |Im s| / 2) in size.
     """
-    field.require_norm_minus_one()
-    settings = settings or default_settings()
     s = complex(s)
-    dist = check_pole_guard(field, s, LATTICE_SPLIT, settings.pole_guard_radius)
-
     log_eps = field.log_eps
     half_step = math.pi / (2.0 * log_eps)
     decay = math.exp(-math.pi * half_step)  # per-unit-m asymptotic shrink factor
@@ -199,13 +158,7 @@ def zeta_odd_poisson(
         gamma_factor = rgamma(s)
     prefactor = _q_power(field, s) * gamma_factor / (8.0 * log_eps)
     tail = term_abs * decay / (1.0 - decay) * abs(prefactor)
-    return ZetaEvaluation(
-        value=prefactor * total,
-        method=METHOD_POISSON,
-        terms_used=2 * m + 1,
-        tail=SeriesTail(bound=tail, rigorous=False),
-        nearest_pole_distance=dist,
-    )
+    return ZetaEvaluation(prefactor * total, METHOD_POISSON, 2 * m + 1, SeriesTail(tail, False))
 
 
 def _bernoulli_b3(x: complex) -> complex:
@@ -308,10 +261,7 @@ def _even_prefactor(field: QuadraticField, log_eta: float, s: complex) -> comple
 
 
 def zeta_even_poisson_strip(
-    field: QuadraticField,
-    s: complex,
-    tol: float = 1e-12,
-    settings: Settings | None = None,
+    field: QuadraticField, s: complex, tol: float = 1e-12
 ) -> ZetaEvaluation:
     """The strip branch of zeta_even_poisson, for REGION_LEFT_MAX < Re s <
     REGION_DIRECT_MIN; any other point raises OutOfRegionError.
@@ -320,13 +270,11 @@ def zeta_even_poisson_strip(
               + q^(s/2) Gamma(1-s) Gamma(s/2) / (4 Gamma(1-s/2) log eps)
               + q^(s/2) sum_{m != 0} [gamma-ratio term - |m|^(s-1) phase term].
     """
-    settings = settings or default_settings()
     s = complex(s)
     if RegionSelector.classify(s) != REGION_STRIP:
         raise OutOfRegionError(
             f"strip form needs {REGION_LEFT_MAX} < Re s < {REGION_DIRECT_MIN}, got {s.real}"
         )
-    dist = check_pole_guard(field, s, LATTICE_SPLIT, settings.pole_guard_radius)
     log_eta = field.half_unit.log_eta
     scale = _q_power(field, s)
     with _in_double_range("zeta(s)", s):
@@ -335,56 +283,36 @@ def zeta_even_poisson_strip(
     pref = _even_prefactor(field, log_eta, s)
     tol_abs = tol * max(abs(zeta_term), 1.0) / max(abs(pref), 1e-30)
     core, pairs, tail = _ratio_pair_core(log_eta, s, tol_abs, include_leading=False)
-    return ZetaEvaluation(
-        value=zeta_term + pref * core,
-        method=METHOD_POISSON,
-        terms_used=2 * pairs + 1,
-        tail=SeriesTail(bound=tail * abs(pref), rigorous=False),
-        nearest_pole_distance=dist,
-    )
+    return ZetaEvaluation(zeta_term + pref * core, METHOD_POISSON, 2 * pairs + 1,
+                          SeriesTail(tail * abs(pref), False))
 
 
-def _even_left(
-    field: QuadraticField, s: complex, tol: float, settings: Settings
-) -> ZetaEvaluation:
+def _even_left(field: QuadraticField, s: complex, tol: float) -> ZetaEvaluation:
     """The left branch of zeta_even_poisson, for Re s <= REGION_LEFT_MAX:
     the bare gamma-ratio sum
 
     Z_even(s) = q^(s/2) Gamma(1-s) / (4 log eps) * sum_m ratio(m).
     """
-    dist = check_pole_guard(field, s, LATTICE_SPLIT, settings.pole_guard_radius)
     log_eta = field.half_unit.log_eta
     pref = _even_prefactor(field, log_eta, s)
     tol_abs = tol / max(abs(pref), 1e-30)
     core, pairs, tail = _ratio_pair_core(log_eta, s, tol_abs, include_leading=True)
-    return ZetaEvaluation(
-        value=pref * core,
-        method=METHOD_POISSON,
-        terms_used=2 * pairs + 1,
-        tail=SeriesTail(bound=tail * abs(pref), rigorous=False),
-        nearest_pole_distance=dist,
-    )
+    return ZetaEvaluation(pref * core, METHOD_POISSON, 2 * pairs + 1,
+                          SeriesTail(tail * abs(pref), False))
 
 
-def zeta_even_poisson(
-    field: QuadraticField,
-    s: complex,
-    tol: float = 1e-12,
-    settings: Settings | None = None,
-) -> ZetaEvaluation:
+def zeta_even_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEvaluation:
     """Even-indexed zeta via truncated Poisson summation, region-dispatched
     (for a norm +1 unit, the full zeta: see HalfUnit)."""
-    settings = settings or default_settings()
     s = complex(s)
     region = RegionSelector.classify(s)
     if region == REGION_DIRECT:
-        dist = check_pole_guard(field, s, LATTICE_SPLIT, settings.pole_guard_radius)
         parity = field.half_unit.direct_parity
         ev = zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity))
-        return ev._replace(method=METHOD_POISSON, nearest_pole_distance=dist)
+        return ZetaEvaluation(ev.value, METHOD_POISSON, ev.terms_used, ev.tail)
     if region == REGION_STRIP:
-        return zeta_even_poisson_strip(field, s, tol, settings)
-    return _even_left(field, s, tol, settings)
+        return zeta_even_poisson_strip(field, s, tol)
+    return _even_left(field, s, tol)
 
 
 def zeta_functional_reconstruction(

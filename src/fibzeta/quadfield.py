@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice, takewhile
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError, NormPlusOneError, NotSquarefreeError
@@ -363,45 +364,31 @@ def log_fib_upto(field: QuadraticField, n: int) -> tuple[float, ...]:
 
 def sequence_terms(field: QuadraticField, count: int) -> list[SequenceTerm]:
     """First `count` terms (indices 0 .. count-1)."""
-    out = []
-    for term in iter_sequence(field):
-        if term.index >= count:
-            break
-        out.append(term)
-    return out
+    return list(islice(iter_sequence(field), max(count, 0)))
+
+
+def _term(field: QuadraticField, n: int) -> SequenceTerm:
+    if n < 0:
+        raise DomainError("index must be nonnegative")
+    return next(islice(iter_sequence(field), n, None))
 
 
 def fib(field: QuadraticField, n: int) -> int:
     """F(n) = Tr(eps^n / sqrt(q)), by the exact integer recurrence."""
-    if n < 0:
-        raise DomainError("index must be nonnegative")
-    t, norm = field.trace_eps, field.norm_eps
-    a, b = 0, field.eps.b
-    for _ in range(n):
-        a, b = b, t * b - norm * a
-    return a
+    return _term(field, n).fib
 
 
 def lucas(field: QuadraticField, n: int) -> int:
     """L(n) = Tr(eps^n), by the exact integer recurrence."""
-    if n < 0:
-        raise DomainError("index must be nonnegative")
-    t, norm = field.trace_eps, field.norm_eps
-    a, b = 2, t
-    for _ in range(n):
-        a, b = b, t * b - norm * a
-    return a
+    return _term(field, n).lucas
 
 
 def fib_upto(field: QuadraticField, limit: int) -> list[SequenceTerm]:
-    """Terms with 1 <= F(n) <= limit, ascending index (used for enumeration)."""
-    out = []
-    for term in iter_sequence(field):
-        if term.fib > limit:
-            break
-        if term.index >= 1:
-            out.append(term)
-    return out
+    """Terms with 1 <= F(n) <= limit, ascending index (used for enumeration).
+
+    F is nondecreasing from n = 1 on, so the terms stop at the first F(n) past
+    the limit."""
+    return list(takewhile(lambda term: term.fib <= limit, islice(iter_sequence(field), 1, None)))
 
 
 @dataclass(frozen=True)

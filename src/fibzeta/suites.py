@@ -36,7 +36,7 @@ from .crosscheck import (
     special_value_even_minus_one,
 )
 from .dispatch import evaluate
-from .poisson import fourier_coefficient_odd, zeta_functional_reconstruction
+from .poisson import zeta_functional_reconstruction
 from .quadfield import (
     MEMBER,
     MEMBER_EVEN_INDEX,
@@ -350,23 +350,6 @@ def zeta_cancellation_check(
 
 # ---------------------------------------------------------- special functions
 
-def fourier_quadrature(m: int) -> float:
-    """The integral over R of cos(2 pi m x) / (phi^x + phi^-x), phi = (1 + sqrt 5)/2,
-    by the trapezoid rule with step 1/4 on |x| <= 80.
-
-    The integrand is even and analytic for |Im x| < a = pi / (2 log phi) ~ 3.26,
-    so the rule errs by about exp(-a (2 pi / step - 2 pi m)), below 1e-26
-    for m in {0, 1}.  The cut at 80 leaves out about 2 phi^-80 / log phi ~ 8e-17.
-    """
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    step = 0.25
-    total = 0.5  # the integrand at x = 0; the other nodes pair up as +-x
-    for j in range(1, 321):
-        x = j * step
-        total += 2.0 * math.cos(2.0 * math.pi * m * x) / (phi**x + phi**-x)
-    return step * total
-
-
 def special_function_checks(rng: random.Random) -> list[CheckResult]:
     worst_refl = 0.0
     count = 0
@@ -400,16 +383,10 @@ def special_function_checks(rng: random.Random) -> list[CheckResult]:
         worst_fe = max(worst_fe, abs(xi(s) - xi(1 - s)) / max(abs(xi(s)), 1e-300))
         count += 1
 
-    field = make_field(5)
-    worst_fc = max(abs(fourier_coefficient_odd(field, 1.0, m) - fourier_quadrature(m))
-                   for m in (0, 1))
-
     return [
         CheckResult("gamma-reflection", worst_refl < 1e-10, worst_refl, 1e-10, "500 samples"),
         CheckResult("gamma-recurrence", worst_rec < 1e-10, worst_rec, 1e-10, "300 samples"),
         CheckResult("zeta-functional-equation", worst_fe < 1e-10, worst_fe, 1e-10, "80 samples"),
-        CheckResult("fourier-coefficient-quadrature", worst_fc < 1e-8, worst_fc, 1e-8,
-                    "D=5, s=1, m in {0, 1}"),
     ]
 
 

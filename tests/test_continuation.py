@@ -12,17 +12,21 @@ from fibzeta import (
     PoleProximityError,
     Settings,
     TooSlowConvergenceError,
+    evaluate,
     fib,
     make_field,
     nearest_lattice_pole,
     sequence_terms,
+)
+from fibzeta.continuation import (
+    _MAX_BINOMIAL_TERMS,
+    _binomial_sum,
     zeta_combined_binomial,
     zeta_direct,
     zeta_even_binomial,
     zeta_norm_plus_one,
     zeta_odd_binomial,
 )
-from fibzeta.continuation import _MAX_BINOMIAL_TERMS, _binomial_sum
 from fibzeta.quadfield import iter_sequence, log_fib_upto
 
 F5 = make_field(5)
@@ -192,9 +196,9 @@ def test_norm_plus_one_d7():
 
 
 def test_split_methods_reject_norm_plus_one_field():
-    for fun in (zeta_odd_binomial, zeta_even_binomial):
+    for parity in ("odd", "even"):
         with pytest.raises(NormPlusOneError):
-            fun(F3, 2.0)
+            evaluate(F3, 2.0, parity, "binomial", 1e-12)
 
 
 def test_direct_allows_norm_plus_one_combined():
@@ -206,14 +210,14 @@ def test_direct_allows_norm_plus_one_combined():
 
 def test_pole_proximity_raised_at_origin():
     with pytest.raises(PoleProximityError) as exc:
-        zeta_odd_binomial(F5, complex(1e-5, 0.0))
+        evaluate(F5, complex(1e-5, 0.0), "odd", "binomial", 1e-12)
     assert exc.value.k == 0 and exc.value.m == 0
 
 
 def test_pole_proximity_at_imaginary_lattice_point():
     s0 = complex(0.0, math.pi / F5.log_eps)
     with pytest.raises(PoleProximityError) as exc:
-        zeta_even_binomial(F5, s0 + 1e-6)
+        evaluate(F5, s0 + 1e-6, "even", "binomial", 1e-12)
     assert (exc.value.k, exc.value.m) == (0, 1)
 
 
@@ -235,13 +239,13 @@ def test_simple_pole_signature():
             mags = []
             for theta in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
                 s = s0 + delta * cmath.exp(1j * theta)
-                ev = zeta_odd_binomial(F5, s, tol=1e-12, settings=Settings(pole_guard_radius=delta / 4))
+                ev = evaluate(F5, s, "odd", "binomial", 1e-12, Settings(pole_guard_radius=delta / 4))
                 mags.append(abs(ev.value) * delta)
             assert max(mags) / min(mags) < 1.05, (k, m)
 
 
 def test_nearest_pole_distance_reported():
-    ev = zeta_odd_binomial(F5, complex(-1.0, 0.5))
+    ev = evaluate(F5, complex(-1.0, 0.5), "odd", "binomial", 1e-12)
     loc, k, m, dist = nearest_lattice_pole(F5, complex(-1.0, 0.5))
     assert ev.nearest_pole_distance == pytest.approx(dist)
     assert dist > 0.4

@@ -10,21 +10,23 @@ from fibzeta import (
     NormPlusOneError,
     OutOfRegionError,
     Settings,
+    evaluate,
     fib_upto,
     make_field,
     pole_lattice,
     r1,
     residue_numeric,
+    special_value_even_minus_one,
+)
+from fibzeta.continuation import zeta_direct, zeta_even_binomial
+from fibzeta.crosscheck import (
+    SHIFTED_CONV_BOUND,
+    Surd,
+    _square_pair_support,
     shifted_convolution_even,
     shifted_convolution_odd,
-    special_value_even_minus_one,
-    zeta_combined_binomial,
-    zeta_direct,
-    zeta_even_binomial,
-    zeta_even_poisson,
-    zeta_odd_binomial,
 )
-from fibzeta.crosscheck import SHIFTED_CONV_BOUND, Surd, _square_pair_support
+from fibzeta.poisson import zeta_even_poisson
 
 F5 = make_field(5)
 F10 = make_field(10)
@@ -78,7 +80,7 @@ def test_unit_power_identity_at_pole():
 # ------------------------------------------------------------- contour residues
 
 def zfun_odd(s):
-    return zeta_odd_binomial(F5, s, tol=1e-12, settings=FINE_GUARD).value
+    return evaluate(F5, s, "odd", "binomial", 1e-12, FINE_GUARD).value
 
 
 def test_numeric_residue_at_origin():
@@ -87,10 +89,10 @@ def test_numeric_residue_at_origin():
 
 
 def test_numeric_residues_match_analytic():
-    for which, fun in (("odd", zeta_odd_binomial), ("even", zeta_even_binomial)):
+    for which in ("odd", "even"):
         for p in pole_lattice(F5, 1, 2, which):
             num = residue_numeric(
-                lambda s, fun=fun: fun(F5, s, tol=1e-12, settings=FINE_GUARD).value,
+                lambda s, which=which: evaluate(F5, s, which, "binomial", 1e-12, FINE_GUARD).value,
                 p.location,
                 1e-3,
             )
@@ -102,7 +104,7 @@ def test_combined_residue_vanishes_at_cancelled_point():
     # k=0, m=1: cancelled in the combined zeta
     s0 = complex(0.0, math.pi / F5.log_eps)
     res = residue_numeric(
-        lambda s: zeta_combined_binomial(F5, s, tol=1e-12, settings=FINE_GUARD).value,
+        lambda s: evaluate(F5, s, "combined", "binomial", 1e-12, FINE_GUARD).value,
         s0,
         1e-3,
     )
@@ -113,7 +115,7 @@ def test_even_poisson_residue_at_imaginary_pole():
     s0 = complex(0.0, math.pi / F5.log_eps)
     spec = [p for p in pole_lattice(F5, 0, 1, "even") if p.m == 1][0]
     res = residue_numeric(
-        lambda s: zeta_even_poisson(F5, s, tol=1e-12, settings=FINE_GUARD).value,
+        lambda s: evaluate(F5, s, "even", "poisson", 1e-12, FINE_GUARD).value,
         s0,
         1e-3,
     )
@@ -162,7 +164,7 @@ def test_shifted_convolution_out_of_region():
 
 def test_shifted_convolution_rejects_norm_plus_one():
     with pytest.raises(NormPlusOneError):
-        shifted_convolution_odd(make_field(3), 2.0, 100)
+        evaluate(make_field(3), 2.0, "odd", "shifted_convolution", 1e-2)
 
 
 @pytest.mark.parametrize("d", [2, 5, 10, 13])

@@ -20,6 +20,9 @@ The departures:
 - a norm -1 combined value reports its distance to the combined lattice,
   where the split poles with k + m odd cancel, on every route: the D=5
   S_LEFT poisson record moved from 0.7071 to 1.5811, the binomial record's.
+The S_POLE rows pin the pole policy next to the D=5 pole k=0, m=1, which
+cancels in the combined function; a PoleProximityError row names the pole
+(k, m) it reports.
 """
 
 import cmath
@@ -36,6 +39,8 @@ from fibzeta.suites import sample_points
 
 S_STRIP = complex(0.3, 2.0)  # Poisson even in the strip region; every route converges
 S_LEFT = complex(-1.5, 0.5)  # Poisson even in the left region; direct and shifted refuse
+# inside the default guard of the D=5 pole k=0, m=1, which cancels in the combined function
+S_POLE = complex(-4e-4, math.pi / make_field(5).log_eps + 3e-4)
 
 FROZEN = [
     (3, S_STRIP, 'direct', 'odd', 'NormPlusOneError'),
@@ -86,6 +91,30 @@ FROZEN = [
     (5, S_LEFT, 'shifted_convolution', 'odd', 'OutOfRegionError'),
     (5, S_LEFT, 'shifted_convolution', 'even', 'OutOfRegionError'),
     (5, S_LEFT, 'shifted_convolution', 'combined', 'OutOfRegionError'),
+    (3, S_POLE, 'direct', 'odd', 'NormPlusOneError'),
+    (3, S_POLE, 'direct', 'even', 'NormPlusOneError'),
+    (3, S_POLE, 'direct', 'combined', 'OutOfRegionError'),
+    (3, S_POLE, 'binomial', 'odd', 'NormPlusOneError'),
+    (3, S_POLE, 'binomial', 'even', 'NormPlusOneError'),
+    (3, S_POLE, 'binomial', 'combined', ((0.4650606317265159+0.00933795359355176j), 'binomial', 14, 6.520301645051665e-14, True, 1.7578184592230535)),
+    (3, S_POLE, 'poisson', 'odd', 'NormPlusOneError'),
+    (3, S_POLE, 'poisson', 'even', 'NormPlusOneError'),
+    (3, S_POLE, 'poisson', 'combined', ((0.4650606317259307+0.009337953593865245j), 'poisson', 183, 1.0040929614746815e-12, False, 1.7578184592230535)),
+    (3, S_POLE, 'shifted_convolution', 'odd', 'NormPlusOneError'),
+    (3, S_POLE, 'shifted_convolution', 'even', 'NormPlusOneError'),
+    (3, S_POLE, 'shifted_convolution', 'combined', 'OutOfRegionError'),
+    (5, S_POLE, 'direct', 'odd', 'OutOfRegionError'),
+    (5, S_POLE, 'direct', 'even', 'OutOfRegionError'),
+    (5, S_POLE, 'direct', 'combined', 'OutOfRegionError'),
+    (5, S_POLE, 'binomial', 'odd', 'PoleProximityError k=0 m=1'),
+    (5, S_POLE, 'binomial', 'even', 'PoleProximityError k=0 m=1'),
+    (5, S_POLE, 'binomial', 'combined', ((2.2607749974497375+0.6777560835147817j), 'binomial', 35, 2.207929653205605e-12, True, 1.9996000225045008)),
+    (5, S_POLE, 'poisson', 'odd', 'PoleProximityError k=0 m=1'),
+    (5, S_POLE, 'poisson', 'even', 'PoleProximityError k=0 m=1'),
+    (5, S_POLE, 'poisson', 'combined', 'PoleProximityError k=0 m=1'),
+    (5, S_POLE, 'shifted_convolution', 'odd', 'OutOfRegionError'),
+    (5, S_POLE, 'shifted_convolution', 'even', 'OutOfRegionError'),
+    (5, S_POLE, 'shifted_convolution', 'combined', 'OutOfRegionError'),
 ]
 
 METHODS = ("direct", "binomial", "poisson", "shifted_convolution")
@@ -98,11 +127,14 @@ PARITIES = ("odd", "even", "combined")
 def test_evaluate_matches_frozen_dispatch(d, method, parity):
     field = make_field(d)
     cases = [(s, out) for dd, s, m, p, out in FROZEN if (dd, m, p) == (d, method, parity)]
-    assert len(cases) == 2
+    assert len(cases) == 3
     for s, expected in cases:
         if isinstance(expected, str):
-            with pytest.raises(getattr(fibzeta, expected)):
+            name, *pole = expected.split()
+            with pytest.raises(getattr(fibzeta, name)) as exc:
                 fibzeta.evaluate(field, s, parity, method, 1e-12)
+            if pole:
+                assert pole == [f"k={exc.value.k}", f"m={exc.value.m}"]
             continue
         ev = fibzeta.evaluate(field, s, parity, method, 1e-12)
         got = (ev.value, ev.method, ev.terms_used, ev.tail.bound, ev.tail.rigorous,
@@ -157,10 +189,18 @@ def test_evaluate_rejects_unknown_parity():
 def test_shifted_convolution_returns_the_scan_only_within_tol():
     field = make_field(5)
     ev = fibzeta.evaluate(field, 2.0, "odd", "shifted_convolution", 1e-8)
-    assert ev == fibzeta.shifted_convolution_odd(field, 2.0)
+    assert ev[:4] == fibzeta.crosscheck.shifted_convolution_odd(field, 2.0)[:4]
+    assert ev.nearest_pole_distance == fibzeta.nearest_lattice_pole(field, 2.0)[3]
     assert ev.tail.bound <= 1e-8 * abs(ev.value)
     with pytest.raises(fibzeta.TooSlowConvergenceError):
         fibzeta.evaluate(field, 2.0, "odd", "shifted_convolution", 1e-12)
+
+
+ROUTE_KERNELS = [
+    "zeta_direct", "zeta_odd_binomial", "zeta_even_binomial", "zeta_combined_binomial",
+    "zeta_norm_plus_one", "zeta_odd_poisson", "zeta_even_poisson", "zeta_even_poisson_strip",
+    "shifted_convolution_odd", "shifted_convolution_even",
+]
 
 
 def test_settings_hold_only_the_pole_guard():
@@ -168,6 +208,15 @@ def test_settings_hold_only_the_pole_guard():
     for module in (fibzeta.continuation, fibzeta.poisson, fibzeta.crosscheck, fibzeta.dispatch):
         for name, fun in inspect.getmembers(module, inspect.isfunction):
             assert "pole_guard" not in inspect.signature(fun).parameters, name
+    # only evaluate reads settings: the routes below it are plain series
+    for module in (fibzeta.continuation, fibzeta.poisson, fibzeta.crosscheck):
+        for name, fun in inspect.getmembers(module, inspect.isfunction):
+            assert "settings" not in inspect.signature(fun).parameters, name
+
+
+def test_the_package_exports_evaluate_and_no_unguarded_route():
+    assert "evaluate" in fibzeta.__all__
+    assert not set(ROUTE_KERNELS) & set(fibzeta.__all__)
 
 
 @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])

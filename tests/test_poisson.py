@@ -13,31 +13,24 @@ from fibzeta import (
     PoleProximityError,
     Settings,
     evaluate,
-    fourier_coefficient_odd,
     make_field,
     nearest_lattice_pole,
-    zeta_even_binomial,
-    zeta_even_poisson,
     zeta_functional_reconstruction,
-    zeta_odd_binomial,
-    zeta_odd_poisson,
 )
 from fibzeta import complexfn
-from fibzeta.continuation import direct_terms_for, zeta_direct
+from fibzeta.continuation import direct_terms_for, zeta_direct, zeta_even_binomial, zeta_odd_binomial
 from fibzeta.complexfn import _log_gamma_right, _log_sin_pi, _reflection_logs, log_gamma
-from fibzeta.suites import fourier_quadrature
 from fibzeta.poisson import (
     RegionSelector,
     _gamma_ratio,
     _in_double_range,
+    zeta_even_poisson,
     zeta_even_poisson_strip,
+    zeta_odd_poisson,
 )
 
 F5 = make_field(5)
 F10 = make_field(10)
-
-# frozen value from high-precision quadrature of the defining integral
-FOURIER_D5_S1_M1 = 8.081258539205152e-09
 
 
 # ------------------------------------------------------------------ odd series
@@ -64,70 +57,7 @@ def test_odd_poisson_complex_point_d10():
 
 def test_odd_poisson_rejects_norm_plus_one():
     with pytest.raises(NormPlusOneError):
-        zeta_odd_poisson(make_field(3), 2.0)
-
-
-# ---------------------------------------------------------- fourier coefficient
-
-def test_fourier_coefficient_m0_closed_forms():
-    # Gamma(1)^2 / Gamma(2) = 1
-    val = fourier_coefficient_odd(F5, 2.0, 0)
-    assert abs(val - 1.0 / (2.0 * F5.log_eps)) < 1e-13
-    # Gamma(1/2)^2 = pi
-    val = fourier_coefficient_odd(F5, 1.0, 0)
-    assert abs(val - math.pi / (2.0 * F5.log_eps)) < 1e-13
-
-
-def test_fourier_coefficient_against_quadrature():
-    import mpmath as mp
-
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-
-    def f(x):
-        return 1.0 / (phi**x + phi**-x)
-
-    # double precision is enough for these tolerances (a global higher
-    # mp.dps set by another test module would double the cost)
-    with mp.workdps(15):
-        ref0 = float(mp.quad(f, [0, 60]))
-        ref1, err1 = mp.quad(lambda x: f(x) * mp.cos(2 * mp.pi * x), mp.linspace(0, 60, 61),
-                             error=True)
-        ref1 = float(ref1)
-    val0 = fourier_coefficient_odd(F5, 1.0, 0)
-    assert abs(val0 - 2.0 * ref0) < 1e-8
-
-    val1 = fourier_coefficient_odd(F5, 1.0, 1)
-    assert err1 < 1e-10
-    assert abs(val1 - 2.0 * ref1) < 1e-8
-    assert abs(val1 - FOURIER_D5_S1_M1) < 1e-14 + 1e-6 * abs(val1)
-
-
-@pytest.mark.parametrize("m", [0, 1])
-def test_fourier_quadrature_agrees_with_a_40_digit_integral(m):
-    """The trapezoid reference of the special-functions suite."""
-    import mpmath as mp
-
-    with mp.workdps(40):
-        phi = (1 + mp.sqrt(5)) / 2
-        # one cosine period per interval, and phi^-50 ~ 4e-11 before the last
-        ref = 2 * mp.quad(lambda x: mp.cos(2 * mp.pi * m * x) / (phi**x + phi**-x),
-                          mp.linspace(0, 50, 51) + [mp.inf])
-        assert abs(fourier_quadrature(m) - ref) < 1e-12
-
-
-def test_fourier_coefficient_conjugate_in_m():
-    val_p = fourier_coefficient_odd(F5, 1.5, 2)
-    val_m = fourier_coefficient_odd(F5, 1.5, -2)
-    assert abs(val_p - val_m.conjugate()) < 1e-15 * abs(val_p) + 1e-18
-
-
-def test_fourier_coefficient_pole_guard():
-    # s/2 - pi i m / log eps hits a gamma pole only for real frequencies that
-    # cancel the imaginary part; engineered: s = -2 + 2 pi i / log eps, m = 1
-    w = math.pi / F5.log_eps
-    s = complex(-2.0, 2.0 * w)
-    with pytest.raises(PoleProximityError):
-        fourier_coefficient_odd(F5, s, 1)
+        evaluate(make_field(3), 2.0, "odd", "poisson", 1e-12)
 
 
 # ----------------------------------------------------------------- even series
@@ -169,7 +99,7 @@ def test_even_poisson_direct_region_is_the_direct_series_as_a_poisson_record(d, 
     tol = 1e-12
     parity = field.half_unit.direct_parity
     direct = zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity))
-    p = zeta_even_poisson(field, s, tol=tol)
+    p = evaluate(field, s, "even" if field.is_norm_minus_one else "combined", "poisson", tol)
     assert p.value == direct.value
     assert p.terms_used == direct.terms_used
     assert p.tail == direct.tail

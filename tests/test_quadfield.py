@@ -185,6 +185,29 @@ def test_binet_high_precision(d):
             assert abs(luc_closed - t.lucas) / max(abs(t.lucas), 1) < mp.mpf("1e-20")
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 13])
+def test_fib_lucas_sequence_terms_and_fib_upto_follow_the_recurrence(d):
+    """Each reads iter_sequence; the reference is a plain loop of
+    x(n+2) = t x(n+1) - N x(n) from F(0) = 0, F(1) = b and L(0) = 2, L(1) = t."""
+    f = make_field(d)
+    t, norm = f.trace_eps, f.norm_eps
+    fibs, lucs = [0, f.eps.b], [2, t]
+    for _ in range(60):
+        fibs.append(t * fibs[-1] - norm * fibs[-2])
+        lucs.append(t * lucs[-1] - norm * lucs[-2])
+    assert [fib(f, n) for n in range(62)] == fibs
+    assert [lucas(f, n) for n in range(62)] == lucs
+    assert [(x.index, x.fib, x.lucas) for x in sequence_terms(f, 62)] == list(
+        zip(range(62), fibs, lucs))
+    assert sequence_terms(f, 0) == sequence_terms(f, -3) == []
+    assert [x.index for x in fib_upto(f, fibs[40])] == list(range(1, 41))
+    assert [x.index for x in fib_upto(f, fibs[40] - 1)] == list(range(1, 40))
+    assert fib_upto(f, 0) == []
+    for fun in (fib, lucas):
+        with pytest.raises(DomainError):
+            fun(f, -1)
+
+
 def test_fib_strictly_increasing_from_one():
     f = make_field(10)
     vals = [t.fib for t in sequence_terms(f, 40)]
