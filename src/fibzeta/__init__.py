@@ -9,6 +9,11 @@ Poisson summation, and square-detecting shifted convolutions - so that
 each value can be cross-validated.  evaluate(field, s, parity, method, tol)
 is the single entry point that picks the route and guards the poles; the
 route functions themselves are unguarded kernels of their modules.
+
+Importing the package loads no verification module: the five crosscheck
+exports (pole_lattice, residue_numeric, the s = -1 special value and their
+records) import it on first access, through the module __getattr__ below
+(PEP 562).
 """
 
 from .config import Settings, default_settings
@@ -23,13 +28,6 @@ from .continuation import (
     SeriesTail,
     ZetaEvaluation,
     nearest_lattice_pole,
-)
-from .crosscheck import (
-    EvenMinusOneValue,
-    PoleSpec,
-    pole_lattice,
-    residue_numeric,
-    special_value_even_minus_one,
 )
 from .dispatch import evaluate
 from .errors import (
@@ -68,4 +66,24 @@ from .quadfield import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_CROSSCHECK_EXPORTS = (
+    "EvenMinusOneValue",
+    "PoleSpec",
+    "pole_lattice",
+    "residue_numeric",
+    "special_value_even_minus_one",
+)
+
+__all__ = sorted(
+    [name for name in dir() if not name.startswith("_")]
+    + ["crosscheck", *_CROSSCHECK_EXPORTS]
+)
+
+
+def __getattr__(name: str):
+    if name == "crosscheck" or name in _CROSSCHECK_EXPORTS:
+        from importlib import import_module
+
+        crosscheck = import_module(".crosscheck", __name__)
+        return crosscheck if name == "crosscheck" else getattr(crosscheck, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,6 +4,11 @@ Subcommands: eval, grid, poles, verify, sequence, detect.  Output is plain
 key: value records, CSV (17 significant digits, bit-exact round trips;
 comma-separated, CRLF line ends, never quoted), or JSON.  Exit codes:
 0 success, 2 usage, 3 numerical failure, 4 domain error.
+
+Fixed costs stay out of every call: a grid row is formatted once, as its CSV
+line, and the JSON grid splits those lines; main() builds its parser once
+per process; and the verification modules (suites, crosscheck) load only
+when poles, verify or a shifted-convolution evaluation first needs them.
 """
 
 from __future__ import annotations
@@ -14,16 +19,14 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Sequence
 
 from .config import Settings, default_settings
 from .continuation import METHODS, PARITIES, PARITY_COMBINED
-from .crosscheck import pole_lattice
 from .dispatch import check_tol, evaluate
 from .errors import DomainError, NumericalError, PoleProximityError
 from .quadfield import QuadraticField, is_fib, make_field, sequence_terms
-from .suites import SUITE_NAMES, run_suite
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _PURE_REAL_RE = re.compile(rf"^\s*(?P<re>[+-]?{_NUM})\s*$")
@@ -133,39 +136,39 @@ def _cached_field(d: int) -> QuadraticField:
     return make_field(d)
 
 
-def _grid_rows(
-    field: QuadraticField, request: GridRequest, settings: Settings
-) -> list[list[str]]:
-    """One row per (point, method), Im s outer, Re s inner, methods innermost."""
+def _grid_rows(field: QuadraticField, request: GridRequest, settings: Settings) -> list[str]:
+    """One CSV line per (point, method), Im s outer, Re s inner, methods
+    innermost.  Each value is formatted by fmt's .17g spec."""
     re_axis = request.axis("re")
     re_labels = [fmt(re_part) for re_part in re_axis]
-    rows = []
+    lines = []
     for im in request.axis("im"):
         im_label = fmt(im)
         for re_part, re_label in zip(re_axis, re_labels):
             s = complex(re_part, im)
             for method in request.methods:
-                base = [re_label, im_label, method]
                 try:
                     ev = evaluate(field, s, request.parity, method, request.tol, settings)
-                    rows.append(base + [fmt(ev.value.real), fmt(ev.value.imag),
-                                        fmt(ev.tail_bound), fmt(ev.nearest_pole_distance), "ok"])
+                    v = ev.value
+                    lines.append(f"{re_label},{im_label},{method},{v.real:.17g},{v.imag:.17g},"
+                                 f"{ev.tail_bound:.17g},{ev.nearest_pole_distance:.17g},ok")
                 except PoleProximityError as exc:
-                    rows.append(base + ["", "", "", fmt(exc.distance), "pole"])
+                    lines.append(f"{re_label},{im_label},{method},,,,{exc.distance:.17g},pole")
                 except NumericalError as exc:
-                    rows.append(base + ["", "", "", "", type(exc).__name__])
-    return rows
+                    lines.append(f"{re_label},{im_label},{method},,,,,{type(exc).__name__}")
+    return lines
 
 
 GRID_HEADER = ["re_s", "im_s", "method", "re_z", "im_z", "tail_bound", "pole_distance", "status"]
 
 
-def _write_csv(out, header: list[str], rows: list[list[str]]) -> None:
-    """The header and rows as csv.writer's default dialect writes them:
-    fields joined by commas, each row ended by CRLF.  No field of the CLI's
-    tables (formatted numbers, method names, status words, exception class
-    names) can hold a comma, a quote or a line break, so none is quoted."""
-    out.write("".join([",".join(row) + "\r\n" for row in [header, *rows]]))
+def _write_csv(out, header: list[str], lines: list[str]) -> None:
+    """The header and the lines (fields already joined by commas) as
+    csv.writer's default dialect writes them: each row ended by CRLF.  No
+    field of the CLI's tables (formatted numbers, method names, status words,
+    exception class names) can hold a comma, a quote or a line break, so none
+    is quoted."""
+    out.write("\r\n".join([",".join(header), *lines, ""]))
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -190,11 +193,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise UsageError(f"cannot write --out {args.out}: {exc.strerror}")
     try:
-        rows = _grid_rows(field, request, settings)
+        lines = _grid_rows(field, request, settings)
         if request.output == "csv":
-            _write_csv(out, GRID_HEADER, rows)
+            _write_csv(out, GRID_HEADER, lines)
         else:
-            records = [dict(zip(GRID_HEADER, row)) for row in rows]
+            records = [dict(zip(GRID_HEADER, line.split(","))) for line in lines]
             json.dump(records, out, indent=1)
             out.write("\n")
     finally:
@@ -207,19 +210,30 @@ def cmd_poles(args: argparse.Namespace) -> int:
     for flag, value in (("--kmax", args.kmax), ("--mmax", args.mmax)):
         if value < 0:
             raise UsageError(f"{flag} must be at least 0, got {value}")
+    from .crosscheck import pole_lattice
+
     field = make_field(args.D)
     specs = pole_lattice(field, args.kmax, args.mmax, args.which)
     _write_csv(sys.stdout,
                ["k", "m", "re_s0", "im_s0", "re_residue_odd", "im_residue_odd",
                 "re_residue_even", "im_residue_even", "survives_in_combined"],
-               [[str(p.k), str(p.m), fmt(p.location.real), fmt(p.location.imag),
-                 fmt(p.residue_odd.real), fmt(p.residue_odd.imag),
-                 fmt(p.residue_even.real), fmt(p.residue_even.imag),
-                 str(int(p.survives_in_combined))] for p in specs])
+               [",".join([str(p.k), str(p.m), fmt(p.location.real), fmt(p.location.imag),
+                          fmt(p.residue_odd.real), fmt(p.residue_odd.imag),
+                          fmt(p.residue_even.real), fmt(p.residue_even.imag),
+                          str(int(p.survives_in_combined))]) for p in specs])
     return 0
 
 
+def run_suite(name: str, *args, **kwargs) -> list:
+    """suites.run_suite, imported on first use: eval and grid never load it."""
+    from .suites import run_suite
+
+    return run_suite(name, *args, **kwargs)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .suites import SUITE_NAMES
+
     d_list = [int(tok) for tok in args.D.split(",")] if args.D else None
     names = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
     if args.points < 5:
@@ -248,7 +262,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     rows = []
     for t in sequence_terms(field, args.n + 1):
         ok = t.lucas**2 - field.q * t.fib**2 == 4 * field.norm_eps**t.index
-        rows.append([str(t.index), str(t.fib), str(t.lucas), "ok" if ok else "VIOLATED"])
+        rows.append(f"{t.index},{t.fib},{t.lucas},{'ok' if ok else 'VIOLATED'}")
     _write_csv(sys.stdout, ["n", "fib", "lucas", "norm_identity"], rows)
     return 0
 
@@ -268,7 +282,10 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------------- parser
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, like _cached_field's fields: parse_args
+    leaves it unchanged and returns a fresh Namespace on every call."""
     evaluation = argparse.ArgumentParser(add_help=False)
     evaluation.add_argument("--pole-guard", type=float, help="pole guard radius")
 
@@ -306,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fun=cmd_poles)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", required=True, help=f"one of {', '.join(SUITE_NAMES)}, or all")
+    p.add_argument("--suite", required=True,
+                   help="comma list of suite names, or all; an unknown name lists them")
     p.add_argument("--D", help="comma list of fields, e.g. 5,10")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int, default=1_000_000, help="pell enumeration bound")

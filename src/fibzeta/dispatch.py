@@ -10,6 +10,15 @@ policy.  A norm -1 combined value reports its distance to the combined
 lattice, any other value to the split one.  Binomial refuses near the lattice
 it reports, Poisson near the split one, where each of its parts is singular;
 direct and shifted convolution only report.
+
+No evaluation returns a value or a bound that is not finite: evaluate()
+raises FactorOverflowError where a route overflows or ends in inf or NaN,
+and DomainError for |s| above MAX_ABS_S = 1e300, well below the |s| of about
+1e306 from which math functions of the routes fail on their arguments.
+
+The shifted convolution lives in crosscheck, a verification module that
+evaluate() imports on the first shifted-convolution call, so that a start-up
+that only evaluates by the other routes never loads it.
 """
 
 from __future__ import annotations
@@ -38,13 +47,13 @@ from .continuation import (
     zeta_even_binomial,
     zeta_odd_binomial,
 )
-from .crosscheck import SHIFTED_CONV_BOUND, shifted_convolution_even, shifted_convolution_odd
-from .errors import DomainError, PoleProximityError, TooSlowConvergenceError
+from .errors import DomainError, FactorOverflowError, PoleProximityError, TooSlowConvergenceError
 from .poisson import zeta_even_poisson, zeta_odd_poisson
 from .quadfield import QuadraticField
 
 _DEFAULT_SETTINGS = Settings()
 _UNIT_ROUNDOFF = 2.0**-53
+MAX_ABS_S = 1e300
 
 
 def check_tol(tol: float) -> None:
@@ -95,17 +104,17 @@ def _combined(field: QuadraticField, odd_route, even_route, s, *args) -> ZetaEva
     )
 
 
-def _shifted_within_tol(ev: ZetaEvaluation, s: complex, tol: float) -> ZetaEvaluation:
+def _shifted_within_tol(ev: ZetaEvaluation, s: complex, tol: float, bound: int) -> ZetaEvaluation:
     """ev itself if its tail is below tol relative to |Z|, else raise.
 
-    The shifted-convolution scan tests sqrt(n_max) candidates and its tail
-    falls like n_max^(-Re s/2), so reaching tol takes (bound / target)^(1/Re s)
+    The shifted-convolution scan tests sqrt(bound) candidates and its tail
+    falls like bound^(-Re s/2), so reaching tol takes (tail / target)^(1/Re s)
     times as many candidates as the scan tests.
     """
     target = tol * max(abs(ev.value), 1e-30)
     if ev.tail.bound <= target:
         return ev
-    cap = math.isqrt(SHIFTED_CONV_BOUND)
+    cap = math.isqrt(bound)
     log_needed = math.log(cap) + math.log(ev.tail.bound / target) / s.real
     raise TooSlowConvergenceError(math.exp(min(log_needed, 709.0)), cap)
 
@@ -120,49 +129,63 @@ def evaluate(
 ) -> ZetaEvaluation:
     """Z(s) of the given parity by the given method.
 
-    A non-finite s or a tol outside (0, 1e-2] raises DomainError.  Norm +1
-    fields have no odd/even split, so odd and even raise NormPlusOneError
-    there; their combined parity is the even function of the half unit
-    eps^(1/2) and takes every route.  The shifted-convolution route scans to
-    its default bound and raises TooSlowConvergenceError when its tail bound
-    there exceeds tol relative to the value.  The pole policy (see the
-    module docstring) reads its radius from settings, default Settings().
+    A non-finite s, an |s| above MAX_ABS_S = 1e300 or a tol outside
+    (0, 1e-2] raises DomainError.  Norm +1 fields have no odd/even split, so
+    odd and even raise NormPlusOneError there; their combined parity is the
+    even function of the half unit eps^(1/2) and takes every route.  The
+    shifted-convolution route scans to its default bound and raises
+    TooSlowConvergenceError when its tail bound there exceeds tol relative to
+    the value.  A route that overflows, or whose value or bound is not
+    finite, raises FactorOverflowError.  The pole policy (see the module
+    docstring) reads its radius from settings, default Settings().
     """
     if parity not in PARITIES:
         raise DomainError(f"parity must be one of {PARITIES}, got {parity!r}")
-    if not cmath.isfinite(s):
-        raise DomainError(f"s must be finite, got {s!r}")
+    # one test for both limits: hypot is inf or NaN where s is not finite
+    if not math.hypot(s.real, s.imag) <= MAX_ABS_S:
+        if not cmath.isfinite(s):
+            raise DomainError(f"s must be finite, got {s!r}")
+        raise DomainError(f"|s| must be at most {MAX_ABS_S:g}, got {s!r}")
     check_tol(tol)
     if parity != PARITY_COMBINED:
         field.require_norm_minus_one()
     s = complex(s)
     dist = _pole_distance(field, s, parity, method, tol, settings)
-    if method == METHOD_DIRECT:
-        ev = zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity))
-    elif method == METHOD_BINOMIAL:
-        if parity == PARITY_ODD:
-            ev = zeta_odd_binomial(field, s, tol)
-        elif parity == PARITY_EVEN:
-            ev = zeta_even_binomial(field, s, tol)
+    try:
+        if method == METHOD_DIRECT:
+            ev = zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity))
+        elif method == METHOD_BINOMIAL:
+            if parity == PARITY_ODD:
+                ev = zeta_odd_binomial(field, s, tol)
+            elif parity == PARITY_EVEN:
+                ev = zeta_even_binomial(field, s, tol)
+            else:
+                ev = zeta_combined_binomial(field, s, tol)
+        elif method == METHOD_POISSON:
+            if parity == PARITY_ODD:
+                ev = zeta_odd_poisson(field, s, tol)
+            elif parity == PARITY_EVEN:
+                ev = zeta_even_poisson(field, s, tol)
+            else:
+                ev = _combined(field, zeta_odd_poisson, zeta_even_poisson, s, tol)
+        elif method == METHOD_SHIFTED:
+            # looked up on the module at call time, like every route
+            from . import crosscheck
+
+            if parity == PARITY_ODD:
+                ev = crosscheck.shifted_convolution_odd(field, s)
+            elif parity == PARITY_EVEN:
+                ev = crosscheck.shifted_convolution_even(field, s)
+            else:
+                ev = _combined(field, crosscheck.shifted_convolution_odd,
+                               crosscheck.shifted_convolution_even, s)
+            ev = _shifted_within_tol(ev, s, tol, crosscheck.SHIFTED_CONV_BOUND)
         else:
-            ev = zeta_combined_binomial(field, s, tol)
-    elif method == METHOD_POISSON:
-        if parity == PARITY_ODD:
-            ev = zeta_odd_poisson(field, s, tol)
-        elif parity == PARITY_EVEN:
-            ev = zeta_even_poisson(field, s, tol)
-        else:
-            ev = _combined(field, zeta_odd_poisson, zeta_even_poisson, s, tol)
-    elif method == METHOD_SHIFTED:
-        if parity == PARITY_ODD:
-            ev = shifted_convolution_odd(field, s)
-        elif parity == PARITY_EVEN:
-            ev = shifted_convolution_even(field, s)
-        else:
-            ev = _combined(field, shifted_convolution_odd, shifted_convolution_even, s)
-        ev = _shifted_within_tol(ev, s, tol)
-    else:
-        raise DomainError(f"unknown method {method!r}")
+            raise DomainError(f"unknown method {method!r}")
+    except OverflowError:
+        ev = None
+    if ev is None or not (cmath.isfinite(ev.value) and math.isfinite(ev.tail.bound)):
+        raise FactorOverflowError(f"in the {method} route", s)
     # the one record evaluate builds, by the tuple.__new__ call that
     # ZetaEvaluation._make makes: the constructor's Python-level __new__ would
     # cost about 1% of a binomial grid row, on top of the route's own record

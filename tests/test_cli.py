@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,10 +15,28 @@ from fibzeta.cli import GridRequest, build_parser, main, parse_complex
 from fibzeta.errors import DomainError
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _python(*args):
+    """A new interpreter, with this checkout's src first on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120,
+                          check=False)
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of argv as a command line in a new interpreter."""
+    proc = _python("-c", "from fibzeta.cli import entry_point; entry_point()", *argv)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
 
 # -------------------------------------------------------------- complex parsing
@@ -88,6 +109,26 @@ def test_eval_poisson_factor_out_of_double_range_is_numerical_error(capsys, s, p
     assert code == 3 and out == ""
     assert err == f"error: FactorOverflowError: the factor {factor} leaves double range " \
                   f"at s={parse_complex(s)}\n"
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    # sums that end in NaN: a binomial term and a Poisson odd product
+    (("--D", "29", "--s=-385.79660001299067+79.71135429964164i", "--parity", "even",
+      "--method", "binomial", "--tol", "1e-9", "--json"), 3, "FactorOverflowError"),
+    (("--D", "2", "--s=592.28+3465.61i", "--parity", "odd", "--method", "poisson",
+      "--tol", "1e-3"), 3, "FactorOverflowError"),
+    # OverflowError in q^(s/2), and in the binomial u
+    (("--D", "61", "--s=872.71-4382.88i", "--parity", "odd", "--method", "poisson"),
+     3, "FactorOverflowError"),
+    (("--D", "5", "--s=-100000+3i", "--method", "binomial"), 3, "FactorOverflowError"),
+    # an |s| above the limit, near where math functions fail on their arguments
+    (("--D", "5", "--s=1e308+1e308i", "--method", "poisson"), 4, "DomainError"),
+])
+def test_eval_never_prints_a_non_finite_value_or_a_traceback(capsys, argv, code, error):
+    assert run_cli(capsys, "eval", *argv)[0] == code
+    proc = _fresh_process(["eval", *argv])
+    assert proc == (code, "", proc[2])
+    assert proc[2].startswith(f"error: {error}: ") and proc[2].count("\n") == 1, proc[2]
 
 
 @pytest.mark.parametrize("parity, re_range, im_range, bad", [
@@ -258,6 +299,19 @@ def test_grid_json_format(capsys):
     records = json.loads(out)
     assert len(records) == 2
     assert records[0]["status"] == "ok"
+
+
+def test_grid_json_and_csv_carry_the_same_fields(capsys):
+    """Both formats come from the same CSV lines: ok, pole and error rows alike."""
+    grid = ("grid", "--D", "5", "--parity", "even", "--methods", "poisson,binomial",
+            "--re", "-402", "-2", "200", "--im", "0", "1", "1")
+    code, out, _ = run_cli(capsys, *grid)
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out, newline=""))
+    code, out, _ = run_cli(capsys, *grid, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [dict(zip(header, row)) for row in rows]
+    assert {row[7] for row in rows} == {"ok", "pole", "FactorOverflowError"}
 
 
 def test_grid_request_validation():
@@ -509,3 +563,76 @@ def test_readme_command_lines_parse():
 def test_usage_error_exit_code(capsys):
     assert main(["eval", "--D", "5"]) == 2  # missing --s
     assert main(["unknown-command"]) == 2
+
+
+# ------------------------------------------------------ fixed costs of a call
+
+# the package's exports, the crosscheck names among them, resolved on first access
+PACKAGE_EXPORTS = [
+    "ContourThroughPoleError", "DomainError", "EvenMinusOneValue", "FactorOverflowError",
+    "FibZetaError", "MEMBER", "MEMBER_EVEN_INDEX", "MEMBER_ODD_INDEX", "METHOD_BINOMIAL",
+    "METHOD_DIRECT", "METHOD_POISSON", "METHOD_SHIFTED", "MembershipResult", "NOT_MEMBER",
+    "NormPlusOneError", "NotSquarefreeError", "NumericalError", "OutOfRegionError",
+    "PARITY_COMBINED", "PARITY_EVEN", "PARITY_ODD", "PoleAtNonpositiveIntegerError",
+    "PoleAtOneError", "PoleProximityError", "PoleSpec", "QuadraticField", "RegionSelector",
+    "SequenceTerm", "SeriesTail", "Settings", "TooSlowConvergenceError", "UnitElement",
+    "ZetaEvaluation", "complexfn", "config", "continuation", "crosscheck", "default_settings",
+    "dispatch", "errors", "evaluate", "fib", "fib_upto", "is_fib", "iter_sequence", "lucas",
+    "make_field", "nearest_lattice_pole", "poisson", "pole_lattice", "quadfield", "r1",
+    "residue_numeric", "sequence_terms", "special_value_even_minus_one",
+    "zeta_functional_reconstruction",
+]
+
+LAZY_SCRIPT = r"""
+import contextlib, io, json, sys
+import fibzeta.cli as cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        return cli.main(list(argv)), out.getvalue().count("\n")
+
+codes = [run("eval", "--D", "5", "--s", "2")[0],
+         run("grid", "--D", "5", "--re", "-1", "1", "1", "--im", "0", "1", "1")[0]]
+loaded = sorted(name for name in ("fibzeta.suites", "fibzeta.crosscheck") if name in sys.modules)
+import fibzeta
+poles = len(fibzeta.pole_lattice(fibzeta.make_field(5), 1, 1))
+later = [run("poles", "--D", "5"), run("verify", "--suite", "sequences"),
+         run("eval", "--D", "5", "--s", "2", "--method", "shifted_convolution", "--tol", "1e-8")]
+print(json.dumps({"codes": codes, "loaded": loaded, "poles": poles, "later": later,
+                  "all": fibzeta.__all__}))
+"""
+
+
+def test_eval_and_grid_load_no_verification_module():
+    proc = _python("-c", LAZY_SCRIPT)
+    assert proc.returncode == 0, proc.stderr.decode()
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0, 0] and out["loaded"] == []
+    # on first use: the package export, poles, verify and the shifted route
+    assert out["poles"] == 6
+    assert [code for code, _ in out["later"]] == [0, 0, 0]
+    assert all(lines > 1 for _, lines in out["later"])
+    assert out["all"] == PACKAGE_EXPORTS
+
+
+# each call is followed by one that leaves out its options, where they change
+# what is printed: -2.2 and -0.2 lie 0.2 from poles, as 0.3 does from 0
+GRID_BOX = ["grid", "--D", "5", "--parity", "odd", "--re", "-2.2", "0.8", "0.5",
+            "--im", "0", "2", "1", "--methods", "binomial,poisson"]
+SHARED_PARSER_MIX = [
+    GRID_BOX + ["--pole-guard", "0.3", "--format", "json"],
+    GRID_BOX,
+    ["eval", "--D", "5", "--s", "0.3", "--pole-guard", "0.5"],
+    ["eval", "--D", "5", "--s", "2", "--bogus"],
+    ["eval", "--D", "5", "--s", "0.3", "--json"],
+    ["eval", "--D", "5", "--s", "0.3"],
+    GRID_BOX + ["--format", "csv"],
+]
+
+
+def test_main_calls_in_one_process_print_what_fresh_processes_print(capsys):
+    """main() shares one parser between the calls of a process; no call may
+    see an option, a default or an error left by an earlier one."""
+    assert build_parser() is build_parser()
+    for argv in SHARED_PARSER_MIX:
+        assert run_cli(capsys, *argv) == _fresh_process(argv), argv

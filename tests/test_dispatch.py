@@ -32,9 +32,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings as hyp_settings
+from hypothesis import strategies as st
 
 import fibzeta
 from fibzeta import make_field
+from fibzeta.dispatch import MAX_ABS_S
 from fibzeta.suites import sample_points
 
 S_STRIP = complex(0.3, 2.0)  # Poisson even in the strip region; every route converges
@@ -248,6 +251,47 @@ def test_evaluate_rejects_a_tol_outside_its_range(tol):
 def test_evaluate_accepts_the_top_of_the_tol_range():
     ev = fibzeta.evaluate(make_field(5), S_STRIP, "odd", "binomial", 1e-2)
     assert math.isfinite(ev.value.real)
+
+
+def test_evaluate_takes_s_up_to_max_abs_s_and_refuses_it_above():
+    field = make_field(5)
+    # F(1) = F(2) = 1 and every later term underflows
+    assert fibzeta.evaluate(field, MAX_ABS_S, "combined", "direct", 1e-12).value == 2.0
+    for s in (-MAX_ABS_S, complex(0.0, MAX_ABS_S), cmath.rect(MAX_ABS_S, 2.0)):
+        for method in fibzeta.continuation.METHODS:
+            try:
+                ev = fibzeta.evaluate(field, s, "combined", method, 1e-12)
+            except fibzeta.NumericalError:
+                continue
+            assert cmath.isfinite(ev.value) and math.isfinite(ev.tail_bound)
+    for s in (MAX_ABS_S * (1.0 + 2.0**-52), complex(-1e300, 1e300), 1e306j,
+              complex(1e308, 1e308)):
+        for method in fibzeta.continuation.METHODS:
+            with pytest.raises(fibzeta.DomainError, match=r"\|s\| must be at most 1e\+300"):
+                fibzeta.evaluate(field, s, "combined", method, 1e-12)
+
+
+PROPERTY_FIELDS = {d: make_field(d) for d in (2, 3, 5, 13, 29, 61, 94)}
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(
+    d=st.sampled_from(sorted(PROPERTY_FIELDS)),
+    log_abs_s=st.floats(0.0, 300.0),
+    angle=st.floats(-math.pi, math.pi),
+    method=st.sampled_from(fibzeta.continuation.METHODS),
+    parity=st.sampled_from(fibzeta.continuation.PARITIES),
+    log_tol=st.floats(-15.0, -2.0),
+)
+def test_evaluate_returns_finite_numbers_or_raises_a_fibzeta_error(
+    d, log_abs_s, angle, method, parity, log_tol
+):
+    s = cmath.rect(10.0**log_abs_s, angle)
+    try:
+        ev = fibzeta.evaluate(PROPERTY_FIELDS[d], s, parity, method, 10.0**log_tol)
+    except fibzeta.FibZetaError:
+        return
+    assert cmath.isfinite(ev.value) and math.isfinite(ev.tail_bound)
 
 
 # Below the resolution of a double the guard lets through points that are
