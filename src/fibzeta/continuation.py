@@ -21,7 +21,12 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import OutOfRegionError, PoleProximityError, TooSlowConvergenceError
+from .errors import (
+    FactorOverflowError,
+    OutOfRegionError,
+    PoleProximityError,
+    TooSlowConvergenceError,
+)
 from .quadfield import PARITIES, PARITY_COMBINED, PARITY_EVEN, PARITY_ODD  # re-exported
 from .quadfield import QuadraticField, log_fib_upto
 
@@ -37,6 +42,8 @@ LATTICE_SPLIT = "split"
 LATTICE_COMBINED = "combined"
 
 _MAX_BINOMIAL_TERMS = 100_000
+# the factor a FactorOverflowError names where the binomial k-sum leaves double range
+_K_SUM_TERM = "a term of the k-sum"
 _MAX_DIRECT_TERMS = 100_000
 
 
@@ -138,6 +145,9 @@ def _binomial_sum(
     abs_s = abs(s)
     neg_s = -s
     k_min = int(math.ceil(abs_s)) + 5
+    if k_min > _MAX_BINOMIAL_TERMS:
+        # the stop test runs only from k_min on, so the cap is reached first
+        raise TooSlowConvergenceError(k_min, _MAX_BINOMIAL_TERMS)
     coeff: complex = 1.0 + 0j
     total: complex = 0j
     k = 0
@@ -182,7 +192,15 @@ def _binomial_eval(field: QuadraticField, s: complex, tol: float, kind: str) -> 
         # lattice pole, however small the guard radius
         lattice = LATTICE_COMBINED if kind == "combined" else LATTICE_SPLIT
         raise PoleProximityError(s, *nearest_lattice_pole(field, s, lattice)) from None
-    scale = _q_power(field, s)
+    except OverflowError:
+        raise FactorOverflowError(_K_SUM_TERM, s) from None
+    if not cmath.isfinite(total):
+        # u^2 overflowed to inf, and the summand became inf / inf
+        raise FactorOverflowError(_K_SUM_TERM, s)
+    try:
+        scale = _q_power(field, s)
+    except OverflowError:
+        raise FactorOverflowError("q^(s/2)", s) from None
     return ZetaEvaluation(scale * total, METHOD_BINOMIAL, terms,
                           SeriesTail(tail * abs(scale), True))
 

@@ -18,14 +18,19 @@ for -1/4 < Re s < 1/2 a strip form built from zeta(s), a closed-form
 constant phase, and bracketed gamma-ratio terms; and for Re s <= -1/4 the
 bare gamma-ratio sum.  The gamma-ratio sums are accelerated exactly: the
 ratio Gamma(z + a)/Gamma(z + 1 - a) admits an asymptotic expansion in even
-powers of 1/z whose term-by-term m-sums are Riemann zeta values, so
-subtracting two correction orders leaves a remainder falling like
-m^(Re s - 7).  The two ratios of a pair +-m share their Lanczos values:
-since Re s < 1/2 in both regions that sum them, the reflection of each
-numerator Gamma(s/2 -+ i v_m) needs log Gamma(1 - s/2 +- i v_m), the other
-ratio's denominator, so a pair costs two Lanczos sums, not four, and both
-come with the two sines from one complexfn._reflection_logs call.  For a
-norm +1 unit the even-indexed evaluator puts eps^(1/2) in place of eps and
+powers of 1/z, which holds only well past |z| ~ |s|.  So the pairs below
+m0 = ceil((|s| + 8) / step) + 2 are summed plainly; from m0 on the orders
+z^0 .. z^-8 are subtracted from each pair, which leaves a remainder falling
+like m^(Re s - 11), and they are added back through the Hurwitz tails
+sum_{m >= m0} m^(s-1-2j), summed from m0 on (direct terms, then
+Euler-Maclaurin) rather than formed as zeta(1 + 2j - s) less its first
+terms.  The truncation is modelled as the last residual times
+m / max(2, 10 - Re s).  The two ratios of a pair +-m share their Lanczos
+values: since Re s < 1/2 in both regions that sum them, the reflection of
+each numerator Gamma(s/2 -+ i v_m) needs log Gamma(1 - s/2 +- i v_m), the
+other ratio's denominator, so a pair costs two Lanczos sums, not four, and
+both come with the two sines from one complexfn._reflection_logs call.  For
+a norm +1 unit the even-indexed evaluator puts eps^(1/2) in place of eps and
 returns the full zeta.
 """
 
@@ -37,6 +42,7 @@ import math
 from .complexfn import (
     _LOG_PI_C,
     _ONE,
+    _euler_maclaurin_tail,
     _log_gamma_right,
     _reflection_logs,
     czeta,
@@ -169,6 +175,54 @@ def _bernoulli_b5(x: complex) -> complex:
     return x * (x * (x * (x * (x - 2.5) + 5.0 / 3.0)) - 1.0 / 6.0)
 
 
+def _bernoulli_b7(x: complex) -> complex:
+    x2 = x * x
+    return x * (x2 * (x2 * (x * (x - 3.5) + 3.5) - 7.0 / 6.0) + 1.0 / 6.0)
+
+
+def _bernoulli_b9(x: complex) -> complex:
+    x2 = x * x
+    return x * (x2 * (x2 * (x2 * (x * (x - 4.5) + 6.0) - 4.2) + 2.0) - 0.3)
+
+
+def _asymptotic_coefficients(a: complex) -> tuple[complex, complex, complex, complex]:
+    """(e2, e4, e6, e8) of Gamma(z + a) / Gamma(z + 1 - a) = z^(2a - 1)
+    (1 + e2 z^-2 + e4 z^-4 + e6 z^-6 + e8 z^-8 + O(z^-10)).
+
+    The log of the ratio is (2a - 1) log z + sum_j c_2j z^(-2j) with
+    c_2j = -B_(2j+1)(a) / (j (2j + 1)) (DLMF 5.11.13), and the e_2j are the
+    coefficients of its exponential."""
+    c2 = -_bernoulli_b3(a) / 3.0
+    c4 = -_bernoulli_b5(a) / 10.0
+    c6 = -_bernoulli_b7(a) / 21.0
+    c8 = -_bernoulli_b9(a) / 36.0
+    c2_sq = c2 * c2
+    e4 = c4 + c2_sq / 2.0
+    e6 = c6 + c2 * c4 + c2 * c2_sq / 6.0
+    e8 = c8 + c2 * c6 + c4 * c4 / 2.0 + c2_sq * c4 / 2.0 + c2_sq * c2_sq / 24.0
+    return c2, e4, e6, e8
+
+
+def _hurwitz_tails(s: complex, m0: int, j_first: int) -> list[complex]:
+    """H_j = sum_{m >= m0} m^(s - 1 - 2j) for j = j_first .. 4,
+    each the Hurwitz zeta(1 + 2j - s, m0) summed from m0 on: direct terms up
+    to n = max(m0, 0.6 (|s| + 9) + 6), one exp each with the higher j by
+    factors m^-2, then the Euler-Maclaurin tail from n, which is at least
+    0.6 |1 + 2j - s| + 6, where that tail is exact to rounding."""
+    n = max(m0, int(0.6 * (abs(s) + 9.0)) + 6)
+    count = 5 - j_first
+    sums = [0j] * count
+    first = s - (1.0 + 2 * j_first)
+    exp, log = cmath.exp, math.log
+    for m in range(m0, n):
+        term = exp(first * log(m))
+        inv_m2 = 1.0 / (m * m)
+        for i in range(count):
+            sums[i] += term
+            term *= inv_m2
+    return [_euler_maclaurin_tail(sums[i], (1.0 + 2 * (j_first + i)) - s, n) for i in range(count)]
+
+
 def _gamma_ratio(s: complex, w: float) -> complex:
     """Gamma(s/2 - i w) / Gamma(1 - s/2 - i w), in log space."""
     return cmath.exp(log_gamma(0.5 * s - 1j * w) - log_gamma(1.0 - 0.5 * s - 1j * w))
@@ -183,10 +237,19 @@ def _ratio_pair_core(
     """sum over m in Z of the gamma-ratio terms, asymptotics summed exactly.
 
     Writes ratio(+-m) = (-+ i v_m)^(s-1) E(-+ i v_m) with E an even
-    asymptotic series, subtracts orders 0/2/4 from every pair, and restores
-    them through zeta(1-s), zeta(3-s), zeta(5-s).  With include_leading=False
-    the order-0 part is left out entirely (the strip form carries it as its
-    explicit zeta(s) term).  Returns (sum, pairs_used, tail_estimate).
+    asymptotic series in 1/v_m.  The expansion holds only well past the
+    saddle v_m ~ |s|, so the pairs with m < m0 = ceil((|s| + 8) / step) + 2
+    are summed as they are; from m0 on, orders z^0 .. z^-8 are subtracted
+    from every pair, which leaves a remainder falling like m^(Re s - 11),
+    and they are restored through the Hurwitz tails H_j = sum_{m >= m0}
+    m^(s-1-2j) of _hurwitz_tails.  With include_leading=False the order-0
+    part is left out entirely (the strip form carries it as its explicit
+    zeta(s) term): it is subtracted from the pairs below m0 too and never
+    restored.  Returns (sum, pairs_used, tail_estimate).  The tail is the
+    larger of residual m / max(2, 10 - Re s), the sum of a remainder
+    falling like m^(Re s - 11), and residual sqrt(m); a noise-floor stop
+    ends the loop where the residual sinks below the rounding error of the
+    pair terms.
 
     Both callers have Re s < 1/2, so both numerators Gamma(a -+ i v) of a
     pair (a = s/2) lie left of Re 1/2 and the reflection of each needs
@@ -197,38 +260,41 @@ def _ratio_pair_core(
     """
     half_step = math.pi / (2.0 * log_eta)
     a = 0.5 * s
-    e2 = -_bernoulli_b3(a) / 3.0
-    e4 = -_bernoulli_b5(a) / 10.0 + _bernoulli_b3(a) ** 2 / 18.0
+    e2, e4, e6, e8 = _asymptotic_coefficients(a)
     with _in_double_range("sin(pi s/2)", s):
         sin_half = cmath.sin(0.5 * math.pi * s)
+    two_sin_half = 2.0 * sin_half
+    m0 = int(math.ceil((abs(s) + 8.0) / half_step)) + 2
 
     total = _gamma_ratio(s, 0.0)
-    # closed-form asymptotic sums: 2 sin(pi s/2) (-1)^j e_2j step^(s-1-2j) zeta(1+2j-s)
-    orders = ((1, e2), (2, e4))
-    if include_leading:
-        orders = ((0, 1.0 + 0j),) + orders
-    for j, coeff in orders:
-        total += (
-            2.0
-            * sin_half
-            * ((-1) ** j)
-            * coeff
-            * cmath.exp((s - 1.0 - 2 * j) * math.log(half_step))
-            * czeta(1.0 + 2 * j - s)
-        )
-
-    # residual pair sum; the asymptotic orders are always subtracted so the
-    # remainder falls like m^(Re s - 7).  A noise-floor stop covers points
-    # where the target sits below the rounding error of the pair terms.
-    m_min = int(math.ceil((abs(s) + 8.0) / half_step)) + 2
-    m = 0
-    residual_abs = 0.0
-    tail_factor = 1.0 / max(2.0, 6.0 - s.real)
-    # loop invariants, each the value its inline expression had
-    two_sin_half = 2.0 * sin_half
-    s_1, s_3, s_5 = s - 1.0, s - 3.0, s - 5.0
+    s_1 = s - 1.0
     one_minus_a = _ONE - a
     exp, log, kernel = cmath.exp, math.log, _reflection_logs
+    # pairs before m0: plain, or less their order-0 phase term in the strip
+    for m in range(1, m0):
+        v = half_step * m
+        s_minus, s_plus, l_minus, l_plus = kernel(a, one_minus_a, 1j * v)
+        pair = exp((_LOG_PI_C - s_minus - l_plus) - l_minus) + exp(
+            (_LOG_PI_C - s_plus - l_minus) - l_plus
+        )
+        if not include_leading:
+            pair -= two_sin_half * exp(s_1 * log(v))
+        total += pair
+
+    # the restored orders: 2 sin(pi s/2) (-1)^j e_2j step^(s-1-2j) H_j
+    j_first = 0 if include_leading else 1
+    tails = _hurwitz_tails(s, m0, j_first)
+    coeffs = (_ONE, e2, e4, e6, e8)
+    step_power = exp((s_1 - 2 * j_first) * log(half_step))
+    inv_step2 = 1.0 / (half_step * half_step)
+    for j, h_j in enumerate(tails, start=j_first):
+        total += two_sin_half * ((-1) ** j * coeffs[j]) * step_power * h_j
+        step_power *= inv_step2
+
+    # residual pairs from m0 on, stopped by a tail model or the noise floor
+    m = m0 - 1
+    residual_abs = 0.0
+    tail_factor = 1.0 / max(2.0, 10.0 - s.real)
     while True:
         m += 1
         v = half_step * m
@@ -236,14 +302,14 @@ def _ratio_pair_core(
         pair = exp((_LOG_PI_C - s_minus - l_plus) - l_minus) + exp(
             (_LOG_PI_C - s_plus - l_minus) - l_plus
         )
-        log_v = log(v)
-        asym = two_sin_half * (exp(s_1 * log_v) - e2 * exp(s_3 * log_v) + e4 * exp(s_5 * log_v))
+        w = -1.0 / (v * v)
+        asym = two_sin_half * exp(s_1 * log(v)) * (_ONE + w * (e2 + w * (e4 + w * (e6 + w * e8))))
         residual = pair - asym
         total += residual
         residual_abs = abs(residual)
         # the gamma ratio is exponentiated from log differences of size
         # ~ pi v, so its rounding error (the noise floor) scales with v
-        if m >= m_min and (
+        if (
             residual_abs * m * tail_factor <= tol_abs
             or residual_abs <= 2.3e-16 * (6.0 + 3.2 * v) * (abs(pair) + abs(asym))
         ):

@@ -111,6 +111,22 @@ def test_eval_poisson_factor_out_of_double_range_is_numerical_error(capsys, s, p
                   f"at s={parse_complex(s)}\n"
 
 
+@pytest.mark.parametrize("d, s, parity, factor", [
+    (5, "-1000+3i", "combined", "a term of the k-sum"),  # u^2 overflows: inf / inf
+    (5, "-1000+3i", "even", "a term of the k-sum"),
+    (5, "-1000+3i", "odd", "a term of the k-sum"),
+    (5, "-700+3i", "even", "a term of the k-sum"),
+    (5, "-2000+3i", "odd", "a term of the k-sum"),  # u itself overflows
+    (94, "240", "combined", "q^(s/2)"),  # norm +1; every u underflows to 0
+])
+def test_eval_binomial_factor_out_of_double_range_is_named(capsys, d, s, parity, factor):
+    code, out, err = run_cli(capsys, "eval", "--D", str(d), f"--s={s}", "--parity", parity,
+                             "--method", "binomial")
+    assert code == 3 and out == ""
+    assert err == f"error: FactorOverflowError: the factor {factor} leaves double range " \
+                  f"at s={parse_complex(s)}\n"
+
+
 @pytest.mark.parametrize("argv, code, error", [
     # sums that end in NaN: a binomial term and a Poisson odd product
     (("--D", "29", "--s=-385.79660001299067+79.71135429964164i", "--parity", "even",
@@ -120,7 +136,7 @@ def test_eval_poisson_factor_out_of_double_range_is_numerical_error(capsys, s, p
     # OverflowError in q^(s/2), and in the binomial u
     (("--D", "61", "--s=872.71-4382.88i", "--parity", "odd", "--method", "poisson"),
      3, "FactorOverflowError"),
-    (("--D", "5", "--s=-100000+3i", "--method", "binomial"), 3, "FactorOverflowError"),
+    (("--D", "5", "--s=-2000+3i", "--method", "binomial"), 3, "FactorOverflowError"),
     # an |s| above the limit, near where math functions fail on their arguments
     (("--D", "5", "--s=1e308+1e308i", "--method", "poisson"), 4, "DomainError"),
 ])

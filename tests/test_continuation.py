@@ -302,6 +302,18 @@ def string_kind_binomial_sum(log_eta, s, tol, kind):
             raise TooSlowConvergenceError(float(k), _MAX_BINOMIAL_TERMS)
 
 
+@pytest.mark.parametrize("s", [complex(200000, 1), 1e9j, complex(1e200, 1e200)])
+def test_binomial_refuses_an_s_above_its_cap_before_the_loop(s):
+    """The stop test runs only from k_min = ceil(|s|) + 5 on, so an |s| that
+    puts k_min past the cap is refused at once, with k_min as the estimate
+    (a loop run to the cap would report the cap itself)."""
+    k_min = math.ceil(abs(s)) + 5
+    with pytest.raises(TooSlowConvergenceError) as info:
+        zeta_odd_binomial(F5, s, tol=1e-10)
+    err = info.value
+    assert err.needed >= k_min > err.cap == _MAX_BINOMIAL_TERMS
+
+
 @pytest.mark.parametrize("lattice", ["split", "combined"])
 @pytest.mark.parametrize("d", [2, 3, 5, 13, 29])
 def test_nearest_pole_equals_the_candidate_scan(d, lattice):

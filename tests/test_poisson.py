@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings as hyp_settings
 from hypothesis import strategies as st
@@ -22,7 +23,9 @@ from fibzeta.continuation import direct_terms_for, zeta_direct, zeta_even_binomi
 from fibzeta.complexfn import _log_gamma_right, _log_sin_pi, _reflection_logs, log_gamma
 from fibzeta.poisson import (
     RegionSelector,
+    _asymptotic_coefficients,
     _gamma_ratio,
+    _hurwitz_tails,
     _in_double_range,
     zeta_even_poisson,
     zeta_even_poisson_strip,
@@ -150,6 +153,115 @@ def test_even_poisson_agrees_with_binomial_across_the_region_seams(d, parity, re
     assert abs(p.value - b.value) <= 1e-10 * abs(b.value)
 
 
+# ------------------------------------- asymptotic orders and Hurwitz tails
+
+@pytest.mark.parametrize("s, m0, rel_tol", [
+    (complex(-60, 1), 23, 1e-13),  # D = 5's m0 there; terms near 23^-61
+    (complex(-1, 150), 123, 1e-13),  # D = 13's m0: Euler-Maclaurin from m0
+    # D = 5's m0: 50 direct terms m^(s-1) before Euler-Maclaurin takes over
+    # at 101.  Each carries a phase error near 2^-53 |Im s| log m = 7e-14,
+    # and their sum is 1/37 of their total size, which costs 2.7e-13
+    (complex(-1, 150), 51, 5e-13),
+    (complex(-5, -200), 300, 1e-13),
+    (complex(-7.55, -17.7), 40, 1e-13),
+    (complex(-3.7, 11.0), 9, 1e-13),
+    (complex(-0.25, 0.0), 4, 1e-13),
+    (complex(0.3, 2.0), 6, 1e-13),  # strip: orders from z^-2 on
+    (complex(0.2, 60.0), 75, 1e-13),
+])
+def test_hurwitz_tails_match_mpmath(s, m0, rel_tol):
+    j_first = 0 if s.real < 0 else 1
+    tails = _hurwitz_tails(s, m0, j_first)
+    assert len(tails) == 5 - j_first
+    for j, h_j in enumerate(tails, start=j_first):
+        sigma = complex(1 + 2 * j - s)
+        # mpmath subtracts the first m0 - 1 terms from zeta(sigma), which
+        # cancels about Re sigma log10 m0 digits
+        with mp.workdps(30 + math.ceil(sigma.real * math.log10(m0))):
+            ref = complex(mp.zeta(sigma, m0))
+        assert abs(h_j - ref) <= rel_tol * abs(ref), (j, h_j, ref)
+
+
+@pytest.mark.parametrize("s", [complex(-3.7, 11.0), complex(0.3, 2.0), complex(-6.0, -15.0),
+                               complex(-0.5, 0.2), complex(-8.0, 0.0)])
+def test_asymptotic_coefficients_leave_a_remainder_of_order_z_to_the_minus_ten(s):
+    """Gamma(z + a) / Gamma(z + 1 - a) z^(1 - s) - P(z^-2) against mpmath, at
+    z = -+ i v with v >= 4 |s|: doubling v divides the remainder by 2^10."""
+    a = 0.5 * s
+    e2, e4, e6, e8 = _asymptotic_coefficients(a)
+    for sign in (-1, 1):
+        errs = []
+        for v in (4 * abs(s) + 8, 8 * abs(s) + 16):
+            z = complex(0, sign * v)
+            with mp.workdps(40):
+                zm, am = mp.mpc(z), mp.mpc(a)
+                ratio = mp.gamma(zm + am) / mp.gamma(zm + 1 - am) * zm ** (1 - mp.mpc(s))
+                w = 1 / z ** 2
+                errs.append(float(abs(ratio - (1 + w * (e2 + w * (e4 + w * (e6 + w * e8)))))))
+        assert 2**9 < errs[0] / errs[1] < 2**11, errs
+        assert errs[0] < 2e-9
+
+
+def _even_reference(field, s):
+    """Z_even by the binomial series in mpmath (for a norm +1 field, the even
+    series of the half unit eps^(1/2), its full zeta), with |Im s| / 2 extra
+    digits for the cancellation of its terms."""
+    eps = field.eps
+    with mp.workdps(40 + int(abs(s.imag) / 2)):
+        log_eta = mp.log((eps.a + eps.b * mp.sqrt(eps.q)) / 2)
+        if not field.is_norm_minus_one:
+            log_eta /= 2
+        sm = mp.mpc(s)
+        total, coeff, k = mp.mpc(0), mp.mpc(1), 0
+        small = mp.mpf(10) ** (-mp.mp.dps + 5)
+        while True:
+            u2 = mp.exp(-2 * (sm + 2 * k) * log_eta)
+            term = coeff * (-1) ** k * u2 / (1 - u2)
+            total += term
+            if k > abs(s) + 5 and abs(term) < small * abs(total):
+                return complex(mp.exp(sm / 2 * mp.log(eps.q)) * total)
+            coeff *= (-sm - k) / (k + 1)
+            k += 1
+
+
+# the points of the left region (and one strip point) where subtracting the
+# asymptotic orders below m0 lost up to all digits: errors 1.5e-8, 3.1e-5,
+# 1.6e-4, 5.9e23, 7.0e-6, 3.3e-7 and 2.3e-8 relative when they were subtracted
+# from every pair
+SUBTRACTION_PROBES = [
+    (13, complex(-6, 15)),
+    (29, complex(-7, 18)),
+    (5, complex(-30, 1)),
+    (5, complex(-60, 1)),
+    (13, complex(-2, 80)),
+    (5, complex(-1, 150)),
+    (29, complex(0.2, 60)),
+]
+
+
+@pytest.mark.parametrize("d, s", SUBTRACTION_PROBES)
+def test_even_poisson_is_within_its_bound_where_the_orders_once_cancelled(d, s):
+    field = make_field(d)
+    ev = zeta_even_poisson(field, s, tol=1e-12)
+    ref = _even_reference(field, s)
+    assert abs(ev.value - ref) <= max(ev.tail.bound, 1e-12 * abs(ref))
+
+
+def test_even_poisson_matches_mpmath_across_the_left_and_strip_regions():
+    """120 points, Re s in [-8, 0.5) and |Im s| <= 20, D in {3, 5, 13, 29}."""
+    rng = random.Random(2017)
+    fields = [make_field(d) for d in (3, 5, 13, 29)]
+    worst = 0.0
+    for i in range(120):
+        field = fields[i % 4]
+        s = complex(rng.uniform(-8.0, 0.5), rng.uniform(-20.0, 20.0))
+        parity = "even" if field.is_norm_minus_one else "combined"
+        value = evaluate(field, s, parity, "poisson", 1e-12).value
+        ref = _even_reference(field, s)
+        worst = max(worst, abs(value - ref) / abs(ref))
+    assert worst <= 1e-10
+
+
 # ---------------------------------------------------------- conjugate symmetry
 
 @pytest.mark.parametrize("s", [complex(1.4, 2.0), complex(-1.3, 5.0), complex(0.1, -3.0)])
@@ -237,33 +349,35 @@ def test_reflection_logs_pair_equals_the_two_ratio_sum_exactly(re_s, im_s, d, m)
     assert pair == _gamma_ratio(s, v) + _gamma_ratio(s, -v)
 
 
-# repr values recorded before the gamma-ratio pairs shared their Lanczos
-# values and before the Lanczos sum lost its loop; both changes keep every
-# float, so these must repeat exactly: (D, form, s, value, terms_used)
+# repr values that must repeat exactly: (D, form, s, value, terms_used).  The
+# odd rows were recorded before the gamma-ratio pairs shared their Lanczos
+# values and before the Lanczos sum lost its loop, changes that kept every
+# float; the even rows when the pair sum began to subtract its asymptotic
+# orders only from m0 on, which moved every even value toward the mpmath one
 FROZEN_POISSON = [
-    (5, "even", complex(0.3, 2.0), (0.5610063221450912-0.21275098527916342j), 43),
-    (5, "even", complex(-0.1, 5.5), (1.2642077950519084+1.2078408782124797j), 101),
-    (5, "even", complex(0.45, -12.25), (1.9159361237004715+0.28253513327379864j), 411),
-    (5, "even", complex(-1.5, 0.5), (-0.6266072680554785+0.24076014735803491j), 13),
-    (5, "even", complex(-3.7, 11.0), (-1.6627647114479451+0.4573539314157088j), 55),
-    (5, "even", complex(-6.2, -4.3), (0.09907639642693082-0.06680965717923218j), 17),
+    (5, "even", complex(0.3, 2.0), (0.5610063221455408-0.21275098527985195j), 13),
+    (5, "even", complex(-0.1, 5.5), (1.2642077950510122+1.2078408782120085j), 19),
+    (5, "even", complex(0.45, -12.25), (1.9159361237011456+0.28253513327297064j), 55),
+    (5, "even", complex(-1.5, 0.5), (-0.626607268055057+0.24076014735815737j), 11),
+    (5, "even", complex(-3.7, 11.0), (-1.662764711447842+0.45735393141622804j), 25),
+    (5, "even", complex(-6.2, -4.3), (0.0990763964271233-0.06680965717944756j), 15),
     (5, "odd", complex(0.3, 2.0), (0.7910265627061253-0.5578800190552188j), 7),
     (5, "odd", complex(-2.5, 7.0), (1.6345150077047164-3.2297347629570217j), 9),
     (5, "odd", complex(1.5, -15.0), (0.8606687303594369-0.3506495610536581j), 13),
-    (13, "even", complex(0.3, 2.0), (-0.10776260209644706-0.6605860001960463j), 109),
-    (13, "even", complex(-0.1, 5.5), (0.14974411161188944-1.548768758725048j), 245),
-    (13, "even", complex(0.45, -12.25), (0.4141357701775332+0.30736084319504053j), 1009),
-    (13, "even", complex(-1.5, 0.5), (-0.14431366558490227-0.02209891861203902j), 29),
-    (13, "even", complex(-3.7, 11.0), (-0.17007778340284102-0.1126307172016203j), 109),
-    (13, "even", complex(-6.2, -4.3), (-0.007526025088323379-0.005655825605742928j), 33),
+    (13, "even", complex(0.3, 2.0), (-0.10776260209517002-0.6605860001959345j), 21),
+    (13, "even", complex(-0.1, 5.5), (0.1497441116131794-1.5487687587253247j), 45),
+    (13, "even", complex(0.45, -12.25), (0.4141357701784857+0.3073608431943493j), 139),
+    (13, "even", complex(-1.5, 0.5), (-0.14431366558445285-0.02209891861181503j), 21),
+    (13, "even", complex(-3.7, 11.0), (-0.17007778341447014-0.11263071719851458j), 51),
+    (13, "even", complex(-6.2, -4.3), (-0.007526025088377678-0.0056558256060812075j), 29),
     (13, "odd", complex(0.3, 2.0), (0.7489961554911357+0.38827349199206973j), 17),
     (13, "odd", complex(-2.5, 7.0), (0.03811172025876826-0.1188043816173347j), 19),
     (13, "odd", complex(1.5, -15.0), (0.9686751243662575+0.0014137935910211036j), 27),
     # norm +1, recorded before the even form lost its overlap bands
-    (3, "even", complex(0.3, 2.0), (0.6000505445933498-0.06933418371242145j), 61),
-    (3, "even", complex(-0.1, 5.5), (0.05369817964533119-0.602567377075327j), 137),
-    (3, "even", complex(-1.5, 0.5), (-0.2542844224569773+0.02552933020653344j), 17),
-    (3, "even", complex(-3.7, 11.0), (-0.1264954920258513+0.0875937487305029j), 63),
+    (3, "even", complex(0.3, 2.0), (0.6000505445941383-0.06933418371243089j), 15),
+    (3, "even", complex(-0.1, 5.5), (0.05369817964646184-0.6025673770757378j), 25),
+    (3, "even", complex(-1.5, 0.5), (-0.2542844224566857+0.02552933020668368j), 15),
+    (3, "even", complex(-3.7, 11.0), (-0.12649549202610938+0.0875937487300055j), 29),
 ]
 
 
@@ -278,8 +392,8 @@ def test_poisson_values_repeat_bit_for_bit(d, form, s, value, terms):
 
 
 @pytest.mark.parametrize("parity, s, pairs, reflected", [
-    ("even", complex(-3.7, 11.0), 40, True),  # left region
-    ("even", complex(0.2, 15.0), 418, True),  # strip region
+    ("even", complex(-3.7, 11.0), 23, True),  # left region: stops at m0 = 23
+    ("even", complex(0.2, 15.0), 74, True),  # strip region
     ("odd", complex(-3.7, 11.0), 12, True),
     ("odd", complex(0.2, 15.0), 15, True),
     ("odd", complex(1.5, -7.0), 12, False),  # Re(s/2) >= 1/2: no reflection
