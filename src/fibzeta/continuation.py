@@ -42,6 +42,8 @@ LATTICE_SPLIT = "split"
 LATTICE_COMBINED = "combined"
 
 _MAX_BINOMIAL_TERMS = 100_000
+# the k-sum checks its running total for inf and NaN once per this many terms
+_BINOMIAL_CHECK_STRIDE = 1000
 # the factor a FactorOverflowError names where the binomial k-sum leaves double range
 _K_SUM_TERM = "a term of the k-sum"
 _MAX_DIRECT_TERMS = 100_000
@@ -137,7 +139,11 @@ def _binomial_sum(
       combined: u / (1 - u) for even k, u / (1 + u) for odd k
     A norm +1 field sums the even kind at log eta = log eps / 2.  Every
     summand falls at least like eps^(-2) per k (u for norm -1, u^2 = eps^(-2k)
-    up to a constant for norm +1), the decay the tail bound assumes.
+    up to a constant for norm +1), the decay the tail bound assumes.  Once
+    every _BINOMIAL_CHECK_STRIDE terms the running total is tested: where
+    C(-s, k) has overflowed (Re s of several hundred) every later term is
+    inf or NaN and the stop test can never pass, so the sum raises
+    FactorOverflowError then instead of running to its cap.
     """
     log_eta = field.half_unit.log_eta
     decay = math.exp(-2.0 * field.log_eps)
@@ -152,6 +158,7 @@ def _binomial_sum(
     total: complex = 0j
     k = 0
     sign = 1  # (-1)^k; an int, so coeff * sign rounds exactly as coeff * (-1) ** k
+    check_at = _BINOMIAL_CHECK_STRIDE
     while True:
         u = cmath.exp(-(s + 2.0 * k) * log_eta)
         if odd:
@@ -174,8 +181,13 @@ def _binomial_sum(
         coeff = coeff * (neg_s - k) / k1
         k += 1
         sign = -sign
-        if k > _MAX_BINOMIAL_TERMS:
-            raise TooSlowConvergenceError(float(k), _MAX_BINOMIAL_TERMS)
+        if k > check_at:
+            # an inf or NaN term leaves the sum so for good
+            if not cmath.isfinite(total):
+                raise FactorOverflowError(_K_SUM_TERM, s)
+            if k > _MAX_BINOMIAL_TERMS:
+                raise TooSlowConvergenceError(float(k), _MAX_BINOMIAL_TERMS)
+            check_at = min(check_at + _BINOMIAL_CHECK_STRIDE, _MAX_BINOMIAL_TERMS)
 
 
 def _q_power(field: QuadraticField, s: complex) -> complex:

@@ -9,7 +9,10 @@ Poisson summation over the odd integers gives a two-sided gamma series
 v_m = pi m / (2 log eps), whose terms decay like exp(-pi v_m).  The 1/Gamma(s)
 prefactor forces zeros at negative odd integers.  Left of Re s = 1 both
 gammas of a term reflect, and one complexfn._reflection_logs call gives the
-two sines and two Lanczos sums that the pair needs.
+two sines and two log-gamma sums that the pair needs.  A far pair, v_m >
+|Im s|/2 + 7, needs no sine: both are single exponentials there (the branch
+complexfn._log_sin_pi takes past |Im z| = 7), and the pair is one exp of
+log 4 pi^2 - 2 pi v_m less the two log-gammas.
 
 Even-indexed case: the summand vanishes at n=0 only after regularizing by
 (4 x log eps)^(-s), and truncated Poisson summation yields one evaluator,
@@ -25,13 +28,15 @@ like m^(Re s - 11), and they are added back through the Hurwitz tails
 sum_{m >= m0} m^(s-1-2j), summed from m0 on (direct terms, then
 Euler-Maclaurin) rather than formed as zeta(1 + 2j - s) less its first
 terms.  The truncation is modelled as the last residual times
-m / max(2, 10 - Re s).  The two ratios of a pair +-m share their Lanczos
+m / max(2, 10 - Re s).  The two ratios of a pair +-m share their log-gamma
 values: since Re s < 1/2 in both regions that sum them, the reflection of
 each numerator Gamma(s/2 -+ i v_m) needs log Gamma(1 - s/2 +- i v_m), the
-other ratio's denominator, so a pair costs two Lanczos sums, not four, and
-both come with the two sines from one complexfn._reflection_logs call.  For
-a norm +1 unit the even-indexed evaluator puts eps^(1/2) in place of eps and
-returns the full zeta.
+other ratio's denominator, so a pair costs two log-gamma sums, not four,
+and both come with the two sines from one complexfn._reflection_logs call.
+A far pair, v_m > |Im s|/2 + 7, folds its two terms into one exp,
+4 pi sin(pi s/2) exp(-pi v_m - L) with L the two log-gammas, and needs no
+sine.  For a norm +1 unit the even-indexed evaluator puts eps^(1/2) in
+place of eps and returns the full zeta.
 """
 
 from __future__ import annotations
@@ -72,6 +77,11 @@ REGION_DIRECT_MIN = 0.5
 REGION_LEFT_MAX = -0.25
 # hard cap on Fourier-side summation lengths
 MAX_FOURIER_TERMS = 2_000_000
+# a pair at v > |Im s/2| + _FAR_MARGIN is far: both of its sines are single
+# exponentials to e^(-14 pi) ~ 8e-20, the branch _log_sin_pi takes past |Im z| = 7
+_FAR_MARGIN = 7.0
+_TWO_PI = 2.0 * math.pi
+_LOG_FOUR_PI_SQ = math.log(4.0 * math.pi * math.pi)
 
 
 class RegionSelector:
@@ -117,13 +127,31 @@ class _in_double_range:
         return False
 
 
+def _odd_reflected_pair(a: complex, one_minus_a: complex, v: float, far_v: float) -> complex:
+    """Gamma(a + i v) Gamma(a - i v) for Re a < 1/2, both reflected.  A near
+    pair combines the four logs of one _reflection_logs call as log_gamma
+    would; a far one (v > far_v) is exp(log 4 pi^2 - 2 pi v - L), L = log
+    Gamma(1 - a - i v) + log Gamma(1 - a + i v), since the product of its
+    sines is then e^(2 pi v) / 4 to e^(-14 pi) ~ 8e-20."""
+    iv = 1j * v
+    if v > far_v:
+        return cmath.exp(
+            (_LOG_FOUR_PI_SQ - _TWO_PI * v)
+            - (_log_gamma_right(one_minus_a - iv) + _log_gamma_right(one_minus_a + iv))
+        )
+    s_minus, s_plus, l_minus, l_plus = _reflection_logs(a, one_minus_a, iv)
+    return cmath.exp((_LOG_PI_C - s_plus - l_minus) + (_LOG_PI_C - s_minus - l_plus))
+
+
 def zeta_odd_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEvaluation:
     """Odd-indexed zeta via the two-sided gamma series (valid on all of C).
 
     Whether s/2 + i v_m reflects is decided once, by log_gamma's own test on
-    Re(s/2): left of it a pair's four logs come from one _reflection_logs
-    call, combined as the two reflected log_gamma values would be, and right
-    of it the two Lanczos sums are called directly.  The tail estimate
+    Re(s/2): left of it _odd_reflected_pair forms each pair, from one
+    _reflection_logs call combined as the two reflected log_gamma values
+    would be, or, for a far pair (v_m > |Im s|/2 + 7), in closed form from
+    two log-gamma sums; right of it the two log-gamma sums of s/2 -+ i v_m
+    are called directly.  The tail estimate
     term * decay / (1 - decay), decay = exp(-pi v_1), models the geometric
     fall of the terms, which holds only past the saddle, m > |Im s| / (2 v_1);
     before it the terms stay near exp(-pi |Im s| / 2) in size.
@@ -136,7 +164,8 @@ def zeta_odd_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> Z
     # log_gamma's own test: Re(s/2 +- i v) = Re(s/2) for every m
     reflected = not half_s.real >= 0.5
     one_minus_a = _ONE - half_s
-    exp, kernel, lanczos = cmath.exp, _reflection_logs, _log_gamma_right
+    far_v = abs(half_s.imag) + _FAR_MARGIN
+    exp, lanczos, reflected_pair = cmath.exp, _log_gamma_right, _odd_reflected_pair
     with _in_double_range("Gamma(s/2 + i v_m) Gamma(s/2 - i v_m)", s):
         total = exp(2.0 * log_gamma(half_s))
         m = 0
@@ -144,14 +173,12 @@ def zeta_odd_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> Z
         sign = 2.0  # 2 (-1)^m, flipped before each term
         while True:
             m += 1
-            iv = 1j * (half_step * m)
+            v = half_step * m
             sign = -sign
             if reflected:
-                # log_gamma(s/2 +- i v) = log pi - log sin pi(s/2 +- i v)
-                # - log Gamma(1 - s/2 -+ i v), its reflection, summed in order
-                s_minus, s_plus, l_minus, l_plus = kernel(half_s, one_minus_a, iv)
-                pair = exp((_LOG_PI_C - s_plus - l_minus) + (_LOG_PI_C - s_minus - l_plus))
+                pair = reflected_pair(half_s, one_minus_a, v, far_v)
             else:
+                iv = 1j * v
                 pair = exp(lanczos(half_s + iv) + lanczos(half_s - iv))
             term = sign * pair
             total += term
@@ -228,6 +255,25 @@ def _gamma_ratio(s: complex, w: float) -> complex:
     return cmath.exp(log_gamma(0.5 * s - 1j * w) - log_gamma(1.0 - 0.5 * s - 1j * w))
 
 
+def _even_pair(
+    a: complex, one_minus_a: complex, v: float, far_v: float, four_pi_sin: complex
+) -> complex:
+    """ratio(m) + ratio(-m), ratio(+-m) = Gamma(a -+ i v) / Gamma(1 - a -+ i v),
+    for Re a < 1/2.  A near pair combines the four logs of one
+    _reflection_logs call in _gamma_ratio's order; a far one (v > far_v) is
+    4 pi sin(pi a) exp(-pi v - L), L = log Gamma(1 - a - i v) + log Gamma(1 -
+    a + i v), to e^(-14 pi) ~ 8e-20."""
+    iv = 1j * v
+    if v > far_v:
+        return four_pi_sin * cmath.exp(
+            -math.pi * v - (_log_gamma_right(one_minus_a - iv) + _log_gamma_right(one_minus_a + iv))
+        )
+    s_minus, s_plus, l_minus, l_plus = _reflection_logs(a, one_minus_a, iv)
+    return cmath.exp((_LOG_PI_C - s_minus - l_plus) - l_minus) + cmath.exp(
+        (_LOG_PI_C - s_plus - l_minus) - l_plus
+    )
+
+
 def _ratio_pair_core(
     log_eta: float,
     s: complex,
@@ -252,11 +298,11 @@ def _ratio_pair_core(
     pair terms.
 
     Both callers have Re s < 1/2, so both numerators Gamma(a -+ i v) of a
-    pair (a = s/2) lie left of Re 1/2 and the reflection of each needs
-    log Gamma(1 - a +- i v), the other ratio's denominator: one
-    _reflection_logs call gives a pair's four logs, and the pair is
-    combined in _gamma_ratio's order, so it is the float that
-    _gamma_ratio(s, v) + _gamma_ratio(s, -v) gives.
+    pair (a = s/2) reflect, each needing log Gamma(1 - a +- i v), the other
+    ratio's denominator.  _even_pair forms a near pair from one
+    _reflection_logs call, the float _gamma_ratio(s, v) + _gamma_ratio(s, -v)
+    gives, and a far one (v > |Im a| + 7) in closed form from the two
+    log-gammas alone.
     """
     half_step = math.pi / (2.0 * log_eta)
     a = 0.5 * s
@@ -269,14 +315,13 @@ def _ratio_pair_core(
     total = _gamma_ratio(s, 0.0)
     s_1 = s - 1.0
     one_minus_a = _ONE - a
-    exp, log, kernel = cmath.exp, math.log, _reflection_logs
+    far_v = abs(a.imag) + _FAR_MARGIN
+    four_pi_sin = _TWO_PI * two_sin_half
+    exp, log, pair_at = cmath.exp, math.log, _even_pair
     # pairs before m0: plain, or less their order-0 phase term in the strip
     for m in range(1, m0):
         v = half_step * m
-        s_minus, s_plus, l_minus, l_plus = kernel(a, one_minus_a, 1j * v)
-        pair = exp((_LOG_PI_C - s_minus - l_plus) - l_minus) + exp(
-            (_LOG_PI_C - s_plus - l_minus) - l_plus
-        )
+        pair = pair_at(a, one_minus_a, v, far_v, four_pi_sin)
         if not include_leading:
             pair -= two_sin_half * exp(s_1 * log(v))
         total += pair
@@ -298,10 +343,7 @@ def _ratio_pair_core(
     while True:
         m += 1
         v = half_step * m
-        s_minus, s_plus, l_minus, l_plus = kernel(a, one_minus_a, 1j * v)
-        pair = exp((_LOG_PI_C - s_minus - l_plus) - l_minus) + exp(
-            (_LOG_PI_C - s_plus - l_minus) - l_plus
-        )
+        pair = pair_at(a, one_minus_a, v, far_v, four_pi_sin)
         w = -1.0 / (v * v)
         asym = two_sin_half * exp(s_1 * log(v)) * (_ONE + w * (e2 + w * (e4 + w * (e6 + w * e8))))
         residual = pair - asym

@@ -117,6 +117,8 @@ def test_eval_poisson_factor_out_of_double_range_is_numerical_error(capsys, s, p
     (5, "-1000+3i", "odd", "a term of the k-sum"),
     (5, "-700+3i", "even", "a term of the k-sum"),
     (5, "-2000+3i", "odd", "a term of the k-sum"),  # u itself overflows
+    (5, "600", "odd", "a term of the k-sum"),  # C(-s, k) overflows: NaN terms
+    (5, "99990", "odd", "a term of the k-sum"),  # the same, with k_min under the cap
     (94, "240", "combined", "q^(s/2)"),  # norm +1; every u underflows to 0
 ])
 def test_eval_binomial_factor_out_of_double_range_is_named(capsys, d, s, parity, factor):

@@ -4,7 +4,7 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings as hyp_settings
+from hypothesis import example, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from fibzeta.complexfn import (
@@ -113,16 +113,59 @@ def _log_gamma_right_loop(z):
 
 
 def test_log_gamma_right_equals_the_loop_reference_exactly():
+    """The Lanczos arm, |z| < 10."""
     re_axis = [0.5 + 11.5 * i / 46 for i in range(47)]
-    im_axis = [-200.0 + 400.0 * j / 160 for j in range(161)] + [1e-9, -0.3, 0.7071, 123.456]
+    im_axis = [-10.0 + 20.0 * j / 160 for j in range(161)] + [1e-9, -0.3, 0.7071, 9.99]
+    count = 0
     for x in re_axis:
         for y in im_axis:
             z = complex(x, y)
-            assert _log_gamma_right(z) == _log_gamma_right_loop(z), z
+            if abs(z) < 10.0:
+                assert _log_gamma_right(z) == _log_gamma_right_loop(z), z
+                count += 1
+    assert count > 3000
+
+
+def _log_error(value, z):
+    """|value - log Gamma(z)| with the difference taken mod 2 pi i: the
+    absolute error of the log, the relative error of Gamma(z) itself."""
+    diff = complex(mp.mpc(value.real, value.imag) - mp.loggamma(mp.mpc(z.real, z.imag)))
+    return abs(complex(diff.real, math.remainder(diff.imag, 2.0 * math.pi)))
+
+
+def test_log_gamma_right_stirling_arm_is_as_accurate_as_the_lanczos_sum():
+    """|z| in [10, 300], Re z >= 1/2, log-uniform in |z| at any angle: the
+    Stirling arm errs no more than the Lanczos sum would at the same points
+    (both near 5e-13, the rounding of a log of size |z| log |z|)."""
+    rng = random.Random(20261019)
+    worst_stirling = worst_lanczos = 0.0
+    count = 0
+    while count < 400:
+        z = cmath.rect(10.0 * 30.0 ** rng.random(), rng.uniform(-0.5 * math.pi, 0.5 * math.pi))
+        if z.real < 0.5 or abs(z) < 10.0:
+            continue
+        worst_stirling = max(worst_stirling, _log_error(_log_gamma_right(z), z))
+        worst_lanczos = max(worst_lanczos, _log_error(_log_gamma_right_loop(z), z))
+        count += 1
+    assert worst_stirling <= worst_lanczos < 1e-12
+
+
+@pytest.mark.parametrize("angle", [-1.52, -1.0, -0.3, 0.0, 0.7, 1.3, 1.5205])
+def test_log_gamma_right_arms_meet_at_abs_z_ten(angle):
+    """Just outside |z| = 10 the Stirling value is the Lanczos sum's to
+    1e-14 relative; just inside it is the Lanczos sum's exactly."""
+    outside = cmath.rect(10.0 + 1e-9, angle)
+    inside = cmath.rect(10.0 - 1e-9, angle)
+    assert outside.real >= 0.5 and inside.real >= 0.5
+    lanczos = _log_gamma_right_loop(outside)
+    assert abs(_log_gamma_right(outside) - lanczos) <= 1e-14 * abs(lanczos)
+    assert _log_gamma_right(inside) == _log_gamma_right_loop(inside)
 
 
 def _log_sin_pi_inline(z):
-    """Reference: _log_sin_pi with its constants formed inline on every call."""
+    """Reference: the long form of _log_sin_pi, with its constants formed
+    inline on every call and the term log(1 - e^(+-2 pi i z)) kept, which is
+    below 8e-20 past |Im z| = 7."""
     if z.imag > 7.0:
         return (
             -1j * math.pi * z
@@ -138,13 +181,33 @@ def _log_sin_pi_inline(z):
     return cmath.log(cmath.sin(math.pi * z))
 
 
+_ABOVE_SEVEN = math.nextafter(7.0, math.inf)
+
+
 @given(
-    re=st.floats(min_value=-60.0, max_value=60.0),
-    im=st.floats(min_value=7.0, max_value=400.0, exclude_min=True),
+    re=st.one_of(
+        st.floats(min_value=-60.0, max_value=60.0),
+        st.floats(min_value=-1e-3, max_value=1e-3),
+        st.integers(min_value=-60, max_value=60).map(float),
+    ),
+    im=st.one_of(
+        st.floats(min_value=7.0, max_value=400.0, exclude_min=True),
+        st.floats(min_value=7.0, max_value=7.5, exclude_min=True),
+    ),
     upper=st.booleans(),
 )
+@example(re=0.0, im=_ABOVE_SEVEN, upper=True)
+@example(re=-0.0, im=_ABOVE_SEVEN, upper=False)
+@example(re=5e-324, im=7.25, upper=True)
+@example(re=-1e-300, im=7.25, upper=False)
+@example(re=2.3e-4, im=_ABOVE_SEVEN, upper=True)
+@example(re=0.25, im=_ABOVE_SEVEN, upper=False)
+@example(re=-17.0, im=8.0, upper=True)
 @hyp_settings(max_examples=400, deadline=None)
 def test_log_sin_pi_equals_the_inline_constant_expression_exactly(re, im, upper):
+    """Dropping log(1 - e^(+-2 pi i z)) changes no bit: it is below 2e-19 of
+    pi |Im z| in the real part and of pi Re z in the imaginary one, so both
+    sums round it away (and it is exactly 0 in the imaginary part at Re z = 0)."""
     z = complex(re, im if upper else -im)
     assert _log_sin_pi(z) == _log_sin_pi_inline(z)
 

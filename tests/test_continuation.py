@@ -1,12 +1,14 @@
 import cmath
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from fibzeta import (
+    FactorOverflowError,
     NormPlusOneError,
     OutOfRegionError,
     PoleProximityError,
@@ -19,6 +21,7 @@ from fibzeta import (
     sequence_terms,
 )
 from fibzeta.continuation import (
+    _BINOMIAL_CHECK_STRIDE,
     _MAX_BINOMIAL_TERMS,
     _binomial_sum,
     zeta_combined_binomial,
@@ -312,6 +315,37 @@ def test_binomial_refuses_an_s_above_its_cap_before_the_loop(s):
         zeta_odd_binomial(F5, s, tol=1e-10)
     err = info.value
     assert err.needed >= k_min > err.cap == _MAX_BINOMIAL_TERMS
+
+
+class _CountingCmath:
+    """cmath with its exp calls counted: the k-sum takes one exp a term."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(cmath, name)
+
+    def exp(self, z):
+        self.exp_calls += 1
+        return cmath.exp(z)
+
+
+@pytest.mark.parametrize("s", [600.0, 900.0, 99990.0])
+def test_binomial_refuses_a_non_finite_k_sum_within_one_check_stride(monkeypatch, s):
+    """C(-s, k) overflows to inf well before k_min = ceil(|s|) + 5 (just under
+    the cap at s = 99990), after which every term is NaN and the stop test
+    cannot pass: the k-sum raises FactorOverflowError naming its term at
+    its first check of the running total, not at its 100,000-term cap."""
+    counting = _CountingCmath()
+    monkeypatch.setattr("fibzeta.continuation.cmath", counting)
+    started = time.perf_counter()
+    with pytest.raises(FactorOverflowError) as info:
+        evaluate(F5, complex(s), "odd", "binomial", 1e-10)
+    elapsed = time.perf_counter() - started
+    assert (info.value.factor, info.value.s) == ("a term of the k-sum", complex(s))
+    assert counting.exp_calls <= _BINOMIAL_CHECK_STRIDE + 1
+    assert elapsed < 0.05
 
 
 @pytest.mark.parametrize("lattice", ["split", "combined"])

@@ -24,9 +24,11 @@ from fibzeta.complexfn import _log_gamma_right, _log_sin_pi, _reflection_logs, l
 from fibzeta.poisson import (
     RegionSelector,
     _asymptotic_coefficients,
+    _even_pair,
     _gamma_ratio,
     _hurwitz_tails,
     _in_double_range,
+    _odd_reflected_pair,
     zeta_even_poisson,
     zeta_even_poisson_strip,
     zeta_odd_poisson,
@@ -350,34 +352,35 @@ def test_reflection_logs_pair_equals_the_two_ratio_sum_exactly(re_s, im_s, d, m)
 
 
 # repr values that must repeat exactly: (D, form, s, value, terms_used).  The
-# odd rows were recorded before the gamma-ratio pairs shared their Lanczos
-# values and before the Lanczos sum lost its loop, changes that kept every
-# float; the even rows when the pair sum began to subtract its asymptotic
-# orders only from m0 on, which moved every even value toward the mpmath one
+# rows were last recorded when log Gamma took Stirling's series from |z| = 10
+# on and far pairs their closed form, which moved the even rows and the odd
+# rows at Re s = 1.5 by rounding alone (at most 8.9e-14 relative, each as far
+# from the mpmath value as before to rounding); the other odd rows kept the
+# floats they were first recorded with
 FROZEN_POISSON = [
-    (5, "even", complex(0.3, 2.0), (0.5610063221455408-0.21275098527985195j), 13),
-    (5, "even", complex(-0.1, 5.5), (1.2642077950510122+1.2078408782120085j), 19),
-    (5, "even", complex(0.45, -12.25), (1.9159361237011456+0.28253513327297064j), 55),
+    (5, "even", complex(0.3, 2.0), (0.5610063221455432-0.2127509852798516j), 13),
+    (5, "even", complex(-0.1, 5.5), (1.2642077950510064+1.2078408782120076j), 19),
+    (5, "even", complex(0.45, -12.25), (1.9159361237011687+0.2825351332729642j), 55),
     (5, "even", complex(-1.5, 0.5), (-0.626607268055057+0.24076014735815737j), 11),
-    (5, "even", complex(-3.7, 11.0), (-1.662764711447842+0.45735393141622804j), 25),
+    (5, "even", complex(-3.7, 11.0), (-1.6627647114478443+0.4573539314162094j), 25),
     (5, "even", complex(-6.2, -4.3), (0.0990763964271233-0.06680965717944756j), 15),
     (5, "odd", complex(0.3, 2.0), (0.7910265627061253-0.5578800190552188j), 7),
     (5, "odd", complex(-2.5, 7.0), (1.6345150077047164-3.2297347629570217j), 9),
-    (5, "odd", complex(1.5, -15.0), (0.8606687303594369-0.3506495610536581j), 13),
-    (13, "even", complex(0.3, 2.0), (-0.10776260209517002-0.6605860001959345j), 21),
-    (13, "even", complex(-0.1, 5.5), (0.1497441116131794-1.5487687587253247j), 45),
-    (13, "even", complex(0.45, -12.25), (0.4141357701784857+0.3073608431943493j), 139),
-    (13, "even", complex(-1.5, 0.5), (-0.14431366558445285-0.02209891861181503j), 21),
-    (13, "even", complex(-3.7, 11.0), (-0.17007778341447014-0.11263071719851458j), 51),
+    (5, "odd", complex(1.5, -15.0), (0.8606687303594408-0.35064956105365064j), 13),
+    (13, "even", complex(0.3, 2.0), (-0.10776260209516964-0.6605860001959343j), 21),
+    (13, "even", complex(-0.1, 5.5), (0.1497441116131777-1.5487687587253267j), 45),
+    (13, "even", complex(0.45, -12.25), (0.41413577017853054+0.3073608431943393j), 139),
+    (13, "even", complex(-1.5, 0.5), (-0.14431366558445285-0.022098918611815038j), 21),
+    (13, "even", complex(-3.7, 11.0), (-0.17007778341447047-0.1126307171985141j), 51),
     (13, "even", complex(-6.2, -4.3), (-0.007526025088377678-0.0056558256060812075j), 29),
     (13, "odd", complex(0.3, 2.0), (0.7489961554911357+0.38827349199206973j), 17),
     (13, "odd", complex(-2.5, 7.0), (0.03811172025876826-0.1188043816173347j), 19),
-    (13, "odd", complex(1.5, -15.0), (0.9686751243662575+0.0014137935910211036j), 27),
+    (13, "odd", complex(1.5, -15.0), (0.9686751243662605+0.001413793591021853j), 27),
     # norm +1, recorded before the even form lost its overlap bands
-    (3, "even", complex(0.3, 2.0), (0.6000505445941383-0.06933418371243089j), 15),
-    (3, "even", complex(-0.1, 5.5), (0.05369817964646184-0.6025673770757378j), 25),
-    (3, "even", complex(-1.5, 0.5), (-0.2542844224566857+0.02552933020668368j), 15),
-    (3, "even", complex(-3.7, 11.0), (-0.12649549202610938+0.0875937487300055j), 29),
+    (3, "even", complex(0.3, 2.0), (0.6000505445941413-0.06933418371243194j), 15),
+    (3, "even", complex(-0.1, 5.5), (0.05369817964646162-0.6025673770757389j), 25),
+    (3, "even", complex(-1.5, 0.5), (-0.2542844224566857+0.025529330206683694j), 15),
+    (3, "even", complex(-3.7, 11.0), (-0.12649549202611088+0.08759374873000414j), 29),
 ]
 
 
@@ -396,15 +399,16 @@ def test_poisson_values_repeat_bit_for_bit(d, form, s, value, terms):
     ("even", complex(0.2, 15.0), 74, True),  # strip region
     ("odd", complex(-3.7, 11.0), 12, True),
     ("odd", complex(0.2, 15.0), 15, True),
+    ("odd", complex(0.7, 2.0), 9, True),  # the last pair is far
     ("odd", complex(1.5, -7.0), 12, False),  # Re(s/2) >= 1/2: no reflection
 ])
 def test_pair_loops_make_one_kernel_call_per_pair_and_no_log_gamma_call(
     monkeypatch, parity, s, pairs, reflected
 ):
     """Outside the pair loops fibzeta.poisson calls log_gamma for Gamma(1 - s)
-    and the m = 0 ratio (even), or for the m = 0 term (odd).  Each pair is
-    one _reflection_logs call, or two Lanczos sums where s/2 does not
-    reflect."""
+    and the m = 0 ratio (even), or for the m = 0 term (odd).  A near
+    reflected pair is one _reflection_logs call; a far one (v_m > |Im s|/2
+    + 7) and a pair where s/2 does not reflect are two log-gamma sums."""
     seen = {"log_gamma": 0, "kernel": 0, "lanczos": 0}
 
     def counting(name, fn):
@@ -417,13 +421,47 @@ def test_pair_loops_make_one_kernel_call_per_pair_and_no_log_gamma_call(
     monkeypatch.setattr("fibzeta.poisson._reflection_logs", counting("kernel", _reflection_logs))
     monkeypatch.setattr("fibzeta.poisson._log_gamma_right", counting("lanczos", _log_gamma_right))
     evaluator = zeta_even_poisson if parity == "even" else zeta_odd_poisson
-    ev = evaluator(RATIO_PAIR_FIELDS[29], s, tol=1e-10)
+    field = RATIO_PAIR_FIELDS[29]
+    ev = evaluator(field, s, tol=1e-10)
     assert ev.terms_used == 2 * pairs + 1
+    step = math.pi / (2.0 * field.half_unit.log_eta)  # log eps for a norm -1 unit
+    far = sum(1 for m in range(1, pairs + 1) if step * m > abs(s.imag) / 2 + 7.0)
     assert seen == {
         "log_gamma": 3 if parity == "even" else 1,
-        "kernel": pairs if reflected else 0,
-        "lanczos": 0 if reflected else 2 * pairs,
+        "kernel": pairs - far if reflected else 0,
+        "lanczos": 2 * far if reflected else 2 * pairs,
     }
+
+
+@given(
+    re_s=st.floats(min_value=-8.0, max_value=4.0),
+    im_s=st.floats(min_value=-20.0, max_value=20.0),
+    beyond=st.floats(min_value=0.0, max_value=300.0, exclude_min=True),
+)
+@example(re_s=-0.5, im_s=0.0, beyond=1e-12)
+@example(re_s=-7.9, im_s=-20.0, beyond=299.0)
+@hyp_settings(max_examples=300, deadline=None)
+def test_far_pairs_equal_the_kernel_pair_in_closed_form(re_s, im_s, beyond):
+    """Past v = |Im s|/2 + 7 each pair folds its sines into one exp: the
+    closed form is the pair the kernel's four logs give, to 1e-14 (1 + v)
+    relative, for the even ratio pair and the odd reflected gamma product,
+    on the grid box Re s in [-8, 4], |Im s| <= 20 (the odd pair reflects
+    only where Re s < 1; the even reflection holds on all of it)."""
+    s = complex(re_s, im_s)
+    a = 0.5 * s
+    far_v = abs(a.imag) + 7.0
+    v = far_v + beyond
+    s_minus, s_plus, l_minus, l_plus = _reflection_logs(a, 1 - a, 1j * v)
+    pi = complexfn._LOG_PI_C
+    # the two terms of the even pair cancel where sin(pi s/2) = 0, so its
+    # error is measured against their size
+    terms = (cmath.exp((pi - s_minus - l_plus) - l_minus), cmath.exp((pi - s_plus - l_minus) - l_plus))
+    closed = _even_pair(a, 1 - a, v, far_v, 4.0 * math.pi * cmath.sin(math.pi * a))
+    assert abs(closed - sum(terms)) <= 1e-14 * (1.0 + v) * (abs(terms[0]) + abs(terms[1]))
+    if re_s < 1.0:
+        odd = cmath.exp((pi - s_plus - l_minus) + (pi - s_minus - l_plus))
+        closed = _odd_reflected_pair(a, 1 - a, v, far_v)
+        assert abs(closed - odd) <= 1e-14 * (1.0 + v) * abs(odd)
 
 
 def test_in_double_range_turns_only_overflow_into_factor_overflow():
