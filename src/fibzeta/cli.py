@@ -65,6 +65,15 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# a grid of more rows (points x methods) is refused before any is built
+MAX_GRID_ROWS = 1_000_000
+
+
+def _axis_points(lo: float, hi: float, step: float) -> int:
+    """Points of the grid axis lo, lo + step, ... <= hi, forgiving rounding."""
+    return int(math.floor((hi - lo) / step + 1e-9)) + 1
+
+
 @dataclass(frozen=True)
 class GridRequest:
     D: int
@@ -91,13 +100,17 @@ class GridRequest:
         for m in self.methods:
             if m not in METHODS:
                 raise DomainError(f"unknown method {m!r}")
+        if len(set(self.methods)) < len(self.methods):
+            raise DomainError(f"grid methods repeat: {','.join(self.methods)}")
+        rows = _axis_points(*self.re_range) * _axis_points(*self.im_range) * len(self.methods)
+        if rows > MAX_GRID_ROWS:
+            raise DomainError(f"grid has {rows} rows, more than {MAX_GRID_ROWS}")
         if self.output not in ("csv", "json"):
             raise DomainError("output must be csv or json")
 
     def axis(self, which: str) -> list[float]:
         lo, hi, step = self.re_range if which == "re" else self.im_range
-        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return [lo + i * step for i in range(n)]
+        return [lo + i * step for i in range(_axis_points(lo, hi, step))]
 
 
 # -------------------------------------------------------------------- commands

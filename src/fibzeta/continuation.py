@@ -144,6 +144,18 @@ def _binomial_sum(
     C(-s, k) has overflowed (Re s of several hundred) every later term is
     inf or NaN and the stop test can never pass, so the sum raises
     FactorOverflowError then instead of running to its cap.
+
+    u is a geometric sequence with the real ratio eta^(-2): it is formed by
+    exp at k = 0 and stepped by one real multiplication a term.  Each step
+    rounds, so u drifts by about k ulp; the check re-forms u by exp, which
+    bounds the drift to _BINOMIAL_CHECK_STRIDE steps.  Near a lattice pole
+    -2k* + pi i m / log eta the denominators of term k* = round(-Re s / 2)
+    nearly vanish and would magnify that drift, so the first check comes
+    at k*, and that term sees u exactly as exp forms it.  At a pole on the
+    real axis exp makes that u exactly 1 and a denominator 1 - u^2 (1 - u
+    for the combined kind at even k*) exactly 0.  The sum tests for this
+    before its loop and raises ZeroDivisionError, because by term k* its
+    partial sums may already have overflowed.
     """
     log_eta = field.half_unit.log_eta
     decay = math.exp(-2.0 * field.log_eps)
@@ -154,13 +166,19 @@ def _binomial_sum(
     if k_min > _MAX_BINOMIAL_TERMS:
         # the stop test runs only from k_min on, so the cap is reached first
         raise TooSlowConvergenceError(k_min, _MAX_BINOMIAL_TERMS)
+    step = math.exp(-2.0 * log_eta)
+    u = cmath.exp(neg_s * log_eta)  # an OverflowError here comes before any pole test
+    k_pole = max(0, round(-0.5 * s.real))
+    if (s.imag * log_eta == 0.0 and (kind != "combined" or k_pole % 2 == 0)
+            and cmath.exp(-(s + 2.0 * k_pole) * log_eta) == 1.0):
+        raise ZeroDivisionError("s is the lattice pole -2k to double precision")
     coeff: complex = 1.0 + 0j
     total: complex = 0j
     k = 0
     sign = 1  # (-1)^k; an int, so coeff * sign rounds exactly as coeff * (-1) ** k
-    check_at = _BINOMIAL_CHECK_STRIDE
+    # the first check comes just before term k_pole, so that u is formed by exp there
+    check_at = k_pole - 1 if k_pole else _BINOMIAL_CHECK_STRIDE
     while True:
-        u = cmath.exp(-(s + 2.0 * k) * log_eta)
         if odd:
             term = coeff * u / (1.0 - u * u)
         elif even:
@@ -179,6 +197,7 @@ def _binomial_sum(
                 if tail <= tol * max(abs(total), 1e-30) or size < 1e-280:
                     return total, k + 1, tail
         coeff = coeff * (neg_s - k) / k1
+        u = u * step
         k += 1
         sign = -sign
         if k > check_at:
@@ -188,6 +207,7 @@ def _binomial_sum(
             if k > _MAX_BINOMIAL_TERMS:
                 raise TooSlowConvergenceError(float(k), _MAX_BINOMIAL_TERMS)
             check_at = min(check_at + _BINOMIAL_CHECK_STRIDE, _MAX_BINOMIAL_TERMS)
+            u = cmath.exp(-(s + 2.0 * k) * log_eta)  # re-anchor the stepped u
 
 
 def _q_power(field: QuadraticField, s: complex) -> complex:
@@ -200,8 +220,8 @@ def _binomial_eval(field: QuadraticField, s: complex, tol: float, kind: str) -> 
     try:
         total, terms, tail = _binomial_sum(field, s, tol, kind)
     except ZeroDivisionError:
-        # a denominator 1 -+ u rounded to zero: to double precision s is a
-        # lattice pole, however small the guard radius
+        # s is a lattice pole -2k to double precision, where a denominator
+        # 1 -+ u is exactly zero, however small the guard radius
         lattice = LATTICE_COMBINED if kind == "combined" else LATTICE_SPLIT
         raise PoleProximityError(s, *nearest_lattice_pole(field, s, lattice)) from None
     except OverflowError:

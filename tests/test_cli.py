@@ -253,9 +253,9 @@ def test_grid_reversed_or_endless_range_is_domain_error(capsys):
 # SHA-256 of the CSV of D=5 binomial grids with pole rows: how the grid path
 # builds its rows and finds poles must leave these bytes as they are
 GRID_SHA256 = {
-    "odd": "59c2892ac1da2f525ebcf69d62f4adaba15ed080d795d5a624b85a1f868445ea",
-    "even": "67ae4b0ea9c74fb3743244abc6cb4a67ce90379dc190692f4ff01fa0e25a9bdb",
-    "combined": "1330a288f8df4b2f79c3db0723e29286dc8d6285dc96c00f3da8bf8fc2448644",
+    "odd": "661f8d9b670087f422aef72ba0197fd2f9cc2e0b4379dfac89c9f3a2369cae86",
+    "even": "3e1ac2e4f043a22e548cacd7434c2d086618acb0ba66d9f913366588b3ad73e4",
+    "combined": "cd62cc444cb8ea28dfc4b9d5660ea7edc3e6e00321f890f382d95e5e770c2a74",
 }
 
 
@@ -348,6 +348,41 @@ def test_grid_request_validation():
         GridRequest(5, "odd", (-1e308, 1e308, 1.0), (0.0, 1.0, 0.5), ("binomial",), 1e-10, "csv")
     one_point = GridRequest(5, "odd", (1.0, 1.0, 0.1), (0.0, 0.0, 0.5), ("binomial",), 1e-10, "csv")
     assert one_point.axis("re") == [1.0] and one_point.axis("im") == [0.0]
+
+
+def test_grid_request_refuses_repeated_methods_and_too_many_rows():
+    """Both refusals count rows by axis()'s own formula, before any axis is
+    built: a step of 1e-12 would be 10^12 + 1 points an axis."""
+    square = ((0.0, 999.0, 1.0), (0.0, 999.0, 1.0))  # 1000 x 1000 points
+    assert GridRequest(5, "odd", *square, ("binomial",), 1e-10, "csv").re_range == square[0]
+    for methods in (("binomial", "binomial"), ("poisson", "binomial", "poisson")):
+        with pytest.raises(DomainError, match="grid methods repeat"):
+            GridRequest(5, "odd", (0.0, 1.0, 1.0), (0.0, 0.0, 1.0), methods, 1e-10, "csv")
+    for ranges, methods in ((square, ("binomial", "poisson")),
+                            (((0.0, 1.0, 1e-12), (0.0, 1.0, 1e-12)), ("binomial",))):
+        with pytest.raises(DomainError, match="more than 1000000"):
+            GridRequest(5, "odd", *ranges, methods, 1e-10, "csv")
+
+
+@pytest.mark.parametrize("extra", [
+    ("--methods", "binomial,binomial", "--re", "0", "1", "1", "--im", "0", "0", "1"),
+    ("--methods", "binomial", "--re", "0", "1", "1e-12", "--im", "0", "1", "1e-12"),
+])
+def test_grid_refusal_leaves_out_untouched(capsys, tmp_path, monkeypatch, extra):
+    """A repeated method or more than 10^6 rows exits 4 before --out is
+    opened and before any row is computed."""
+    def no_rows(*_):
+        raise AssertionError("a refused grid computed rows")
+
+    monkeypatch.setattr("fibzeta.cli._grid_rows", no_rows)
+    keep = tmp_path / "keep.csv"
+    keep.write_bytes(b"re_s,im_s\r\n1,2\r\n")
+    for target, before in ((keep, keep.read_bytes()), (tmp_path / "new.csv", None)):
+        code, out, err = run_cli(capsys, "grid", "--D", "5", *extra, "--out", str(target))
+        assert code == 4 and out == "", target
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert (target.read_bytes() if target.exists() else None) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
 
 
 def test_grid_out_to_an_unopenable_path_is_usage_error(capsys, tmp_path):

@@ -20,6 +20,7 @@ from fibzeta import (
     nearest_lattice_pole,
     sequence_terms,
 )
+from fibzeta import continuation
 from fibzeta.continuation import (
     _BINOMIAL_CHECK_STRIDE,
     _MAX_BINOMIAL_TERMS,
@@ -274,35 +275,59 @@ def scan_nearest_pole(field, s, lattice="split"):
     return best
 
 
-def string_kind_binomial_sum(log_eta, s, tol, kind):
+def string_kind_binomial_sum(field, s, tol, kind, stepped=True):
     """The k-loop that compared kind on every term and tested the tail on
-    every k, with its per-k decay eta^(-2)."""
-    decay = math.exp(-2.0 * log_eta)
+    every k: (sum, terms, tail, spread).  stepped=True forms u as the k-sum
+    does: by exp at k = 0, at k* = max(0, round(-Re s / 2)) and every
+    _BINOMIAL_CHECK_STRIDE terms after it, by one multiplication by
+    eta^(-2) in between, with an exact pole -2k* refused first.
+    stepped=False forms every u by exp, as the k-sum once did.  spread is
+    the sum over k of |term| (1 + |d log term / d log u|): the total moves
+    by about spread ulp when every u and every partial sum is off by one."""
+    log_eta = field.half_unit.log_eta
+    decay = math.exp(-2.0 * field.log_eps)
+    step = math.exp(-2.0 * log_eta)
     abs_s = abs(s)
     k_min = int(math.ceil(abs_s)) + 5
+    u = cmath.exp(-s * log_eta)
+    k_pole = max(0, round(-0.5 * s.real))
+    if (stepped and s.imag * log_eta == 0.0 and (kind != "combined" or k_pole % 2 == 0)
+            and cmath.exp(-(s + 2.0 * k_pole) * log_eta) == 1.0):
+        raise ZeroDivisionError("exact pole")
+    check_at = k_pole - 1 if k_pole else continuation._BINOMIAL_CHECK_STRIDE
     coeff = 1.0 + 0j
     total = 0j
+    spread = 0.0
     k = 0
     sign = 1
     while True:
-        u = cmath.exp(-(s + 2.0 * k) * log_eta)
+        if not stepped:
+            u = cmath.exp(-(s + 2.0 * k) * log_eta)
         if kind == "odd":
             term = coeff * u / (1.0 - u * u)
+            gain = abs(1.0 + u * u) / abs(1.0 - u * u)
         elif kind == "even":
             term = coeff * sign * u * u / (1.0 - u * u)
+            gain = 2.0 / abs(1.0 - u * u)
         else:
             term = coeff * u / (1.0 - u) if sign > 0 else coeff * u / (1.0 + u)
+            gain = 1.0 / abs(1.0 - sign * u)
         total += term
+        spread += abs(term) * (1.0 + gain)
         ratio = (abs_s + k) / (k + 1.0) * decay
         if k >= k_min and ratio < 1.0:
             tail = abs(term) * ratio / (1.0 - ratio)
             if tail <= tol * max(abs(total), 1e-30) or abs(term) < 1e-280:
-                return total, k + 1, tail
+                return total, k + 1, tail, spread
         coeff = coeff * (-s - k) / (k + 1.0)
+        u = u * step
         k += 1
         sign = -sign
         if k > _MAX_BINOMIAL_TERMS:
             raise TooSlowConvergenceError(float(k), _MAX_BINOMIAL_TERMS)
+        if k > check_at:
+            check_at += continuation._BINOMIAL_CHECK_STRIDE
+            u = cmath.exp(-(s + 2.0 * k) * log_eta)
 
 
 @pytest.mark.parametrize("s", [complex(200000, 1), 1e9j, complex(1e200, 1e200)])
@@ -318,17 +343,18 @@ def test_binomial_refuses_an_s_above_its_cap_before_the_loop(s):
 
 
 class _CountingCmath:
-    """cmath with its exp calls counted: the k-sum takes one exp a term."""
+    """cmath with its isfinite calls counted: the k-sum tests its running
+    total once every _BINOMIAL_CHECK_STRIDE terms."""
 
     def __init__(self):
-        self.exp_calls = 0
+        self.isfinite_calls = 0
 
     def __getattr__(self, name):
         return getattr(cmath, name)
 
-    def exp(self, z):
-        self.exp_calls += 1
-        return cmath.exp(z)
+    def isfinite(self, z):
+        self.isfinite_calls += 1
+        return cmath.isfinite(z)
 
 
 @pytest.mark.parametrize("s", [600.0, 900.0, 99990.0])
@@ -344,7 +370,7 @@ def test_binomial_refuses_a_non_finite_k_sum_within_one_check_stride(monkeypatch
         evaluate(F5, complex(s), "odd", "binomial", 1e-10)
     elapsed = time.perf_counter() - started
     assert (info.value.factor, info.value.s) == ("a term of the k-sum", complex(s))
-    assert counting.exp_calls <= _BINOMIAL_CHECK_STRIDE + 1
+    assert counting.isfinite_calls == 1
     assert elapsed < 0.05
 
 
@@ -385,12 +411,76 @@ def test_binomial_sum_equals_the_string_kind_loop(d, kind, re, im, tol):
     field = make_field(d)
     s = complex(re, im)
     try:
-        expected = string_kind_binomial_sum(field.log_eps, s, tol, kind)
+        expected = string_kind_binomial_sum(field, s, tol, kind)[:3]
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
             _binomial_sum(field, s, tol, kind)
         return
     assert _binomial_sum(field, s, tol, kind) == expected
+
+
+@pytest.mark.parametrize("stride", [_BINOMIAL_CHECK_STRIDE, 4])
+@hyp_settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 5, 13, 29]),
+    kind=st.sampled_from(["odd", "even", "combined"]),
+    re=st.floats(-8.0, 4.0),
+    im=st.floats(-40.0, 40.0),
+    tol=st.sampled_from([1e-6, 1e-10, 1e-12, 1e-14]),
+)
+def test_binomial_sum_with_stepped_u_agrees_with_the_exp_per_term_loop(
+    stride, d, kind, re, im, tol
+):
+    """Stepping u = eta^(-(s+2k)) by one multiplication, re-formed by exp at
+    k* and every stride terms after it (4 runs that inside short sums),
+    moves the sum by rounding only: the same term count, a total within
+    4 (terms + 1) 2^-53 spread of the loop that formed every u by exp, and
+    bit for bit the stepped reference loop.  Where the exp loop divides by
+    zero at an exact pole -2k*, so does the k-sum."""
+    field = make_field(d)
+    s = complex(re, im)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(continuation, "_BINOMIAL_CHECK_STRIDE", stride)
+        try:
+            ref, terms, _, spread = string_kind_binomial_sum(field, s, tol, kind, stepped=False)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                _binomial_sum(field, s, tol, kind)
+            return
+        if not cmath.isfinite(ref):
+            # a subnormal Im s at a pole makes 1 - u^2 subnormal and a term
+            # inf: the k-sum raises at its first check, or the route on return
+            try:
+                assert not cmath.isfinite(_binomial_sum(field, s, tol, kind)[0])
+            except FactorOverflowError:
+                pass
+            return
+        total, got_terms, tail = _binomial_sum(field, s, tol, kind)
+        assert (total, got_terms, tail) == string_kind_binomial_sum(field, s, tol, kind)[:3]
+    assert got_terms == terms
+    assert abs(total - ref) <= 4.0 * (terms + 1) * 2.0 ** -53 * spread
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 29])
+def test_binomial_routes_refuse_an_exact_real_pole(d):
+    """At s = -2k every split series has a pole, and so has the combined one
+    at even k: the route raises PoleProximityError at distance 0.  At odd k
+    the combined series of a norm -1 field has none and returns a finite
+    value (a norm +1 field's combined route is the split even series).  The
+    last k is even and as far left as u = eta^(2k) at k = 0 fits in e^700:
+    there the partial sums overflow before term k, and the pole still wins."""
+    field = make_field(d)
+    routes = {"odd": zeta_odd_binomial, "even": zeta_even_binomial,
+              "combined": zeta_combined_binomial}
+    for k in (*range(11), 2 * int(175.0 / field.half_unit.log_eta)):
+        s = complex(-2.0 * k)
+        for kind, route in routes.items():
+            if kind == "combined" and k % 2 == 1 and field.is_norm_minus_one:
+                assert cmath.isfinite(route(field, s).value), (k, kind)
+                continue
+            with pytest.raises(PoleProximityError) as info:
+                route(field, s)
+            assert (info.value.k, info.value.distance) == (k, 0.0), (k, kind)
 
 
 def iter_sequence_direct(field, s, parity, n_max):
