@@ -1,21 +1,19 @@
 """Complex special functions used by every continuation formula.
 
-gamma: on the right half-plane, Stirling's series through z^-13 (DLMF
-5.11.1) where |z| >= 10 and the Lanczos approximation (g = 607/128, 15
-coefficients) below; the reflection formula on the left; everything
-available in log form so that products of gammas with large imaginary
-parts never leave double range.  Stirling's remainder is below 3e-17 from
-|z| = 10 on, so both arms err by rounding alone: against mpmath on
-10 <= |z| <= 300, Re z >= 1/2, each gives log Gamma to about 5e-13
-absolute, the rounding of a log of size up to |z| log |z|.  Stirling costs
-about 0.8 us a call against 1.9 us for the Lanczos sum.
+gamma: on the right half-plane Re z >= 1/2, Stirling's series through z^-13
+(DLMF 5.11.1), taken at z + n with n >= 0 the fewest unit steps that reach
+|z + n| >= 10 (at most 10), less log(z (z+1) ... (z+n-1)); the reflection
+formula on the left; everything available in log form so that products of
+gammas with large imaginary parts never leave double range.  Stirling's
+remainder is below 3e-17 from |z| = 10 on, so the value errs by rounding
+alone: against mpmath, about 7e-15 absolute for |z| < 10 and up to about
+5e-13 on 10 <= |z| <= 300, the rounding of a log of size |z| log |z|.
 
-zeta: Borwein's accelerated alternating series for Re s >= 1/2, switching
-to Euler-Maclaurin near the zeros of (1 - 2^(1-s)) where the alternating
-form loses digits, and the functional equation for Re s < 1/2 except in a
-small disk around s = 0, where Euler-Maclaurin is used directly.  Above
-|Im s| = 450 the functional-equation factor is summed in log form, since
-its sine and gamma factors leave double range there one by one.
+zeta: Euler-Maclaurin for Re s >= 1/2 and in a small disk around s = 0,
+and the functional equation elsewhere on the left, with its factor chi(s)
+formed from its logs, since its sine and gamma factors leave double range
+one by one past |Im s| = 452.  The sum takes 0.6 |s| + 6 terms and refuses
+with TooSlowConvergenceError past 100,000 of them (|s| above about 1.7e5).
 
 Complex values are the builtin complex type throughout.  All functions are
 pure.  Constants that meet a complex operand in a hot expression are stored
@@ -28,29 +26,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
-from .errors import PoleAtNonpositiveIntegerError, PoleAtOneError
+from .errors import PoleAtNonpositiveIntegerError, PoleAtOneError, TooSlowConvergenceError
 
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEFFS = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 _LOG_TWO = math.log(2.0)
 _ONE = complex(1.0, 0.0)
@@ -112,11 +90,7 @@ def _log_sin_pi(z: complex) -> complex:
     return cmath.log(cmath.sin(_PI * z))
 
 
-(
-    _C0, _C1, _C2, _C3, _C4, _C5, _C6, _C7,
-    _C8, _C9, _C10, _C11, _C12, _C13, _C14,
-) = (complex(c, 0.0) for c in _LANCZOS_COEFFS)
-_HALF_LOG_TWO_PI_C = complex(_HALF_LOG_TWO_PI, 0.0)
+_HALF_LOG_TWO_PI_C = complex(0.5 * math.log(2.0 * math.pi), 0.0)
 
 # Stirling's series (DLMF 5.11.1): B_2k / (2k (2k - 1)) for k = 1..7.  For
 # Re z >= 1/2 its remainder is below the first omitted term, 0.0296 |z|^-15,
@@ -129,39 +103,25 @@ _S1, _S2, _S3, _S4, _S5, _S6, _S7 = (
 
 
 def _log_gamma_right(z: complex) -> complex:
-    """log Gamma(z) for Re z >= 0.5: Stirling's series where |z| >= 10,
-    the Lanczos sum below."""
-    if abs(z) >= _STIRLING_MIN_ABS:
-        inv = _ONE / z
-        w = inv * inv
-        return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_TWO_PI_C + inv * (
-            _S1 + w * (_S2 + w * (_S3 + w * (_S4 + w * (_S5 + w * (_S6 + w * _S7)))))
-        )
-    zz = z - 1.0
-    # c0 + sum_k c_k / (zz + k), summed left to right: the order fixes the last bit
-    acc = (
-        _C0 + _C1 / (zz + 1.0) + _C2 / (zz + 2.0) + _C3 / (zz + 3.0) + _C4 / (zz + 4.0)
-        + _C5 / (zz + 5.0) + _C6 / (zz + 6.0) + _C7 / (zz + 7.0) + _C8 / (zz + 8.0)
-        + _C9 / (zz + 9.0) + _C10 / (zz + 10.0) + _C11 / (zz + 11.0) + _C12 / (zz + 12.0)
-        + _C13 / (zz + 13.0) + _C14 / (zz + 14.0)
+    """log Gamma(z) for Re z >= 0.5: Stirling's series at w = z + n, with
+    n >= 0 the fewest unit steps that reach |w| >= 10, less log(z (z+1) ...
+    (z+n-1)), by Gamma(w) = z (z+1) ... (z+n-1) Gamma(z)."""
+    w = z
+    product = None
+    if abs(z) < _STIRLING_MIN_ABS:
+        product = z
+        w = z + 1.0
+        while abs(w) < _STIRLING_MIN_ABS:
+            product *= w
+            w += 1.0
+    inv = _ONE / w
+    inv2 = inv * inv
+    series = (w - 0.5) * cmath.log(w) - w + _HALF_LOG_TWO_PI_C + inv * (
+        _S1 + inv2 * (_S2 + inv2 * (_S3 + inv2 * (_S4 + inv2 * (_S5 + inv2 * (_S6 + inv2 * _S7)))))
     )
-    t = zz + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI_C + (zz + 0.5) * cmath.log(t) - t + cmath.log(acc)
-
-
-def _reflection_logs(
-    a: complex, one_minus_a: complex, iv: complex
-) -> tuple[complex, complex, complex, complex]:
-    """(_log_sin_pi(a - iv), _log_sin_pi(a + iv), _log_gamma_right(one_minus_a
-    - iv), _log_gamma_right(one_minus_a + iv)): the four logs of a near
-    Poisson pair.  Inlining the four bodies is no faster since the sines
-    lost their dead term and log Gamma its Lanczos sum past |z| = 10."""
-    return (
-        _log_sin_pi(a - iv),
-        _log_sin_pi(a + iv),
-        _log_gamma_right(one_minus_a - iv),
-        _log_gamma_right(one_minus_a + iv),
-    )
+    if product is None:
+        return series
+    return series - cmath.log(product)
 
 
 def log_gamma(z: complex) -> complex:
@@ -201,49 +161,24 @@ def rgamma(z: complex) -> complex:
     return cmath.sin(_PI * z) * cmath.exp(_log_gamma_right(_ONE - z) - _LOG_PI)
 
 
-def _borwein_d(n: int) -> tuple[tuple[int, ...], int]:
-    """Exact integer coefficients d_k of Borwein's algorithm 2."""
-    d = []
-    acc = 0
-    for j in range(n + 1):
-        acc += (
-            n
-            * math.factorial(n + j - 1)
-            * 4**j
-            // (math.factorial(n - j) * math.factorial(2 * j))
-        )
-        d.append(acc)
-    return tuple(d), d[-1]
-
-
-@lru_cache(maxsize=32)
-def _borwein_table(n: int) -> tuple[tuple[tuple[complex, float], ...], complex]:
-    """Pairs ((-1)^k (d_k - d_n), log(k + 1)) for k < n, and d_n, each rounded
-    once to the complex value that the big integer becomes in the sum."""
-    d, dn = _borwein_d(n)
-    pairs = tuple(
-        (complex(float((-1) ** k * (d[k] - dn)), 0.0), math.log(k + 1)) for k in range(n)
-    )
-    return pairs, complex(float(dn), 0.0)
-
-
-def _zeta_borwein(s: complex, terms: int) -> complex:
-    pairs, dn = _borwein_table(terms)
-    neg_s = -s
-    exp = cmath.exp
-    acc = 0j
-    for weight, log_k1 in pairs:
-        acc += weight * exp(neg_s * log_k1)
-    eta_factor = _ONE - cmath.exp((_ONE - s) * _LOG_TWO)
-    return -acc / (dn * eta_factor)
+# the cap of the direct series (continuation._MAX_DIRECT_TERMS)
+_MAX_ZETA_TERMS = 100_000
 
 
 def _zeta_euler_maclaurin(s: complex) -> complex:
-    n_cut = max(18, int(1.3 * abs(s.imag)) + 12)
+    """zeta(s): sum_{k < n} k^(-s) plus _euler_maclaurin_tail from n, with
+    n >= 0.6 |s| + 6 as the tail needs.  An n above _MAX_ZETA_TERMS raises
+    TooSlowConvergenceError before the sum starts."""
+    needed = 0.6 * abs(s) + 6.0
+    if needed > _MAX_ZETA_TERMS:
+        raise TooSlowConvergenceError(needed, _MAX_ZETA_TERMS)
+    n = int(needed) + 1
+    neg_s = -s
+    exp, log = cmath.exp, math.log
     acc = 0j
-    for k in range(1, n_cut):
-        acc += cmath.exp(-s * math.log(k))
-    return _euler_maclaurin_tail(acc, s, n_cut)
+    for k in range(1, n):
+        acc += exp(neg_s * log(k))
+    return _euler_maclaurin_tail(acc, s, n)
 
 
 def _euler_maclaurin_tail(acc: complex, s: complex, n: int) -> complex:
@@ -267,16 +202,10 @@ def _euler_maclaurin_tail(acc: complex, s: complex, n: int) -> complex:
 # Near s = 0 the functional equation multiplies sin(pi s/2) ~ 0 by the pole
 # of zeta(1 - s), and 1 - s has lost the digits of s: against mpmath its
 # relative error is about 1e-16/|s| (1e-10 at |s| = 1e-6, a division by zero
-# at s = 0), while Euler-Maclaurin stays near 3e-14.  The two meet at
-# |s| ~ 4e-3 (max over 256 points per circle: 2.8e-14 vs 2.7e-14).
-_NEAR_ZERO_RADIUS = 4e-3
-
-# Past |Im s| = 452.3 sin(pi s/2) ~ e^(pi |Im s|/2) / 2 leaves double range
-# and Gamma(1 - s) nears underflow, while chi(s) = zeta(s) / zeta(1 - s)
-# stays near (|Im s| / 2 pi)^(1/2 - Re s); above this |Im s| chi is formed
-# from its logs.  Against mpmath both forms err by at most 1e-12 relative on
-# 400 < |Im s| < 452, so the product form keeps its bits up to the switch.
-_CHI_LOG_FORM_IM = 450.0
+# at s = 0), while Euler-Maclaurin stays below 1e-14.  The two meet at
+# |s| ~ 0.02 (max over the left half of 256 points per circle: 7.7e-15 vs
+# 8.0e-15; at |s| = 4e-3, 5.5e-15 vs 3.0e-14).
+_NEAR_ZERO_RADIUS = 0.02
 
 
 def czeta(s: complex) -> complex:
@@ -284,30 +213,14 @@ def czeta(s: complex) -> complex:
     s = complex(s)
     if abs(s - 1.0) < 1e-12:
         raise PoleAtOneError()
-    if s.real >= 0.5:
-        return _zeta_right(s)
-    if abs(s) < _NEAR_ZERO_RADIUS:
+    if s.real >= 0.5 or abs(s) < _NEAR_ZERO_RADIUS:
         return _zeta_euler_maclaurin(s)
-    # functional equation: zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)
-    if abs(s.imag) > _CHI_LOG_FORM_IM:
-        chi = cmath.exp(s * _LOG_TWO + (s - 1.0) * _LOG_PI + _log_sin_pi(0.5 * s)
-                        + log_gamma(1.0 - s))
-    else:
-        chi = (
-            cmath.exp(s * math.log(2.0) + (s - 1.0) * _LOG_PI)
-            * cmath.sin(0.5 * math.pi * s)
-            * cmath.exp(log_gamma(1.0 - s))
-        )
-    return chi * _zeta_right(1.0 - s)
-
-
-def _zeta_right(s: complex) -> complex:
-    t = abs(s.imag)
-    if t > 90.0:
-        return _zeta_euler_maclaurin(s)
-    eta_factor = 1.0 - cmath.exp((1.0 - s) * math.log(2.0))
-    if abs(eta_factor) < 0.05:
-        return _zeta_euler_maclaurin(s)
-    terms = 24 + int(0.75 * t)
-    terms = ((terms + 7) // 8) * 8  # quantize for coefficient-cache reuse
-    return _zeta_borwein(s, terms)
+    # functional equation: zeta(s) = chi(s) zeta(1-s),
+    # chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s), formed from its logs.
+    # The sum comes first: past its cap it refuses before the logs of chi,
+    # which cancel to about |Im s| 1e-16, can overflow their exp
+    one_minus_s = 1.0 - s
+    zeta_reflected = _zeta_euler_maclaurin(one_minus_s)
+    chi = cmath.exp(s * _LOG_TWO + (s - 1.0) * _LOG_PI + _log_sin_pi(0.5 * s)
+                    + log_gamma(one_minus_s))
+    return chi * zeta_reflected

@@ -8,10 +8,10 @@ Poisson summation over the odd integers gives a two-sided gamma series
 
 v_m = pi m / (2 log eps), whose terms decay like exp(-pi v_m).  The 1/Gamma(s)
 prefactor forces zeros at negative odd integers.  Left of Re s = 1 both
-gammas of a term reflect, and one complexfn._reflection_logs call gives the
-two sines and two log-gamma sums that the pair needs.  A far pair, v_m >
+gammas of a term reflect, and the pair takes two sines (complexfn._log_sin_pi)
+and two log-gamma sums (complexfn._log_gamma_right).  A far pair, v_m >
 |Im s|/2 + 7, needs no sine: both are single exponentials there (the branch
-complexfn._log_sin_pi takes past |Im z| = 7), and the pair is one exp of
+_log_sin_pi takes past |Im z| = 7), and the pair is one exp of
 log 4 pi^2 - 2 pi v_m less the two log-gammas.
 
 Even-indexed case: the summand vanishes at n=0 only after regularizing by
@@ -32,10 +32,9 @@ m / max(2, 10 - Re s).  The two ratios of a pair +-m share their log-gamma
 values: since Re s < 1/2 in both regions that sum them, the reflection of
 each numerator Gamma(s/2 -+ i v_m) needs log Gamma(1 - s/2 +- i v_m), the
 other ratio's denominator, so a pair costs two log-gamma sums, not four,
-and both come with the two sines from one complexfn._reflection_logs call.
-A far pair, v_m > |Im s|/2 + 7, folds its two terms into one exp,
-4 pi sin(pi s/2) exp(-pi v_m - L) with L the two log-gammas, and needs no
-sine.  For a norm +1 unit the even-indexed evaluator puts eps^(1/2) in
+and two sines.  A far pair, v_m > |Im s|/2 + 7, folds its two terms into
+one exp, 4 pi sin(pi s/2) exp(-pi v_m - L) with L the two log-gammas, and
+needs no sine.  For a norm +1 unit the even-indexed evaluator puts eps^(1/2) in
 place of eps and returns the full zeta.
 """
 
@@ -49,7 +48,7 @@ from .complexfn import (
     _ONE,
     _euler_maclaurin_tail,
     _log_gamma_right,
-    _reflection_logs,
+    _log_sin_pi,
     czeta,
     log_gamma,
     rgamma,
@@ -128,27 +127,27 @@ class _in_double_range:
 
 
 def _odd_reflected_pair(a: complex, one_minus_a: complex, v: float, far_v: float) -> complex:
-    """Gamma(a + i v) Gamma(a - i v) for Re a < 1/2, both reflected.  A near
-    pair combines the four logs of one _reflection_logs call as log_gamma
-    would; a far one (v > far_v) is exp(log 4 pi^2 - 2 pi v - L), L = log
-    Gamma(1 - a - i v) + log Gamma(1 - a + i v), since the product of its
-    sines is then e^(2 pi v) / 4 to e^(-14 pi) ~ 8e-20."""
+    """Gamma(a + i v) Gamma(a - i v) for Re a < 1/2, both reflected, from
+    L = log Gamma(1 - a - i v) + log Gamma(1 - a + i v).  A near pair adds
+    the two log sines as log_gamma would; a far one (v > far_v) is
+    exp(log 4 pi^2 - 2 pi v - L), since the product of its sines is then
+    e^(2 pi v) / 4 to e^(-14 pi) ~ 8e-20."""
     iv = 1j * v
+    l_minus = _log_gamma_right(one_minus_a - iv)
+    l_plus = _log_gamma_right(one_minus_a + iv)
     if v > far_v:
-        return cmath.exp(
-            (_LOG_FOUR_PI_SQ - _TWO_PI * v)
-            - (_log_gamma_right(one_minus_a - iv) + _log_gamma_right(one_minus_a + iv))
-        )
-    s_minus, s_plus, l_minus, l_plus = _reflection_logs(a, one_minus_a, iv)
-    return cmath.exp((_LOG_PI_C - s_plus - l_minus) + (_LOG_PI_C - s_minus - l_plus))
+        return cmath.exp((_LOG_FOUR_PI_SQ - _TWO_PI * v) - (l_minus + l_plus))
+    return cmath.exp(
+        (_LOG_PI_C - _log_sin_pi(a + iv) - l_minus) + (_LOG_PI_C - _log_sin_pi(a - iv) - l_plus)
+    )
 
 
 def zeta_odd_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEvaluation:
     """Odd-indexed zeta via the two-sided gamma series (valid on all of C).
 
     Whether s/2 + i v_m reflects is decided once, by log_gamma's own test on
-    Re(s/2): left of it _odd_reflected_pair forms each pair, from one
-    _reflection_logs call combined as the two reflected log_gamma values
+    Re(s/2): left of it _odd_reflected_pair forms each pair, from two sines
+    and two log-gamma sums combined as the two reflected log_gamma values
     would be, or, for a far pair (v_m > |Im s|/2 + 7), in closed form from
     two log-gamma sums; right of it the two log-gamma sums of s/2 -+ i v_m
     are called directly.  The tail estimate
@@ -165,7 +164,7 @@ def zeta_odd_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> Z
     reflected = not half_s.real >= 0.5
     one_minus_a = _ONE - half_s
     far_v = abs(half_s.imag) + _FAR_MARGIN
-    exp, lanczos, reflected_pair = cmath.exp, _log_gamma_right, _odd_reflected_pair
+    exp, log_gamma_right, reflected_pair = cmath.exp, _log_gamma_right, _odd_reflected_pair
     with _in_double_range("Gamma(s/2 + i v_m) Gamma(s/2 - i v_m)", s):
         total = exp(2.0 * log_gamma(half_s))
         m = 0
@@ -179,7 +178,7 @@ def zeta_odd_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> Z
                 pair = reflected_pair(half_s, one_minus_a, v, far_v)
             else:
                 iv = 1j * v
-                pair = exp(lanczos(half_s + iv) + lanczos(half_s - iv))
+                pair = exp(log_gamma_right(half_s + iv) + log_gamma_right(half_s - iv))
             term = sign * pair
             total += term
             term_abs = abs(term)
@@ -259,18 +258,17 @@ def _even_pair(
     a: complex, one_minus_a: complex, v: float, far_v: float, four_pi_sin: complex
 ) -> complex:
     """ratio(m) + ratio(-m), ratio(+-m) = Gamma(a -+ i v) / Gamma(1 - a -+ i v),
-    for Re a < 1/2.  A near pair combines the four logs of one
-    _reflection_logs call in _gamma_ratio's order; a far one (v > far_v) is
-    4 pi sin(pi a) exp(-pi v - L), L = log Gamma(1 - a - i v) + log Gamma(1 -
-    a + i v), to e^(-14 pi) ~ 8e-20."""
+    for Re a < 1/2, from the two log Gamma(1 - a -+ i v).  A near pair adds
+    the two log sines in _gamma_ratio's order; a far one (v > far_v) is
+    4 pi sin(pi a) exp(-pi v - L), L the sum of the two log-gammas, to
+    e^(-14 pi) ~ 8e-20."""
     iv = 1j * v
+    l_minus = _log_gamma_right(one_minus_a - iv)
+    l_plus = _log_gamma_right(one_minus_a + iv)
     if v > far_v:
-        return four_pi_sin * cmath.exp(
-            -math.pi * v - (_log_gamma_right(one_minus_a - iv) + _log_gamma_right(one_minus_a + iv))
-        )
-    s_minus, s_plus, l_minus, l_plus = _reflection_logs(a, one_minus_a, iv)
-    return cmath.exp((_LOG_PI_C - s_minus - l_plus) - l_minus) + cmath.exp(
-        (_LOG_PI_C - s_plus - l_minus) - l_plus
+        return four_pi_sin * cmath.exp(-math.pi * v - (l_minus + l_plus))
+    return cmath.exp((_LOG_PI_C - _log_sin_pi(a - iv) - l_plus) - l_minus) + cmath.exp(
+        (_LOG_PI_C - _log_sin_pi(a + iv) - l_minus) - l_plus
     )
 
 
@@ -299,8 +297,8 @@ def _ratio_pair_core(
 
     Both callers have Re s < 1/2, so both numerators Gamma(a -+ i v) of a
     pair (a = s/2) reflect, each needing log Gamma(1 - a +- i v), the other
-    ratio's denominator.  _even_pair forms a near pair from one
-    _reflection_logs call, the float _gamma_ratio(s, v) + _gamma_ratio(s, -v)
+    ratio's denominator.  _even_pair forms a near pair from two sines and
+    these two log-gammas, the float _gamma_ratio(s, v) + _gamma_ratio(s, -v)
     gives, and a far one (v > |Im a| + 7) in closed form from the two
     log-gammas alone.
     """

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -101,7 +102,7 @@ def test_eval_pole_proximity_exit_code(capsys):
     ("-400+1i", "even", "Gamma(1 - s)"),  # the left-region prefactor
     ("400", "odd", "Gamma(s/2 + i v_m) Gamma(s/2 - i v_m)"),
     ("-3+1000i", "even", "sin(pi s/2)"),
-    ("0.3+1000i", "even", "sin(pi s/2)"),  # czeta forms its own chi in log form there
+    ("0.3+1000i", "even", "sin(pi s/2)"),  # czeta forms its chi in log form
 ])
 def test_eval_poisson_factor_out_of_double_range_is_numerical_error(capsys, s, parity, factor):
     code, out, err = run_cli(capsys, "eval", "--D", "5", f"--s={s}", "--parity", parity,
@@ -109,6 +110,18 @@ def test_eval_poisson_factor_out_of_double_range_is_numerical_error(capsys, s, p
     assert code == 3 and out == ""
     assert err == f"error: FactorOverflowError: the factor {factor} leaves double range " \
                   f"at s={parse_complex(s)}\n"
+
+
+@pytest.mark.parametrize("s", ["0.1+1e12i", "0.3-1e300i"])
+def test_eval_poisson_even_far_up_the_axis_refuses_at_once(capsys, s):
+    """The strip form's zeta(s) refuses before its Euler-Maclaurin sum,
+    which would need 0.6 |s| terms, and so before sin(pi s/2) overflows."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", "--D", "5", f"--s={s}", "--parity", "even",
+                             "--method", "poisson")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: TooSlowConvergenceError: ")
 
 
 @pytest.mark.parametrize("d, s, parity, factor", [
@@ -285,9 +298,10 @@ GOLDEN = Path(__file__).resolve().parent / "data"
 @pytest.mark.parametrize("parity", ["odd", "even"])
 def test_poisson_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, parity):
     """A D = 29 box over the left (Re s <= -0.25), strip and direct regions of
-    the even form, and the odd series on the same points.  The CSV was
-    recorded before the Lanczos, reflection, Borwein and pair-sum kernels
-    were rewritten; any drift in the last bit of a value changes its bytes."""
+    the even form, and the odd series on the same points.  The CSV was last
+    recorded when log Gamma became Stirling's series alone and zeta
+    Euler-Maclaurin alone; any drift in the last bit of a value changes its
+    bytes."""
     out = tmp_path / "grid.csv"
     code = main(["grid", "--D", "29", "--parity", parity, "--methods", "poisson",
                  "--re", "-6.5", "1.0", "0.375", "--im", "-19", "17", "6", "--out", str(out)])
@@ -299,8 +313,8 @@ def test_poisson_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, parity):
 def test_d5_poisson_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, parity):
     """A D = 5 box, Re s in [-7, 3] and |Im s| <= 30: the odd series both
     reflected and not (Re s >= 1), both branches of log sin(pi z) in the pair
-    terms, and a step pi / (2 log eps) other than D = 29's.  The CSV was
-    recorded before the pair loops took their logs from one kernel call."""
+    terms, and a step pi / (2 log eps) other than D = 29's.  The CSV was last
+    recorded when log Gamma became Stirling's series alone."""
     out = tmp_path / "grid.csv"
     code = main(["grid", "--D", "5", "--parity", parity, "--methods", "poisson",
                  "--re", "-7", "3", "0.625", "--im", "-30", "30", "7.5", "--out", str(out)])

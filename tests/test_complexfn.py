@@ -2,26 +2,16 @@ import cmath
 import math
 import random
 
+import time
+
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from fibzeta.complexfn import (
-    _HALF_LOG_TWO_PI,
-    _LANCZOS_COEFFS,
-    _LANCZOS_G,
-    _borwein_d,
-    _log_gamma_right,
-    _log_sin_pi,
-    _zeta_borwein,
-    cgamma,
-    czeta,
-    log_gamma,
-    rgamma,
-)
+from fibzeta.complexfn import _log_gamma_right, _log_sin_pi, cgamma, czeta, log_gamma, rgamma
 from fibzeta.crosscheck import _binomial_coefficient
-from fibzeta.errors import PoleAtNonpositiveIntegerError, PoleAtOneError
+from fibzeta.errors import PoleAtNonpositiveIntegerError, PoleAtOneError, TooSlowConvergenceError
 
 mp.mp.dps = 30
 
@@ -102,30 +92,6 @@ def test_rgamma_is_entire_and_zero_at_poles():
     assert rel_err(rgamma(0.5 + 2j), 1.0 / complex(mp.gamma(0.5 + 2j))) < 1e-13
 
 
-def _log_gamma_right_loop(z):
-    """Reference: the Lanczos sum accumulated in a loop over the coefficients."""
-    zz = z - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for k in range(1, 15):
-        acc += _LANCZOS_COEFFS[k] / (zz + k)
-    t = zz + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(acc)
-
-
-def test_log_gamma_right_equals_the_loop_reference_exactly():
-    """The Lanczos arm, |z| < 10."""
-    re_axis = [0.5 + 11.5 * i / 46 for i in range(47)]
-    im_axis = [-10.0 + 20.0 * j / 160 for j in range(161)] + [1e-9, -0.3, 0.7071, 9.99]
-    count = 0
-    for x in re_axis:
-        for y in im_axis:
-            z = complex(x, y)
-            if abs(z) < 10.0:
-                assert _log_gamma_right(z) == _log_gamma_right_loop(z), z
-                count += 1
-    assert count > 3000
-
-
 def _log_error(value, z):
     """|value - log Gamma(z)| with the difference taken mod 2 pi i: the
     absolute error of the log, the relative error of Gamma(z) itself."""
@@ -133,33 +99,27 @@ def _log_error(value, z):
     return abs(complex(diff.real, math.remainder(diff.imag, 2.0 * math.pi)))
 
 
-def test_log_gamma_right_stirling_arm_is_as_accurate_as_the_lanczos_sum():
-    """|z| in [10, 300], Re z >= 1/2, log-uniform in |z| at any angle: the
-    Stirling arm errs no more than the Lanczos sum would at the same points
-    (both near 5e-13, the rounding of a log of size |z| log |z|)."""
+@pytest.mark.parametrize("box", ["shifted", "wide", "edges"])
+def test_log_gamma_right_matches_mpmath(box):
+    """Stirling's series at z + n, less the log of the n shift factors: its
+    error is the rounding of the logs summed, below 1e-14 max(1, |z| log |z|)
+    on Re z in [0.5, 40], |Im z| <= 60.  "shifted" samples |z| < 10, where n
+    is 1 to 10; "edges" holds z = 0.5 (ten steps), small z and the points
+    1e-9 either side of |z| = 10, which take one step and none."""
     rng = random.Random(20261019)
-    worst_stirling = worst_lanczos = 0.0
-    count = 0
-    while count < 400:
-        z = cmath.rect(10.0 * 30.0 ** rng.random(), rng.uniform(-0.5 * math.pi, 0.5 * math.pi))
-        if z.real < 0.5 or abs(z) < 10.0:
-            continue
-        worst_stirling = max(worst_stirling, _log_error(_log_gamma_right(z), z))
-        worst_lanczos = max(worst_lanczos, _log_error(_log_gamma_right_loop(z), z))
-        count += 1
-    assert worst_stirling <= worst_lanczos < 1e-12
-
-
-@pytest.mark.parametrize("angle", [-1.52, -1.0, -0.3, 0.0, 0.7, 1.3, 1.5205])
-def test_log_gamma_right_arms_meet_at_abs_z_ten(angle):
-    """Just outside |z| = 10 the Stirling value is the Lanczos sum's to
-    1e-14 relative; just inside it is the Lanczos sum's exactly."""
-    outside = cmath.rect(10.0 + 1e-9, angle)
-    inside = cmath.rect(10.0 - 1e-9, angle)
-    assert outside.real >= 0.5 and inside.real >= 0.5
-    lanczos = _log_gamma_right_loop(outside)
-    assert abs(_log_gamma_right(outside) - lanczos) <= 1e-14 * abs(lanczos)
-    assert _log_gamma_right(inside) == _log_gamma_right_loop(inside)
+    if box == "shifted":
+        points = [complex(rng.uniform(0.5, 10.0), rng.uniform(-10.0, 10.0)) for _ in range(400)]
+    elif box == "wide":
+        points = [complex(rng.uniform(0.5, 40.0), rng.uniform(-60.0, 60.0)) for _ in range(400)]
+    else:
+        points = [0.5 + 0j, complex(0.5, 1e-300), 1.0 + 0j, 2.0 + 0j, complex(0.5, -9.98),
+                  complex(40.0, 60.0), complex(0.5, -60.0)]
+        points += [cmath.rect(10.0 + d, angle) for d in (1e-9, -1e-9)
+                   for angle in (-1.52, -1.0, -0.3, 0.0, 0.7, 1.3, 1.5205)]
+    for z in points:
+        assert z.real >= 0.5
+        bound = 1e-14 * max(1.0, abs(z) * math.log(abs(z)))
+        assert _log_error(_log_gamma_right(z), z) <= bound, z
 
 
 def _log_sin_pi_inline(z):
@@ -232,36 +192,6 @@ def test_zeta_near_first_nontrivial_zero():
     assert abs(czeta(complex(0.5, 14.134725))) < 1e-4
 
 
-def _zeta_borwein_big_integer(s, terms):
-    """Reference: Borwein's sum with the big-integer weights formed per term."""
-    d, dn = _borwein_d(terms)
-    acc = 0j
-    sign = 1
-    for k in range(terms):
-        acc += sign * (d[k] - dn) * cmath.exp(-s * math.log(k + 1))
-        sign = -sign
-    eta_factor = 1.0 - cmath.exp((1.0 - s) * math.log(2.0))
-    return -acc / (dn * eta_factor)
-
-
-@given(
-    terms=st.sampled_from(range(24, 97, 8)),
-    re=st.floats(min_value=0.5, max_value=10.0),
-    im=st.floats(min_value=-90.0, max_value=90.0),
-)
-@hyp_settings(max_examples=300, deadline=None)
-def test_zeta_borwein_equals_the_big_integer_loop_exactly(terms, re, im):
-    s = complex(re, im)
-    try:
-        expected = _zeta_borwein_big_integer(s, terms)
-    except ZeroDivisionError:
-        # s = 1, where 1 - 2^(1-s) vanishes: both loops must divide by zero
-        with pytest.raises(ZeroDivisionError):
-            _zeta_borwein(s, terms)
-        return
-    assert _zeta_borwein(s, terms) == expected
-
-
 def test_zeta_zero_is_minus_one_half():
     assert rel_err(czeta(0.0), -0.5) < 1e-14
     assert rel_err(czeta(complex(1e-20, -1e-20)), -0.5) < 1e-14
@@ -276,13 +206,13 @@ def test_zeta_against_mpmath_samples():
     rng = random.Random(31)
     worst = 0.0
     pts = [complex(rng.uniform(-10, 10), rng.uniform(-50, 50)) for _ in range(150)]
-    # include the line where the alternating-series factor 1 - 2^(1-s) vanishes
+    # include the zeros of 1 - 2^(1-s) on the line Re s = 1
     pts += [complex(1.0, 2 * math.pi * k / math.log(2.0)) for k in (1, 2, 3, -4)]
     pts += [complex(1.0001, 2 * math.pi / math.log(2.0) + 1e-4), complex(0.5, 49.9)]
     # next to s = 0, where the functional equation cancels a zero against a
     # pole, and on both sides of the disk where czeta avoids it
     pts += [0j, 1e-20, -1e-18, 1e-12, complex(1e-6, 1e-6), complex(-3e-20, 2e-20)]
-    pts += [r * cmath.exp(1j * t) for r in (3.9e-3, 4.1e-3) for t in (0.3, 2.0, 3.1, 4.5)]
+    pts += [r * cmath.exp(1j * t) for r in (0.0199, 0.0201) for t in (0.3, 2.0, 3.1, 4.5)]
     for s in pts:
         if abs(s - 1.0) < 1e-6:
             continue
@@ -299,11 +229,88 @@ def test_zeta_far_up_left_of_the_critical_line_matches_mpmath(s):
     assert rel_err(czeta(s), ref) < 2e-12
 
 
-def test_zeta_keeps_the_product_form_of_chi_below_the_log_form_switch():
-    s = 0.3 + 420j
-    chi = (cmath.exp(s * math.log(2.0) + (s - 1.0) * math.log(math.pi))
-           * cmath.sin(0.5 * math.pi * s) * cmath.exp(log_gamma(1.0 - s)))
-    assert czeta(s) == chi * czeta(1.0 - s)
+def _eta_zero_neighbours():
+    """Points within 0.05 of zeros 1 + 2 pi i k / log 2 of 1 - 2^(1-s)."""
+    points = []
+    for k in (1, -1, 2, 3, -7, 12):
+        zero = complex(1.0, 2.0 * math.pi * k / math.log(2.0))
+        points += [zero + cmath.rect(0.0499, angle) for angle in (0.0, 1.0, 2.0, 3.0, 4.2, 5.5)]
+    return points
+
+
+# lines where czeta once switched algorithms: |Im s| = 90 (on the left for
+# zeta(1 - s)), the zeros of 1 - 2^(1-s), and |Im s| = 450 left of 1/2
+ZETA_SWITCH_LINES = {
+    "im_90": [complex(x, sign * (90.0 + d)) for x in (0.5, 0.8, 1.0, 3.0, -2.0, 0.3)
+              for sign in (1, -1) for d in (1e-9, -1e-9)],
+    "eta_zeros": _eta_zero_neighbours(),
+    "im_450_left": [complex(x, sign * (450.0 + d)) for x in (0.49, 0.3, -0.2, -3.0, -17.0, -30.0)
+                    for sign in (1, -1) for d in (1e-9, -1e-9)],
+}
+
+
+@pytest.mark.parametrize("line", sorted(ZETA_SWITCH_LINES))
+def test_zeta_matches_mpmath_at_the_old_switch_lines(line):
+    for s in ZETA_SWITCH_LINES[line]:
+        with mp.workdps(40):
+            ref = complex(mp.zeta(s))
+        assert rel_err(czeta(s), ref) < 1e-12, s
+
+
+def _zeta_scale(s):
+    """The size czeta's rounding is measured against: |zeta(s)|, at least 1,
+    for Re s >= 1/2 and |s| < 1/2; elsewhere the functional equation's
+    chi(s) zeta(1 - s) with |sin(pi s/2)| replaced by its bound
+    cosh(pi Im s / 2), since the sine's argument is rounded, and
+    |zeta(1 - s)| at least 1.  A plain relative error is unbounded at the
+    zeros of either factor."""
+    if s.real >= 0.5 or abs(s) < 0.5:
+        return max(float(abs(mp.zeta(s))), 1.0)
+    chi_bound = abs(mp.power(2, s) * mp.power(mp.pi, s - 1) * mp.gamma(1 - s)) * mp.cosh(
+        mp.pi * s.imag / 2
+    )
+    return float(chi_bound * max(abs(mp.zeta(1 - s)), 1))
+
+
+@given(
+    re=st.floats(min_value=-30.0, max_value=30.0),
+    im=st.floats(min_value=-500.0, max_value=500.0),
+)
+@example(re=0.5, im=500.0)
+@example(re=-30.0, im=0.0)
+@example(re=-30.0, im=-500.0)
+@example(re=0.49999999999, im=389.177653274544)
+@example(re=-9.751634663260884, im=-453.05783310891667)
+@example(re=1.0, im=1e-9)
+@example(re=0.0, im=0.0)
+@hyp_settings(max_examples=300, deadline=None)
+def test_zeta_matches_mpmath_on_the_box(re, im):
+    """Re s in [-30, 30], |Im s| <= 500: within 1e-12 of _zeta_scale."""
+    s = complex(re, im)
+    if abs(s - 1.0) < 1e-12:
+        with pytest.raises(PoleAtOneError):
+            czeta(s)
+        return
+    with mp.workdps(40):
+        err = float(abs(mp.mpc(czeta(s)) - mp.zeta(s)))
+        assert err <= 1e-12 * _zeta_scale(s), s
+
+
+@pytest.mark.parametrize("s", [0.6 + 1e300j, 0.1 + 1e12j, complex(0.6, 2e5), complex(-3.0, -1e7)])
+def test_zeta_refuses_more_terms_than_its_cap_before_summing(s):
+    """The Euler-Maclaurin sum needs 0.6 |s| + 6 terms, above 100,000 past
+    |s| ~ 1.7e5; it raises before its loop, on either side of Re s = 1/2."""
+    start = time.perf_counter()
+    with pytest.raises(TooSlowConvergenceError):
+        czeta(s)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_zeta_sums_up_to_its_cap():
+    """96,006 terms, just under the cap: 6e-12 from mpmath, the rounding of
+    phases of size 1.6e5 log k."""
+    s = complex(0.6, 1.6e5)
+    assert rel_err(czeta(s), complex(mp.zeta(s))) < 1e-10
 
 
 def test_zeta_symmetric_functional_equation():

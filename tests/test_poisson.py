@@ -18,9 +18,8 @@ from fibzeta import (
     nearest_lattice_pole,
     zeta_functional_reconstruction,
 )
-from fibzeta import complexfn
 from fibzeta.continuation import direct_terms_for, zeta_direct, zeta_even_binomial, zeta_odd_binomial
-from fibzeta.complexfn import _log_gamma_right, _log_sin_pi, _reflection_logs, log_gamma
+from fibzeta.complexfn import _log_gamma_right, _log_sin_pi, log_gamma
 from fibzeta.poisson import (
     RegionSelector,
     _asymptotic_coefficients,
@@ -296,11 +295,10 @@ def test_zeta_cancellation_out_of_region():
 RATIO_PAIR_FIELDS = {d: make_field(d) for d in (5, 13, 29)}
 
 
-def _pair_logs(re_s, im_s, d, m):
+def _pair_args(re_s, im_s, d, m):
     s = complex(re_s, im_s)
     v = m * math.pi / (2.0 * RATIO_PAIR_FIELDS[d].log_eps)
-    a = 0.5 * s
-    return s, v, a, _reflection_logs(a, 1 - a, 1j * v)
+    return s, v, 0.5 * s
 
 
 @given(
@@ -319,18 +317,14 @@ def _pair_logs(re_s, im_s, d, m):
 @example(re_s=-3.3, im_s=1.6, d=5, m=5)
 @example(re_s=-7.9, im_s=0.91, d=29, m=1)
 @hyp_settings(max_examples=400, deadline=None)
-def test_reflection_logs_equal_the_four_functions_exactly(re_s, im_s, d, m):
-    _, v, a, (s_minus, s_plus, l_minus, l_plus) = _pair_logs(re_s, im_s, d, m)
+def test_odd_reflected_pair_equals_the_two_log_gammas_exactly(re_s, im_s, d, m):
+    """A near pair (far_v = inf here, so at any v) is the product of the two
+    reflected gammas as log_gamma forms them: Re(s/2) < 1/2, so log_gamma
+    reflects both and builds 1 - (s/2 +- i v), the pair's (1 - s/2) -+ i v."""
+    _, v, a = _pair_args(re_s, im_s, d, m)
     iv = 1j * v
-    assert s_minus == _log_sin_pi(a - iv)
-    assert s_plus == _log_sin_pi(a + iv)
-    assert l_minus == _log_gamma_right((1 - a) - iv)
-    assert l_plus == _log_gamma_right((1 - a) + iv)
-    # the odd series' reflected pair: Re(s/2) < 1/2, so log_gamma reflects
-    # both and builds 1 - (s/2 +- i v), the kernel's (1 - s/2) -+ i v
-    pi = complexfn._LOG_PI_C
-    odd_exponent = (pi - s_plus - l_minus) + (pi - s_minus - l_plus)
-    assert odd_exponent == log_gamma(a + iv) + log_gamma(a - iv)
+    expected = cmath.exp(log_gamma(a + iv) + log_gamma(a - iv))
+    assert _odd_reflected_pair(a, 1 - a, v, math.inf) == expected
 
 
 @given(
@@ -339,48 +333,47 @@ def test_reflection_logs_equal_the_four_functions_exactly(re_s, im_s, d, m):
     d=st.sampled_from(sorted(RATIO_PAIR_FIELDS)),
     m=st.integers(min_value=1, max_value=200),
 )
-@example(re_s=-3.3, im_s=17.0, d=13, m=41)  # shared Lanczos values
+@example(re_s=-3.3, im_s=17.0, d=13, m=41)
+@example(re_s=-2.0, im_s=20.43, d=5, m=1)
+@example(re_s=-0.5, im_s=-19.62, d=29, m=3)
 @hyp_settings(max_examples=400, deadline=None)
-def test_reflection_logs_pair_equals_the_two_ratio_sum_exactly(re_s, im_s, d, m):
-    """The even pair as _ratio_pair_core combines the kernel's logs."""
-    s, v, _, (s_minus, s_plus, l_minus, l_plus) = _pair_logs(re_s, im_s, d, m)
-    pi = complexfn._LOG_PI_C
-    pair = cmath.exp((pi - s_minus - l_plus) - l_minus) + cmath.exp(
-        (pi - s_plus - l_minus) - l_plus
-    )
+def test_even_pair_equals_the_two_ratio_sum_exactly(re_s, im_s, d, m):
+    """A near pair (far_v = inf here) shares its two log-gammas between the
+    ratios and gives the float _gamma_ratio(s, v) + _gamma_ratio(s, -v)."""
+    s, v, a = _pair_args(re_s, im_s, d, m)
+    pair = _even_pair(a, 1 - a, v, math.inf, 4.0 * math.pi * cmath.sin(math.pi * a))
     assert pair == _gamma_ratio(s, v) + _gamma_ratio(s, -v)
 
 
 # repr values that must repeat exactly: (D, form, s, value, terms_used).  The
-# rows were last recorded when log Gamma took Stirling's series from |z| = 10
-# on and far pairs their closed form, which moved the even rows and the odd
-# rows at Re s = 1.5 by rounding alone (at most 8.9e-14 relative, each as far
-# from the mpmath value as before to rounding); the other odd rows kept the
-# floats they were first recorded with
+# rows were last recorded when log Gamma became Stirling's series alone,
+# taken at z + n below |z| = 10, and zeta Euler-Maclaurin alone, which moved
+# every row by rounding alone (at most 1.1e-14 relative, same terms, each as
+# far from the oracle value as before to rounding)
 FROZEN_POISSON = [
-    (5, "even", complex(0.3, 2.0), (0.5610063221455432-0.2127509852798516j), 13),
-    (5, "even", complex(-0.1, 5.5), (1.2642077950510064+1.2078408782120076j), 19),
-    (5, "even", complex(0.45, -12.25), (1.9159361237011687+0.2825351332729642j), 55),
-    (5, "even", complex(-1.5, 0.5), (-0.626607268055057+0.24076014735815737j), 11),
-    (5, "even", complex(-3.7, 11.0), (-1.6627647114478443+0.4573539314162094j), 25),
-    (5, "even", complex(-6.2, -4.3), (0.0990763964271233-0.06680965717944756j), 15),
-    (5, "odd", complex(0.3, 2.0), (0.7910265627061253-0.5578800190552188j), 7),
-    (5, "odd", complex(-2.5, 7.0), (1.6345150077047164-3.2297347629570217j), 9),
-    (5, "odd", complex(1.5, -15.0), (0.8606687303594408-0.35064956105365064j), 13),
-    (13, "even", complex(0.3, 2.0), (-0.10776260209516964-0.6605860001959343j), 21),
-    (13, "even", complex(-0.1, 5.5), (0.1497441116131777-1.5487687587253267j), 45),
-    (13, "even", complex(0.45, -12.25), (0.41413577017853054+0.3073608431943393j), 139),
-    (13, "even", complex(-1.5, 0.5), (-0.14431366558445285-0.022098918611815038j), 21),
-    (13, "even", complex(-3.7, 11.0), (-0.17007778341447047-0.1126307171985141j), 51),
-    (13, "even", complex(-6.2, -4.3), (-0.007526025088377678-0.0056558256060812075j), 29),
-    (13, "odd", complex(0.3, 2.0), (0.7489961554911357+0.38827349199206973j), 17),
-    (13, "odd", complex(-2.5, 7.0), (0.03811172025876826-0.1188043816173347j), 19),
-    (13, "odd", complex(1.5, -15.0), (0.9686751243662605+0.001413793591021853j), 27),
+    (5, "even", complex(0.3, 2.0), (0.5610063221455452-0.21275098527985728j), 13),
+    (5, "even", complex(-0.1, 5.5), (1.2642077950510169+1.2078408782119947j), 19),
+    (5, "even", complex(0.45, -12.25), (1.915936123701171+0.2825351332729591j), 55),
+    (5, "even", complex(-1.5, 0.5), (-0.6266072680550563+0.24076014735815698j), 11),
+    (5, "even", complex(-3.7, 11.0), (-1.66276471144785+0.45735393141621056j), 25),
+    (5, "even", complex(-6.2, -4.3), (0.09907639642712382-0.06680965717944772j), 15),
+    (5, "odd", complex(0.3, 2.0), (0.7910265627061279-0.5578800190552203j), 7),
+    (5, "odd", complex(-2.5, 7.0), (1.6345150077047115-3.2297347629570283j), 9),
+    (5, "odd", complex(1.5, -15.0), (0.8606687303594445-0.35064956105364753j), 13),
+    (13, "even", complex(0.3, 2.0), (-0.1077626020951706-0.660586000195937j), 21),
+    (13, "even", complex(-0.1, 5.5), (0.14974411161317058-1.5487687587253247j), 45),
+    (13, "even", complex(0.45, -12.25), (0.414135770178532+0.30736084319433665j), 139),
+    (13, "even", complex(-1.5, 0.5), (-0.14431366558445263-0.022098918611814997j), 21),
+    (13, "even", complex(-3.7, 11.0), (-0.17007778341447038-0.11263071719851442j), 51),
+    (13, "even", complex(-6.2, -4.3), (-0.007526025088377701-0.00565582560608121j), 29),
+    (13, "odd", complex(0.3, 2.0), (0.748996155491138+0.38827349199207123j), 17),
+    (13, "odd", complex(-2.5, 7.0), (0.03811172025876877-0.11880438161733517j), 19),
+    (13, "odd", complex(1.5, -15.0), (0.9686751243662619+0.001413793591019702j), 27),
     # norm +1, recorded before the even form lost its overlap bands
-    (3, "even", complex(0.3, 2.0), (0.6000505445941413-0.06933418371243194j), 15),
-    (3, "even", complex(-0.1, 5.5), (0.05369817964646162-0.6025673770757389j), 25),
-    (3, "even", complex(-1.5, 0.5), (-0.2542844224566857+0.025529330206683694j), 15),
-    (3, "even", complex(-3.7, 11.0), (-0.12649549202611088+0.08759374873000414j), 29),
+    (3, "even", complex(0.3, 2.0), (0.6000505445941453-0.06933418371243422j), 15),
+    (3, "even", complex(-0.1, 5.5), (0.053698179646458566-0.6025673770757354j), 25),
+    (3, "even", complex(-1.5, 0.5), (-0.2542844224566854+0.02552933020668354j), 15),
+    (3, "even", complex(-3.7, 11.0), (-0.12649549202611116+0.08759374873000483j), 29),
 ]
 
 
@@ -402,14 +395,15 @@ def test_poisson_values_repeat_bit_for_bit(d, form, s, value, terms):
     ("odd", complex(0.7, 2.0), 9, True),  # the last pair is far
     ("odd", complex(1.5, -7.0), 12, False),  # Re(s/2) >= 1/2: no reflection
 ])
-def test_pair_loops_make_one_kernel_call_per_pair_and_no_log_gamma_call(
+def test_pair_loops_take_two_sines_and_two_log_gammas_per_near_pair(
     monkeypatch, parity, s, pairs, reflected
 ):
     """Outside the pair loops fibzeta.poisson calls log_gamma for Gamma(1 - s)
     and the m = 0 ratio (even), or for the m = 0 term (odd).  A near
-    reflected pair is one _reflection_logs call; a far one (v_m > |Im s|/2
-    + 7) and a pair where s/2 does not reflect are two log-gamma sums."""
-    seen = {"log_gamma": 0, "kernel": 0, "lanczos": 0}
+    reflected pair takes two _log_sin_pi and two _log_gamma_right calls; a
+    far one (v_m > |Im s|/2 + 7) and a pair where s/2 does not reflect take
+    the two _log_gamma_right calls alone."""
+    seen = {"log_gamma": 0, "log_sin_pi": 0, "log_gamma_right": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -418,8 +412,10 @@ def test_pair_loops_make_one_kernel_call_per_pair_and_no_log_gamma_call(
         return wrapper
 
     monkeypatch.setattr("fibzeta.poisson.log_gamma", counting("log_gamma", log_gamma))
-    monkeypatch.setattr("fibzeta.poisson._reflection_logs", counting("kernel", _reflection_logs))
-    monkeypatch.setattr("fibzeta.poisson._log_gamma_right", counting("lanczos", _log_gamma_right))
+    monkeypatch.setattr("fibzeta.poisson._log_sin_pi", counting("log_sin_pi", _log_sin_pi))
+    monkeypatch.setattr(
+        "fibzeta.poisson._log_gamma_right", counting("log_gamma_right", _log_gamma_right)
+    )
     evaluator = zeta_even_poisson if parity == "even" else zeta_odd_poisson
     field = RATIO_PAIR_FIELDS[29]
     ev = evaluator(field, s, tol=1e-10)
@@ -428,8 +424,8 @@ def test_pair_loops_make_one_kernel_call_per_pair_and_no_log_gamma_call(
     far = sum(1 for m in range(1, pairs + 1) if step * m > abs(s.imag) / 2 + 7.0)
     assert seen == {
         "log_gamma": 3 if parity == "even" else 1,
-        "kernel": pairs - far if reflected else 0,
-        "lanczos": 2 * far if reflected else 2 * pairs,
+        "log_sin_pi": 2 * (pairs - far) if reflected else 0,
+        "log_gamma_right": 2 * pairs,
     }
 
 
@@ -441,25 +437,24 @@ def test_pair_loops_make_one_kernel_call_per_pair_and_no_log_gamma_call(
 @example(re_s=-0.5, im_s=0.0, beyond=1e-12)
 @example(re_s=-7.9, im_s=-20.0, beyond=299.0)
 @hyp_settings(max_examples=300, deadline=None)
-def test_far_pairs_equal_the_kernel_pair_in_closed_form(re_s, im_s, beyond):
+def test_far_pairs_equal_the_near_pair_in_closed_form(re_s, im_s, beyond):
     """Past v = |Im s|/2 + 7 each pair folds its sines into one exp: the
-    closed form is the pair the kernel's four logs give, to 1e-14 (1 + v)
-    relative, for the even ratio pair and the odd reflected gamma product,
-    on the grid box Re s in [-8, 4], |Im s| <= 20 (the odd pair reflects
-    only where Re s < 1; the even reflection holds on all of it)."""
+    closed form is the pair its two sines and two log-gammas give, to
+    1e-14 (1 + v) relative, for the even ratio pair and the odd reflected
+    gamma product, on the grid box Re s in [-8, 4], |Im s| <= 20 (the odd
+    pair reflects only where Re s < 1; the even reflection holds on all of
+    it)."""
     s = complex(re_s, im_s)
     a = 0.5 * s
     far_v = abs(a.imag) + 7.0
     v = far_v + beyond
-    s_minus, s_plus, l_minus, l_plus = _reflection_logs(a, 1 - a, 1j * v)
-    pi = complexfn._LOG_PI_C
     # the two terms of the even pair cancel where sin(pi s/2) = 0, so its
     # error is measured against their size
-    terms = (cmath.exp((pi - s_minus - l_plus) - l_minus), cmath.exp((pi - s_plus - l_minus) - l_plus))
+    terms = (_gamma_ratio(s, v), _gamma_ratio(s, -v))
     closed = _even_pair(a, 1 - a, v, far_v, 4.0 * math.pi * cmath.sin(math.pi * a))
     assert abs(closed - sum(terms)) <= 1e-14 * (1.0 + v) * (abs(terms[0]) + abs(terms[1]))
     if re_s < 1.0:
-        odd = cmath.exp((pi - s_plus - l_minus) + (pi - s_minus - l_plus))
+        odd = _odd_reflected_pair(a, 1 - a, v, math.inf)
         closed = _odd_reflected_pair(a, 1 - a, v, far_v)
         assert abs(closed - odd) <= 1e-14 * (1.0 + v) * abs(odd)
 
