@@ -21,20 +21,23 @@ for -1/4 < Re s < 1/2 a strip form built from zeta(s), a closed-form
 constant phase, and bracketed gamma-ratio terms; and for Re s <= -1/4 the
 bare gamma-ratio sum.  The gamma-ratio sums are accelerated exactly: the
 ratio Gamma(z + a)/Gamma(z + 1 - a) admits an asymptotic expansion in even
-powers of 1/z, which holds only well past |z| ~ |s|.  So the pairs below
-m0 = ceil((|s| + 8) / step) + 2 are summed plainly; from m0 on the orders
-z^0 .. z^-8 are subtracted from each pair, which leaves a remainder falling
-like m^(Re s - 11), and they are added back through the Hurwitz tails
-sum_{m >= m0} m^(s-1-2j), summed from m0 on (direct terms, then
-Euler-Maclaurin) rather than formed as zeta(1 + 2j - s) less its first
-terms.  The truncation is modelled as the last residual times
-m / max(2, 10 - Re s).  The two ratios of a pair +-m share their log-gamma
-values: since Re s < 1/2 in both regions that sum them, the reflection of
-each numerator Gamma(s/2 -+ i v_m) needs log Gamma(1 - s/2 +- i v_m), the
-other ratio's denominator, so a pair costs two log-gamma sums, not four,
-and two sines.  A far pair, v_m > |Im s|/2 + 7, folds its two terms into
-one exp, 4 pi sin(pi s/2) exp(-pi v_m - L) with L the two log-gammas, and
-needs no sine.  For a norm +1 unit the even-indexed evaluator puts eps^(1/2) in
+powers of 1/z, which holds only past |z| ~ |s|.  So the pairs below
+m0 = ceil((|s| + 4) / step) + 1 are summed plainly; from m0 on the orders
+z^0 .. z^-12 are subtracted from each pair, which leaves a remainder
+falling like m^(Re s - 15), and they are added back through the Hurwitz
+tails sum_{m >= m0} m^(s-1-2j), weighted and summed together from m0 on
+(direct terms, then one Euler-Maclaurin tail that every order shares)
+rather than formed as zeta(1 + 2j - s) less its first terms.  The
+truncation is modelled as the last residual times m / max(2, 10 - Re s),
+the sum of a remainder falling like m^(Re s - 11): an overestimate, kept
+because it stops no earlier than the tol asks.  The two ratios of a pair
++-m share their log-gamma values: since Re s < 1/2 in both regions that
+sum them, the reflection of each numerator Gamma(s/2 -+ i v_m) needs
+log Gamma(1 - s/2 +- i v_m), the other ratio's denominator, so a pair
+costs two log-gamma sums, not four, and two sines.  A far pair,
+v_m > |Im s|/2 + 7, folds its two terms into one exp,
+4 pi sin(pi s/2) exp(-pi v_m - L) with L the two log-gammas, and needs no
+sine.  For a norm +1 unit the even-indexed evaluator puts eps^(1/2) in
 place of eps and returns the full zeta.
 """
 
@@ -44,9 +47,10 @@ import cmath
 import math
 
 from .complexfn import (
+    _EULER_MACLAURIN_STEPS,
     _LOG_PI_C,
     _ONE,
-    _euler_maclaurin_tail,
+    _PI,
     _log_gamma_right,
     _log_sin_pi,
     czeta,
@@ -211,57 +215,118 @@ def _bernoulli_b9(x: complex) -> complex:
     return x * (x2 * (x2 * (x2 * (x * (x - 4.5) + 6.0) - 4.2) + 2.0) - 0.3)
 
 
-def _asymptotic_coefficients(a: complex) -> tuple[complex, complex, complex, complex]:
-    """(e2, e4, e6, e8) of Gamma(z + a) / Gamma(z + 1 - a) = z^(2a - 1)
-    (1 + e2 z^-2 + e4 z^-4 + e6 z^-6 + e8 z^-8 + O(z^-10)).
+def _bernoulli_b11(x: complex) -> complex:
+    x2 = x * x
+    return x * (x2 * (x2 * (x2 * (x2 * (x * (x - 5.5) + 55.0 / 6.0) - 11.0) + 11.0) - 5.5)
+                + 5.0 / 6.0)
+
+
+def _bernoulli_b13(x: complex) -> complex:
+    x2 = x * x
+    return x * (x2 * (x2 * (x2 * (x2 * (x2 * (x * (x - 6.5) + 13.0) - 143.0 / 6.0)
+                                     + 286.0 / 7.0) - 42.9) + 65.0 / 3.0) - 691.0 / 210.0)
+
+
+def _asymptotic_coefficients(
+    a: complex,
+) -> tuple[complex, complex, complex, complex, complex, complex]:
+    """(e2, e4, ..., e12) of Gamma(z + a) / Gamma(z + 1 - a) = z^(2a - 1)
+    (1 + e2 z^-2 + e4 z^-4 + ... + e12 z^-12 + O(z^-14)).
 
     The log of the ratio is (2a - 1) log z + sum_j c_2j z^(-2j) with
     c_2j = -B_(2j+1)(a) / (j (2j + 1)) (DLMF 5.11.13), and the e_2j are the
-    coefficients of its exponential."""
-    c2 = -_bernoulli_b3(a) / 3.0
-    c4 = -_bernoulli_b5(a) / 10.0
-    c6 = -_bernoulli_b7(a) / 21.0
-    c8 = -_bernoulli_b9(a) / 36.0
-    c2_sq = c2 * c2
-    e4 = c4 + c2_sq / 2.0
-    e6 = c6 + c2 * c4 + c2 * c2_sq / 6.0
-    e8 = c8 + c2 * c6 + c4 * c4 / 2.0 + c2_sq * c4 / 2.0 + c2_sq * c2_sq / 24.0
-    return c2, e4, e6, e8
+    coefficients of its exponential, by the recurrence
+    e_2n = (1/n) sum_{k=1..n} d_k e_(2n-2k), e_0 = 1, with
+    d_k = k c_2k = -B_(2k+1)(a) / (2k + 1)."""
+    d1 = _bernoulli_b3(a) * (-1.0 / 3.0)
+    d2 = _bernoulli_b5(a) * -0.2
+    d3 = _bernoulli_b7(a) * (-1.0 / 7.0)
+    d4 = _bernoulli_b9(a) * (-1.0 / 9.0)
+    d5 = _bernoulli_b11(a) * (-1.0 / 11.0)
+    d6 = _bernoulli_b13(a) * (-1.0 / 13.0)
+    e2 = d1
+    e4 = (d1 * e2 + d2) * 0.5
+    e6 = (d1 * e4 + d2 * e2 + d3) * (1.0 / 3.0)
+    e8 = (d1 * e6 + d2 * e4 + d3 * e2 + d4) * 0.25
+    e10 = (d1 * e8 + d2 * e6 + d3 * e4 + d4 * e2 + d5) * 0.2
+    e12 = (d1 * e10 + d2 * e8 + d3 * e6 + d4 * e4 + d5 * e2 + d6) * (1.0 / 6.0)
+    return e2, e4, e6, e8, e10, e12
 
 
-def _hurwitz_tails(s: complex, m0: int, j_first: int) -> list[complex]:
-    """H_j = sum_{m >= m0} m^(s - 1 - 2j) for j = j_first .. 4,
-    each the Hurwitz zeta(1 + 2j - s, m0) summed from m0 on: direct terms up
-    to n = max(m0, 0.6 (|s| + 9) + 6), one exp each with the higher j by
-    factors m^-2, then the Euler-Maclaurin tail from n, which is at least
-    0.6 |1 + 2j - s| + 6, where that tail is exact to rounding."""
-    n = max(m0, int(0.6 * (abs(s) + 9.0)) + 6)
-    count = 5 - j_first
-    sums = [0j] * count
-    first = s - (1.0 + 2 * j_first)
+# B_2i / (2i)! for i = 1..14, the Euler-Maclaurin correction weights
+_EM_WEIGHTS = tuple(weight for weight, _, _ in _EULER_MACLAURIN_STEPS)
+_EM_FLOOR = 2.0**-53
+
+
+def _restored_orders(
+    s: complex,
+    m0: int,
+    weights: tuple[complex, complex, complex, complex, complex, complex, complex],
+    j_first: int,
+) -> complex:
+    """sum_j w_j H_j for j = j_first .. 6, weights = (w_0, .., w_6) with
+    w_j = 0 below j_first, and H_j = sum_{m >= m0} m^(s - 1 - 2j), the
+    Hurwitz zeta(alpha_j, m0) with alpha_j = 1 - s + 2j.
+
+    The terms from m0 up to n = max(m0, 0.6 (|s| + 13) + 6) are summed
+    directly, one exp and one Horner over the weights in m^-2 per m.  From
+    n on one Euler-Maclaurin tail serves every order: n is at least
+    0.6 |alpha_j| + 6, where that tail is exact to rounding, and since
+    alpha_j = alpha_0 + 2j each correction B_2i/(2i)! (alpha_j)_(2i-1)
+    n^(1 - alpha_j - 2i) is n^s T_(i+j) / R_j with T_k = (alpha_0)_(2k-1)
+    n^(-2k) one shared sequence and R_j = (alpha_0)_(2j).  Each order's
+    corrections stop at the first whose weighted size is below 2^-53 of the
+    j_first order's weighted leading term, at most 14 of them."""
+    n = max(m0, int(0.6 * (abs(s) + 13.0)) + 6)
+    w0, w1, w2, w3, w4, w5, w6 = weights
     exp, log = cmath.exp, math.log
+    s_1 = s - 1.0
+    direct = 0j
     for m in range(m0, n):
-        term = exp(first * log(m))
-        inv_m2 = 1.0 / (m * m)
-        for i in range(count):
-            sums[i] += term
-            term *= inv_m2
-    return [_euler_maclaurin_tail(sums[i], (1.0 + 2 * (j_first + i)) - s, n) for i in range(count)]
+        x = 1.0 / (m * m)
+        direct += exp(s_1 * log(m)) * (
+            w0 + x * (w1 + x * (w2 + x * (w3 + x * (w4 + x * (w5 + x * w6)))))
+        )
 
-
-def _gamma_ratio(s: complex, w: float) -> complex:
-    """Gamma(s/2 - i w) / Gamma(1 - s/2 - i w), in log space."""
-    return cmath.exp(log_gamma(0.5 * s - 1j * w) - log_gamma(1.0 - 0.5 * s - 1j * w))
+    # the tail over n^s: n^(-2j) / (alpha_j - 1) + n^(-2j-1) / 2 + sum_i
+    # B_2i/(2i)! T_(i+j) / R_j per order
+    alpha = _ONE - s
+    inv_n2 = 1.0 / (n * n)
+    half_inv_n = 0.5 / n
+    ts = [alpha * inv_n2]  # ts[k - 1] = T_k
+    n_pow = inv_n2**j_first
+    r = _ONE if j_first == 0 else alpha * (alpha + 1.0)
+    floor = None
+    tail = 0j
+    for j in range(j_first, 7):
+        w = weights[j]
+        acc = w * n_pow * (1.0 / (2 * j - s) + half_inv_n)
+        if floor is None:
+            floor = _EM_FLOOR * abs(acc)
+        scaled = w / r
+        for i, b in enumerate(_EM_WEIGHTS, start=1):
+            k = i + j
+            if k > len(ts):
+                ts.append(ts[-1] * ((alpha + (2 * k - 3)) * (alpha + (2 * k - 2))) * inv_n2)
+            term = scaled * b * ts[k - 1]
+            acc += term
+            if abs(term) < floor:
+                break
+        tail += acc
+        n_pow *= inv_n2
+        r *= (alpha + 2 * j) * (alpha + (2 * j + 1))
+    return direct + exp(s * log(n)) * tail
 
 
 def _even_pair(
     a: complex, one_minus_a: complex, v: float, far_v: float, four_pi_sin: complex
 ) -> complex:
     """ratio(m) + ratio(-m), ratio(+-m) = Gamma(a -+ i v) / Gamma(1 - a -+ i v),
-    for Re a < 1/2, from the two log Gamma(1 - a -+ i v).  A near pair adds
-    the two log sines in _gamma_ratio's order; a far one (v > far_v) is
-    4 pi sin(pi a) exp(-pi v - L), L the sum of the two log-gammas, to
-    e^(-14 pi) ~ 8e-20."""
+    for Re a < 1/2, from the two log Gamma(1 - a -+ i v).  A near pair
+    reflects each numerator as log_gamma does, from its log sine and the
+    other ratio's denominator, and subtracts its own denominator; a far one
+    (v > far_v) is 4 pi sin(pi a) exp(-pi v - L), L the sum of the two
+    log-gammas, to e^(-14 pi) ~ 8e-20."""
     iv = 1j * v
     l_minus = _log_gamma_right(one_minus_a - iv)
     l_plus = _log_gamma_right(one_minus_a + iv)
@@ -275,47 +340,47 @@ def _even_pair(
 def _ratio_pair_core(
     log_eta: float,
     s: complex,
+    sin_half: complex,
     tol_abs: float,
     include_leading: bool,
 ) -> tuple[complex, int, float]:
-    """sum over m in Z of the gamma-ratio terms, asymptotics summed exactly.
+    """sum over m in Z of the gamma-ratio terms, asymptotics summed exactly,
+    with sin_half = sin(pi s/2).
 
     Writes ratio(+-m) = (-+ i v_m)^(s-1) E(-+ i v_m) with E an even
-    asymptotic series in 1/v_m.  The expansion holds only well past the
-    saddle v_m ~ |s|, so the pairs with m < m0 = ceil((|s| + 8) / step) + 2
-    are summed as they are; from m0 on, orders z^0 .. z^-8 are subtracted
-    from every pair, which leaves a remainder falling like m^(Re s - 11),
-    and they are restored through the Hurwitz tails H_j = sum_{m >= m0}
-    m^(s-1-2j) of _hurwitz_tails.  With include_leading=False the order-0
-    part is left out entirely (the strip form carries it as its explicit
-    zeta(s) term): it is subtracted from the pairs below m0 too and never
-    restored.  Returns (sum, pairs_used, tail_estimate).  The tail is the
-    larger of residual m / max(2, 10 - Re s), the sum of a remainder
-    falling like m^(Re s - 11), and residual sqrt(m); a noise-floor stop
-    ends the loop where the residual sinks below the rounding error of the
-    pair terms.
+    asymptotic series in 1/v_m.  The expansion holds only past the saddle
+    v_m ~ |s|, so the pairs with m < m0 = ceil((|s| + 4) / step) + 1 are
+    summed as they are; from m0 on, orders z^0 .. z^-12 are subtracted from
+    every pair, which leaves a remainder falling like m^(Re s - 15), and
+    they are restored by _restored_orders as sum_j w_j H_j over the Hurwitz
+    tails H_j = sum_{m >= m0} m^(s-1-2j).  With include_leading=False the
+    order-0 part is left out entirely (the strip form carries it as its
+    explicit zeta(s) term): it is subtracted from the pairs below m0 too and
+    never restored.  Returns (sum, pairs_used, tail_estimate).  The tail is
+    the larger of residual m / max(2, 10 - Re s), the sum of a remainder
+    falling like m^(Re s - 11) and so an overestimate here, and residual
+    sqrt(m); a noise-floor stop ends the loop where the residual sinks below
+    the rounding error of the pair terms.
 
     Both callers have Re s < 1/2, so both numerators Gamma(a -+ i v) of a
     pair (a = s/2) reflect, each needing log Gamma(1 - a +- i v), the other
     ratio's denominator.  _even_pair forms a near pair from two sines and
-    these two log-gammas, the float _gamma_ratio(s, v) + _gamma_ratio(s, -v)
-    gives, and a far one (v > |Im a| + 7) in closed form from the two
-    log-gammas alone.
+    these two log-gammas, and a far one (v > |Im a| + 7) in closed form from
+    the two log-gammas alone.  The m = 0 term Gamma(a) / Gamma(1 - a) is
+    pi / (sin(pi a) Gamma(1 - a)^2), from one log Gamma(1 - a).
     """
     half_step = math.pi / (2.0 * log_eta)
     a = 0.5 * s
-    e2, e4, e6, e8 = _asymptotic_coefficients(a)
-    with _in_double_range("sin(pi s/2)", s):
-        sin_half = cmath.sin(0.5 * math.pi * s)
+    e2, e4, e6, e8, e10, e12 = _asymptotic_coefficients(a)
     two_sin_half = 2.0 * sin_half
-    m0 = int(math.ceil((abs(s) + 8.0) / half_step)) + 2
+    m0 = int(math.ceil((abs(s) + 4.0) / half_step)) + 1
 
-    total = _gamma_ratio(s, 0.0)
-    s_1 = s - 1.0
     one_minus_a = _ONE - a
+    exp, log, pair_at = cmath.exp, math.log, _even_pair
+    total = _PI * exp(-_log_sin_pi(a) - 2.0 * _log_gamma_right(one_minus_a))
+    s_1 = s - 1.0
     far_v = abs(a.imag) + _FAR_MARGIN
     four_pi_sin = _TWO_PI * two_sin_half
-    exp, log, pair_at = cmath.exp, math.log, _even_pair
     # pairs before m0: plain, or less their order-0 phase term in the strip
     for m in range(1, m0):
         v = half_step * m
@@ -324,15 +389,17 @@ def _ratio_pair_core(
             pair -= two_sin_half * exp(s_1 * log(v))
         total += pair
 
-    # the restored orders: 2 sin(pi s/2) (-1)^j e_2j step^(s-1-2j) H_j
-    j_first = 0 if include_leading else 1
-    tails = _hurwitz_tails(s, m0, j_first)
-    coeffs = (_ONE, e2, e4, e6, e8)
-    step_power = exp((s_1 - 2 * j_first) * log(half_step))
-    inv_step2 = 1.0 / (half_step * half_step)
-    for j, h_j in enumerate(tails, start=j_first):
-        total += two_sin_half * ((-1) ** j * coeffs[j]) * step_power * h_j
-        step_power *= inv_step2
+    # the restored orders: 2 sin(pi s/2) step^(s-1) sum_j (-1)^j e_2j
+    # step^(-2j) H_j
+    q = -1.0 / (half_step * half_step)
+    q2 = q * q
+    q3 = q2 * q
+    weights = (
+        _ONE if include_leading else 0j, e2 * q, e4 * q2, e6 * q3, e8 * (q2 * q2),
+        e10 * (q2 * q3), e12 * (q3 * q3),
+    )
+    restored = _restored_orders(s, m0, weights, 0 if include_leading else 1)
+    total += two_sin_half * exp(s_1 * log(half_step)) * restored
 
     # residual pairs from m0 on, stopped by a tail model or the noise floor
     m = m0 - 1
@@ -343,7 +410,9 @@ def _ratio_pair_core(
         v = half_step * m
         pair = pair_at(a, one_minus_a, v, far_v, four_pi_sin)
         w = -1.0 / (v * v)
-        asym = two_sin_half * exp(s_1 * log(v)) * (_ONE + w * (e2 + w * (e4 + w * (e6 + w * e8))))
+        asym = two_sin_half * exp(s_1 * log(v)) * (
+            _ONE + w * (e2 + w * (e4 + w * (e6 + w * (e8 + w * (e10 + w * e12)))))
+        )
         residual = pair - asym
         total += residual
         residual_abs = abs(residual)
@@ -358,6 +427,12 @@ def _ratio_pair_core(
             raise TooSlowConvergenceError(float(m), MAX_FOURIER_TERMS)
     tail = max(residual_abs * m * tail_factor, residual_abs * math.sqrt(m))
     return total, m, tail
+
+
+def _sin_half_pi(s: complex) -> complex:
+    """sin(pi s/2), which leaves double range past |Im s| ~ 452."""
+    with _in_double_range("sin(pi s/2)", s):
+        return cmath.sin(0.5 * math.pi * s)
 
 
 def _even_prefactor(field: QuadraticField, log_eta: float, s: complex) -> complex:
@@ -375,12 +450,16 @@ def zeta_even_poisson_strip(
     Z_even(s) = q^(s/2) zeta(s) / (4 log eps)^s
               + q^(s/2) Gamma(1-s) Gamma(s/2) / (4 Gamma(1-s/2) log eps)
               + q^(s/2) sum_{m != 0} [gamma-ratio term - |m|^(s-1) phase term].
+
+    sin(pi s/2) is formed first: past |Im s| ~ 452, where it leaves double
+    range, the point is refused before zeta(s) sums up to 100,000 terms.
     """
     s = complex(s)
     if RegionSelector.classify(s) != REGION_STRIP:
         raise OutOfRegionError(
             f"strip form needs {REGION_LEFT_MAX} < Re s < {REGION_DIRECT_MIN}, got {s.real}"
         )
+    sin_half = _sin_half_pi(s)
     log_eta = field.half_unit.log_eta
     scale = _q_power(field, s)
     with _in_double_range("zeta(s)", s):
@@ -388,7 +467,7 @@ def zeta_even_poisson_strip(
     zeta_term = scale * zeta_s * cmath.exp(-s * math.log(4.0 * log_eta))
     pref = _even_prefactor(field, log_eta, s)
     tol_abs = tol * max(abs(zeta_term), 1.0) / max(abs(pref), 1e-30)
-    core, pairs, tail = _ratio_pair_core(log_eta, s, tol_abs, include_leading=False)
+    core, pairs, tail = _ratio_pair_core(log_eta, s, sin_half, tol_abs, include_leading=False)
     return ZetaEvaluation(zeta_term + pref * core, METHOD_POISSON, 2 * pairs + 1,
                           SeriesTail(tail * abs(pref), False))
 
@@ -402,7 +481,8 @@ def _even_left(field: QuadraticField, s: complex, tol: float) -> ZetaEvaluation:
     log_eta = field.half_unit.log_eta
     pref = _even_prefactor(field, log_eta, s)
     tol_abs = tol / max(abs(pref), 1e-30)
-    core, pairs, tail = _ratio_pair_core(log_eta, s, tol_abs, include_leading=True)
+    core, pairs, tail = _ratio_pair_core(log_eta, s, _sin_half_pi(s), tol_abs,
+                                         include_leading=True)
     return ZetaEvaluation(pref * core, METHOD_POISSON, 2 * pairs + 1,
                           SeriesTail(tail * abs(pref), False))
 

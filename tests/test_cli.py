@@ -112,16 +112,18 @@ def test_eval_poisson_factor_out_of_double_range_is_numerical_error(capsys, s, p
                   f"at s={parse_complex(s)}\n"
 
 
-@pytest.mark.parametrize("s", ["0.1+1e12i", "0.3-1e300i"])
+@pytest.mark.parametrize("s", ["0.1+1e12i", "0.3-1e300i", "0.2+1e5i"])
 def test_eval_poisson_even_far_up_the_axis_refuses_at_once(capsys, s):
-    """The strip form's zeta(s) refuses before its Euler-Maclaurin sum,
-    which would need 0.6 |s| terms, and so before sin(pi s/2) overflows."""
+    """The strip form forms sin(pi s/2) first, which leaves double range past
+    |Im s| ~ 452, and so refuses before zeta(s) sums 0.6 |s| terms (or
+    refuses them past its cap)."""
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "eval", "--D", "5", f"--s={s}", "--parity", "even",
                              "--method", "poisson")
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
-    assert err.startswith("error: TooSlowConvergenceError: ")
+    assert err == "error: FactorOverflowError: the factor sin(pi s/2) leaves double range " \
+                  f"at s={parse_complex(s)}\n"
 
 
 @pytest.mark.parametrize("d, s, parity, factor", [
@@ -298,9 +300,10 @@ GOLDEN = Path(__file__).resolve().parent / "data"
 @pytest.mark.parametrize("parity", ["odd", "even"])
 def test_poisson_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, parity):
     """A D = 29 box over the left (Re s <= -0.25), strip and direct regions of
-    the even form, and the odd series on the same points.  The CSV was last
-    recorded when log Gamma became Stirling's series alone and zeta
-    Euler-Maclaurin alone; any drift in the last bit of a value changes its
+    the even form, and the odd series on the same points.  The odd CSV was
+    last recorded when log Gamma became Stirling's series alone and zeta
+    Euler-Maclaurin alone, the even one when the pair sum began subtracting
+    orders through z^-12; any drift in the last bit of a value changes its
     bytes."""
     out = tmp_path / "grid.csv"
     code = main(["grid", "--D", "29", "--parity", parity, "--methods", "poisson",
@@ -313,8 +316,9 @@ def test_poisson_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, parity):
 def test_d5_poisson_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, parity):
     """A D = 5 box, Re s in [-7, 3] and |Im s| <= 30: the odd series both
     reflected and not (Re s >= 1), both branches of log sin(pi z) in the pair
-    terms, and a step pi / (2 log eps) other than D = 29's.  The CSV was last
-    recorded when log Gamma became Stirling's series alone."""
+    terms, and a step pi / (2 log eps) other than D = 29's.  The odd CSV was
+    last recorded when log Gamma became Stirling's series alone, the even one
+    when the pair sum began subtracting orders through z^-12."""
     out = tmp_path / "grid.csv"
     code = main(["grid", "--D", "5", "--parity", parity, "--methods", "poisson",
                  "--re", "-7", "3", "0.625", "--im", "-30", "30", "7.5", "--out", str(out)])

@@ -19,15 +19,14 @@ from fibzeta import (
     zeta_functional_reconstruction,
 )
 from fibzeta.continuation import direct_terms_for, zeta_direct, zeta_even_binomial, zeta_odd_binomial
-from fibzeta.complexfn import _log_gamma_right, _log_sin_pi, log_gamma
+from fibzeta.complexfn import _log_gamma_right, _log_sin_pi, czeta, log_gamma
 from fibzeta.poisson import (
     RegionSelector,
     _asymptotic_coefficients,
     _even_pair,
-    _gamma_ratio,
-    _hurwitz_tails,
     _in_double_range,
     _odd_reflected_pair,
+    _restored_orders,
     zeta_even_poisson,
     zeta_even_poisson_strip,
     zeta_odd_poisson,
@@ -35,6 +34,11 @@ from fibzeta.poisson import (
 
 F5 = make_field(5)
 F10 = make_field(10)
+
+
+def _gamma_ratio(s, w):
+    """Gamma(s/2 - i w) / Gamma(1 - s/2 - i w), in log space."""
+    return cmath.exp(log_gamma(0.5 * s - 1j * w) - log_gamma(1.0 - 0.5 * s - 1j * w))
 
 
 # ------------------------------------------------------------------ odd series
@@ -157,11 +161,11 @@ def test_even_poisson_agrees_with_binomial_across_the_region_seams(d, parity, re
 # ------------------------------------- asymptotic orders and Hurwitz tails
 
 @pytest.mark.parametrize("s, m0, rel_tol", [
-    (complex(-60, 1), 23, 1e-13),  # D = 5's m0 there; terms near 23^-61
-    (complex(-1, 150), 123, 1e-13),  # D = 13's m0: Euler-Maclaurin from m0
-    # D = 5's m0: 50 direct terms m^(s-1) before Euler-Maclaurin takes over
-    # at 101.  Each carries a phase error near 2^-53 |Im s| log m = 7e-14,
-    # and their sum is 1/37 of their total size, which costs 2.7e-13
+    (complex(-60, 1), 23, 1e-13),  # terms near 23^-61
+    (complex(-1, 150), 123, 1e-13),  # Euler-Maclaurin from m0
+    # 52 direct terms m^(s-1-2j) before Euler-Maclaurin takes over at 103.
+    # Each carries a phase error near 2^-53 |Im s| log m = 7e-14, and their
+    # sum is 1/37 of their total size, which costs 2.7e-13
     (complex(-1, 150), 51, 5e-13),
     (complex(-5, -200), 300, 1e-13),
     (complex(-7.55, -17.7), 40, 1e-13),
@@ -170,37 +174,56 @@ def test_even_poisson_agrees_with_binomial_across_the_region_seams(d, parity, re
     (complex(0.3, 2.0), 6, 1e-13),  # strip: orders from z^-2 on
     (complex(0.2, 60.0), 75, 1e-13),
 ])
-def test_hurwitz_tails_match_mpmath(s, m0, rel_tol):
+def test_restored_orders_match_mpmath(s, m0, rel_tol):
+    """Each order j_first <= j <= 6 alone (a unit weight) is the Hurwitz
+    zeta(1 + 2j - s, m0); a mix of all of them, with weights of the sizes
+    the pair sum gives them, is their weighted sum, though each order's
+    Euler-Maclaurin corrections stop at 2^-53 of the first order's."""
     j_first = 0 if s.real < 0 else 1
-    tails = _hurwitz_tails(s, m0, j_first)
-    assert len(tails) == 5 - j_first
-    for j, h_j in enumerate(tails, start=j_first):
+    refs = {}
+    for j in range(j_first, 7):
         sigma = complex(1 + 2 * j - s)
         # mpmath subtracts the first m0 - 1 terms from zeta(sigma), which
         # cancels about Re sigma log10 m0 digits
         with mp.workdps(30 + math.ceil(sigma.real * math.log10(m0))):
-            ref = complex(mp.zeta(sigma, m0))
-        assert abs(h_j - ref) <= rel_tol * abs(ref), (j, h_j, ref)
+            refs[j] = complex(mp.zeta(sigma, m0))
+        weights = tuple(1.0 if i == j else 0.0 for i in range(7))
+        h_j = _restored_orders(s, m0, weights, j_first)
+        assert abs(h_j - refs[j]) <= rel_tol * abs(refs[j]), (j, h_j, refs[j])
+    rng = random.Random(m0)
+    weights = tuple(
+        0j if j < j_first else cmath.rect(rng.uniform(0.5, 2.0) * 4.0**-j, rng.uniform(0, 7))
+        for j in range(7)
+    )
+    expected = sum(weights[j] * refs[j] for j in refs)
+    size = sum(abs(weights[j] * refs[j]) for j in refs)
+    assert abs(_restored_orders(s, m0, weights, j_first) - expected) <= rel_tol * size
 
 
 @pytest.mark.parametrize("s", [complex(-3.7, 11.0), complex(0.3, 2.0), complex(-6.0, -15.0),
                                complex(-0.5, 0.2), complex(-8.0, 0.0)])
-def test_asymptotic_coefficients_leave_a_remainder_of_order_z_to_the_minus_ten(s):
+def test_asymptotic_coefficients_leave_a_remainder_of_order_z_to_the_minus_fourteen(s):
     """Gamma(z + a) / Gamma(z + 1 - a) z^(1 - s) - P(z^-2) against mpmath, at
-    z = -+ i v with v >= 4 |s|: doubling v divides the remainder by 2^10."""
+    z = -+ i v with v >= 2 |s|: doubling v divides the remainder by 2^14.  P
+    is summed in mpmath from the float coefficients, so that rounding 1 + ...
+    to double does not hide a remainder near 1e-14 at v = 4 |s| + 8."""
     a = 0.5 * s
-    e2, e4, e6, e8 = _asymptotic_coefficients(a)
+    coefficients = _asymptotic_coefficients(a)
+    assert len(coefficients) == 6
     for sign in (-1, 1):
         errs = []
-        for v in (4 * abs(s) + 8, 8 * abs(s) + 16):
+        for v in (2 * abs(s) + 4, 4 * abs(s) + 8):
             z = complex(0, sign * v)
             with mp.workdps(40):
                 zm, am = mp.mpc(z), mp.mpc(a)
                 ratio = mp.gamma(zm + am) / mp.gamma(zm + 1 - am) * zm ** (1 - mp.mpc(s))
-                w = 1 / z ** 2
-                errs.append(float(abs(ratio - (1 + w * (e2 + w * (e4 + w * (e6 + w * e8)))))))
-        assert 2**9 < errs[0] / errs[1] < 2**11, errs
-        assert errs[0] < 2e-9
+                w = 1 / zm ** 2
+                series = mp.mpc(0)
+                for e in reversed(coefficients):
+                    series = (series + mp.mpc(e)) * w
+                errs.append(float(abs(ratio - (1 + series))))
+        assert 2**13 < errs[0] / errs[1] < 2**15, errs
+        assert errs[0] < 4e-9 and errs[1] < 2e-13, errs
 
 
 def _even_reference(field, s):
@@ -246,6 +269,45 @@ def test_even_poisson_is_within_its_bound_where_the_orders_once_cancelled(d, s):
     ev = zeta_even_poisson(field, s, tol=1e-12)
     ref = _even_reference(field, s)
     assert abs(ev.value - ref) <= max(ev.tail.bound, 1e-12 * abs(ref))
+
+
+@pytest.mark.parametrize("d", [5, 13, 29])
+@pytest.mark.parametrize("re_s", [-3.0, -0.1, 0.3])
+@pytest.mark.parametrize("im_s", [40.0, -80.0, 150.0])
+def test_even_poisson_is_within_its_bound_far_up_the_axis(d, re_s, im_s):
+    """Left and strip points past the saddle of the first pairs, where m0
+    grows with |s| and most pairs lie past it."""
+    field, s = make_field(d), complex(re_s, im_s)
+    ev = zeta_even_poisson(field, s, tol=1e-12)
+    ref = _even_reference(field, s)
+    assert abs(ev.value - ref) <= max(ev.tail.bound, 1e-12 * abs(ref))
+
+
+def test_even_poisson_stops_near_abs_s_up_the_axis():
+    """At D = 5, 0.3+100i the pair loop starts subtracting the orders at
+    m0 = ceil((|s| + 4) / step) + 1 = 33 and ends at pair 240 (481 terms);
+    with orders only through z^-8 and m0 from |s| + 8 it took 539 pairs."""
+    assert zeta_even_poisson(F5, complex(0.3, 100.0), tol=1e-12).terms_used <= 500
+
+
+@pytest.mark.parametrize("s", [complex(0.2, 460.0), complex(0.2, 1e5), complex(0.2, 1.6e5),
+                               complex(0.1, 1e12), complex(-0.2, -3e5)])
+def test_strip_refuses_an_overflowing_sine_before_summing_zeta(monkeypatch, s):
+    """sin(pi s/2) leaves double range past |Im s| ~ 452; the strip form
+    refuses there before zeta(s) sums up to 100,000 terms."""
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return czeta(z)
+
+    monkeypatch.setattr("fibzeta.poisson.czeta", counting)
+    with pytest.raises(FactorOverflowError) as info:
+        zeta_even_poisson_strip(F5, s)
+    assert (info.value.factor, info.value.s) == ("sin(pi s/2)", s)
+    assert calls == []
+    zeta_even_poisson_strip(F5, complex(0.2, 400.0))
+    assert calls == [complex(0.2, 400.0)]
 
 
 def test_even_poisson_matches_mpmath_across_the_left_and_strip_regions():
@@ -346,34 +408,36 @@ def test_even_pair_equals_the_two_ratio_sum_exactly(re_s, im_s, d, m):
 
 
 # repr values that must repeat exactly: (D, form, s, value, terms_used).  The
-# rows were last recorded when log Gamma became Stirling's series alone,
-# taken at z + n below |z| = 10, and zeta Euler-Maclaurin alone, which moved
-# every row by rounding alone (at most 1.1e-14 relative, same terms, each as
-# far from the oracle value as before to rounding)
+# odd rows were last recorded when log Gamma became Stirling's series alone,
+# taken at z + n below |z| = 10, and zeta Euler-Maclaurin alone.  The even
+# rows were recorded again when the pair sum began subtracting orders through
+# z^-12 from m0 = ceil((|s| + 4) / step) + 1: each takes fewer terms, and
+# none is further from the oracle value than before but by rounding (at most
+# 3.1e-16 -> 3.3e-16 relative)
 FROZEN_POISSON = [
-    (5, "even", complex(0.3, 2.0), (0.5610063221455452-0.21275098527985728j), 13),
-    (5, "even", complex(-0.1, 5.5), (1.2642077950510169+1.2078408782119947j), 19),
-    (5, "even", complex(0.45, -12.25), (1.915936123701171+0.2825351332729591j), 55),
-    (5, "even", complex(-1.5, 0.5), (-0.6266072680550563+0.24076014735815698j), 11),
-    (5, "even", complex(-3.7, 11.0), (-1.66276471144785+0.45735393141621056j), 25),
-    (5, "even", complex(-6.2, -4.3), (0.09907639642712382-0.06680965717944772j), 15),
+    (5, "even", complex(0.3, 2.0), (0.5610063221455391-0.21275098527986208j), 7),
+    (5, "even", complex(-0.1, 5.5), (1.2642077950512998+1.207840878212279j), 11),
+    (5, "even", complex(0.45, -12.25), (1.9159361237016799+0.28253513327331037j), 25),
+    (5, "even", complex(-1.5, 0.5), (-0.6266072680550561+0.24076014735815732j), 7),
+    (5, "even", complex(-3.7, 11.0), (-1.662764711447706+0.45735393141602965j), 17),
+    (5, "even", complex(-6.2, -4.3), (0.09907639642712336-0.0668096571794473j), 11),
     (5, "odd", complex(0.3, 2.0), (0.7910265627061279-0.5578800190552203j), 7),
     (5, "odd", complex(-2.5, 7.0), (1.6345150077047115-3.2297347629570283j), 9),
     (5, "odd", complex(1.5, -15.0), (0.8606687303594445-0.35064956105364753j), 13),
-    (13, "even", complex(0.3, 2.0), (-0.1077626020951706-0.660586000195937j), 21),
-    (13, "even", complex(-0.1, 5.5), (0.14974411161317058-1.5487687587253247j), 45),
-    (13, "even", complex(0.45, -12.25), (0.414135770178532+0.30736084319433665j), 139),
-    (13, "even", complex(-1.5, 0.5), (-0.14431366558445263-0.022098918611814997j), 21),
-    (13, "even", complex(-3.7, 11.0), (-0.17007778341447038-0.11263071719851442j), 51),
-    (13, "even", complex(-6.2, -4.3), (-0.007526025088377701-0.00565582560608121j), 29),
+    (13, "even", complex(0.3, 2.0), (-0.10776260209554558-0.6605860001960904j), 13),
+    (13, "even", complex(-0.1, 5.5), (0.14974411161247403-1.5487687587253265j), 25),
+    (13, "even", complex(0.45, -12.25), (0.4141357701786703+0.30736084319497214j), 59),
+    (13, "even", complex(-1.5, 0.5), (-0.1443136655844526-0.02209891861181497j), 13),
+    (13, "even", complex(-3.7, 11.0), (-0.17007778341484128-0.112630717197928j), 35),
+    (13, "even", complex(-6.2, -4.3), (-0.007526025088378017-0.005655825606078445j), 21),
     (13, "odd", complex(0.3, 2.0), (0.748996155491138+0.38827349199207123j), 17),
     (13, "odd", complex(-2.5, 7.0), (0.03811172025876877-0.11880438161733517j), 19),
     (13, "odd", complex(1.5, -15.0), (0.9686751243662619+0.001413793591019702j), 27),
     # norm +1, recorded before the even form lost its overlap bands
-    (3, "even", complex(0.3, 2.0), (0.6000505445941453-0.06933418371243422j), 15),
-    (3, "even", complex(-0.1, 5.5), (0.053698179646458566-0.6025673770757354j), 25),
-    (3, "even", complex(-1.5, 0.5), (-0.2542844224566854+0.02552933020668354j), 15),
-    (3, "even", complex(-3.7, 11.0), (-0.12649549202611116+0.08759374873000483j), 29),
+    (3, "even", complex(0.3, 2.0), (0.6000505445941238-0.06933418371246118j), 9),
+    (3, "even", complex(-0.1, 5.5), (0.053698179645901234-0.6025673770756312j), 15),
+    (3, "even", complex(-1.5, 0.5), (-0.2542844224566854+0.02552933020668366j), 9),
+    (3, "even", complex(-3.7, 11.0), (-0.1264954920263387+0.08759374873035126j), 21),
 ]
 
 
@@ -388,8 +452,8 @@ def test_poisson_values_repeat_bit_for_bit(d, form, s, value, terms):
 
 
 @pytest.mark.parametrize("parity, s, pairs, reflected", [
-    ("even", complex(-3.7, 11.0), 23, True),  # left region: stops at m0 = 23
-    ("even", complex(0.2, 15.0), 74, True),  # strip region
+    ("even", complex(-3.7, 11.0), 18, True),  # left region: stops at m0 = 18
+    ("even", complex(0.2, 15.0), 37, True),  # strip region
     ("odd", complex(-3.7, 11.0), 12, True),
     ("odd", complex(0.2, 15.0), 15, True),
     ("odd", complex(0.7, 2.0), 9, True),  # the last pair is far
@@ -399,10 +463,11 @@ def test_pair_loops_take_two_sines_and_two_log_gammas_per_near_pair(
     monkeypatch, parity, s, pairs, reflected
 ):
     """Outside the pair loops fibzeta.poisson calls log_gamma for Gamma(1 - s)
-    and the m = 0 ratio (even), or for the m = 0 term (odd).  A near
-    reflected pair takes two _log_sin_pi and two _log_gamma_right calls; a
-    far one (v_m > |Im s|/2 + 7) and a pair where s/2 does not reflect take
-    the two _log_gamma_right calls alone."""
+    (even) or for the m = 0 term (odd); the even m = 0 ratio takes one
+    _log_sin_pi and one _log_gamma_right call.  A near reflected pair takes
+    two _log_sin_pi and two _log_gamma_right calls; a far one (v_m >
+    |Im s|/2 + 7) and a pair where s/2 does not reflect take the two
+    _log_gamma_right calls alone."""
     seen = {"log_gamma": 0, "log_sin_pi": 0, "log_gamma_right": 0}
 
     def counting(name, fn):
@@ -422,10 +487,11 @@ def test_pair_loops_take_two_sines_and_two_log_gammas_per_near_pair(
     assert ev.terms_used == 2 * pairs + 1
     step = math.pi / (2.0 * field.half_unit.log_eta)  # log eps for a norm -1 unit
     far = sum(1 for m in range(1, pairs + 1) if step * m > abs(s.imag) / 2 + 7.0)
+    m0_term = 1 if parity == "even" else 0
     assert seen == {
-        "log_gamma": 3 if parity == "even" else 1,
-        "log_sin_pi": 2 * (pairs - far) if reflected else 0,
-        "log_gamma_right": 2 * pairs,
+        "log_gamma": 1,
+        "log_sin_pi": (2 * (pairs - far) if reflected else 0) + m0_term,
+        "log_gamma_right": 2 * pairs + m0_term,
     }
 
 
