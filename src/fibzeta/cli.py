@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .config import Settings, default_settings
 from .continuation import METHODS, PARITIES, PARITY_COMBINED
-from .dispatch import check_tol, evaluate
+from .dispatch import MAX_ABS_S, check_tol, evaluate
 from .errors import DomainError, NumericalError, PoleProximityError
 from .quadfield import QuadraticField, is_fib, make_field, sequence_terms
 
@@ -105,6 +105,13 @@ class GridRequest:
         rows = _axis_points(*self.re_range) * _axis_points(*self.im_range) * len(self.methods)
         if rows > MAX_GRID_ROWS:
             raise DomainError(f"grid has {rows} rows, more than {MAX_GRID_ROWS}")
+        # evaluate refuses every s past MAX_ABS_S, so a grid whose farthest
+        # corner (the last point of an axis, as axis() forms it) passes it
+        # is refused before any of its rows is computed
+        far_corner = math.hypot(*(max(abs(lo), abs(lo + (_axis_points(lo, hi, step) - 1) * step))
+                                  for lo, hi, step in (self.re_range, self.im_range)))
+        if not far_corner <= MAX_ABS_S:
+            raise DomainError(f"grid reaches |s| = {far_corner:g}; |s| must be at most {MAX_ABS_S:g}")
         if self.output not in ("csv", "json"):
             raise DomainError("output must be csv or json")
 

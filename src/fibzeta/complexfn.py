@@ -15,6 +15,13 @@ formed from its logs, since its sine and gamma factors leave double range
 one by one past |Im s| = 452.  The sum takes 0.6 |s| + 6 terms and refuses
 with TooSlowConvergenceError past 100,000 of them (|s| above about 1.7e5).
 
+There is one Euler-Maclaurin tail, _euler_maclaurin_tail: a weighted sum
+of Hurwitz tails sum_{m >= n} m^(s-1-2j), which zeta takes with one unit
+weight and the even Poisson pair sums take for their restored orders.  Its
+corrections stop at the first below 2^-53 of its leading term, at most 14.
+Stirling's coefficients and the Euler-Maclaurin weights both come from the
+one table of Bernoulli numbers, _BERNOULLI_EVEN, held as exact fractions.
+
 Complex values are the builtin complex type throughout.  All functions are
 pure.  Constants that meet a complex operand in a hot expression are stored
 as complex: a float on the left of a complex first gets NotImplemented from
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 from .errors import PoleAtNonpositiveIntegerError, PoleAtOneError, TooSlowConvergenceError
 
@@ -35,37 +43,38 @@ _ONE = complex(1.0, 0.0)
 _PI = complex(math.pi, 0.0)
 _LOG_PI_C = complex(_LOG_PI, 0.0)
 
-# B_{2j} for j = 1..14, used by the Euler-Maclaurin zeta tail
+# B_2j for j = 1..14, exact: Stirling's coefficients and the Euler-Maclaurin
+# weights are both derived from this one table
 _BERNOULLI_EVEN = (
-    1.0 / 6,
-    -1.0 / 30,
-    1.0 / 42,
-    -1.0 / 30,
-    5.0 / 66,
-    -691.0 / 2730,
-    7.0 / 6,
-    -3617.0 / 510,
-    43867.0 / 798,
-    -174611.0 / 330,
-    854513.0 / 138,
-    -236364091.0 / 2730,
-    8553103.0 / 6,
-    -23749461029.0 / 870,
+    Fraction(1, 6),
+    Fraction(-1, 30),
+    Fraction(1, 42),
+    Fraction(-1, 30),
+    Fraction(5, 66),
+    Fraction(-691, 2730),
+    Fraction(7, 6),
+    Fraction(-3617, 510),
+    Fraction(43867, 798),
+    Fraction(-174611, 330),
+    Fraction(854513, 138),
+    Fraction(-236364091, 2730),
+    Fraction(8553103, 6),
+    Fraction(-23749461029, 870),
 )
 
 
-def _euler_maclaurin_steps() -> tuple[tuple[float, int, int], ...]:
-    """(B_2j / (2j)!, 2j - 1, 2j) for j = 1..14: each weight is the float
-    that dividing by the running factorial 2, 24, 720, ... gives."""
-    steps = []
+def _euler_maclaurin_weights() -> tuple[float, ...]:
+    """B_2j / (2j)! for j = 1..14: each weight is the float that dividing the
+    rounded B_2j by the running factorial 2, 24, 720, ... gives."""
+    weights = []
     fact = 2.0
     for j, b2j in enumerate(_BERNOULLI_EVEN, start=1):
-        steps.append((b2j / fact, 2 * j - 1, 2 * j))
+        weights.append(float(b2j) / fact)
         fact *= (2 * j + 1) * (2 * j + 2)
-    return tuple(steps)
+    return tuple(weights)
 
 
-_EULER_MACLAURIN_STEPS = _euler_maclaurin_steps()
+_EULER_MACLAURIN_WEIGHTS = _euler_maclaurin_weights()
 
 
 # -1j * math.pi etc. as the inline products evaluate them, left to right
@@ -92,13 +101,14 @@ def _log_sin_pi(z: complex) -> complex:
 
 _HALF_LOG_TWO_PI_C = complex(0.5 * math.log(2.0 * math.pi), 0.0)
 
-# Stirling's series (DLMF 5.11.1): B_2k / (2k (2k - 1)) for k = 1..7.  For
-# Re z >= 1/2 its remainder is below the first omitted term, 0.0296 |z|^-15,
-# which is 3e-17 at |z| = 10 (DLMF 5.11(ii)).
+# Stirling's series (DLMF 5.11.1): B_2k / (2k (2k - 1)) for k = 1..7, each
+# rounded once from the table.  For Re z >= 1/2 its remainder is below the
+# first omitted term, 0.0296 |z|^-15, which is 3e-17 at |z| = 10 (DLMF
+# 5.11(ii)).
 _STIRLING_MIN_ABS = 10.0
 _S1, _S2, _S3, _S4, _S5, _S6, _S7 = (
-    complex(c, 0.0)
-    for c in (1.0 / 12, -1.0 / 360, 1.0 / 1260, -1.0 / 1680, 1.0 / 1188, -691.0 / 360360, 1.0 / 156)
+    complex(float(b2k / (2 * k * (2 * k - 1))), 0.0)
+    for k, b2k in enumerate(_BERNOULLI_EVEN[:7], start=1)
 )
 
 
@@ -178,25 +188,52 @@ def _zeta_euler_maclaurin(s: complex) -> complex:
     acc = 0j
     for k in range(1, n):
         acc += exp(neg_s * log(k))
-    return _euler_maclaurin_tail(acc, s, n)
+    return acc + _euler_maclaurin_tail(1.0 - s, n, (_ONE,), 0)
 
 
-def _euler_maclaurin_tail(acc: complex, s: complex, n: int) -> complex:
-    """acc + sum_{k >= n} k^(-s) for Re s > 1 or by continuation, with the
-    tail's terms added to acc one by one: n^(1-s)/(s-1), n^(-s)/2 and the
-    Bernoulli corrections B_2j/(2j)! s(s+1)...(s+2j-2) n^(-s-2j+1), j <= 14.
-    Their truncation error is below rounding once n >= 0.6 |s| + 6."""
-    log_n = math.log(n)
-    acc += cmath.exp((1.0 - s) * log_n) / (s - 1.0)
-    acc += 0.5 * cmath.exp(-s * log_n)
-    poch = s  # rising product s (s+1) ... (s + 2j - 2)
-    power = cmath.exp((-s - 1.0) * log_n)
-    n_inv2 = 1.0 / (n * n)
-    for weight, odd, even in _EULER_MACLAURIN_STEPS:
-        acc += weight * poch * power
-        poch *= (s + odd) * (s + even)
-        power *= n_inv2
-    return acc
+def _euler_maclaurin_tail(
+    s: complex, n: int, weights: tuple[complex, ...], j_first: int
+) -> complex:
+    """sum_j w_j H_j for j = j_first .. len(weights) - 1 (w_j = 0 below
+    j_first), H_j = sum_{m >= n} m^(s - 1 - 2j), the Hurwitz zeta(alpha_j, n)
+    with alpha_j = 1 - s + 2j, by Euler-Maclaurin: n^(1 - alpha_j) /
+    (alpha_j - 1) + n^(-alpha_j) / 2 plus the corrections B_2i/(2i)!
+    (alpha_j)_(2i-1) n^(1 - alpha_j - 2i), i <= 14, exact to rounding once
+    n >= 0.6 |alpha_j| + 6.  Since alpha_j = alpha_0 + 2j, each correction is
+    n^s T_(i+j) / R_j with T_k = (alpha_0)_(2k-1) n^(-2k) one shared sequence
+    and R_j = (alpha_0)_(2j).  Each order's corrections stop at the first
+    whose weighted size is below 2^-53 of the j_first order's weighted
+    leading term."""
+    # the orders over n^s: n^(-2j) / (alpha_j - 1) + n^(-2j-1) / 2 + sum_i
+    # B_2i/(2i)! T_(i+j) / R_j each
+    alpha = _ONE - s
+    inv_n2 = 1.0 / (n * n)
+    half_inv_n = 0.5 / n
+    ts = [alpha * inv_n2]  # ts[k - 1] = T_k
+    n_pow = inv_n2**j_first
+    r = _ONE
+    for j in range(j_first):
+        r *= (alpha + 2 * j) * (alpha + (2 * j + 1))
+    floor = None
+    tail = 0j
+    for j in range(j_first, len(weights)):
+        w = weights[j]
+        acc = w * n_pow * (1.0 / (2 * j - s) + half_inv_n)
+        if floor is None:
+            floor = 2.0**-53 * abs(acc)
+        scaled = w / r
+        for i, b in enumerate(_EULER_MACLAURIN_WEIGHTS, start=1):
+            k = i + j
+            if k > len(ts):
+                ts.append(ts[-1] * ((alpha + (2 * k - 3)) * (alpha + (2 * k - 2))) * inv_n2)
+            term = scaled * b * ts[k - 1]
+            acc += term
+            if abs(term) < floor:
+                break
+        tail += acc
+        n_pow *= inv_n2
+        r *= (alpha + 2 * j) * (alpha + (2 * j + 1))
+    return cmath.exp(s * math.log(n)) * tail
 
 
 # Near s = 0 the functional equation multiplies sin(pi s/2) ~ 0 by the pole

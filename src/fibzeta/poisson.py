@@ -26,7 +26,7 @@ m0 = ceil((|s| + 4) / step) + 1 are summed plainly; from m0 on the orders
 z^0 .. z^-12 are subtracted from each pair, which leaves a remainder
 falling like m^(Re s - 15), and they are added back through the Hurwitz
 tails sum_{m >= m0} m^(s-1-2j), weighted and summed together from m0 on
-(direct terms, then one Euler-Maclaurin tail that every order shares)
+(direct terms, then the Euler-Maclaurin tail every order and zeta share)
 rather than formed as zeta(1 + 2j - s) less its first terms.  The
 truncation is modelled as the last residual times m / max(2, 10 - Re s),
 the sum of a remainder falling like m^(Re s - 11): an overestimate, kept
@@ -47,10 +47,10 @@ import cmath
 import math
 
 from .complexfn import (
-    _EULER_MACLAURIN_STEPS,
     _LOG_PI_C,
     _ONE,
     _PI,
+    _euler_maclaurin_tail,
     _log_gamma_right,
     _log_sin_pi,
     czeta,
@@ -253,11 +253,6 @@ def _asymptotic_coefficients(
     return e2, e4, e6, e8, e10, e12
 
 
-# B_2i / (2i)! for i = 1..14, the Euler-Maclaurin correction weights
-_EM_WEIGHTS = tuple(weight for weight, _, _ in _EULER_MACLAURIN_STEPS)
-_EM_FLOOR = 2.0**-53
-
-
 def _restored_orders(
     s: complex,
     m0: int,
@@ -270,13 +265,8 @@ def _restored_orders(
 
     The terms from m0 up to n = max(m0, 0.6 (|s| + 13) + 6) are summed
     directly, one exp and one Horner over the weights in m^-2 per m.  From
-    n on one Euler-Maclaurin tail serves every order: n is at least
-    0.6 |alpha_j| + 6, where that tail is exact to rounding, and since
-    alpha_j = alpha_0 + 2j each correction B_2i/(2i)! (alpha_j)_(2i-1)
-    n^(1 - alpha_j - 2i) is n^s T_(i+j) / R_j with T_k = (alpha_0)_(2k-1)
-    n^(-2k) one shared sequence and R_j = (alpha_0)_(2j).  Each order's
-    corrections stop at the first whose weighted size is below 2^-53 of the
-    j_first order's weighted leading term, at most 14 of them."""
+    n on complexfn's one Euler-Maclaurin tail serves every order, since n is
+    at least 0.6 |alpha_j| + 6 for each of them."""
     n = max(m0, int(0.6 * (abs(s) + 13.0)) + 6)
     w0, w1, w2, w3, w4, w5, w6 = weights
     exp, log = cmath.exp, math.log
@@ -287,35 +277,7 @@ def _restored_orders(
         direct += exp(s_1 * log(m)) * (
             w0 + x * (w1 + x * (w2 + x * (w3 + x * (w4 + x * (w5 + x * w6)))))
         )
-
-    # the tail over n^s: n^(-2j) / (alpha_j - 1) + n^(-2j-1) / 2 + sum_i
-    # B_2i/(2i)! T_(i+j) / R_j per order
-    alpha = _ONE - s
-    inv_n2 = 1.0 / (n * n)
-    half_inv_n = 0.5 / n
-    ts = [alpha * inv_n2]  # ts[k - 1] = T_k
-    n_pow = inv_n2**j_first
-    r = _ONE if j_first == 0 else alpha * (alpha + 1.0)
-    floor = None
-    tail = 0j
-    for j in range(j_first, 7):
-        w = weights[j]
-        acc = w * n_pow * (1.0 / (2 * j - s) + half_inv_n)
-        if floor is None:
-            floor = _EM_FLOOR * abs(acc)
-        scaled = w / r
-        for i, b in enumerate(_EM_WEIGHTS, start=1):
-            k = i + j
-            if k > len(ts):
-                ts.append(ts[-1] * ((alpha + (2 * k - 3)) * (alpha + (2 * k - 2))) * inv_n2)
-            term = scaled * b * ts[k - 1]
-            acc += term
-            if abs(term) < floor:
-                break
-        tail += acc
-        n_pow *= inv_n2
-        r *= (alpha + 2 * j) * (alpha + (2 * j + 1))
-    return direct + exp(s * log(n)) * tail
+    return direct + _euler_maclaurin_tail(s, n, weights, j_first)
 
 
 def _even_pair(

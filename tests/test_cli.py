@@ -302,9 +302,10 @@ def test_poisson_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, parity):
     """A D = 29 box over the left (Re s <= -0.25), strip and direct regions of
     the even form, and the odd series on the same points.  The odd CSV was
     last recorded when log Gamma became Stirling's series alone and zeta
-    Euler-Maclaurin alone, the even one when the pair sum began subtracting
-    orders through z^-12; any drift in the last bit of a value changes its
-    bytes."""
+    Euler-Maclaurin alone, the even one when zeta came to share the restored
+    orders' Euler-Maclaurin tail (its strip rows); any drift in the last bit
+    of a value changes its bytes.  tests/data/README.md gives the commands
+    that write both."""
     out = tmp_path / "grid.csv"
     code = main(["grid", "--D", "29", "--parity", parity, "--methods", "poisson",
                  "--re", "-6.5", "1.0", "0.375", "--im", "-19", "17", "6", "--out", str(out)])
@@ -318,7 +319,8 @@ def test_d5_poisson_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, parity
     reflected and not (Re s >= 1), both branches of log sin(pi z) in the pair
     terms, and a step pi / (2 log eps) other than D = 29's.  The odd CSV was
     last recorded when log Gamma became Stirling's series alone, the even one
-    when the pair sum began subtracting orders through z^-12."""
+    when zeta came to share the restored orders' Euler-Maclaurin tail (its
+    strip rows)."""
     out = tmp_path / "grid.csv"
     code = main(["grid", "--D", "5", "--parity", parity, "--methods", "poisson",
                  "--re", "-7", "3", "0.625", "--im", "-30", "30", "7.5", "--out", str(out)])
@@ -401,6 +403,30 @@ def test_grid_refusal_leaves_out_untouched(capsys, tmp_path, monkeypatch, extra)
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert (target.read_bytes() if target.exists() else None) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
+
+
+def test_grid_past_the_largest_abs_s_exits_4_and_creates_no_file(capsys, tmp_path, monkeypatch):
+    """A box whose farthest corner passes |s| = 1e300 exits 4 before --out is
+    opened and before its in-range rows are computed; one whose last axis
+    point stays at 1e300, though its hi passes it, still runs."""
+    def no_rows(*_):
+        raise AssertionError("a refused grid computed rows")
+
+    target = tmp_path / "F"
+    for re_range, im_range in ((("1", "1e301", "5e300"), ("0", "0", "1")),
+                               (("0", "0", "1"), ("2e300", "2e300", "1")),
+                               (("7e299", "7e299", "1"), ("7.5e299", "7.5e299", "1"))):
+        with monkeypatch.context() as patch:
+            patch.setattr("fibzeta.cli._grid_rows", no_rows)
+            code, out, err = run_cli(capsys, "grid", "--D", "5", "--re", *re_range,
+                                     "--im", *im_range, "--methods", "binomial",
+                                     "--out", str(target))
+        assert code == 4 and out == "", re_range
+        assert err.startswith("error: ") and "at most 1e+300" in err, err
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run_cli(capsys, "grid", "--D", "5", "--re", "0", "1.5e300", "1e300",
+                           "--im", "0", "0", "1", "--methods", "binomial")
+    assert code == 0 and len(out.splitlines()) == 3
 
 
 def test_grid_out_to_an_unopenable_path_is_usage_error(capsys, tmp_path):

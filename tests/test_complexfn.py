@@ -1,14 +1,15 @@
 import cmath
 import math
 import random
-
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings as hyp_settings
 from hypothesis import strategies as st
 
+from fibzeta import complexfn
 from fibzeta.complexfn import _log_gamma_right, _log_sin_pi, cgamma, czeta, log_gamma, rgamma
 from fibzeta.crosscheck import _binomial_coefficient
 from fibzeta.errors import PoleAtNonpositiveIntegerError, PoleAtOneError, TooSlowConvergenceError
@@ -176,6 +177,28 @@ def test_log_gamma_matches_mpmath_after_exponentiation():
     # log_gamma is defined up to 2 pi i; exp() must agree
     for z in [complex(-0.5, 40.0), complex(-15.3, -22.0), complex(0.25, -3.75)]:
         assert rel_err(cmath.exp(log_gamma(z)), complex(mp.gamma(z))) < 1e-12
+
+
+def test_bernoulli_table_satisfies_the_exact_recurrence():
+    """B_2 .. B_28 of the one table: sum_{k < n} C(n, k) B_k = 0 for every
+    2 <= n <= 29, in exact arithmetic, with B_0 = 1, B_1 = -1/2 and the other
+    odd B_k = 0.  Each n pins B_(n-1), so a mistyped entry fails here."""
+    table = complexfn._BERNOULLI_EVEN
+    assert len(table) == 14 and all(isinstance(b, Fraction) for b in table)
+    bernoulli = [Fraction(1), Fraction(-1, 2)]
+    for k in range(2, 29):
+        bernoulli.append(table[k // 2 - 1] if k % 2 == 0 else Fraction(0))
+    for n in range(2, 30):
+        assert sum(math.comb(n, k) * bernoulli[k] for k in range(n)) == 0, n
+
+
+def test_stirling_coefficients_from_the_table_are_the_rounded_fractions():
+    """B_2k / (2k (2k - 1)) for k = 1..7, derived from the table, equal the
+    floats of the fractions written out, bit for bit."""
+    derived = (complexfn._S1, complexfn._S2, complexfn._S3, complexfn._S4, complexfn._S5,
+               complexfn._S6, complexfn._S7)
+    written = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+    assert derived == tuple(complex(c, 0.0) for c in written)
 
 
 # ------------------------------------------------------------------------ zeta

@@ -19,7 +19,7 @@ from fibzeta import (
     zeta_functional_reconstruction,
 )
 from fibzeta.continuation import direct_terms_for, zeta_direct, zeta_even_binomial, zeta_odd_binomial
-from fibzeta.complexfn import _log_gamma_right, _log_sin_pi, czeta, log_gamma
+from fibzeta.complexfn import _euler_maclaurin_tail, _log_gamma_right, _log_sin_pi, czeta, log_gamma
 from fibzeta.poisson import (
     RegionSelector,
     _asymptotic_coefficients,
@@ -198,6 +198,24 @@ def test_restored_orders_match_mpmath(s, m0, rel_tol):
     expected = sum(weights[j] * refs[j] for j in refs)
     size = sum(abs(weights[j] * refs[j]) for j in refs)
     assert abs(_restored_orders(s, m0, weights, j_first) - expected) <= rel_tol * size
+
+
+@pytest.mark.parametrize("s", [
+    complex(0.012, -0.009), complex(-0.004, 0.0), complex(1e-9, 1e-9),  # |s| < 0.02
+    complex(1.0 + 1e-6, 0.0), complex(1.0 - 1e-6, 0.0), complex(1.0 + 1e-6, -1e-6),
+    complex(-8.0, 0.0), complex(-8.0, 3.0), complex(-8.0, -1e4),
+    complex(0.5, 14.134725), complex(0.5, -3000.0), complex(0.5, 1e4),
+    complex(3.0, 0.0), complex(3.0, -250.0), complex(3.0, 1e4),
+])
+def test_euler_maclaurin_tail_from_czetas_side_matches_mpmath(s):
+    """czeta's use of the tail _restored_orders shares: one unit weight at
+    1 - s from czeta's n = floor(0.6 |s| + 6) + 1 is the Hurwitz zeta(s, n),
+    to 1e-14 plus the rounding of the phase |Im s| log n of n^(1 - s)."""
+    n = int(0.6 * abs(s) + 6.0) + 1
+    with mp.workdps(40):
+        ref = complex(mp.zeta(s, n))
+    tail = _euler_maclaurin_tail(1.0 - s, n, (1.0 + 0j,), 0)
+    assert abs(tail - ref) <= (1e-14 + 2.2e-16 * abs(s.imag) * math.log(n)) * abs(ref), (tail, ref)
 
 
 @pytest.mark.parametrize("s", [complex(-3.7, 11.0), complex(0.3, 2.0), complex(-6.0, -15.0),
@@ -413,20 +431,23 @@ def test_even_pair_equals_the_two_ratio_sum_exactly(re_s, im_s, d, m):
 # rows were recorded again when the pair sum began subtracting orders through
 # z^-12 from m0 = ceil((|s| + 4) / step) + 1: each takes fewer terms, and
 # none is further from the oracle value than before but by rounding (at most
-# 3.1e-16 -> 3.3e-16 relative)
+# 3.1e-16 -> 3.3e-16 relative).  The strip rows (-0.25 < Re s < 0.5), which
+# sum zeta(s), were recorded again when zeta and the restored orders came to
+# share one Euler-Maclaurin tail: moved by rounding alone, at most 4.3e-16
+# relative, with the same terms
 FROZEN_POISSON = [
-    (5, "even", complex(0.3, 2.0), (0.5610063221455391-0.21275098527986208j), 7),
+    (5, "even", complex(0.3, 2.0), (0.5610063221455391-0.21275098527986214j), 7),
     (5, "even", complex(-0.1, 5.5), (1.2642077950512998+1.207840878212279j), 11),
-    (5, "even", complex(0.45, -12.25), (1.9159361237016799+0.28253513327331037j), 25),
+    (5, "even", complex(0.45, -12.25), (1.9159361237016794+0.28253513327331037j), 25),
     (5, "even", complex(-1.5, 0.5), (-0.6266072680550561+0.24076014735815732j), 7),
     (5, "even", complex(-3.7, 11.0), (-1.662764711447706+0.45735393141602965j), 17),
     (5, "even", complex(-6.2, -4.3), (0.09907639642712336-0.0668096571794473j), 11),
     (5, "odd", complex(0.3, 2.0), (0.7910265627061279-0.5578800190552203j), 7),
     (5, "odd", complex(-2.5, 7.0), (1.6345150077047115-3.2297347629570283j), 9),
     (5, "odd", complex(1.5, -15.0), (0.8606687303594445-0.35064956105364753j), 13),
-    (13, "even", complex(0.3, 2.0), (-0.10776260209554558-0.6605860001960904j), 13),
-    (13, "even", complex(-0.1, 5.5), (0.14974411161247403-1.5487687587253265j), 25),
-    (13, "even", complex(0.45, -12.25), (0.4141357701786703+0.30736084319497214j), 59),
+    (13, "even", complex(0.3, 2.0), (-0.10776260209554561-0.6605860001960904j), 13),
+    (13, "even", complex(-0.1, 5.5), (0.14974411161247408-1.5487687587253267j), 25),
+    (13, "even", complex(0.45, -12.25), (0.4141357701786703+0.30736084319497237j), 59),
     (13, "even", complex(-1.5, 0.5), (-0.1443136655844526-0.02209891861181497j), 13),
     (13, "even", complex(-3.7, 11.0), (-0.17007778341484128-0.112630717197928j), 35),
     (13, "even", complex(-6.2, -4.3), (-0.007526025088378017-0.005655825606078445j), 21),
@@ -434,8 +455,8 @@ FROZEN_POISSON = [
     (13, "odd", complex(-2.5, 7.0), (0.03811172025876877-0.11880438161733517j), 19),
     (13, "odd", complex(1.5, -15.0), (0.9686751243662619+0.001413793591019702j), 27),
     # norm +1, recorded before the even form lost its overlap bands
-    (3, "even", complex(0.3, 2.0), (0.6000505445941238-0.06933418371246118j), 9),
-    (3, "even", complex(-0.1, 5.5), (0.053698179645901234-0.6025673770756312j), 15),
+    (3, "even", complex(0.3, 2.0), (0.6000505445941238-0.06933418371246121j), 9),
+    (3, "even", complex(-0.1, 5.5), (0.05369817964590129-0.6025673770756312j), 15),
     (3, "even", complex(-1.5, 0.5), (-0.2542844224566854+0.02552933020668366j), 9),
     (3, "even", complex(-3.7, 11.0), (-0.1264954920263387+0.08759374873035126j), 21),
 ]
