@@ -302,6 +302,13 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------------- parser
 
+# argparse takes an argument that starts with "-" for a value only if this
+# matcher accepts it.  Its own leaves out the exponent form and would read
+# the "-1e1" of "--re -1e1 0 5" as an option; the grid's accepts every
+# negative decimal literal, with or without an exponent.
+_NEGATIVE_NUMBER_RE = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, like _cached_field's fields: parse_args
@@ -329,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity", choices=PARITIES, default=PARITY_COMBINED)
     p.add_argument("--re", type=float, nargs=3, required=True, metavar=("LO", "HI", "STEP"))
     p.add_argument("--im", type=float, nargs=3, required=True, metavar=("LO", "HI", "STEP"))
+    p._negative_number_matcher = _NEGATIVE_NUMBER_RE
     p.add_argument("--methods", default="binomial,poisson", help="comma list")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--format", choices=("csv", "json"), default="csv")

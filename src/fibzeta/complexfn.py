@@ -188,38 +188,31 @@ def _zeta_euler_maclaurin(s: complex) -> complex:
     acc = 0j
     for k in range(1, n):
         acc += exp(neg_s * log(k))
-    return acc + _euler_maclaurin_tail(1.0 - s, n, (_ONE,), 0)
+    return acc + _euler_maclaurin_tail(1.0 - s, n, (_ONE,))
 
 
-def _euler_maclaurin_tail(
-    s: complex, n: int, weights: tuple[complex, ...], j_first: int
-) -> complex:
-    """sum_j w_j H_j for j = j_first .. len(weights) - 1 (w_j = 0 below
-    j_first), H_j = sum_{m >= n} m^(s - 1 - 2j), the Hurwitz zeta(alpha_j, n)
-    with alpha_j = 1 - s + 2j, by Euler-Maclaurin: n^(1 - alpha_j) /
-    (alpha_j - 1) + n^(-alpha_j) / 2 plus the corrections B_2i/(2i)!
-    (alpha_j)_(2i-1) n^(1 - alpha_j - 2i), i <= 14, exact to rounding once
-    n >= 0.6 |alpha_j| + 6.  Since alpha_j = alpha_0 + 2j, each correction is
-    n^s T_(i+j) / R_j with T_k = (alpha_0)_(2k-1) n^(-2k) one shared sequence
-    and R_j = (alpha_0)_(2j).  Each order's corrections stop at the first
-    whose weighted size is below 2^-53 of the j_first order's weighted
-    leading term."""
+def _euler_maclaurin_tail(s: complex, n: int, weights: tuple[complex, ...]) -> complex:
+    """sum_j w_j H_j for j = 0 .. len(weights) - 1, H_j = sum_{m >= n}
+    m^(s - 1 - 2j), the Hurwitz zeta(alpha_j, n) with alpha_j = 1 - s + 2j,
+    by Euler-Maclaurin: n^(1 - alpha_j) / (alpha_j - 1) + n^(-alpha_j) / 2
+    plus the corrections B_2i/(2i)! (alpha_j)_(2i-1) n^(1 - alpha_j - 2i),
+    i <= 14, exact to rounding once n >= 0.6 |alpha_j| + 6.  Since alpha_j =
+    alpha_0 + 2j, each correction is n^s T_(i+j) / R_j with T_k =
+    (alpha_0)_(2k-1) n^(-2k) one shared sequence and R_j = (alpha_0)_(2j).
+    Each order's corrections stop at the first whose weighted size is below
+    2^-53 of the weighted leading term of order 0."""
     # the orders over n^s: n^(-2j) / (alpha_j - 1) + n^(-2j-1) / 2 + sum_i
     # B_2i/(2i)! T_(i+j) / R_j each
     alpha = _ONE - s
     inv_n2 = 1.0 / (n * n)
     half_inv_n = 0.5 / n
     ts = [alpha * inv_n2]  # ts[k - 1] = T_k
-    n_pow = inv_n2**j_first
+    n_pow = 1.0
     r = _ONE
-    for j in range(j_first):
-        r *= (alpha + 2 * j) * (alpha + (2 * j + 1))
-    floor = None
     tail = 0j
-    for j in range(j_first, len(weights)):
-        w = weights[j]
+    for j, w in enumerate(weights):
         acc = w * n_pow * (1.0 / (2 * j - s) + half_inv_n)
-        if floor is None:
+        if j == 0:
             floor = 2.0**-53 * abs(acc)
         scaled = w / r
         for i, b in enumerate(_EULER_MACLAURIN_WEIGHTS, start=1):

@@ -61,8 +61,8 @@ class OutOfRegionError(NumericalError):
 
 
 class NearOneSingularityError(NumericalError):
-    """No longer raised: the strip form runs only at Re s < 1/2, far from
-    s = 1.  Kept because bench/tracing.py counts it as
+    """Never raised: the even Poisson pair sum runs only at Re s < 1/2, far
+    from s = 1.  Kept because bench/tracing.py counts it as
     poisson.even.strip_fallback."""
 
 

@@ -16,25 +16,24 @@ log 4 pi^2 - 2 pi v_m less the two log-gammas.
 
 Even-indexed case: the summand vanishes at n=0 only after regularizing by
 (4 x log eps)^(-s), and truncated Poisson summation yields one evaluator,
-zeta_even_poisson, with three regions: the direct series for Re s >= 1/2;
-for -1/4 < Re s < 1/2 a strip form built from zeta(s), a closed-form
-constant phase, and bracketed gamma-ratio terms; and for Re s <= -1/4 the
-bare gamma-ratio sum.  The gamma-ratio sums are accelerated exactly: the
-ratio Gamma(z + a)/Gamma(z + 1 - a) admits an asymptotic expansion in even
-powers of 1/z, which holds only past |z| ~ |s|.  So the pairs below
-m0 = ceil((|s| + 4) / step) + 1 are summed plainly; from m0 on the orders
-z^0 .. z^-12 are subtracted from each pair, which leaves a remainder
-falling like m^(Re s - 15), and they are added back through the Hurwitz
-tails sum_{m >= m0} m^(s-1-2j), weighted and summed together from m0 on
-(direct terms, then the Euler-Maclaurin tail every order and zeta share)
-rather than formed as zeta(1 + 2j - s) less its first terms.  The
+zeta_even_poisson, with two regions: the direct series for Re s >= 1/2,
+and the gamma-ratio pair sum for Re s < 1/2.  The pair sum is accelerated
+exactly: the ratio Gamma(z + a)/Gamma(z + 1 - a) admits an asymptotic
+expansion in even powers of 1/z, which holds only past |z| ~ |s|.  So the
+pairs below m0 = ceil((|s| + 4) / step) + 1 are summed plainly; from m0 on
+the orders z^0 .. z^-12 are subtracted from each pair, which leaves a
+remainder falling like m^(Re s - 15), and they are added back through the
+Hurwitz tails sum_{m >= m0} m^(s-1-2j), weighted and summed together from
+m0 on (direct terms, then the Euler-Maclaurin tail every order and zeta
+share) rather than formed as zeta(1 + 2j - s) less its first terms; for
+Re s > 0 the order-0 tail diverges and is its analytic continuation.  The
 truncation is modelled as the last residual times m / max(2, 10 - Re s),
 the sum of a remainder falling like m^(Re s - 11): an overestimate, kept
 because it stops no earlier than the tol asks.  The two ratios of a pair
-+-m share their log-gamma values: since Re s < 1/2 in both regions that
-sum them, the reflection of each numerator Gamma(s/2 -+ i v_m) needs
-log Gamma(1 - s/2 +- i v_m), the other ratio's denominator, so a pair
-costs two log-gamma sums, not four, and two sines.  A far pair,
++-m share their log-gamma values: since Re s < 1/2, the reflection of each
+numerator Gamma(s/2 -+ i v_m) needs log Gamma(1 - s/2 +- i v_m), the other
+ratio's denominator, so a pair costs two log-gamma sums, not four, and two
+sines.  A far pair,
 v_m > |Im s|/2 + 7, folds its two terms into one exp,
 4 pi sin(pi s/2) exp(-pi v_m - L) with L the two log-gammas, and needs no
 sine.  For a norm +1 unit the even-indexed evaluator puts eps^(1/2) in
@@ -70,14 +69,12 @@ from .errors import FactorOverflowError, OutOfRegionError, TooSlowConvergenceErr
 from .quadfield import QuadraticField
 
 REGION_DIRECT = "direct"
-REGION_STRIP = "strip"
 REGION_LEFT = "left"
 
 
-# the even-indexed evaluation uses the direct series for Re s >= REGION_DIRECT_MIN,
-# the bare gamma-ratio sum for Re s <= REGION_LEFT_MAX and the strip form between
+# the even-indexed evaluation uses the direct series for Re s >= REGION_DIRECT_MIN
+# and the gamma-ratio pair sum left of it
 REGION_DIRECT_MIN = 0.5
-REGION_LEFT_MAX = -0.25
 # hard cap on Fourier-side summation lengths
 MAX_FOURIER_TERMS = 2_000_000
 # a pair at v > |Im s/2| + _FAR_MARGIN is far: both of its sines are single
@@ -88,20 +85,14 @@ _LOG_FOUR_PI_SQ = math.log(4.0 * math.pi * math.pi)
 
 
 class RegionSelector:
-    """Regions of the even-indexed Poisson evaluation: left for Re s <=
-    REGION_LEFT_MAX, strip for REGION_LEFT_MAX < Re s < REGION_DIRECT_MIN,
-    direct for Re s >= REGION_DIRECT_MIN.  Each branch of zeta_even_poisson
-    runs only in its own region, so no point of the strip is near s = 1.
+    """Regions of the even-indexed Poisson evaluation: left for Re s <
+    REGION_DIRECT_MIN, direct from it on.  Each branch of zeta_even_poisson
+    runs only in its own region, so the pair sum never meets s = 1.
     """
 
     @staticmethod
     def classify(s: complex) -> str:
-        x = complex(s).real
-        if x <= REGION_LEFT_MAX:
-            return REGION_LEFT
-        if x < REGION_DIRECT_MIN:
-            return REGION_STRIP
-        return REGION_DIRECT
+        return REGION_LEFT if complex(s).real < REGION_DIRECT_MIN else REGION_DIRECT
 
     @staticmethod
     def from_settings(settings: Settings) -> "RegionSelector":
@@ -257,11 +248,10 @@ def _restored_orders(
     s: complex,
     m0: int,
     weights: tuple[complex, complex, complex, complex, complex, complex, complex],
-    j_first: int,
 ) -> complex:
-    """sum_j w_j H_j for j = j_first .. 6, weights = (w_0, .., w_6) with
-    w_j = 0 below j_first, and H_j = sum_{m >= m0} m^(s - 1 - 2j), the
-    Hurwitz zeta(alpha_j, m0) with alpha_j = 1 - s + 2j.
+    """sum_j w_j H_j for j = 0 .. 6, weights = (w_0, .., w_6), and H_j =
+    sum_{m >= m0} m^(s - 1 - 2j), the Hurwitz zeta(alpha_j, m0) with
+    alpha_j = 1 - s + 2j.
 
     The terms from m0 up to n = max(m0, 0.6 (|s| + 13) + 6) are summed
     directly, one exp and one Horner over the weights in m^-2 per m.  From
@@ -277,7 +267,7 @@ def _restored_orders(
         direct += exp(s_1 * log(m)) * (
             w0 + x * (w1 + x * (w2 + x * (w3 + x * (w4 + x * (w5 + x * w6)))))
         )
-    return direct + _euler_maclaurin_tail(s, n, weights, j_first)
+    return direct + _euler_maclaurin_tail(s, n, weights)
 
 
 def _even_pair(
@@ -299,42 +289,47 @@ def _even_pair(
     )
 
 
-def _ratio_pair_core(
-    log_eta: float,
-    s: complex,
-    sin_half: complex,
-    tol_abs: float,
-    include_leading: bool,
-) -> tuple[complex, int, float]:
-    """sum over m in Z of the gamma-ratio terms, asymptotics summed exactly,
-    with sin_half = sin(pi s/2).
+def _even_left(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEvaluation:
+    """The left branch of zeta_even_poisson, for Re s < REGION_DIRECT_MIN;
+    any other point raises OutOfRegionError.  The gamma-ratio pair sum
 
-    Writes ratio(+-m) = (-+ i v_m)^(s-1) E(-+ i v_m) with E an even
-    asymptotic series in 1/v_m.  The expansion holds only past the saddle
-    v_m ~ |s|, so the pairs with m < m0 = ceil((|s| + 4) / step) + 1 are
-    summed as they are; from m0 on, orders z^0 .. z^-12 are subtracted from
-    every pair, which leaves a remainder falling like m^(Re s - 15), and
-    they are restored by _restored_orders as sum_j w_j H_j over the Hurwitz
-    tails H_j = sum_{m >= m0} m^(s-1-2j).  With include_leading=False the
-    order-0 part is left out entirely (the strip form carries it as its
-    explicit zeta(s) term): it is subtracted from the pairs below m0 too and
-    never restored.  Returns (sum, pairs_used, tail_estimate).  The tail is
-    the larger of residual m / max(2, 10 - Re s), the sum of a remainder
-    falling like m^(Re s - 11) and so an overestimate here, and residual
-    sqrt(m); a noise-floor stop ends the loop where the residual sinks below
-    the rounding error of the pair terms.
+    Z_even(s) = q^(s/2) Gamma(1-s) / (4 log eps) * sum_m ratio(m),
+    ratio(m) = Gamma(s/2 - i v_m) / Gamma(1 - s/2 - i v_m),
 
-    Both callers have Re s < 1/2, so both numerators Gamma(a -+ i v) of a
-    pair (a = s/2) reflect, each needing log Gamma(1 - a +- i v), the other
-    ratio's denominator.  _even_pair forms a near pair from two sines and
-    these two log-gammas, and a far one (v > |Im a| + 7) in closed form from
-    the two log-gammas alone.  The m = 0 term Gamma(a) / Gamma(1 - a) is
+    with its asymptotics summed exactly.  Writes ratio(+-m) = (-+ i
+    v_m)^(s-1) E(-+ i v_m) with E an even asymptotic series in 1/v_m.  The
+    expansion holds only past the saddle v_m ~ |s|, so the pairs with m <
+    m0 = ceil((|s| + 4) / step) + 1 are summed as they are; from m0 on,
+    orders z^0 .. z^-12 are subtracted from every pair, which leaves a
+    remainder falling like m^(Re s - 15), and they are restored by
+    _restored_orders as sum_j w_j H_j over the Hurwitz tails H_j =
+    sum_{m >= m0} m^(s-1-2j).  The tail is the larger of residual m /
+    max(2, 10 - Re s), the sum of a remainder falling like m^(Re s - 11)
+    and so an overestimate here, and residual sqrt(m); a noise-floor stop
+    ends the loop where the residual sinks below the rounding error of the
+    pair terms.
+
+    Since Re s < 1/2, both numerators Gamma(a -+ i v) of a pair (a = s/2)
+    reflect, each needing log Gamma(1 - a +- i v), the other ratio's
+    denominator.  _even_pair forms a near pair from two sines and these two
+    log-gammas, and a far one (v > |Im a| + 7) in closed form from the two
+    log-gammas alone.  The m = 0 term Gamma(a) / Gamma(1 - a) is
     pi / (sin(pi a) Gamma(1 - a)^2), from one log Gamma(1 - a).
     """
+    s = complex(s)
+    if not s.real < REGION_DIRECT_MIN:
+        raise OutOfRegionError(f"the pair sum needs Re s < {REGION_DIRECT_MIN}, got {s.real}")
+    log_eta = field.half_unit.log_eta
+    with _in_double_range("Gamma(1 - s)", s):
+        gamma_1ms = cmath.exp(log_gamma(1.0 - s))
+    pref = _q_power(field, s) * gamma_1ms / (4.0 * log_eta)
+    tol_abs = tol / max(abs(pref), 1e-30)
+    # sin(pi s/2) leaves double range past |Im s| ~ 452
+    with _in_double_range("sin(pi s/2)", s):
+        two_sin_half = 2.0 * cmath.sin(0.5 * math.pi * s)
     half_step = math.pi / (2.0 * log_eta)
     a = 0.5 * s
     e2, e4, e6, e8, e10, e12 = _asymptotic_coefficients(a)
-    two_sin_half = 2.0 * sin_half
     m0 = int(math.ceil((abs(s) + 4.0) / half_step)) + 1
 
     one_minus_a = _ONE - a
@@ -343,25 +338,16 @@ def _ratio_pair_core(
     s_1 = s - 1.0
     far_v = abs(a.imag) + _FAR_MARGIN
     four_pi_sin = _TWO_PI * two_sin_half
-    # pairs before m0: plain, or less their order-0 phase term in the strip
     for m in range(1, m0):
-        v = half_step * m
-        pair = pair_at(a, one_minus_a, v, far_v, four_pi_sin)
-        if not include_leading:
-            pair -= two_sin_half * exp(s_1 * log(v))
-        total += pair
+        total += pair_at(a, one_minus_a, half_step * m, far_v, four_pi_sin)
 
     # the restored orders: 2 sin(pi s/2) step^(s-1) sum_j (-1)^j e_2j
     # step^(-2j) H_j
     q = -1.0 / (half_step * half_step)
     q2 = q * q
     q3 = q2 * q
-    weights = (
-        _ONE if include_leading else 0j, e2 * q, e4 * q2, e6 * q3, e8 * (q2 * q2),
-        e10 * (q2 * q3), e12 * (q3 * q3),
-    )
-    restored = _restored_orders(s, m0, weights, 0 if include_leading else 1)
-    total += two_sin_half * exp(s_1 * log(half_step)) * restored
+    weights = (_ONE, e2 * q, e4 * q2, e6 * q3, e8 * (q2 * q2), e10 * (q2 * q3), e12 * (q3 * q3))
+    total += two_sin_half * exp(s_1 * log(half_step)) * _restored_orders(s, m0, weights)
 
     # residual pairs from m0 on, stopped by a tail model or the noise floor
     m = m0 - 1
@@ -388,65 +374,12 @@ def _ratio_pair_core(
         if m > MAX_FOURIER_TERMS:
             raise TooSlowConvergenceError(float(m), MAX_FOURIER_TERMS)
     tail = max(residual_abs * m * tail_factor, residual_abs * math.sqrt(m))
-    return total, m, tail
-
-
-def _sin_half_pi(s: complex) -> complex:
-    """sin(pi s/2), which leaves double range past |Im s| ~ 452."""
-    with _in_double_range("sin(pi s/2)", s):
-        return cmath.sin(0.5 * math.pi * s)
-
-
-def _even_prefactor(field: QuadraticField, log_eta: float, s: complex) -> complex:
-    with _in_double_range("Gamma(1 - s)", s):
-        gamma_1ms = cmath.exp(log_gamma(1.0 - s))
-    return _q_power(field, s) * gamma_1ms / (4.0 * log_eta)
-
-
-def zeta_even_poisson_strip(
-    field: QuadraticField, s: complex, tol: float = 1e-12
-) -> ZetaEvaluation:
-    """The strip branch of zeta_even_poisson, for REGION_LEFT_MAX < Re s <
-    REGION_DIRECT_MIN; any other point raises OutOfRegionError.
-
-    Z_even(s) = q^(s/2) zeta(s) / (4 log eps)^s
-              + q^(s/2) Gamma(1-s) Gamma(s/2) / (4 Gamma(1-s/2) log eps)
-              + q^(s/2) sum_{m != 0} [gamma-ratio term - |m|^(s-1) phase term].
-
-    sin(pi s/2) is formed first: past |Im s| ~ 452, where it leaves double
-    range, the point is refused before zeta(s) sums up to 100,000 terms.
-    """
-    s = complex(s)
-    if RegionSelector.classify(s) != REGION_STRIP:
-        raise OutOfRegionError(
-            f"strip form needs {REGION_LEFT_MAX} < Re s < {REGION_DIRECT_MIN}, got {s.real}"
-        )
-    sin_half = _sin_half_pi(s)
-    log_eta = field.half_unit.log_eta
-    scale = _q_power(field, s)
-    with _in_double_range("zeta(s)", s):
-        zeta_s = czeta(s)
-    zeta_term = scale * zeta_s * cmath.exp(-s * math.log(4.0 * log_eta))
-    pref = _even_prefactor(field, log_eta, s)
-    tol_abs = tol * max(abs(zeta_term), 1.0) / max(abs(pref), 1e-30)
-    core, pairs, tail = _ratio_pair_core(log_eta, s, sin_half, tol_abs, include_leading=False)
-    return ZetaEvaluation(zeta_term + pref * core, METHOD_POISSON, 2 * pairs + 1,
+    return ZetaEvaluation(pref * total, METHOD_POISSON, 2 * m + 1,
                           SeriesTail(tail * abs(pref), False))
 
 
-def _even_left(field: QuadraticField, s: complex, tol: float) -> ZetaEvaluation:
-    """The left branch of zeta_even_poisson, for Re s <= REGION_LEFT_MAX:
-    the bare gamma-ratio sum
-
-    Z_even(s) = q^(s/2) Gamma(1-s) / (4 log eps) * sum_m ratio(m).
-    """
-    log_eta = field.half_unit.log_eta
-    pref = _even_prefactor(field, log_eta, s)
-    tol_abs = tol / max(abs(pref), 1e-30)
-    core, pairs, tail = _ratio_pair_core(log_eta, s, _sin_half_pi(s), tol_abs,
-                                         include_leading=True)
-    return ZetaEvaluation(pref * core, METHOD_POISSON, 2 * pairs + 1,
-                          SeriesTail(tail * abs(pref), False))
+# _even_left under the name of the strip form it replaced, which bench/tracing.py hooks
+zeta_even_poisson_strip = _even_left
 
 
 def zeta_even_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEvaluation:
@@ -458,8 +391,6 @@ def zeta_even_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> 
         parity = field.half_unit.direct_parity
         ev = zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity))
         return ZetaEvaluation(ev.value, METHOD_POISSON, ev.terms_used, ev.tail)
-    if region == REGION_STRIP:
-        return zeta_even_poisson_strip(field, s, tol)
     return _even_left(field, s, tol)
 
 
@@ -468,12 +399,15 @@ def zeta_functional_reconstruction(
     s: complex,
     tol: float = 1e-10,
 ) -> tuple[complex, complex, int]:
-    """The |m|^(1-s) parts of the strip form, summed against their closed form.
+    """czeta's left branch against the reflected Dirichlet sum.
 
-    For Re s < 0 the phase terms of the bracketed m-sum converge on their
-    own; their total is minus the zeta term of the strip form by the
-    functional equation.  Returns (reconstructed, reference, terms): the
-    literal partial sum with its prefactors, and -q^(s/2) zeta(s)/(4 log eps)^s.
+    For Re s < 0 the Dirichlet series of zeta(1 - s) converges, and the
+    functional equation zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s)
+    zeta(1-s) gives zeta(s) from its partial sums alone; czeta takes the
+    same equation there but sums zeta(1 - s) by Euler-Maclaurin.  Both are
+    scaled by -q^(s/2) / (4 log eps)^s.  Returns (reconstructed, reference,
+    terms): the partial sum with its prefactors, and -q^(s/2)
+    czeta(s) / (4 log eps)^s.
     """
     s = complex(s)
     if s.real >= 0:

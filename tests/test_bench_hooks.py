@@ -1,17 +1,21 @@
-"""The benchmark's tracer still finds every function it hooks.
+"""The benchmark still finds every function it hooks and every suite it runs.
 
 bench/tracing.py replaces module attributes of fibzeta by name.  A renamed
 function, or a call that no longer goes through a module-level name, would
 leave a layer of `bench/run.py --trace 1` silently empty; this test makes
 that a failure.  It runs in a subprocess because the tracer patches the
-modules for the life of the interpreter.
+modules for the life of the interpreter.  bench/run.py also names the
+verify suites it times, and each must still exist.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from fibzeta.suites import SUITE_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,15 +95,31 @@ def test_tracer_hooks_every_layer_and_names_the_routes():
     codes, spans = out["norm_plus_one"]
     assert codes == [0, 0]
     assert spans["cli.evaluate"]["calls"] == 2
-    for name in ("continuation.binomial", "poisson.even.strip"):
+    for name in ("continuation.binomial", "poisson.even.left"):
         assert spans[name]["calls"] == 1 and spans[name]["terms"] > 0, name
 
     codes, spans = out["even_regions"]
     assert codes == [0, 0, 0, 0]
-    for region in ("left", "strip", "direct"):
+    for region in ("left", "direct"):
         assert spans[f"poisson.even.{region}"]["terms"] > 0, region
-    assert spans["poisson.even.left"]["calls"] == 1
-    assert spans["poisson.even.strip"]["calls"] == 2  # one from the D = 3 call
+    # 0.3+2i takes the pair sum as -1.5+0.5i does; one call is the D = 3 one
+    assert spans["poisson.even.left"]["calls"] == 3
+    assert "poisson.even.strip" not in spans
     assert spans["poisson.even.direct"]["calls"] == 1
     assert spans["continuation.direct"]["calls"] == 1  # the direct region's sum
     assert spans["crosscheck.shifted_convolution"]["calls"] == 1
+
+
+def test_every_suite_the_benchmark_runs_is_a_verify_suite():
+    """bench/run.py runs `verify --suite` over the names in its SUITES tuple.
+    Read from the script's syntax tree, without importing or running it:
+    a suite dropped from fibzeta.suites while the benchmark still names it
+    fails here."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text())
+    suites = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "SUITES" for target in node.targets)
+    ]
+    assert len(suites) == 1 and suites[0]
+    assert set(suites[0]) <= set(SUITE_NAMES), set(suites[0]) - set(SUITE_NAMES)

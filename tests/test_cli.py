@@ -102,7 +102,7 @@ def test_eval_pole_proximity_exit_code(capsys):
     ("-400+1i", "even", "Gamma(1 - s)"),  # the left-region prefactor
     ("400", "odd", "Gamma(s/2 + i v_m) Gamma(s/2 - i v_m)"),
     ("-3+1000i", "even", "sin(pi s/2)"),
-    ("0.3+1000i", "even", "sin(pi s/2)"),  # czeta forms its chi in log form
+    ("0.3+1000i", "even", "sin(pi s/2)"),  # Gamma(1 - s) underflows to 0 there
 ])
 def test_eval_poisson_factor_out_of_double_range_is_numerical_error(capsys, s, parity, factor):
     code, out, err = run_cli(capsys, "eval", "--D", "5", f"--s={s}", "--parity", parity,
@@ -114,9 +114,8 @@ def test_eval_poisson_factor_out_of_double_range_is_numerical_error(capsys, s, p
 
 @pytest.mark.parametrize("s", ["0.1+1e12i", "0.3-1e300i", "0.2+1e5i"])
 def test_eval_poisson_even_far_up_the_axis_refuses_at_once(capsys, s):
-    """The strip form forms sin(pi s/2) first, which leaves double range past
-    |Im s| ~ 452, and so refuses before zeta(s) sums 0.6 |s| terms (or
-    refuses them past its cap)."""
+    """The pair sum forms sin(pi s/2) before its first pair, and that factor
+    leaves double range past |Im s| ~ 452, so the point is refused at once."""
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "eval", "--D", "5", f"--s={s}", "--parity", "even",
                              "--method", "poisson")
@@ -265,6 +264,40 @@ def test_grid_reversed_or_endless_range_is_domain_error(capsys):
         assert "DomainError" in err
 
 
+@pytest.mark.parametrize("axis, exponent_form, plain_form", [
+    ("re", ("-1e1", "0", "5"), ("-10", "0", "5")),
+    ("re", ("-2.5E-0", "-1e-1", "1.2e0"), ("-2.5", "-0.1", "1.2")),
+    ("im", ("-1e1", "0", "5"), ("-10", "0", "5")),
+    ("im", ("-1E+0", "-5e-1", "5e-1"), ("-1", "-.5", ".5")),
+])
+def test_grid_axes_take_negative_bounds_in_exponent_form(capsys, axis, exponent_form, plain_form):
+    other = "im" if axis == "re" else "re"
+    outputs = []
+    for form in (exponent_form, plain_form):
+        outputs.append(run_cli(capsys, "grid", "--D", "5", "--methods", "binomial",
+                               f"--{axis}", *form, f"--{other}", "-1", "0", "1"))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][2] == ""
+
+
+@pytest.mark.parametrize("value", ["-10", "-10.5", "-.5", "-0", "10", "1e1", "1E-3", ".25",
+                                   "inf", "-1e1", "-1.5e-3", "-10.", "-7E+2"])
+def test_grid_axis_bounds_parse_as_floats(value):
+    """Plain forms, negative or not, and negative exponent forms all parse
+    to float(value)."""
+    args = build_parser().parse_args(
+        ["grid", "--D", "5", "--re", value, "0", "1", "--im", value, "0", "1"])
+    assert args.re == args.im == [float(value), 0.0, 1.0]
+
+
+@pytest.mark.parametrize("value", ["-x", "-1e", "--1", "-e1"])
+def test_grid_axis_refuses_what_is_not_a_number(capsys, value):
+    code, out, err = run_cli(capsys, "grid", "--D", "5", "--re", value, "0", "1",
+                             "--im", "0", "0", "1")
+    assert code == 2 and out == ""
+    assert "argument --re" in err
+
+
 # SHA-256 of the CSV of D=5 binomial grids with pole rows: how the grid path
 # builds its rows and finds poles must leave these bytes as they are
 GRID_SHA256 = {
@@ -299,11 +332,11 @@ GOLDEN = Path(__file__).resolve().parent / "data"
 
 @pytest.mark.parametrize("parity", ["odd", "even"])
 def test_poisson_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, parity):
-    """A D = 29 box over the left (Re s <= -0.25), strip and direct regions of
-    the even form, and the odd series on the same points.  The odd CSV was
-    last recorded when log Gamma became Stirling's series alone and zeta
-    Euler-Maclaurin alone, the even one when zeta came to share the restored
-    orders' Euler-Maclaurin tail (its strip rows); any drift in the last bit
+    """A D = 29 box over the pair-sum (Re s < 0.5) and direct regions of the
+    even form, and the odd series on the same points.  The odd CSV was last
+    recorded when log Gamma became Stirling's series alone and zeta
+    Euler-Maclaurin alone, the even one when the strip form gave way to the
+    pair sum (its rows with -0.25 < Re s < 0.5); any drift in the last bit
     of a value changes its bytes.  tests/data/README.md gives the commands
     that write both."""
     out = tmp_path / "grid.csv"
@@ -319,8 +352,8 @@ def test_d5_poisson_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, parity
     reflected and not (Re s >= 1), both branches of log sin(pi z) in the pair
     terms, and a step pi / (2 log eps) other than D = 29's.  The odd CSV was
     last recorded when log Gamma became Stirling's series alone, the even one
-    when zeta came to share the restored orders' Euler-Maclaurin tail (its
-    strip rows)."""
+    when the strip form gave way to the pair sum (its rows with
+    -0.25 < Re s < 0.5)."""
     out = tmp_path / "grid.csv"
     code = main(["grid", "--D", "5", "--parity", parity, "--methods", "poisson",
                  "--re", "-7", "3", "0.625", "--im", "-30", "30", "7.5", "--out", str(out)])

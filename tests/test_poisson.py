@@ -122,13 +122,14 @@ def test_even_poisson_direct_region_is_the_direct_series_as_a_poisson_record(d, 
 def test_region_selector_classification():
     sel = RegionSelector()
     assert sel.classify(2.5) == "direct"
-    assert sel.classify(0.2) == "strip"
+    assert sel.classify(0.2) == "left"
     assert sel.classify(complex(-0.25, 3.0)) == "left"
-    assert sel.classify(complex(-0.1, 0.0)) == "strip"
-    assert sel.classify(complex(0.49, 5.0)) == "strip"
+    assert sel.classify(complex(-0.1, 0.0)) == "left"
+    assert sel.classify(complex(0.49, 5.0)) == "left"
+    assert sel.classify(complex(0.5 - 1e-16, 5.0)) == "left"
     assert sel.classify(complex(0.5, 5.0)) == "direct"
     assert sel.classify(complex(1.02, 0.0)) == "direct"  # inside the s=1 disk
-    assert RegionSelector.from_settings(Settings(pole_guard_radius=0.5)).classify(0.2) == "strip"
+    assert RegionSelector.from_settings(Settings(pole_guard_radius=0.5)).classify(0.2) == "left"
 
 
 def test_even_poisson_near_one_takes_the_direct_series():
@@ -137,10 +138,15 @@ def test_even_poisson_near_one_takes_the_direct_series():
     assert abs(ev.value - b.value) < 1e-9
 
 
-@pytest.mark.parametrize("re_s", [-0.25, 0.5, 0.6, 1.5, -3.0])
+@pytest.mark.parametrize("re_s", [0.5, 0.5 + 1e-12, 0.6, 1.5, 40.0])
 def test_strip_form_refuses_points_outside_the_strip(re_s):
+    """zeta_even_poisson_strip is the one pair sum left of Re s = 1/2: it
+    refuses Re s >= 1/2 alone, and gives zeta_even_poisson's record at
+    every point left of it."""
     with pytest.raises(OutOfRegionError):
         zeta_even_poisson_strip(F5, complex(re_s, 2.0))
+    s = complex(0.5 - re_s, 2.0)
+    assert zeta_even_poisson_strip(F5, s) == zeta_even_poisson(F5, s)
 
 
 SEAM_FIELDS = {d: make_field(d) for d in (3, 5, 13)}
@@ -150,8 +156,9 @@ SEAM_FIELDS = {d: make_field(d) for d in (3, 5, 13)}
 @pytest.mark.parametrize("re_s", [-0.25 - 1e-9, -0.25, -0.25 + 1e-9, 0.5 - 1e-9, 0.5])
 @pytest.mark.parametrize("im_s", [0.7, 4.5, -11.0])
 def test_even_poisson_agrees_with_binomial_across_the_region_seams(d, parity, re_s, im_s):
-    """Each side of the left/strip seam at Re s = -0.25 and the strip/direct
-    seam at Re s = 0.5 (D = 3 is norm +1: its combined zeta is the even one)."""
+    """Each side of the old left/strip seam at Re s = -0.25, now inside the
+    pair sum, and of the left/direct seam at Re s = 0.5 (D = 3 is norm +1:
+    its combined zeta is the even one)."""
     field, s = SEAM_FIELDS[d], complex(re_s, im_s)
     p = evaluate(field, s, parity, "poisson", 1e-12)
     b = evaluate(field, s, parity, "binomial", 1e-12)
@@ -171,33 +178,29 @@ def test_even_poisson_agrees_with_binomial_across_the_region_seams(d, parity, re
     (complex(-7.55, -17.7), 40, 1e-13),
     (complex(-3.7, 11.0), 9, 1e-13),
     (complex(-0.25, 0.0), 4, 1e-13),
-    (complex(0.3, 2.0), 6, 1e-13),  # strip: orders from z^-2 on
+    (complex(0.3, 2.0), 6, 1e-13),  # Re s > 0: order 0 is a continuation
     (complex(0.2, 60.0), 75, 1e-13),
 ])
 def test_restored_orders_match_mpmath(s, m0, rel_tol):
-    """Each order j_first <= j <= 6 alone (a unit weight) is the Hurwitz
+    """Each order 0 <= j <= 6 alone (a unit weight) is the Hurwitz
     zeta(1 + 2j - s, m0); a mix of all of them, with weights of the sizes
     the pair sum gives them, is their weighted sum, though each order's
     Euler-Maclaurin corrections stop at 2^-53 of the first order's."""
-    j_first = 0 if s.real < 0 else 1
     refs = {}
-    for j in range(j_first, 7):
+    for j in range(7):
         sigma = complex(1 + 2 * j - s)
         # mpmath subtracts the first m0 - 1 terms from zeta(sigma), which
         # cancels about Re sigma log10 m0 digits
         with mp.workdps(30 + math.ceil(sigma.real * math.log10(m0))):
             refs[j] = complex(mp.zeta(sigma, m0))
         weights = tuple(1.0 if i == j else 0.0 for i in range(7))
-        h_j = _restored_orders(s, m0, weights, j_first)
+        h_j = _restored_orders(s, m0, weights)
         assert abs(h_j - refs[j]) <= rel_tol * abs(refs[j]), (j, h_j, refs[j])
     rng = random.Random(m0)
-    weights = tuple(
-        0j if j < j_first else cmath.rect(rng.uniform(0.5, 2.0) * 4.0**-j, rng.uniform(0, 7))
-        for j in range(7)
-    )
+    weights = tuple(cmath.rect(rng.uniform(0.5, 2.0) * 4.0**-j, rng.uniform(0, 7)) for j in range(7))
     expected = sum(weights[j] * refs[j] for j in refs)
     size = sum(abs(weights[j] * refs[j]) for j in refs)
-    assert abs(_restored_orders(s, m0, weights, j_first) - expected) <= rel_tol * size
+    assert abs(_restored_orders(s, m0, weights) - expected) <= rel_tol * size
 
 
 @pytest.mark.parametrize("s", [
@@ -214,7 +217,7 @@ def test_euler_maclaurin_tail_from_czetas_side_matches_mpmath(s):
     n = int(0.6 * abs(s) + 6.0) + 1
     with mp.workdps(40):
         ref = complex(mp.zeta(s, n))
-    tail = _euler_maclaurin_tail(1.0 - s, n, (1.0 + 0j,), 0)
+    tail = _euler_maclaurin_tail(1.0 - s, n, (1.0 + 0j,))
     assert abs(tail - ref) <= (1e-14 + 2.2e-16 * abs(s.imag) * math.log(n)) * abs(ref), (tail, ref)
 
 
@@ -301,6 +304,29 @@ def test_even_poisson_is_within_its_bound_far_up_the_axis(d, re_s, im_s):
     assert abs(ev.value - ref) <= max(ev.tail.bound, 1e-12 * abs(ref))
 
 
+def _strip_sweep_points():
+    """The region of the old strip form, -0.25 < Re s < 0.5 and |Im s| <= 60,
+    16 seeded points a field, and s = 0.001+0.0005i next to the zero of
+    sin(pi s/2) at s = 0."""
+    rng = random.Random(23)
+    points = []
+    for d in (2, 3, 5, 13, 29):
+        points.append((d, complex(0.001, 0.0005)))
+        points += [(d, complex(rng.uniform(-0.25, 0.5), rng.uniform(-60.0, 60.0)))
+                   for _ in range(16)]
+    return points
+
+
+@pytest.mark.parametrize("d, s", _strip_sweep_points())
+def test_even_pair_sum_is_within_its_bound_where_the_strip_form_was(d, s):
+    """The pair sum that replaced the strip form (zeta(s) plus bracketed
+    pairs) on -0.25 < Re s < 0.5, norm +1 D = 3 included."""
+    field = make_field(d)
+    ev = zeta_even_poisson(field, s, tol=1e-12)
+    ref = _even_reference(field, s)
+    assert abs(ev.value - ref) <= max(ev.tail.bound, 1e-12 * abs(ref))
+
+
 def test_even_poisson_stops_near_abs_s_up_the_axis():
     """At D = 5, 0.3+100i the pair loop starts subtracting the orders at
     m0 = ceil((|s| + 4) / step) + 1 = 33 and ends at pair 240 (481 terms);
@@ -311,8 +337,9 @@ def test_even_poisson_stops_near_abs_s_up_the_axis():
 @pytest.mark.parametrize("s", [complex(0.2, 460.0), complex(0.2, 1e5), complex(0.2, 1.6e5),
                                complex(0.1, 1e12), complex(-0.2, -3e5)])
 def test_strip_refuses_an_overflowing_sine_before_summing_zeta(monkeypatch, s):
-    """sin(pi s/2) leaves double range past |Im s| ~ 452; the strip form
-    refuses there before zeta(s) sums up to 100,000 terms."""
+    """sin(pi s/2) leaves double range past |Im s| ~ 452, and the pair sum
+    refuses there; neither there nor below it does it call zeta(s), which
+    would sum up to 100,000 terms."""
     calls = []
 
     def counting(z):
@@ -325,7 +352,7 @@ def test_strip_refuses_an_overflowing_sine_before_summing_zeta(monkeypatch, s):
     assert (info.value.factor, info.value.s) == ("sin(pi s/2)", s)
     assert calls == []
     zeta_even_poisson_strip(F5, complex(0.2, 400.0))
-    assert calls == [complex(0.2, 400.0)]
+    assert calls == []
 
 
 def test_even_poisson_matches_mpmath_across_the_left_and_strip_regions():
@@ -431,23 +458,25 @@ def test_even_pair_equals_the_two_ratio_sum_exactly(re_s, im_s, d, m):
 # rows were recorded again when the pair sum began subtracting orders through
 # z^-12 from m0 = ceil((|s| + 4) / step) + 1: each takes fewer terms, and
 # none is further from the oracle value than before but by rounding (at most
-# 3.1e-16 -> 3.3e-16 relative).  The strip rows (-0.25 < Re s < 0.5), which
-# sum zeta(s), were recorded again when zeta and the restored orders came to
-# share one Euler-Maclaurin tail: moved by rounding alone, at most 4.3e-16
-# relative, with the same terms
+# 3.1e-16 -> 3.3e-16 relative).  The rows with -0.25 < Re s < 0.5 were
+# recorded again when the strip form (zeta(s) plus bracketed pairs) gave way
+# to the one pair sum: against the mpmath binomial series each error is
+# within 4% of its old one (D = 3's -0.1+5.5i: 4.90e-14 -> 5.09e-14
+# relative), except D = 13's 0.45-12.25i, which went from 8.3e-13 to
+# 5.4e-13 with 61 terms, not 59
 FROZEN_POISSON = [
-    (5, "even", complex(0.3, 2.0), (0.5610063221455391-0.21275098527986214j), 7),
-    (5, "even", complex(-0.1, 5.5), (1.2642077950512998+1.207840878212279j), 11),
-    (5, "even", complex(0.45, -12.25), (1.9159361237016794+0.28253513327331037j), 25),
+    (5, "even", complex(0.3, 2.0), (0.5610063221455395-0.21275098527986172j), 7),
+    (5, "even", complex(-0.1, 5.5), (1.2642077950512998+1.2078408782122785j), 11),
+    (5, "even", complex(0.45, -12.25), (1.9159361237016765+0.2825351332733127j), 25),
     (5, "even", complex(-1.5, 0.5), (-0.6266072680550561+0.24076014735815732j), 7),
     (5, "even", complex(-3.7, 11.0), (-1.662764711447706+0.45735393141602965j), 17),
     (5, "even", complex(-6.2, -4.3), (0.09907639642712336-0.0668096571794473j), 11),
     (5, "odd", complex(0.3, 2.0), (0.7910265627061279-0.5578800190552203j), 7),
     (5, "odd", complex(-2.5, 7.0), (1.6345150077047115-3.2297347629570283j), 9),
     (5, "odd", complex(1.5, -15.0), (0.8606687303594445-0.35064956105364753j), 13),
-    (13, "even", complex(0.3, 2.0), (-0.10776260209554561-0.6605860001960904j), 13),
-    (13, "even", complex(-0.1, 5.5), (0.14974411161247408-1.5487687587253267j), 25),
-    (13, "even", complex(0.45, -12.25), (0.4141357701786703+0.30736084319497237j), 59),
+    (13, "even", complex(0.3, 2.0), (-0.10776260209554524-0.6605860001960902j), 13),
+    (13, "even", complex(-0.1, 5.5), (0.14974411161247425-1.5487687587253265j), 25),
+    (13, "even", complex(0.45, -12.25), (0.41413577017886893+0.3073608431949224j), 61),
     (13, "even", complex(-1.5, 0.5), (-0.1443136655844526-0.02209891861181497j), 13),
     (13, "even", complex(-3.7, 11.0), (-0.17007778341484128-0.112630717197928j), 35),
     (13, "even", complex(-6.2, -4.3), (-0.007526025088378017-0.005655825606078445j), 21),
@@ -455,8 +484,8 @@ FROZEN_POISSON = [
     (13, "odd", complex(-2.5, 7.0), (0.03811172025876877-0.11880438161733517j), 19),
     (13, "odd", complex(1.5, -15.0), (0.9686751243662619+0.001413793591019702j), 27),
     # norm +1, recorded before the even form lost its overlap bands
-    (3, "even", complex(0.3, 2.0), (0.6000505445941238-0.06933418371246121j), 9),
-    (3, "even", complex(-0.1, 5.5), (0.05369817964590129-0.6025673770756312j), 15),
+    (3, "even", complex(0.3, 2.0), (0.600050544594124-0.06933418371246042j), 9),
+    (3, "even", complex(-0.1, 5.5), (0.05369817964590046-0.602567377075632j), 15),
     (3, "even", complex(-1.5, 0.5), (-0.2542844224566854+0.02552933020668366j), 9),
     (3, "even", complex(-3.7, 11.0), (-0.1264954920263387+0.08759374873035126j), 21),
 ]
@@ -465,7 +494,7 @@ FROZEN_POISSON = [
 @pytest.mark.parametrize("d, form, s, value, terms", FROZEN_POISSON)
 def test_poisson_values_repeat_bit_for_bit(d, form, s, value, terms):
     field = SEAM_FIELDS[d]
-    if form == "even":  # strip region for Re s > -0.25, left region below
+    if form == "even":  # the pair sum: every even row has Re s < 1/2
         ev = zeta_even_poisson(field, s, tol=1e-12)
     else:
         ev = zeta_odd_poisson(field, s, tol=1e-12)
