@@ -7,20 +7,19 @@ comma-separated, CRLF line ends, never quoted), or JSON.  Exit codes:
 
 Fixed costs stay out of every call: a grid row is formatted once, as its CSV
 line, and the JSON grid splits those lines; main() builds its parser once
-per process; and the verification modules (suites, crosscheck) load only
-when poles, verify or a shifted-convolution evaluation first needs them.
+per process; json loads only for JSON output; and the verification modules
+(suites, crosscheck) load only when poles, verify or a shifted-convolution
+evaluation first needs them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import Settings, default_settings
 from .continuation import METHODS, PARITIES, PARITY_COMBINED
@@ -74,8 +73,7 @@ def _axis_points(lo: float, hi: float, step: float) -> int:
     return int(math.floor((hi - lo) / step + 1e-9)) + 1
 
 
-@dataclass(frozen=True)
-class GridRequest:
+class _GridRequestFields(NamedTuple):
     D: int
     parity: str
     re_range: tuple[float, float, float]
@@ -84,7 +82,16 @@ class GridRequest:
     tol: float
     output: str
 
-    def __post_init__(self):
+
+class GridRequest(_GridRequestFields):
+    """A grid command's request, refused when it is built if any row of it
+    would be: bad ranges, tol, parity or methods, too many rows, or a point
+    past MAX_ABS_S."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> GridRequest:
+        self = super().__new__(cls, *args, **kwargs)
         for lo, hi, step in (self.re_range, self.im_range):
             if step <= 0 or not all(math.isfinite(v) for v in (lo, hi, step)):
                 raise DomainError("grid ranges must be finite with step > 0")
@@ -114,6 +121,11 @@ class GridRequest:
             raise DomainError(f"grid reaches |s| = {far_corner:g}; |s| must be at most {MAX_ABS_S:g}")
         if self.output not in ("csv", "json"):
             raise DomainError("output must be csv or json")
+        return self
+
+    @classmethod
+    def _make(cls, values) -> GridRequest:
+        return cls(*values)
 
     def axis(self, which: str) -> list[float]:
         lo, hi, step = self.re_range if which == "re" else self.im_range
@@ -144,6 +156,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "nearest_pole_distance": fmt(ev.nearest_pole_distance),
     }
     if args.json:
+        import json
+
         print(json.dumps(record))
     else:
         for key, val in record.items():
@@ -161,14 +175,16 @@ def _grid_rows(field: QuadraticField, request: GridRequest, settings: Settings) 
     innermost.  Each value is formatted by fmt's .17g spec."""
     re_axis = request.axis("re")
     re_labels = [fmt(re_part) for re_part in re_axis]
+    # read once: a named tuple's field is read through a descriptor
+    parity, methods, tol = request.parity, request.methods, request.tol
     lines = []
     for im in request.axis("im"):
         im_label = fmt(im)
         for re_part, re_label in zip(re_axis, re_labels):
             s = complex(re_part, im)
-            for method in request.methods:
+            for method in methods:
                 try:
-                    ev = evaluate(field, s, request.parity, method, request.tol, settings)
+                    ev = evaluate(field, s, parity, method, tol, settings)
                     v = ev.value
                     lines.append(f"{re_label},{im_label},{method},{v.real:.17g},{v.imag:.17g},"
                                  f"{ev.tail_bound:.17g},{ev.nearest_pole_distance:.17g},ok")
@@ -217,6 +233,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
         if request.output == "csv":
             _write_csv(out, GRID_HEADER, lines)
         else:
+            import json
+
             records = [dict(zip(GRID_HEADER, line.split(","))) for line in lines]
             json.dump(records, out, indent=1)
             out.write("\n")

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .continuation import (
     METHOD_SHIFTED,
@@ -29,7 +28,7 @@ from .continuation import (
     _q_power,
 )
 from .errors import ContourThroughPoleError, OutOfRegionError, TooSlowConvergenceError
-from .quadfield import QuadraticField, pell_solutions_upto
+from .quadfield import FrozenRecord, QuadraticField, pell_solutions_upto
 
 __all__ = [
     "PoleSpec",
@@ -47,8 +46,7 @@ __all__ = [
 SHIFTED_CONV_BOUND = 10_000_000_000
 
 
-@dataclass(frozen=True)
-class PoleSpec:
+class PoleSpec(NamedTuple):
     """A lattice pole with the residues of both split continuations.
 
     The singular k-term of the binomial series gives, at s0 = -2k + pi i m/log eps,
@@ -211,13 +209,14 @@ def shifted_convolution_even(
     return _shifted_convolution(field, s, n_max, +1)
 
 
-@dataclass(frozen=True)
-class Surd:
-    """x + y sqrt(n) with exact rational x, y."""
+class Surd(FrozenRecord):
+    """x + y sqrt(n) with exact rational x, y.  Not a tuple, so that 2 * surd
+    raises TypeError rather than repeating it."""
 
     x: Fraction
     y: Fraction
     n: int
+    __slots__ = _fields = ("x", "y", "n")
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -271,8 +270,7 @@ class Surd:
         return f"{self.x} + {self.y}*sqrt({self.n})"
 
 
-@dataclass(frozen=True)
-class EvenMinusOneValue:
+class EvenMinusOneValue(NamedTuple):
     """Exact value of the even zeta at s = -1 (and of the full zeta there).
 
     value = (1 + eps^2) / ((1 - eps^2) sqrt(q)) simplifies to a rational;

@@ -7,9 +7,13 @@ powers, and Pell-type membership tests.
 
 Everything here is exact big-integer arithmetic, apart from the one float
 log eps that the evaluators use, which is rounded once from a 40-digit
-decimal value, and the table of math.log(F(n)) that the direct series reads;
-fields are immutable (each caches its half unit, membership screens and that
-table on first use) and safe to share between threads or processes.
+decimal value, and the table of math.log(F(n)) that the direct series reads.
+The records are immutable: units and sequence terms are named tuples, while
+fields and membership results are FrozenRecords, equal and hashed by their
+fields, whose attributes cannot be assigned.  A field caches its half unit,
+membership screens and that table on first use, and is safe to share
+between threads or processes (a pickled field carries its defining fields
+and builds its caches again on first use).
 
 The sign of the unit norm decides which evaluations exist downstream: the
 odd/even index split needs N(eps) = -1 (possible only for D = 1, 2 mod 4).
@@ -22,7 +26,6 @@ machinery is provided or needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
@@ -112,19 +115,73 @@ def squarefree_violation(d: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class UnitElement:
-    """An element (a + b*sqrt(q))/2 of the ring of integers, in trace coordinates."""
+class FrozenRecord:
+    """Base of the immutable records that cannot be named tuples, because
+    they cache on the instance, are read on a hot path (a slot is read
+    faster than a tuple field) or must not act as sequences.
 
+    A subclass lists its fields in order in _fields.  Instances are built
+    from the fields, positionally or by name, and compare, hash, print and
+    pickle by them; assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values, **named):
+        names = self._fields
+        if len(values) + len(named) != len(names) or not named.keys() <= set(names[len(values):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in (*zip(names, values), *named.items()):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _UnitElementFields(NamedTuple):
     a: int
     b: int
     q: int
 
-    def __post_init__(self):
+
+class UnitElement(_UnitElementFields):
+    """An element (a + b*sqrt(q))/2 of the ring of integers, in trace coordinates."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> UnitElement:
+        self = super().__new__(cls, *args, **kwargs)
         if (self.a * self.a - self.q * self.b * self.b) % 4 != 0:
             raise DomainError(
                 f"({self.a} + {self.b} sqrt({self.q}))/2 is not an algebraic integer"
             )
+        return self
+
+    @classmethod
+    def _make(cls, values) -> UnitElement:
+        return cls(*values)
 
     @property
     def trace(self) -> int:
@@ -140,8 +197,7 @@ class UnitElement:
         return f"({self.a} + {self.b}*sqrt({self.q}))/2"
 
 
-@dataclass(frozen=True)
-class SequenceTerm:
+class SequenceTerm(NamedTuple):
     index: int
     fib: int
     lucas: int
@@ -156,13 +212,13 @@ class HalfUnit(NamedTuple):
     direct_parity: str
 
 
-@dataclass(frozen=True)
-class QuadraticField:
+class QuadraticField(FrozenRecord):
     """Q(sqrt(D)) with its fundamental unit and derived constants.
 
     q is D when D = 1 mod 4 and 4D otherwise; ell is the matching shift
     (4 resp. 1) used by the shifted-convolution series; log_eps is the
-    natural log of the fundamental unit as a float.  Immutable.
+    natural log of the fundamental unit as a float.  Immutable; its cached
+    properties live in the instance __dict__.
     """
 
     D: int
@@ -171,6 +227,7 @@ class QuadraticField:
     eps: UnitElement
     norm_eps: int
     log_eps: float
+    _fields = ("D", "q", "ell", "eps", "norm_eps", "log_eps")
 
     @property
     def is_norm_minus_one(self) -> bool:
@@ -391,10 +448,10 @@ def fib_upto(field: QuadraticField, limit: int) -> list[SequenceTerm]:
     return list(takewhile(lambda term: term.fib <= limit, islice(iter_sequence(field), 1, None)))
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(FrozenRecord):
     verdict: str
     witness: int | None
+    __slots__ = _fields = ("verdict", "witness")
 
     def __bool__(self) -> bool:
         return self.verdict != NOT_MEMBER

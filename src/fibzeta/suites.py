@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .complexfn import cgamma, czeta
@@ -52,8 +51,7 @@ from .quadfield import (
 DEFAULT_FIELDS = (2, 5, 10, 13)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     max_deviation: float

@@ -401,6 +401,8 @@ def test_grid_request_validation():
         GridRequest(5, "odd", (-1e308, 1e308, 1.0), (0.0, 1.0, 0.5), ("binomial",), 1e-10, "csv")
     one_point = GridRequest(5, "odd", (1.0, 1.0, 0.1), (0.0, 0.0, 0.5), ("binomial",), 1e-10, "csv")
     assert one_point.axis("re") == [1.0] and one_point.axis("im") == [0.0]
+    with pytest.raises(DomainError):
+        one_point._replace(output="xml")  # a changed copy is checked too
 
 
 def test_grid_request_refuses_repeated_methods_and_too_many_rows():
@@ -743,6 +745,32 @@ def test_eval_and_grid_load_no_verification_module():
     assert [code for code, _ in out["later"]] == [0, 0, 0]
     assert all(lines > 1 for _, lines in out["later"])
     assert out["all"] == PACKAGE_EXPORTS
+
+
+STARTUP_SCRIPT = r"""
+import io, sys
+import fibzeta.cli as cli
+from fibzeta import make_field
+
+make_field(5)
+out = io.StringIO()
+sys.stdout, stdout = out, sys.stdout
+codes = [cli.main(["eval", "--D", "5", "--s", "2"]),
+         cli.main(["grid", "--D", "5", "--re", "-1", "1", "1", "--im", "0", "1", "1"])]
+sys.stdout = stdout
+start_up = [name for name in ("dataclasses", "inspect", "json") if name in sys.modules]
+import fibzeta.suites, fibzeta.crosscheck
+print(codes, start_up, "dataclasses" in sys.modules)
+"""
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect_and_json_only_for_json():
+    """Start-up, a plain eval and a CSV grid load none of the three modules,
+    and the verification modules do not load dataclasses either: verify and
+    poles would pay for it inside their first call."""
+    proc = _python("-c", STARTUP_SCRIPT)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split("\n")[0] == "[0, 0] [] False"
 
 
 # each call is followed by one that leaves out its options, where they change

@@ -302,3 +302,12 @@ def test_surd_arithmetic():
     assert float(Surd(Fraction(0), Fraction(1), 4)) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         a + Surd(Fraction(1), Fraction(0), 7)
+
+
+def test_surds_are_frozen_and_not_sequences():
+    a = Surd(Fraction(1), Fraction(1), 5)
+    with pytest.raises(AttributeError):
+        a.x = Fraction(2)
+    with pytest.raises(TypeError):
+        2 * a  # no __rmul__: a tuple would be repeated instead
+    assert a * 2 == Surd(Fraction(2), Fraction(2), 5)

@@ -52,7 +52,6 @@ cancels in the combined function; a PoleProximityError row names the pole
 """
 
 import cmath
-import dataclasses
 import inspect
 import math
 import random
@@ -233,7 +232,7 @@ ROUTE_KERNELS = [
 
 
 def test_settings_hold_only_the_pole_guard():
-    assert [f.name for f in dataclasses.fields(fibzeta.Settings)] == ["pole_guard_radius"]
+    assert fibzeta.Settings._fields == ("pole_guard_radius",)
     for module in (fibzeta.continuation, fibzeta.poisson, fibzeta.crosscheck, fibzeta.dispatch):
         for name, fun in inspect.getmembers(module, inspect.isfunction):
             assert "pole_guard" not in inspect.signature(fun).parameters, name
@@ -253,7 +252,9 @@ def test_settings_reject_a_pole_guard_that_is_not_finite_and_positive(radius):
     with pytest.raises(ValueError, match="pole_guard_radius"):
         fibzeta.Settings(pole_guard_radius=radius)
     with pytest.raises(ValueError, match="pole_guard_radius"):
-        dataclasses.replace(fibzeta.default_settings(), pole_guard_radius=radius)
+        fibzeta.default_settings()._replace(pole_guard_radius=radius)
+    with pytest.raises(ValueError, match="pole_guard_radius"):
+        fibzeta.Settings._make([radius])
 
 
 @pytest.mark.parametrize("s", [complex(math.inf, 0.0), complex(0.0, math.inf),

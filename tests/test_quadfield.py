@@ -1,6 +1,8 @@
 import math
+import pickle
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -14,6 +16,7 @@ from fibzeta import (
     MEMBER_ODD_INDEX,
     NOT_MEMBER,
     NotSquarefreeError,
+    Settings,
     fib,
     fib_upto,
     is_fib,
@@ -23,6 +26,7 @@ from fibzeta import (
     r1,
     sequence_terms,
 )
+from fibzeta.crosscheck import Surd
 from fibzeta.quadfield import (
     _SQUARES_MOD_2431,
     _SQUARES_MOD_4032,
@@ -118,6 +122,58 @@ def test_unit_search_matches_plain_isqrt_search():
 def test_unit_element_validation():
     with pytest.raises(DomainError):
         UnitElement(1, 1, 12)  # (1 + sqrt(12))/2 is not an algebraic integer
+    with pytest.raises(DomainError):
+        make_field(3).eps._replace(a=1)  # a changed copy is checked too
+
+
+# --------------------------------------------------------------------- records
+
+def test_fields_compare_and_hash_by_their_defining_values():
+    # fields key the lru_cache of crosscheck's scans, so equal fields must hash equal
+    a, b = make_field(5), make_field(5)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != make_field(13) and a != (a.D, a.q, a.ell, a.eps, a.norm_eps, a.log_eps)
+
+
+def test_fields_and_membership_results_refuse_assignment():
+    field = make_field(5)
+    result = is_fib(field, 13)
+    for record, name in ((field, "D"), (field, "half_unit"), (result, "verdict")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert field.D == 5 and result.verdict == MEMBER_ODD_INDEX
+
+
+def test_membership_result_is_true_exactly_for_members():
+    field = make_field(5)
+    assert is_fib(field, 13) and not is_fib(field, 4)
+    assert MembershipResult(MEMBER, 3) and not MembershipResult(NOT_MEMBER, None)
+
+
+def test_membership_result_takes_its_fields_by_position_or_name():
+    assert MembershipResult(MEMBER, witness=3) == MembershipResult(verdict=MEMBER, witness=3)
+    assert repr(MembershipResult(MEMBER, 3)) == "MembershipResult(verdict='member', witness=3)"
+    for args, kwargs in (((MEMBER,), {}), ((MEMBER, 3, 4), {}), ((MEMBER,), {"verdict": MEMBER}),
+                         ((MEMBER,), {"witnes": 3})):
+        with pytest.raises(TypeError):
+            MembershipResult(*args, **kwargs)
+
+
+def test_records_survive_a_pickle_round_trip():
+    field = make_field(5)
+    logs = log_fib_upto(field, 30)  # builds the caches that the pickle leaves out
+    member = is_fib(field, 13)
+    assert field.half_unit.direct_parity == "even"
+    records = [field, member, is_fib(field, 4), Settings(pole_guard_radius=0.25), field.eps,
+               sequence_terms(field, 8)[7], Surd(Fraction(1, 2), Fraction(-3), 5)]
+    for record in records:
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record
+    copy = pickle.loads(pickle.dumps(field))
+    assert is_fib(copy, 13) == member and log_fib_upto(copy, 30)[:30] == logs[:30]
+    assert copy.half_unit == field.half_unit
 
 
 def test_log_eps_is_correctly_rounded():
