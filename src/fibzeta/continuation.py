@@ -10,6 +10,13 @@ Each summand is rewritten in terms of u = eps^(-(s+2k)) so no intermediate
 can overflow; the k-sum converges geometrically for every s off the pole
 lattice s = -2k + pi i m / log eps.  A norm +1 zeta is Z_even of eps^(1/2).
 
+The route splits each series at an index n0, as Euler-Maclaurin splits
+zeta: the terms F(n)^(-s) with n < n0 are summed directly, and only the
+tail n >= n0 is expanded binomially.  Its k-th term gains the factor
+eps^(-2k n0), so with n0 chosen from |s| the k-terms fall from k = 0 and
+do not cancel; n0 = 1 (odd) or 2 (even) is the unsplit series.  Both sides
+are meromorphic and agree for large Re s, so the split holds on all of C.
+
 The evaluators are plain series of (field, s, tol): each records its value,
 terms used and tail bound.  dispatch.evaluate checks the unit norm, guards
 the pole lattice and fills in the distance to it.
@@ -42,6 +49,10 @@ LATTICE_SPLIT = "split"
 LATTICE_COMBINED = "combined"
 
 _MAX_BINOMIAL_TERMS = 100_000
+# the log of the largest head term the split allows left of Re s = 0
+_LOG_HEAD_CAP = math.log(100.0)
+# the smallest subnormal double, the rounding step of a q^(s/2) below 2^-1022
+_SUBNORMAL_STEP = 2.0**-1074
 # the k-sum checks its running total for inf and NaN once per this many terms
 _BINOMIAL_CHECK_STRIDE = 1000
 # the factor a FactorOverflowError names where the binomial k-sum leaves double range
@@ -128,76 +139,154 @@ def _neighbours(k: int, m: int) -> tuple[tuple[int, int], ...]:
     return ((k - 1, m), (k, m - 1), (k, m + 1), (k + 1, m))
 
 
+def _dirichlet_sum(neg_s: complex, logs) -> complex:
+    """sum of exp(-s log F(n)) over the given logs: the loop of the direct
+    series, which the binomial head shares."""
+    total = 0j
+    for log_f in logs:
+        total += cmath.exp(neg_s * log_f)
+    return total
+
+
+def _q_power(field: QuadraticField, s: complex) -> complex:
+    """q^(s/2), the prefactor shared by the binomial, Poisson and residue formulas."""
+    return cmath.exp(0.5 * s * math.log(field.q))
+
+
+def _split_index(s: complex, first: int, stride: int, log_eta: float) -> int:
+    """n0 of the split binomial series (see _binomial_sum): the first index
+    first + j stride at or past log(10 |s|) / (2 log eta), or past
+    log(100) / (-Re s log eta) where that is nearer."""
+    abs_s = abs(s)
+    if abs_s <= 0.1:
+        return first
+    reach = math.log(10.0 * abs_s) / (2.0 * log_eta)
+    growth = -s.real * log_eta  # the log of the head's growth per index
+    if growth * reach > _LOG_HEAD_CAP:
+        reach = _LOG_HEAD_CAP / growth
+    return first + stride * math.ceil((reach - first) / stride) if reach > first else first
+
+
 def _binomial_sum(
     field: QuadraticField, s: complex, tol: float, kind: str
 ) -> tuple[complex, int, float]:
-    """Shared k-sum; returns (sum, terms, tail) without the q^(s/2) factor.
+    """The split series of one kind: (value, terms, tail bound).
 
-    kind picks the summand shape, written via u = eta^(-(s+2k)):
-      odd:      u / (1 - u^2)
-      even:     (-1)^k u^2 / (1 - u^2)
-      combined: u / (1 - u) for even k, u / (1 + u) for odd k
-    A norm +1 field sums the even kind at log eta = log eps / 2.  Every
-    summand falls at least like eps^(-2) per k (u for norm -1, u^2 = eps^(-2k)
-    up to a constant for norm +1), the decay the tail bound assumes.  Once
-    every _BINOMIAL_CHECK_STRIDE terms the running total is tested: where
-    C(-s, k) has overflowed (Re s of several hundred) every later term is
-    inf or NaN and the stop test can never pass, so the sum raises
-    FactorOverflowError then instead of running to its cap.
+    The indices n of the kind (odd, even, or all for combined; for a norm +1
+    field the even indices 2n of eta = eps^(1/2), F(n) standing at 2n) split
+    at n0.  The head, n < n0, is the direct sum of exp(-s log F(n)) read from
+    the field's log_fib_upto table.  The tail, n >= n0, is q^(s/2) times a
+    binomial k-sum in u = eta^(-(s+2k)):
 
-    u is a geometric sequence with the real ratio eta^(-2): it is formed by
-    exp at k = 0 and stepped by one real multiplication a term.  Each step
-    rounds, so u drifts by about k ulp; the check re-forms u by exp, which
-    bounds the drift to _BINOMIAL_CHECK_STRIDE steps.  Near a lattice pole
-    -2k* + pi i m / log eta the denominators of term k* = round(-Re s / 2)
-    nearly vanish and would magnify that drift, so the first check comes
-    at k*, and that term sees u exactly as exp forms it.  At a pole on the
-    real axis exp makes that u exactly 1 and a denominator 1 - u^2 (1 - u
-    for the combined kind at even k*) exactly 0.  The sum tests for this
-    before its loop and raises ZeroDivisionError, because by term k* its
-    partial sums may already have overflowed.
+      odd, even: sum_k C(-s,k) sigma^k u^n0 / (1 - u^2)
+      combined:  sum_k C(-s,k) sigma^k u^n0 / (1 - (-1)^k u)
+
+    with sigma = -1 for the even kind and for the combined kind at even n0,
+    else +1.  At the first index of the kind the head is empty and this is
+    the unsplit series; at a later n0 term k gains the factor
+    eta^(-2k n0), so the k-terms fall from k = 0 once |s| eta^(-2 n0) < 1.
+    n0 is the first index of the kind at or past log(10 |s|) / (2 log eta),
+    where |s| eta^(-2 n0) <= 0.1.  Left of Re s = 0 the head terms
+    F(n)^(-Re s) grow with n, so n0 - stride also stays below
+    log(100) / (-Re s log eta): no head term passes about 100, which bounds
+    the cancellation between head and tail.
+
+    w = sigma^k u^n0 and u are geometric in k with the real ratios
+    sigma eta^(-2 n0) and eta^(-2): each is formed by exp at k = 0 and stepped
+    by one real multiplication a term.  Each step rounds, so the check
+    re-forms both by exp every _BINOMIAL_CHECK_STRIDE terms.  Near a lattice
+    pole -2k* + pi i m / log eta the denominators of term k* = round(-Re s / 2)
+    nearly vanish and would magnify that drift, so the first check comes at
+    k*, and that term sees u as exp forms it.  At a pole on the real axis exp
+    makes that u exactly 1 and a denominator 1 - u^2 (1 - u for the combined
+    kind at even k*) exactly 0.  The sum tests for this before its loop and
+    raises ZeroDivisionError, because by term k* its partial sums may already
+    have overflowed.
+
+    From k* + 1 on |u| < 1 falls, and term k + 1 is at most r_k times term k:
+    r_k = (|s| + k) / (k + 1) eta^(-2 n0) (|s| taken at least 1) times
+    (1 + a) / (1 - a eta^(-2p)), which bounds the change of the denominators
+    with a = |u_(k*+1)|^p, p = 2 (p = 1 for the combined kind).  r_k falls
+    in k, so from the first k past k* where it is below 1 the stop test
+    bounds the tail by the geometric series of r_k and compares it with tol
+    times the whole value, head / q^(s/2) plus the k-sum so far.  Once every
+    _BINOMIAL_CHECK_STRIDE terms the k-sum is tested: where a term has left
+    double range every later one is inf or NaN and the stop test can never
+    pass, so the sum raises FactorOverflowError then instead of running to
+    its cap.  Before its loop it raises FactorOverflowError naming q^(s/2)
+    where that factor overflows, or is so far subnormal that its rounding
+    alone passes tol.
+
+    The domain is that of the unsplit series, whose stop test began at
+    k = ceil(|s|) + 5: an |s| that puts this past the 100,000-term cap is
+    refused before the loop.
     """
     log_eta = field.half_unit.log_eta
-    decay = math.exp(-2.0 * field.log_eps)
-    odd, even = kind == "odd", kind == "even"
+    split = kind != "combined"
     abs_s = abs(s)
+    if abs_s > _MAX_BINOMIAL_TERMS - 5:
+        raise TooSlowConvergenceError(math.ceil(abs_s) + 5, _MAX_BINOMIAL_TERMS)
+    first = 2 if kind == "even" else 1
+    stride = 2 if split else 1
+    n0 = _split_index(s, first, stride, log_eta)
     neg_s = -s
-    k_min = int(math.ceil(abs_s)) + 5
-    if k_min > _MAX_BINOMIAL_TERMS:
-        # the stop test runs only from k_min on, so the cap is reached first
-        raise TooSlowConvergenceError(k_min, _MAX_BINOMIAL_TERMS)
-    step = math.exp(-2.0 * log_eta)
     u = cmath.exp(neg_s * log_eta)  # an OverflowError here comes before any pole test
-    k_pole = max(0, round(-0.5 * s.real))
-    if (s.imag * log_eta == 0.0 and (kind != "combined" or k_pole % 2 == 0)
+    k_pole = round(-0.5 * s.real) if s.real < 0.0 else 0
+    if (s.imag * log_eta == 0.0 and (split or k_pole % 2 == 0)
             and cmath.exp(-(s + 2.0 * k_pole) * log_eta) == 1.0):
         raise ZeroDivisionError("s is the lattice pole -2k to double precision")
+    try:
+        scale = _q_power(field, s)
+    except OverflowError:
+        raise FactorOverflowError("q^(s/2)", s) from None
+    if abs(scale) * tol < _SUBNORMAL_STEP:
+        # q^(s/2) is subnormal, and its rounding alone is more than tol
+        raise FactorOverflowError("q^(s/2)", s)
+    if n0 > first:
+        # the head's F-indices: those of the kind below n0, or for a norm +1
+        # field the n with 2n below n0
+        per = 1 if field.is_norm_minus_one else 2
+        logs = log_fib_upto(field, n0 // per)[first // per - 1:n0 // per - 1:stride // per]
+        head = _dirichlet_sum(neg_s, logs)
+    else:
+        logs, head = (), 0j
+    head_scaled = head / scale
+    u_step = math.exp(-2.0 * log_eta)
+    decay = math.exp(-2.0 * n0 * log_eta)
+    flip = kind == "even" or (not split and n0 % 2 == 0)
+    w_step = -decay if flip else decay
+    power = 2 if split else 1
+    a = math.exp(-power * (s.real + 2.0 * k_pole + 2.0) * log_eta)
+    shrink = decay * (1.0 + a) / (1.0 - a * u_step**power)
+    abs_s1 = abs_s if abs_s > 1.0 else 1.0
+    # the first k past k* where r_k < 1
+    k_test = math.floor((abs_s1 * shrink - 1.0) / (1.0 - shrink)) + 2
+    if k_test <= k_pole:
+        k_test = k_pole + 1
+    w = cmath.exp(n0 * neg_s * log_eta)
     coeff: complex = 1.0 + 0j
     total: complex = 0j
     k = 0
-    sign = 1  # (-1)^k; an int, so coeff * sign rounds exactly as coeff * (-1) ** k
+    sign = 1  # (-1)^k, for the combined denominators
     # the first check comes just before term k_pole, so that u is formed by exp there
     check_at = k_pole - 1 if k_pole else _BINOMIAL_CHECK_STRIDE
     while True:
-        if odd:
-            term = coeff * u / (1.0 - u * u)
-        elif even:
-            term = coeff * sign * u * u / (1.0 - u * u)
+        if split:
+            term = coeff * w / (1.0 - u * u)
         elif sign > 0:
-            term = coeff * u / (1.0 - u)
+            term = coeff * w / (1.0 - u)
         else:
-            term = coeff * u / (1.0 + u)
+            term = coeff * w / (1.0 + u)
         total += term
         k1 = k + 1.0
-        if k >= k_min:
-            ratio = (abs_s + k) / k1 * decay
-            if ratio < 1.0:
-                size = abs(term)
-                tail = size * ratio / (1.0 - ratio)
-                if tail <= tol * max(abs(total), 1e-30) or size < 1e-280:
-                    return total, k + 1, tail
+        if k >= k_test:
+            ratio = (abs_s1 + k) / k1 * shrink
+            tail = abs(term) * ratio / (1.0 - ratio)
+            if tail <= tol * abs(head_scaled + total):
+                return head + scale * total, len(logs) + k + 1, tail * abs(scale)
         coeff = coeff * (neg_s - k) / k1
-        u = u * step
+        u = u * u_step
+        w = w * w_step
         k += 1
         sign = -sign
         if k > check_at:
@@ -207,18 +296,17 @@ def _binomial_sum(
             if k > _MAX_BINOMIAL_TERMS:
                 raise TooSlowConvergenceError(float(k), _MAX_BINOMIAL_TERMS)
             check_at = min(check_at + _BINOMIAL_CHECK_STRIDE, _MAX_BINOMIAL_TERMS)
-            u = cmath.exp(-(s + 2.0 * k) * log_eta)  # re-anchor the stepped u
-
-
-def _q_power(field: QuadraticField, s: complex) -> complex:
-    """q^(s/2), the prefactor shared by the binomial, Poisson and residue formulas."""
-    return cmath.exp(0.5 * s * math.log(field.q))
+            # re-anchor the stepped u and w
+            u = cmath.exp(-(s + 2.0 * k) * log_eta)
+            w = cmath.exp(-n0 * (s + 2.0 * k) * log_eta)
+            if flip and k % 2:
+                w = -w
 
 
 def _binomial_eval(field: QuadraticField, s: complex, tol: float, kind: str) -> ZetaEvaluation:
     s = complex(s)
     try:
-        total, terms, tail = _binomial_sum(field, s, tol, kind)
+        value, terms, tail = _binomial_sum(field, s, tol, kind)
     except ZeroDivisionError:
         # s is a lattice pole -2k to double precision, where a denominator
         # 1 -+ u is exactly zero, however small the guard radius
@@ -226,15 +314,10 @@ def _binomial_eval(field: QuadraticField, s: complex, tol: float, kind: str) -> 
         raise PoleProximityError(s, *nearest_lattice_pole(field, s, lattice)) from None
     except OverflowError:
         raise FactorOverflowError(_K_SUM_TERM, s) from None
-    if not cmath.isfinite(total):
+    if not cmath.isfinite(value):
         # u^2 overflowed to inf, and the summand became inf / inf
         raise FactorOverflowError(_K_SUM_TERM, s)
-    try:
-        scale = _q_power(field, s)
-    except OverflowError:
-        raise FactorOverflowError("q^(s/2)", s) from None
-    return ZetaEvaluation(scale * total, METHOD_BINOMIAL, terms,
-                          SeriesTail(tail * abs(scale), True))
+    return ZetaEvaluation(value, METHOD_BINOMIAL, terms, SeriesTail(tail, True))
 
 
 def zeta_odd_binomial(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEvaluation:
@@ -306,10 +389,7 @@ def zeta_direct(
     count = max(n_max, 1)
     last = start + stride * (count - 1)
     logs = log_fib_upto(field, last)[start - 1:last:stride]
-    neg_s = -s
-    total = 0j
-    for log_f in logs:
-        total += cmath.exp(neg_s * log_f)
+    total = _dirichlet_sum(-s, logs)
     if count > 1:
         ratio = math.exp(-s.real * (logs[-1] - logs[-2]))
     else:

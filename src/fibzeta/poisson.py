@@ -19,11 +19,12 @@ Even-indexed case: the summand vanishes at n=0 only after regularizing by
 zeta_even_poisson, with two regions: the direct series for Re s >= 1/2,
 and the gamma-ratio pair sum for Re s < 1/2.  The pair sum is accelerated
 exactly: the ratio Gamma(z + a)/Gamma(z + 1 - a) admits an asymptotic
-expansion in even powers of 1/z, which holds only past |z| ~ |s|.  So the
-pairs below m0 = ceil((|s| + 4) / step) + 1 are summed plainly; from m0 on
-the orders z^0 .. z^-12 are subtracted from each pair, which leaves a
-remainder falling like m^(Re s - 15), and they are added back through the
-Hurwitz tails sum_{m >= m0} m^(s-1-2j), weighted and summed together from
+expansion in even powers of 1/z, which holds only past |z| ~ |s| and is a
+series in |s/2|^(3/2) / |z|.  So the pairs below
+m0 = ceil(max(|s| + 4, |s/2|^(3/2) / 2) / step) + 1 are summed plainly;
+from m0 on the orders z^0 .. z^-12 are subtracted from each pair, which
+leaves a remainder falling like m^(Re s - 15), and they are added back
+through the Hurwitz tails sum_{m >= m0} m^(s-1-2j), weighted and summed together from
 m0 on (direct terms, then the Euler-Maclaurin tail every order and zeta
 share) rather than formed as zeta(1 + 2j - s) less its first terms; for
 Re s > 0 the order-0 tail diverges and is its analytic continuation.  The
@@ -289,6 +290,18 @@ def _even_pair(
     )
 
 
+def _first_subtracted_pair(s: complex, half_step: float) -> int:
+    """m0 = ceil(max(|s| + 4, |s/2|^(3/2) / 2) / step) + 1: past the saddle
+    v ~ |s|, and, since the expansion is a series in |s/2|^(3/2) / v, far
+    enough out that its orders are small at v_m0 (the larger term from
+    |s| ~ 40 on)."""
+    abs_s = abs(s)
+    reach = 0.25 * abs_s * math.sqrt(0.5 * abs_s)
+    if reach < abs_s + 4.0:
+        reach = abs_s + 4.0
+    return int(math.ceil(reach / half_step)) + 1
+
+
 def _even_left(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEvaluation:
     """The left branch of zeta_even_poisson, for Re s < REGION_DIRECT_MIN;
     any other point raises OutOfRegionError.  The gamma-ratio pair sum
@@ -298,16 +311,16 @@ def _even_left(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEva
 
     with its asymptotics summed exactly.  Writes ratio(+-m) = (-+ i
     v_m)^(s-1) E(-+ i v_m) with E an even asymptotic series in 1/v_m.  The
-    expansion holds only past the saddle v_m ~ |s|, so the pairs with m <
-    m0 = ceil((|s| + 4) / step) + 1 are summed as they are; from m0 on,
-    orders z^0 .. z^-12 are subtracted from every pair, which leaves a
-    remainder falling like m^(Re s - 15), and they are restored by
-    _restored_orders as sum_j w_j H_j over the Hurwitz tails H_j =
-    sum_{m >= m0} m^(s-1-2j).  The tail is the larger of residual m /
-    max(2, 10 - Re s), the sum of a remainder falling like m^(Re s - 11)
-    and so an overestimate here, and residual sqrt(m); a noise-floor stop
-    ends the loop where the residual sinks below the rounding error of the
-    pair terms.
+    expansion holds only past the saddle v_m ~ |s| and is a series in
+    |s/2|^(3/2) / v_m, so the pairs with m < m0 (_first_subtracted_pair)
+    are summed as they are; from m0 on, orders z^0 .. z^-12 are subtracted
+    from every pair, which leaves a remainder falling like m^(Re s - 15),
+    and they are restored by _restored_orders as sum_j w_j H_j over the
+    Hurwitz tails H_j = sum_{m >= m0} m^(s-1-2j).  The tail is the larger
+    of residual m / max(2, 10 - Re s), the sum of a remainder falling like
+    m^(Re s - 11) and so an overestimate here, and residual sqrt(m); a
+    noise-floor stop ends the loop where the residual sinks below the
+    rounding error of the pair terms.
 
     Since Re s < 1/2, both numerators Gamma(a -+ i v) of a pair (a = s/2)
     reflect, each needing log Gamma(1 - a +- i v), the other ratio's
@@ -330,7 +343,7 @@ def _even_left(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEva
     half_step = math.pi / (2.0 * log_eta)
     a = 0.5 * s
     e2, e4, e6, e8, e10, e12 = _asymptotic_coefficients(a)
-    m0 = int(math.ceil((abs(s) + 4.0) / half_step)) + 1
+    m0 = _first_subtracted_pair(s, half_step)
 
     one_minus_a = _ONE - a
     exp, log, pair_at = cmath.exp, math.log, _even_pair

@@ -2,7 +2,9 @@ import cmath
 import math
 import random
 import time
+from itertools import islice
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from fibzeta.continuation import (
     _BINOMIAL_CHECK_STRIDE,
     _MAX_BINOMIAL_TERMS,
     _binomial_sum,
+    _split_index,
     zeta_combined_binomial,
     zeta_direct,
     zeta_even_binomial,
@@ -275,66 +278,85 @@ def scan_nearest_pole(field, s, lattice="split"):
     return best
 
 
-def string_kind_binomial_sum(field, s, tol, kind, stepped=True):
-    """The k-loop that compared kind on every term and tested the tail on
-    every k: (sum, terms, tail, spread).  stepped=True forms u as the k-sum
-    does: by exp at k = 0, at k* = max(0, round(-Re s / 2)) and every
-    _BINOMIAL_CHECK_STRIDE terms after it, by one multiplication by
-    eta^(-2) in between, with an exact pole -2k* refused first.
-    stepped=False forms every u by exp, as the k-sum once did.  spread is
-    the sum over k of |term| (1 + |d log term / d log u|): the total moves
-    by about spread ulp when every u and every partial sum is off by one."""
+def mp_binomial_reference(field, s, kind):
+    """Z of the kind by the unsplit binomial series in mpmath, with
+    0.75 |Im s| + 0.5 |Re s| extra digits for the cancellation of its terms
+    (for a norm +1 field the even series of eps^(1/2), its full zeta)."""
+    eps = field.eps
+    with mp.workdps(40 + int(0.75 * abs(s.imag) + 0.5 * abs(s.real))):
+        log_eta = mp.log((eps.a + eps.b * mp.sqrt(eps.q)) / 2)
+        if not field.is_norm_minus_one:
+            log_eta /= 2
+            kind = "even"
+        sm = mp.mpc(s)
+        total, coeff, k = mp.mpc(0), mp.mpc(1), 0
+        small = mp.mpf(10) ** (-mp.mp.dps + 5)
+        while True:
+            u = mp.exp(-(sm + 2 * k) * log_eta)
+            if kind == "odd":
+                term = coeff * u / (1 - u * u)
+            elif kind == "even":
+                term = coeff * (-1) ** k * u * u / (1 - u * u)
+            else:
+                term = coeff * u / (1 - (-1) ** k * u)
+            total += term
+            # <= ends the sum where the terms vanish, as at s = -1 (odd)
+            if k > abs(s) + 5 and abs(term) <= small * abs(total):
+                return complex(mp.exp(sm / 2 * mp.log(eps.q)) * total)
+            coeff *= (-sm - k) / (k + 1)
+            k += 1
+
+
+def mp_direct_reference(field, s, kind):
+    """Z of the kind (Re s > 0) by the Dirichlet series in mpmath, summed
+    from the exact integers F(n) until a term falls below 1e-20 of the sum."""
+    first = 2 if kind == "even" else 1
+    stride = 1 if kind == "combined" else 2
+    with mp.workdps(30):
+        sm = mp.mpc(s)
+        total = mp.mpc(0)
+        for term in islice(iter_sequence(field), first, None, stride):
+            part = mp.exp(-sm * mp.log(term.fib))
+            total += part
+            if term.index > 10 and abs(part) < mp.mpf(1e-20) * abs(total):
+                return complex(total)
+
+
+def split_spread(field, s, kind, terms):
+    """Sum over the head and the k-terms of the split series of
+    |term| (1 + |d log term / d log u|), every factor formed by exp: one
+    rounding of each u, w and partial sum moves the value by about
+    (1 + |s|) 2^-53 times this."""
     log_eta = field.half_unit.log_eta
-    decay = math.exp(-2.0 * field.log_eps)
-    step = math.exp(-2.0 * log_eta)
-    abs_s = abs(s)
-    k_min = int(math.ceil(abs_s)) + 5
-    u = cmath.exp(-s * log_eta)
-    k_pole = max(0, round(-0.5 * s.real))
-    if (stepped and s.imag * log_eta == 0.0 and (kind != "combined" or k_pole % 2 == 0)
-            and cmath.exp(-(s + 2.0 * k_pole) * log_eta) == 1.0):
-        raise ZeroDivisionError("exact pole")
-    check_at = k_pole - 1 if k_pole else continuation._BINOMIAL_CHECK_STRIDE
+    first = 2 if kind == "even" else 1
+    stride = 1 if kind == "combined" else 2
+    n0 = _split_index(s, first, stride, log_eta)
+    head = (n0 - first) // stride
+    per = 1 if field.is_norm_minus_one else 2
+    logs = log_fib_upto(field, n0 // per)[first // per - 1:n0 // per - 1:stride // per]
+    assert len(logs) == head
+    spread = sum(math.exp(-s.real * log_f) for log_f in logs)
+    scale = abs(cmath.exp(0.5 * s * math.log(field.q)))
     coeff = 1.0 + 0j
-    total = 0j
-    spread = 0.0
-    k = 0
-    sign = 1
-    while True:
-        if not stepped:
-            u = cmath.exp(-(s + 2.0 * k) * log_eta)
-        if kind == "odd":
-            term = coeff * u / (1.0 - u * u)
-            gain = abs(1.0 + u * u) / abs(1.0 - u * u)
-        elif kind == "even":
-            term = coeff * sign * u * u / (1.0 - u * u)
-            gain = 2.0 / abs(1.0 - u * u)
+    for k in range(terms - head):
+        u = cmath.exp(-(s + 2 * k) * log_eta)
+        if kind == "combined":
+            den = 1.0 - (-1) ** k * u
+            gain = abs(u) / abs(den)
         else:
-            term = coeff * u / (1.0 - u) if sign > 0 else coeff * u / (1.0 + u)
-            gain = 1.0 / abs(1.0 - sign * u)
-        total += term
-        spread += abs(term) * (1.0 + gain)
-        ratio = (abs_s + k) / (k + 1.0) * decay
-        if k >= k_min and ratio < 1.0:
-            tail = abs(term) * ratio / (1.0 - ratio)
-            if tail <= tol * max(abs(total), 1e-30) or abs(term) < 1e-280:
-                return total, k + 1, tail, spread
+            den = 1.0 - u * u
+            gain = 2.0 * abs(u * u) / abs(den)
+        w = math.exp(-n0 * (s.real + 2 * k) * log_eta)
+        spread += scale * abs(coeff) * w / abs(den) * (1.0 + gain)
         coeff = coeff * (-s - k) / (k + 1.0)
-        u = u * step
-        k += 1
-        sign = -sign
-        if k > _MAX_BINOMIAL_TERMS:
-            raise TooSlowConvergenceError(float(k), _MAX_BINOMIAL_TERMS)
-        if k > check_at:
-            check_at += continuation._BINOMIAL_CHECK_STRIDE
-            u = cmath.exp(-(s + 2.0 * k) * log_eta)
+    return spread
 
 
 @pytest.mark.parametrize("s", [complex(200000, 1), 1e9j, complex(1e200, 1e200)])
 def test_binomial_refuses_an_s_above_its_cap_before_the_loop(s):
-    """The stop test runs only from k_min = ceil(|s|) + 5 on, so an |s| that
-    puts k_min past the cap is refused at once, with k_min as the estimate
-    (a loop run to the cap would report the cap itself)."""
+    """The unsplit series ran its stop test only from k_min = ceil(|s|) + 5
+    on; the split series keeps its domain, so an |s| that puts k_min past
+    the cap is refused at once, with k_min as the estimate."""
     k_min = math.ceil(abs(s)) + 5
     with pytest.raises(TooSlowConvergenceError) as info:
         zeta_odd_binomial(F5, s, tol=1e-10)
@@ -357,21 +379,35 @@ class _CountingCmath:
         return cmath.isfinite(z)
 
 
-@pytest.mark.parametrize("s", [600.0, 900.0, 99990.0])
-def test_binomial_refuses_a_non_finite_k_sum_within_one_check_stride(monkeypatch, s):
-    """C(-s, k) overflows to inf well before k_min = ceil(|s|) + 5 (just under
-    the cap at s = 99990), after which every term is NaN and the stop test
-    cannot pass: the k-sum raises FactorOverflowError naming its term at
-    its first check of the running total, not at its 100,000-term cap."""
+def test_binomial_refuses_a_non_finite_k_sum_within_one_check_stride(monkeypatch):
+    """At -700+600i (D=5, odd) |C(-s, k)| overflows near k = 510, after
+    which every term is NaN and the stop test cannot pass: the first check
+    at k* = 350 passes, and the k-sum raises FactorOverflowError naming its
+    term at the next, 1,000 terms on, not at its 100,000-term cap."""
+    s = complex(-700, 600)
     counting = _CountingCmath()
     monkeypatch.setattr("fibzeta.continuation.cmath", counting)
     started = time.perf_counter()
     with pytest.raises(FactorOverflowError) as info:
-        evaluate(F5, complex(s), "odd", "binomial", 1e-10)
+        evaluate(F5, s, "odd", "binomial", 1e-10)
     elapsed = time.perf_counter() - started
-    assert (info.value.factor, info.value.s) == ("a term of the k-sum", complex(s))
-    assert counting.isfinite_calls == 1
+    assert (info.value.factor, info.value.s) == ("a term of the k-sum", s)
+    assert counting.isfinite_calls == 2
     assert elapsed < 0.05
+
+
+@pytest.mark.parametrize("s, value", [(600.0, 1.0), (900.0, None), (99990.0, None)])
+def test_binomial_far_right_sums_its_head_or_names_q_power(s, value):
+    """Far right the split series is its head, F(1)^(-s) = 1 at D=5 (the
+    unsplit k-sum overflowed in C(-s, k) here).  Where q^(s/2) leaves double
+    range the route names it before summing."""
+    if value is not None:
+        assert evaluate(F5, complex(s), "odd", "binomial", 1e-10).value == value
+        return
+    with pytest.raises(FactorOverflowError) as info:
+        evaluate(F5, complex(s), "odd", "binomial", 1e-10)
+    assert (info.value.factor, info.value.s) == ("q^(s/2)", complex(s))
+
 
 
 @pytest.mark.parametrize("lattice", ["split", "combined"])
@@ -399,24 +435,35 @@ def test_nearest_pole_equals_the_candidate_scan(d, lattice):
 
 @hyp_settings(max_examples=300, deadline=None)
 @given(
-    d=st.sampled_from([2, 5, 13, 29]),
+    d=st.sampled_from([2, 3, 5, 13, 29]),
     kind=st.sampled_from(["odd", "even", "combined"]),
     re=st.floats(-8.0, 4.0),
     im=st.floats(-80.0, 80.0),
     tol=st.sampled_from([1e-6, 1e-10, 1e-12, 1e-14]),
 )
-def test_binomial_sum_equals_the_string_kind_loop(d, kind, re, im, tol):
-    """Norm -1 sums, term counts and tails are bit for bit those of the
-    loop that picked its summand per term."""
+def test_binomial_sum_matches_the_mpmath_unsplit_series(d, kind, re, im, tol):
+    """The split series equals the unsplit one: within its tail bound plus
+    (1 + |s|) 2^-53 times its spread (see split_spread) of the mpmath
+    binomial series, also next to a pole, where the spread grows."""
     field = make_field(d)
-    s = complex(re, im)
-    try:
-        expected = string_kind_binomial_sum(field, s, tol, kind)[:3]
-    except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
-            _binomial_sum(field, s, tol, kind)
+    if not field.is_norm_minus_one and kind != "combined":
         return
-    assert _binomial_sum(field, s, tol, kind) == expected
+    sum_kind = kind if field.is_norm_minus_one else "even"
+    s = complex(re, im)
+    lattice = "combined" if kind == "combined" and field.is_norm_minus_one else "split"
+    try:
+        value, terms, tail = _binomial_sum(field, s, tol, sum_kind)
+    except ZeroDivisionError:
+        assert nearest_lattice_pole(field, s, lattice)[3] < 1e-14
+        return
+    if not cmath.isfinite(value):
+        # closer to a pole than u can resolve, 1 - u^2 is left with a
+        # subnormal Im s and a term is inf, a value the route refuses
+        assert nearest_lattice_pole(field, s, lattice)[3] < 1e-15
+        return
+    ref = mp_binomial_reference(field, s, kind)
+    spread = split_spread(field, s, sum_kind, terms)
+    assert abs(value - ref) <= tail + 8.0 * (1.0 + abs(s)) * 2.0**-53 * spread
 
 
 @pytest.mark.parametrize("stride", [_BINOMIAL_CHECK_STRIDE, 4])
@@ -431,34 +478,65 @@ def test_binomial_sum_equals_the_string_kind_loop(d, kind, re, im, tol):
 def test_binomial_sum_with_stepped_u_agrees_with_the_exp_per_term_loop(
     stride, d, kind, re, im, tol
 ):
-    """Stepping u = eta^(-(s+2k)) by one multiplication, re-formed by exp at
-    k* and every stride terms after it (4 runs that inside short sums),
-    moves the sum by rounding only: the same term count, a total within
-    4 (terms + 1) 2^-53 spread of the loop that formed every u by exp, and
-    bit for bit the stepped reference loop.  Where the exp loop divides by
-    zero at an exact pole -2k*, so does the k-sum."""
+    """Stepping u and w by one multiplication, re-formed by exp at k* and
+    every stride terms after it (4 runs that inside short sums), moves the
+    sum by rounding only against the same loop with every u and w formed
+    by exp (a check stride of 1): the same term count and a value within
+    4 (terms + 1) (1 + |s|) 2^-53 times the spread.  Where one loop divides
+    by zero at an exact pole -2k*, so does the other."""
     field = make_field(d)
+    if not field.is_norm_minus_one and kind == "odd":
+        return
+    if not field.is_norm_minus_one:
+        kind = "even"
     s = complex(re, im)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(continuation, "_BINOMIAL_CHECK_STRIDE", stride)
+        patch.setattr(continuation, "_BINOMIAL_CHECK_STRIDE", 1)
         try:
-            ref, terms, _, spread = string_kind_binomial_sum(field, s, tol, kind, stepped=False)
+            ref, terms, _ = _binomial_sum(field, s, tol, kind)
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
                 _binomial_sum(field, s, tol, kind)
             return
+        except FactorOverflowError:
+            ref = math.inf
+        patch.setattr(continuation, "_BINOMIAL_CHECK_STRIDE", stride)
         if not cmath.isfinite(ref):
             # a subnormal Im s at a pole makes 1 - u^2 subnormal and a term
-            # inf: the k-sum raises at its first check, or the route on return
+            # inf: each loop raises at its first check, or returns inf
             try:
                 assert not cmath.isfinite(_binomial_sum(field, s, tol, kind)[0])
             except FactorOverflowError:
                 pass
             return
-        total, got_terms, tail = _binomial_sum(field, s, tol, kind)
-        assert (total, got_terms, tail) == string_kind_binomial_sum(field, s, tol, kind)[:3]
+        value, got_terms, _ = _binomial_sum(field, s, tol, kind)
     assert got_terms == terms
-    assert abs(total - ref) <= 4.0 * (terms + 1) * 2.0 ** -53 * spread
+    spread = split_spread(field, s, kind, terms)
+    assert abs(value - ref) <= 4.0 * (terms + 1) * (1.0 + abs(s)) * 2.0**-53 * spread
+
+# far binomial points (D, kind, s): against the direct series the unsplit
+# series erred 2.7e-10, 3.2e-4, 2.6e-2, 7.5e-12, 1.8e-7, 8.3e3, 1.8e51, 1.0e9
+# and 3.3e-14 relative at tol 1e-12, most of it far outside its bound
+FAR_BINOMIAL_POINTS = [
+    (5, "odd", complex(1, 40)),
+    (5, "odd", complex(1, 80.3)),
+    (5, "even", complex(2, 240)),
+    (5, "odd", complex(15, 0)),
+    (5, "odd", complex(30, 0)),
+    (5, "odd", complex(60, 0)),
+    (5, "odd", complex(0.3, 400)),
+    (5, "even", complex(0.3, 400)),
+    (29, "even", complex(0.3, 400)),
+]
+
+
+@pytest.mark.parametrize("d, kind, s", FAR_BINOMIAL_POINTS)
+def test_binomial_far_points_match_the_mpmath_direct_series(d, kind, s):
+    field = make_field(d)
+    ev = evaluate(field, s, kind, "binomial", 1e-12)
+    ref = mp_direct_reference(field, s, kind)
+    assert abs(ev.value - ref) <= max(ev.tail_bound, 1e-12 * abs(ref))
+
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 13, 29])

@@ -24,6 +24,7 @@ from fibzeta.poisson import (
     RegionSelector,
     _asymptotic_coefficients,
     _even_pair,
+    _first_subtracted_pair,
     _in_double_range,
     _odd_reflected_pair,
     _restored_orders,
@@ -302,6 +303,37 @@ def test_even_poisson_is_within_its_bound_far_up_the_axis(d, re_s, im_s):
     ev = zeta_even_poisson(field, s, tol=1e-12)
     ref = _even_reference(field, s)
     assert abs(ev.value - ref) <= max(ev.tail.bound, 1e-12 * abs(ref))
+
+
+@pytest.mark.parametrize("d", [5, 13, 29])
+@pytest.mark.parametrize("re_s", [-0.1, 0.3])
+@pytest.mark.parametrize("im_s", [200.0, -200.0, 300.0, -300.0, 400.0])
+def test_even_poisson_is_within_its_bound_where_m0_follows_the_three_halves_power(
+    d, re_s, im_s
+):
+    """Past |s| ~ 40 m0 grows like |s/2|^(3/2), where the asymptotic orders
+    are small at v_m0.  With m0 = ceil((|s| + 4) / step) + 1 the orders and
+    the residual pairs cancelled by up to 2.5e4 there, unseen by the bound:
+    at D=5, 0.3+400i the error was 3.6e-10 against a bound of 1.1e-11."""
+    field, s = make_field(d), complex(re_s, im_s)
+    ev = zeta_even_poisson(field, s, tol=1e-12)
+    ref = _even_reference(field, s)
+    assert abs(ev.value - ref) <= max(ev.tail.bound, 1e-12 * abs(ref))
+
+
+@pytest.mark.parametrize("d", [5, 13, 29])
+def test_asymptotic_orders_are_small_at_the_first_subtracted_pair(d):
+    """max_j |e_2j v_m0^(-2j)| stays below 1.5 over Re s in [-8, 0.3] and
+    |Im s| <= 450 (it reached 2.5e4 at |Im s| = 400 with m0 on the |s|
+    scale alone)."""
+    field = make_field(d)
+    half_step = math.pi / (2.0 * field.half_unit.log_eta)
+    for re_s in (-8.0, -3.0, -0.1, 0.3):
+        for im_s in (0.5, 20.0, -40.0, 80.0, -150.0, 200.0, -300.0, 400.0, 450.0):
+            s = complex(re_s, im_s)
+            v0 = half_step * _first_subtracted_pair(s, half_step)
+            orders = _asymptotic_coefficients(0.5 * s)
+            assert max(abs(e) * v0 ** (-2 * j) for j, e in enumerate(orders, 1)) < 1.5, s
 
 
 def _strip_sweep_points():
