@@ -269,10 +269,21 @@ def run_suite(name: str, *args, **kwargs) -> list:
     return run_suite(name, *args, **kwargs)
 
 
+def _field_list(text: str) -> list[int]:
+    """The D of a --D comma list such as "5,10"."""
+    out = []
+    for tok in text.split(","):
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise UsageError(f"--D takes a comma list of integers, not {tok!r} in {text!r}") from None
+    return out
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     from .suites import SUITE_NAMES
 
-    d_list = [int(tok) for tok in args.D.split(",")] if args.D else None
+    d_list = _field_list(args.D) if args.D else None
     names = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
     if args.points < 5:
         raise UsageError(f"--points must be at least 5, got {args.points}")

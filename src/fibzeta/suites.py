@@ -113,24 +113,33 @@ def sequence_checks() -> list[CheckResult]:
 # ----------------------------------------------------------------------- pell
 
 def pell_check(field: QuadraticField, bound: int = 1_000_000) -> CheckResult:
-    odd_set, even_set = set(), set()
+    """Compare is_fib's verdict on every n in 1 .. bound with the terms
+    fib_upto enumerates.
+
+    A member must get the verdict of its index: the parity verdict of an odd
+    or even index on a norm -1 field (either one for a value at both, such as
+    1 on D=5), MEMBER on a norm +1 field; any other n must get NOT_MEMBER.
+    The max deviation is the number of n whose verdict disagrees, so the
+    check passes only at 0.  Every n goes through is_fib, and the loop keeps
+    only its hits, so the sweep costs little more than those calls.
+    """
+    if field.norm_eps == -1:
+        index_verdicts = (MEMBER_EVEN_INDEX, MEMBER_ODD_INDEX)
+    else:
+        index_verdicts = (MEMBER, MEMBER)
+    allowed: dict[int, set[str]] = {}
     for t in fib_upto(field, bound):
-        (odd_set if t.index % 2 else even_set).add(t.fib)
-    members = odd_set | even_set
-    allowed = {MEMBER: members, MEMBER_ODD_INDEX: odd_set, MEMBER_EVEN_INDEX: even_set}
-    mismatches = 0
-    for n in range(1, bound + 1):
-        verdict = is_fib(field, n).verdict
-        if verdict == NOT_MEMBER:
-            mismatches += n in members
-        elif n not in allowed[verdict]:
-            mismatches += 1
+        allowed.setdefault(t.fib, set()).add(index_verdicts[t.index % 2])
+    hits = [(n, v) for n in range(1, bound + 1) if (v := is_fib(field, n).verdict) != NOT_MEMBER]
+    found = {n for n, _ in hits}
+    mismatches = sum(v not in allowed.get(n, ()) for n, v in hits)
+    mismatches += sum(n not in found for n in allowed)
     return CheckResult(
         f"pell-membership D={field.D}",
         mismatches == 0,
         float(mismatches),
         0.0,
-        f"{bound} integers, {len(members)} members",
+        f"{bound} integers, {len(allowed)} members",
     )
 
 

@@ -624,6 +624,13 @@ def test_verify_rejects_empty_samples(capsys, flag):
         assert code == 2 and out == "" and flag[0] in err
 
 
+@pytest.mark.parametrize("d_arg, token", [("5,", "''"), ("x", "'x'"), ("5,,10", "''")])
+def test_verify_rejects_a_bad_field_list(capsys, d_arg, token):
+    code, out, err = run_cli(capsys, "verify", "--suite", "pell", "--D", d_arg, "--bound", "10")
+    assert code == 2 and out == ""
+    assert "--D" in err and token in err and "invalid literal" not in err
+
+
 def test_verify_all_matches_the_recorded_output_byte_for_byte(capsys):
     """Every suite at a small bound and sample: the lines were recorded while
     the suites still called each evaluator by hand, before they went through

@@ -331,8 +331,27 @@ def test_pell_check_sends_every_integer_through_is_fib(monkeypatch):
         return is_fib(field, n)
 
     monkeypatch.setattr(suites, "is_fib", counting_is_fib)
-    assert suites.pell_check(make_field(5), bound=5000).passed
-    assert seen == list(range(1, 5001))
+    for d in (5, 3):  # norm -1 and norm +1
+        seen.clear()
+        assert suites.pell_check(make_field(d), bound=5000).passed
+        assert seen == list(range(1, 5001))
+
+
+@pytest.mark.parametrize("d, wrong", [
+    # a swapped parity at F(6) = 8, no verdict at F(7) = 13, a member verdict at 4
+    (5, {8: MEMBER_ODD_INDEX, 13: NOT_MEMBER, 4: MEMBER_EVEN_INDEX}),
+    # norm +1: a parity verdict at F(3) = 15, none at F(4) = 56, MEMBER at 5
+    (3, {15: MEMBER_ODD_INDEX, 56: NOT_MEMBER, 5: MEMBER}),
+])
+def test_pell_check_counts_each_disagreeing_integer_once(monkeypatch, d, wrong):
+    from fibzeta import suites
+
+    def lying_is_fib(field, n):
+        return MembershipResult(wrong[n], None) if n in wrong else is_fib(field, n)
+
+    monkeypatch.setattr(suites, "is_fib", lying_is_fib)
+    result = suites.pell_check(make_field(d), bound=1000)
+    assert not result.passed and result.max_deviation == 3.0
 
 
 def _reference_witnesses(field, n):
