@@ -6,10 +6,12 @@ comma-separated, CRLF line ends, never quoted), or JSON.  Exit codes:
 0 success, 2 usage, 3 numerical failure, 4 domain error.
 
 Fixed costs stay out of every call: a grid row is formatted once, as its CSV
-line, and the JSON grid splits those lines; main() builds its parser once
-per process; json loads only for JSON output; and the verification modules
-(suites, crosscheck) load only when poles, verify or a shifted-convolution
-evaluation first needs them.
+line (an ok row by one %-format of its labels and four .17g values, the
+tail bound read from the record's tail), and the JSON grid splits those
+lines; the Re and Im labels are formatted once per axis; main() builds its
+parser once per process; json loads only for JSON output; and the
+verification modules (suites, crosscheck) load only when poles, verify or a
+shifted-convolution evaluation first needs them.
 """
 
 from __future__ import annotations
@@ -172,7 +174,8 @@ def _cached_field(d: int) -> QuadraticField:
 
 def _grid_rows(field: QuadraticField, request: GridRequest, settings: Settings) -> list[str]:
     """One CSV line per (point, method), Im s outer, Re s inner, methods
-    innermost.  Each value is formatted by fmt's .17g spec."""
+    innermost.  Each value is formatted by fmt's .17g spec, an ok row's
+    four by one %-format."""
     re_axis = request.axis("re")
     re_labels = [fmt(re_part) for re_part in re_axis]
     # read once: a named tuple's field is read through a descriptor
@@ -186,8 +189,9 @@ def _grid_rows(field: QuadraticField, request: GridRequest, settings: Settings) 
                 try:
                     ev = evaluate(field, s, parity, method, tol, settings)
                     v = ev.value
-                    lines.append(f"{re_label},{im_label},{method},{v.real:.17g},{v.imag:.17g},"
-                                 f"{ev.tail_bound:.17g},{ev.nearest_pole_distance:.17g},ok")
+                    lines.append("%s,%s,%s,%.17g,%.17g,%.17g,%.17g,ok" % (
+                        re_label, im_label, method, v.real, v.imag, ev.tail.bound,
+                        ev.nearest_pole_distance))
                 except PoleProximityError as exc:
                     lines.append(f"{re_label},{im_label},{method},,,,{exc.distance:.17g},pole")
                 except NumericalError as exc:

@@ -19,7 +19,12 @@ are meromorphic and agree for large Re s, so the split holds on all of C.
 
 The evaluators are plain series of (field, s, tol): each records its value,
 terms used and tail bound.  dispatch.evaluate checks the unit norm, guards
-the pole lattice and fills in the distance to it.
+the pole lattice and fills in the distance to it.  What does not depend on
+s is formed once per field and read from it: log q (QuadraticField.log_q),
+and eta^(-2), eta^(-4) and the pole spacing pi / log eta (HalfUnit).  The
+binomial route builds its records by tuple.__new__, and nearest_lattice_pole
+settles its common case, one clearly nearer lattice line on each axis,
+inline.
 """
 
 from __future__ import annotations
@@ -97,18 +102,29 @@ def nearest_lattice_pole(
     neighbours.  Of the candidates in (k, m) order the first nearest wins.
     """
     s = complex(s)
-    spacing = math.pi / field.half_unit.log_eta
-    k = max(0, math.floor(-0.5 * s.real))
-    ks = _nearer_lines(k, abs(s.real + 2.0 * k), abs(s.real + 2.0 * (k + 1)))
-    m = math.floor(s.imag / spacing)
-    ms = _nearer_lines(m, abs(s.imag - m * spacing), abs(s.imag - (m + 1) * spacing))
-    if len(ks) == len(ms) == 1:
-        k, m = ks[0], ms[0]
+    re_s, im_s = s.real, s.imag
+    spacing = field.half_unit.pole_spacing
+    k = math.floor(-0.5 * re_s)
+    if k < 0:
+        k = 0
+    m = math.floor(im_s / spacing)
+    # the distances to the lattice lines k, k + 1 and m, m + 1 around s
+    k_lo, k_hi = abs(re_s + 2.0 * k), abs(re_s + 2.0 * (k + 1))
+    m_lo, m_hi = abs(im_s - m * spacing), abs(im_s - (m + 1) * spacing)
+    if ((k_hi - k_lo > 1e-9 * k_hi or k_lo - k_hi > 1e-9 * k_lo)
+            and (m_hi - m_lo > 1e-9 * m_hi or m_lo - m_hi > 1e-9 * m_lo)):
+        # one line clearly nearer on each axis (_nearer_lines gives one index)
+        if k_lo > k_hi:
+            k += 1
+        if m_lo > m_hi:
+            m += 1
         if lattice != LATTICE_COMBINED or (k + m) % 2 == 0:
-            loc = complex(-2.0 * k, m * spacing)
+            # -2 * k in integers, so that k = 0 gives the real part +0.0
+            loc = complex(-2 * k, m * spacing)
             return loc, k, m, abs(s - loc)
         cands = _neighbours(k, m)
     else:
+        ks, ms = _nearer_lines(k, k_lo, k_hi), _nearer_lines(m, m_lo, m_hi)
         cands = [(k, m) for k in ks for m in ms]
         if lattice == LATTICE_COMBINED:
             cands = sorted({c for k, m in cands
@@ -117,7 +133,7 @@ def nearest_lattice_pole(
     for k, m in cands:
         if k < 0:
             continue
-        loc = complex(-2.0 * k, m * spacing)
+        loc = complex(-2 * k, m * spacing)
         dist = abs(s - loc)
         if best is None or dist < best[3]:
             best = (loc, k, m, dist)
@@ -150,14 +166,13 @@ def _dirichlet_sum(neg_s: complex, logs) -> complex:
 
 def _q_power(field: QuadraticField, s: complex) -> complex:
     """q^(s/2), the prefactor shared by the binomial, Poisson and residue formulas."""
-    return cmath.exp(0.5 * s * math.log(field.q))
+    return cmath.exp(0.5 * s * field.log_q)
 
 
-def _split_index(s: complex, first: int, stride: int, log_eta: float) -> int:
+def _split_index(s: complex, abs_s: float, first: int, stride: int, log_eta: float) -> int:
     """n0 of the split binomial series (see _binomial_sum): the first index
     first + j stride at or past log(10 |s|) / (2 log eta), or past
-    log(100) / (-Re s log eta) where that is nearer."""
-    abs_s = abs(s)
+    log(100) / (-Re s log eta) where that is nearer.  abs_s is |s|."""
     if abs_s <= 0.1:
         return first
     reach = math.log(10.0 * abs_s) / (2.0 * log_eta)
@@ -221,14 +236,15 @@ def _binomial_sum(
     k = ceil(|s|) + 5: an |s| that puts this past the 100,000-term cap is
     refused before the loop.
     """
-    log_eta = field.half_unit.log_eta
+    half_unit = field.half_unit
+    log_eta = half_unit.log_eta
     split = kind != "combined"
     abs_s = abs(s)
     if abs_s > _MAX_BINOMIAL_TERMS - 5:
         raise TooSlowConvergenceError(math.ceil(abs_s) + 5, _MAX_BINOMIAL_TERMS)
     first = 2 if kind == "even" else 1
     stride = 2 if split else 1
-    n0 = _split_index(s, first, stride, log_eta)
+    n0 = _split_index(s, abs_s, first, stride, log_eta)
     neg_s = -s
     u = cmath.exp(neg_s * log_eta)  # an OverflowError here comes before any pole test
     k_pole = round(-0.5 * s.real) if s.real < 0.0 else 0
@@ -251,13 +267,13 @@ def _binomial_sum(
     else:
         logs, head = (), 0j
     head_scaled = head / scale
-    u_step = math.exp(-2.0 * log_eta)
+    u_step = half_unit.inv_eta2
     decay = math.exp(-2.0 * n0 * log_eta)
     flip = kind == "even" or (not split and n0 % 2 == 0)
     w_step = -decay if flip else decay
     power = 2 if split else 1
     a = math.exp(-power * (s.real + 2.0 * k_pole + 2.0) * log_eta)
-    shrink = decay * (1.0 + a) / (1.0 - a * u_step**power)
+    shrink = decay * (1.0 + a) / (1.0 - a * (half_unit.inv_eta4 if split else u_step))
     abs_s1 = abs_s if abs_s > 1.0 else 1.0
     # the first k past k* where r_k < 1
     k_test = math.floor((abs_s1 * shrink - 1.0) / (1.0 - shrink)) + 2
@@ -317,7 +333,10 @@ def _binomial_eval(field: QuadraticField, s: complex, tol: float, kind: str) -> 
     if not cmath.isfinite(value):
         # u^2 overflowed to inf, and the summand became inf / inf
         raise FactorOverflowError(_K_SUM_TERM, s)
-    return ZetaEvaluation(value, METHOD_BINOMIAL, terms, SeriesTail(tail, True))
+    # the records built by tuple.__new__, as dispatch.evaluate builds its
+    # own: the named tuples' Python-level __new__ costs more than the fields
+    return tuple.__new__(ZetaEvaluation, (value, METHOD_BINOMIAL, terms,
+                                          tuple.__new__(SeriesTail, (tail, True)), math.nan))
 
 
 def zeta_odd_binomial(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEvaluation:

@@ -80,7 +80,7 @@ def _binomial_coefficient(s0: complex, k: int) -> complex:
 
 def _pole_spec(field: QuadraticField, k: int, m: int) -> PoleSpec:
     log_eps = field.log_eps
-    s0 = complex(-2.0 * k, math.pi * m / log_eps)
+    s0 = complex(-2 * k, math.pi * m / log_eps)  # +0.0, not -0.0, at k = 0
     base = _q_power(field, s0) * _binomial_coefficient(s0, k) / (2.0 * log_eps)
     res_odd = base * ((-1) ** m)
     res_even = base * ((-1) ** k)

@@ -9,7 +9,10 @@ The evaluators are unguarded series; evaluate() alone applies the pole
 policy.  A norm -1 combined value reports its distance to the combined
 lattice, any other value to the split one.  Binomial refuses near the lattice
 it reports, Poisson near the split one, where each of its parts is singular;
-direct and shifted convolution only report.
+direct and shifted convolution only report.  Each evaluation searches the
+lattice once, but a norm -1 combined Poisson value twice (the guard on the
+split lattice, the report on the combined one), and copies the route's
+record once, by tuple.__new__, to fill in the distance.
 
 No evaluation returns a value or a bound that is not finite: evaluate()
 raises FactorOverflowError where a route overflows or ends in inf or NaN,
@@ -68,7 +71,6 @@ def _pole_distance(field: QuadraticField, s: complex, parity: str, method: str,
     value reports, or PoleProximityError where its route refuses."""
     combined = parity == PARITY_COMBINED and field.is_norm_minus_one
     lattice = LATTICE_COMBINED if combined else LATTICE_SPLIT
-    radius = (settings or _DEFAULT_SETTINGS).pole_guard_radius
     if method == METHOD_BINOMIAL:
         # The singular denominator (1 - u^2, or 1 -+ u for the combined kind)
         # grows by `slope` per unit distance from its pole, and rounding u leaves
@@ -76,14 +78,15 @@ def _pole_distance(field: QuadraticField, s: complex, parity: str, method: str,
         # error alone is more than tol relative to the value.
         log_eta = field.half_unit.log_eta
         slope = log_eta if combined else 2.0 * log_eta
-        radius = max(radius, _UNIT_ROUNDOFF / (slope * tol))
+        min_radius = _UNIT_ROUNDOFF / (slope * tol)
         guarded = lattice
     elif method == METHOD_POISSON:
-        guarded = LATTICE_SPLIT
+        min_radius, guarded = 0.0, LATTICE_SPLIT
     else:
         return nearest_lattice_pole(field, s, lattice)[3]
     loc, k, m, dist = nearest_lattice_pole(field, s, guarded)
-    if dist <= radius:
+    # the radius is the larger of min_radius and the settings' guard radius
+    if dist <= min_radius or dist <= (settings or _DEFAULT_SETTINGS).pole_guard_radius:
         raise PoleProximityError(s, loc, k, m, dist)
     return dist if guarded == lattice else nearest_lattice_pole(field, s, lattice)[3]
 

@@ -11,7 +11,7 @@ decimal value, and the table of math.log(F(n)) that the direct series reads.
 The records are immutable: units and sequence terms are named tuples, while
 fields and membership results are FrozenRecords, equal and hashed by their
 fields, whose attributes cannot be assigned.  A field caches its half unit,
-membership screens and that table on first use, and is safe to share
+log q, membership screens and that table on first use, and is safe to share
 between threads or processes (a pickled field carries its defining fields
 and builds its caches again on first use).
 
@@ -206,10 +206,17 @@ class SequenceTerm(NamedTuple):
 class HalfUnit(NamedTuple):
     """The unit eta whose even powers index the even-function series, and the
     F-sequence that series sums: eta = eps and F(2n) for a norm -1 unit;
-    eta = eps^(1/2) and every F(n) = (eta^(2n) - eta^(-2n))/sqrt(q) for norm +1."""
+    eta = eps^(1/2) and every F(n) = (eta^(2n) - eta^(-2n))/sqrt(q) for norm +1.
+
+    The other fields are constants of eta that every binomial evaluation or
+    pole search would otherwise form again: eta^(-2) = exp(-2 log eta), its
+    square, and pi / log eta, the spacing of the pole lattice in Im s."""
 
     log_eta: float
     direct_parity: str
+    inv_eta2: float
+    inv_eta4: float
+    pole_spacing: float
 
 
 class QuadraticField(FrozenRecord):
@@ -240,8 +247,16 @@ class QuadraticField(FrozenRecord):
     @cached_property
     def half_unit(self) -> HalfUnit:
         if self.norm_eps == -1:
-            return HalfUnit(self.log_eps, PARITY_EVEN)
-        return HalfUnit(0.5 * self.log_eps, PARITY_COMBINED)
+            log_eta, parity = self.log_eps, PARITY_EVEN
+        else:
+            log_eta, parity = 0.5 * self.log_eps, PARITY_COMBINED
+        inv_eta2 = math.exp(-2.0 * log_eta)
+        return HalfUnit(log_eta, parity, inv_eta2, inv_eta2**2, math.pi / log_eta)
+
+    @cached_property
+    def log_q(self) -> float:
+        """math.log(q), the exponent of the q^(s/2) prefactor."""
+        return math.log(self.q)
 
     @cached_property
     def _membership_tables(self) -> tuple[bytes, bytes]:

@@ -307,8 +307,9 @@ def test_grid_csv_round_trip_bit_identical(capsys):
     )
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert rows and all(row[7] == "ok" for row in rows)
     for row in rows:
-        for cell in (row[3], row[4]):
+        for cell in row[3:7]:
             assert f"{float(cell):.17g}" == cell
 
 
@@ -346,17 +347,20 @@ def test_d5_poisson_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, parity
     assert out.read_bytes() == (GOLDEN / f"grid_poisson_d5_{parity}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("parity", ["odd", "even", "combined"])
-def test_binomial_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, parity):
-    """A D = 5 binomial box with pole rows: how the grid path builds its rows
-    and finds poles, and the split series' values to the last bit, must
-    leave these bytes as they are.  Recorded when the series split off its
-    direct head."""
+@pytest.mark.parametrize("d, parity", [(5, "odd"), (5, "even"), (5, "combined"), (3, "combined")],
+                         ids=["odd", "even", "combined", "d3-combined"])
+def test_binomial_grid_matches_the_recorded_csv_byte_for_byte(tmp_path, d, parity):
+    """A binomial box with pole rows: how the grid path builds its rows and
+    finds poles, and the split series' values to the last bit, must leave
+    these bytes as they are.  The D = 5 files were recorded when the series
+    split off its direct head; the D = 3 file (a norm +1 field, so the even
+    series of the half unit) before the pole search settled its common case
+    inline and the series read its constants from the field."""
     out = tmp_path / "grid.csv"
-    code = main(["grid", "--D", "5", "--parity", parity, "--methods", "binomial",
+    code = main(["grid", "--D", str(d), "--parity", parity, "--methods", "binomial",
                  "--re", "-3", "2", "0.5", "--im", "-7", "7", "1", "--out", str(out)])
     assert code == 0
-    recorded = (GOLDEN / f"grid_binomial_d5_{parity}.csv").read_bytes()
+    recorded = (GOLDEN / f"grid_binomial_d{d}_{parity}.csv").read_bytes()
     assert recorded.count(b",pole\r\n") > 0
     assert out.read_bytes() == recorded
 
@@ -545,6 +549,17 @@ def test_poles_origin_residue(capsys):
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert len(rows) == 1
     assert abs(float(rows[0][4]) - 1.0390434606175138) < 1e-12
+
+
+def test_pole_locations_at_k0_have_a_positive_zero_real_part(capsys):
+    """-2k is formed in integers, so the k = 0 poles sit at Re s = +0.0: the
+    table's re_s0 and the refusal's pole location never read -0."""
+    code, out, _ = run_cli(capsys, "poles", "--D", "5", "--which", "combined")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert {r[2] for r in rows if r[0] == "0"} == {"0"}
+    code, _, err = run_cli(capsys, "eval", "--D", "5", "--s", "0", "--method", "binomial")
+    assert code == 3 and "pole at 0j (k=0, m=0)" in err and "-0" not in err
 
 
 def test_poles_norm_plus_one_exit(capsys):

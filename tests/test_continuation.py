@@ -330,7 +330,7 @@ def split_spread(field, s, kind, terms):
     log_eta = field.half_unit.log_eta
     first = 2 if kind == "even" else 1
     stride = 1 if kind == "combined" else 2
-    n0 = _split_index(s, first, stride, log_eta)
+    n0 = _split_index(s, abs(s), first, stride, log_eta)
     head = (n0 - first) // stride
     per = 1 if field.is_norm_minus_one else 2
     logs = log_fib_upto(field, n0 // per)[first // per - 1:n0 // per - 1:stride // per]
