@@ -25,7 +25,6 @@ from .continuation import (
     PARITY_COMBINED,
     PARITY_EVEN,
     PARITY_ODD,
-    SeriesTail,
     ZetaEvaluation,
     nearest_lattice_pole,
 )

@@ -6,9 +6,9 @@ comma-separated, CRLF line ends, never quoted), or JSON.  Exit codes:
 0 success, 2 usage, 3 numerical failure, 4 domain error.
 
 Fixed costs stay out of every call: a grid row is formatted once, as its CSV
-line (an ok row by one %-format of its labels and four .17g values, the
-tail bound read from the record's tail), and the JSON grid splits those
-lines; the Re and Im labels are formatted once per axis; main() builds its
+line (an ok row by one %-format of its labels and four .17g values read
+from the record's fields), and the JSON grid splits those lines; the Re
+and Im labels are formatted once per axis; main() builds its
 parser once per process; json loads only for JSON output; and the
 verification modules (suites, crosscheck) load only when poles, verify or a
 shifted-convolution evaluation first needs them.
@@ -24,7 +24,7 @@ from functools import cache, lru_cache
 from typing import NamedTuple, Sequence
 
 from .config import Settings, default_settings
-from .continuation import METHODS, PARITIES, PARITY_COMBINED
+from .continuation import LATTICE_COMBINED, LATTICE_SPLIT, METHODS, PARITIES, PARITY_COMBINED
 from .dispatch import MAX_ABS_S, check_tol, evaluate
 from .errors import DomainError, NumericalError, PoleProximityError
 from .quadfield import QuadraticField, is_fib, make_field, sequence_terms
@@ -66,7 +66,8 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-# a grid of more rows (points x methods) is refused before any is built
+# a grid of more rows (points x methods), or a poles table of more rows, is
+# refused before any is built
 MAX_GRID_ROWS = 1_000_000
 
 
@@ -154,7 +155,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "method": ev.method,
         "terms_used": ev.terms_used,
         "tail_bound": fmt(ev.tail_bound),
-        "tail_rigorous": ev.tail.rigorous,
+        "tail_rigorous": ev.tail_rigorous,
         "nearest_pole_distance": fmt(ev.nearest_pole_distance),
     }
     if args.json:
@@ -190,7 +191,7 @@ def _grid_rows(field: QuadraticField, request: GridRequest, settings: Settings) 
                     ev = evaluate(field, s, parity, method, tol, settings)
                     v = ev.value
                     lines.append("%s,%s,%s,%.17g,%.17g,%.17g,%.17g,ok" % (
-                        re_label, im_label, method, v.real, v.imag, ev.tail.bound,
+                        re_label, im_label, method, v.real, v.imag, ev.tail_bound,
                         ev.nearest_pole_distance))
                 except PoleProximityError as exc:
                     lines.append(f"{re_label},{im_label},{method},,,,{exc.distance:.17g},pole")
@@ -252,10 +253,18 @@ def cmd_poles(args: argparse.Namespace) -> int:
     for flag, value in (("--kmax", args.kmax), ("--mmax", args.mmax)):
         if value < 0:
             raise UsageError(f"{flag} must be at least 0, got {value}")
+    k_max, m_max = args.kmax, args.mmax
+    rows = (k_max + 1) * (2 * m_max + 1)
+    if args.which == LATTICE_COMBINED:
+        # per k, the m of the parity of k: m_max + 1 of them where that is
+        # the parity of m_max, else m_max
+        rows = m_max * (k_max + 1) + (k_max + 2 - m_max % 2) // 2
+    if rows > MAX_GRID_ROWS:
+        raise DomainError(f"poles table has {rows} rows, more than {MAX_GRID_ROWS}")
     from .crosscheck import pole_lattice
 
     field = make_field(args.D)
-    specs = pole_lattice(field, args.kmax, args.mmax, args.which)
+    specs = pole_lattice(field, k_max, m_max, args.which)
     _write_csv(sys.stdout,
                ["k", "m", "re_s0", "im_s0", "re_residue_odd", "im_residue_odd",
                 "re_residue_even", "im_residue_even", "survives_in_combined"],
@@ -296,6 +305,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name in names:
         if name not in SUITE_NAMES:
             raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all")
+    # a repeated suite or field would only print its checks again
+    for flag, items in (("--suite", names), ("--D", d_list or ())):
+        for i, item in enumerate(items):
+            if item in items[:i]:
+                raise UsageError(f"{flag} repeats {item}")
     failed = 0
     for name in names:
         results = run_suite(name, d_list, seed=args.seed, bound=args.bound, points=args.points)
@@ -380,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--kmax", type=int, default=2)
     p.add_argument("--mmax", type=int, default=3)
-    p.add_argument("--which", choices=("odd", "even", "combined"), default="odd")
+    p.add_argument("--which", choices=(LATTICE_SPLIT, LATTICE_COMBINED), default=LATTICE_SPLIT)
     p.set_defaults(fun=cmd_poles)
 
     p = sub.add_parser("verify", help="run verification suites")

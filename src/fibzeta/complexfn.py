@@ -13,8 +13,9 @@ zeta: Euler-Maclaurin for Re s >= 1/2 and in a small disk around s = 0,
 and the functional equation elsewhere on the left, with its factor chi(s)
 formed from its logs, since its sine and gamma factors leave double range
 one by one past |Im s| = 452; past |Im s| = 14 those logs are folded into
-one Stirling expression, so that their large phases cancel before rounding.  The sum takes 0.6 |s| + 6 terms and refuses
-with TooSlowConvergenceError past 100,000 of them (|s| above about 1.7e5).
+one Stirling expression, so that their large phases cancel before rounding.
+The sum takes 0.6 |s| + 6 terms and refuses with TooSlowConvergenceError
+past 100,000 of them (|s| above about 1.7e5).
 
 There is one Euler-Maclaurin tail, _euler_maclaurin_tail: a weighted sum
 of Hurwitz tails sum_{m >= n} m^(s-1-2j), which zeta takes with one unit

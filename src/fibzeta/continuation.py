@@ -17,12 +17,13 @@ eps^(-2k n0), so with n0 chosen from |s| the k-terms fall from k = 0 and
 do not cancel; n0 = 1 (odd) or 2 (even) is the unsplit series.  Both sides
 are meromorphic and agree for large Re s, so the split holds on all of C.
 
-The evaluators are plain series of (field, s, tol): each records its value,
-terms used and tail bound.  dispatch.evaluate checks the unit norm, guards
+The binomial evaluators are plain series of (field, s, tol), zeta_direct of
+(field, s, parity, n_max): each returns one flat record of its value, terms
+used, tail bound and rigour.  dispatch.evaluate checks the unit norm, guards
 the pole lattice and fills in the distance to it.  What does not depend on
 s is formed once per field and read from it: log q (QuadraticField.log_q),
 and eta^(-2), eta^(-4) and the pole spacing pi / log eta (HalfUnit).  The
-binomial route builds its records by tuple.__new__, and nearest_lattice_pole
+binomial route builds its record by tuple.__new__, and nearest_lattice_pole
 settles its common case, one clearly nearer lattice line on each axis,
 inline.
 """
@@ -65,26 +66,18 @@ _K_SUM_TERM = "a term of the k-sum"
 _MAX_DIRECT_TERMS = 100_000
 
 
-class SeriesTail(NamedTuple):
-    """Truncation-error estimate; rigorous=False marks a calibrated model."""
-
-    bound: float
-    rigorous: bool
-
-
 class ZetaEvaluation(NamedTuple):
-    """One evaluation: an immutable record.  A route leaves the pole distance
-    NaN; dispatch.evaluate returns the record with it filled in."""
+    """One evaluation: an immutable record.  tail_bound estimates the
+    truncation error, and tail_rigorous=False marks it a calibrated model.
+    A route leaves the pole distance NaN; dispatch.evaluate returns the
+    record with it filled in."""
 
     value: complex
     method: str
     terms_used: int
-    tail: SeriesTail
+    tail_bound: float
+    tail_rigorous: bool
     nearest_pole_distance: float = math.nan
-
-    @property
-    def tail_bound(self) -> float:
-        return self.tail.bound
 
 
 def nearest_lattice_pole(
@@ -333,10 +326,9 @@ def _binomial_eval(field: QuadraticField, s: complex, tol: float, kind: str) -> 
     if not cmath.isfinite(value):
         # u^2 overflowed to inf, and the summand became inf / inf
         raise FactorOverflowError(_K_SUM_TERM, s)
-    # the records built by tuple.__new__, as dispatch.evaluate builds its
-    # own: the named tuples' Python-level __new__ costs more than the fields
-    return tuple.__new__(ZetaEvaluation, (value, METHOD_BINOMIAL, terms,
-                                          tuple.__new__(SeriesTail, (tail, True)), math.nan))
+    # the record built by tuple.__new__, as dispatch.evaluate builds its
+    # own: the named tuple's Python-level __new__ costs more than the fields
+    return tuple.__new__(ZetaEvaluation, (value, METHOD_BINOMIAL, terms, tail, True, math.nan))
 
 
 def zeta_odd_binomial(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEvaluation:
@@ -416,4 +408,4 @@ def zeta_direct(
     ratio = max(ratio, math.exp(-stride * s.real * field.log_eps))
     last_term = math.exp(-s.real * logs[-1])
     tail = last_term * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    return ZetaEvaluation(total, METHOD_DIRECT, count, SeriesTail(tail, True))
+    return ZetaEvaluation(total, METHOD_DIRECT, count, tail, True)

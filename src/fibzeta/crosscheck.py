@@ -22,8 +22,9 @@ from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from .continuation import (
+    LATTICE_COMBINED,
+    LATTICE_SPLIT,
     METHOD_SHIFTED,
-    SeriesTail,
     ZetaEvaluation,
     _q_power,
 )
@@ -98,25 +99,20 @@ def pole_lattice(
     field: QuadraticField,
     k_max: int,
     m_max: int,
-    which: str = "odd",
+    lattice: str = LATTICE_SPLIT,
 ) -> list[PoleSpec]:
     """Lattice poles with k <= k_max, |m| <= m_max; requires a norm -1 unit.
 
-    which = "odd" / "even" return the full half-lattice (the two functions
-    share pole locations); "combined" keeps only the surviving half where
-    m + k is even.
+    The lattices are those of nearest_lattice_pole: "split" is every pole of
+    Z_odd and Z_even (the two share their locations), "combined" only the
+    half where m + k is even, which survives in Z_odd + Z_even.
     """
-    if which not in ("odd", "even", "combined"):
-        raise ValueError(f"unknown lattice selector {which!r}")
+    if lattice not in (LATTICE_SPLIT, LATTICE_COMBINED):
+        raise ValueError(f"unknown lattice {lattice!r}")
     field.require_norm_minus_one()
-    out = []
-    for k in range(k_max + 1):
-        for m in range(-m_max, m_max + 1):
-            spec = _pole_spec(field, k, m)
-            if which == "combined" and not spec.survives_in_combined:
-                continue
-            out.append(spec)
-    return out
+    split = lattice == LATTICE_SPLIT
+    return [_pole_spec(field, k, m) for k in range(k_max + 1)
+            for m in range(-m_max, m_max + 1) if split or (k + m) % 2 == 0]
 
 
 def residue_numeric(
@@ -186,7 +182,7 @@ def _shifted_convolution(
         # Re s is too small for eta^(-2 Re s) to differ from 1: no tail bound
         raise TooSlowConvergenceError(math.inf, math.isqrt(n_max))
     tail = first_out / (1.0 - ratio)
-    return ZetaEvaluation(total, METHOD_SHIFTED, len(support), SeriesTail(tail, True))
+    return ZetaEvaluation(total, METHOD_SHIFTED, len(support), tail, True)
 
 
 def shifted_convolution_odd(

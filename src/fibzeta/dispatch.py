@@ -41,7 +41,6 @@ from .continuation import (
     PARITY_EVEN,
     PARITY_ODD,
     PARITIES,
-    SeriesTail,
     ZetaEvaluation,
     direct_terms_for,
     nearest_lattice_pole,
@@ -99,12 +98,8 @@ def _combined(field: QuadraticField, odd_route, even_route, s, *args) -> ZetaEva
     if not field.is_norm_minus_one:
         return even_route(field, s, *args)
     odd, even = odd_route(field, s, *args), even_route(field, s, *args)
-    return ZetaEvaluation(
-        odd.value + even.value,
-        odd.method,
-        odd.terms_used + even.terms_used,
-        SeriesTail(odd.tail.bound + even.tail.bound, odd.tail.rigorous and even.tail.rigorous),
-    )
+    return ZetaEvaluation(odd.value + even.value, odd.method, odd.terms_used + even.terms_used,
+                          odd.tail_bound + even.tail_bound, odd.tail_rigorous and even.tail_rigorous)
 
 
 def _shifted_within_tol(ev: ZetaEvaluation, s: complex, tol: float, bound: int) -> ZetaEvaluation:
@@ -115,10 +110,10 @@ def _shifted_within_tol(ev: ZetaEvaluation, s: complex, tol: float, bound: int) 
     times as many candidates as the scan tests.
     """
     target = tol * max(abs(ev.value), 1e-30)
-    if ev.tail.bound <= target:
+    if ev.tail_bound <= target:
         return ev
     cap = math.isqrt(bound)
-    log_needed = math.log(cap) + math.log(ev.tail.bound / target) / s.real
+    log_needed = math.log(cap) + math.log(ev.tail_bound / target) / s.real
     raise TooSlowConvergenceError(math.exp(min(log_needed, 709.0)), cap)
 
 
@@ -187,9 +182,9 @@ def evaluate(
             raise DomainError(f"unknown method {method!r}")
     except OverflowError:
         ev = None
-    if ev is None or not (cmath.isfinite(ev.value) and math.isfinite(ev.tail.bound)):
+    if ev is None or not (cmath.isfinite(ev.value) and math.isfinite(ev.tail_bound)):
         raise FactorOverflowError(f"in the {method} route", s)
-    # the one record evaluate builds, by the tuple.__new__ call that
-    # ZetaEvaluation._make makes: the constructor's Python-level __new__ would
-    # cost about 1% of a binomial grid row, on top of the route's own record
-    return tuple.__new__(ZetaEvaluation, (ev.value, ev.method, ev.terms_used, ev.tail, dist))
+    # the one record evaluate builds, the route's own with the distance filled
+    # in, by the tuple.__new__ call that ZetaEvaluation._make makes: the
+    # constructor's Python-level __new__ would cost about 1% of a binomial grid row
+    return tuple.__new__(ZetaEvaluation, ev[:5] + (dist,))

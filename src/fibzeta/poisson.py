@@ -24,17 +24,18 @@ series in |s/2|^(3/2) / |z|.  So the pairs below
 m0 = ceil(max(|s| + 4, |s/2|^(3/2) / 2) / step) + 1 are summed plainly;
 from m0 on the orders z^0 .. z^-12 are subtracted from each pair, which
 leaves a remainder falling like m^(Re s - 15), and they are added back
-through the Hurwitz tails sum_{m >= m0} m^(s-1-2j), weighted and summed together from
-m0 on (direct terms, then the Euler-Maclaurin tail every order and zeta
-share) rather than formed as zeta(1 + 2j - s) less its first terms; for
-Re s > 0 the order-0 tail diverges and is its analytic continuation.  The
-truncation is modelled as the last residual times m / max(2, 10 - Re s),
-the sum of a remainder falling like m^(Re s - 11): an overestimate, kept
-because it stops no earlier than the tol asks.  The two ratios of a pair
-+-m share their log-gamma values: since Re s < 1/2, the reflection of each
-numerator Gamma(s/2 -+ i v_m) needs log Gamma(1 - s/2 +- i v_m), the other
-ratio's denominator, so a pair costs two log-gamma sums, not four, and two
-sines.  A far pair,
+through the Hurwitz tails sum_{m >= m0} m^(s-1-2j), weighted and summed
+together from m0 on (direct terms, then the Euler-Maclaurin tail every
+order and zeta share) rather than formed as zeta(1 + 2j - s) less its
+first terms; for Re s > 0 the order-0 tail diverges and is its analytic
+continuation.  The truncation is modelled as the larger of two bounds on
+the last residual: residual m / max(2, 10 - Re s), the sum of a remainder
+falling like m^(Re s - 11) (an overestimate, kept because it stops no
+earlier than the tol asks), and the floor residual sqrt(m).  The two
+ratios of a pair +-m share their log-gamma values: since Re s < 1/2, the
+reflection of each numerator Gamma(s/2 -+ i v_m) needs
+log Gamma(1 - s/2 +- i v_m), the other ratio's denominator, so a pair
+costs two log-gamma sums, not four, and two sines.  A far pair,
 v_m > |Im s|/2 + 7, folds its two terms into one exp,
 4 pi sin(pi s/2) exp(-pi v_m - L) with L the two log-gammas, and needs no
 sine.  For a norm +1 unit the even-indexed evaluator puts eps^(1/2) in
@@ -60,7 +61,6 @@ from .complexfn import (
 from .config import Settings
 from .continuation import (
     METHOD_POISSON,
-    SeriesTail,
     ZetaEvaluation,
     _q_power,
     direct_terms_for,
@@ -186,7 +186,7 @@ def zeta_odd_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> Z
         gamma_factor = rgamma(s)
     prefactor = _q_power(field, s) * gamma_factor / (8.0 * log_eps)
     tail = term_abs * decay / (1.0 - decay) * abs(prefactor)
-    return ZetaEvaluation(prefactor * total, METHOD_POISSON, 2 * m + 1, SeriesTail(tail, False))
+    return ZetaEvaluation(prefactor * total, METHOD_POISSON, 2 * m + 1, tail, False)
 
 
 def _bernoulli_b3(x: complex) -> complex:
@@ -387,8 +387,7 @@ def _even_left(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEva
         if m > MAX_FOURIER_TERMS:
             raise TooSlowConvergenceError(float(m), MAX_FOURIER_TERMS)
     tail = max(residual_abs * m * tail_factor, residual_abs * math.sqrt(m))
-    return ZetaEvaluation(pref * total, METHOD_POISSON, 2 * m + 1,
-                          SeriesTail(tail * abs(pref), False))
+    return ZetaEvaluation(pref * total, METHOD_POISSON, 2 * m + 1, tail * abs(pref), False)
 
 
 # _even_left under the name of the strip form it replaced, which bench/tracing.py hooks
@@ -403,7 +402,8 @@ def zeta_even_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> 
     if region == REGION_DIRECT:
         parity = field.half_unit.direct_parity
         ev = zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity))
-        return ZetaEvaluation(ev.value, METHOD_POISSON, ev.terms_used, ev.tail)
+        return ZetaEvaluation(ev.value, METHOD_POISSON, ev.terms_used, ev.tail_bound,
+                              ev.tail_rigorous)
     return _even_left(field, s, tol)
 
 

@@ -272,9 +272,10 @@ def golden_specialization_checks(rng: random.Random) -> list[CheckResult]:
 def residue_checks(field: QuadraticField, k_max: int = 2, m_max: int = 3) -> list[CheckResult]:
     # the contour of radius 1e-3 passes inside the default pole guard
     settings = Settings(pole_guard_radius=1e-4)
+    poles = pole_lattice(field, k_max, m_max)
     worst_rel = 0.0
     for parity in (PARITY_ODD, PARITY_EVEN):
-        for p in pole_lattice(field, k_max, m_max, parity):
+        for p in poles:
             num = residue_numeric(
                 lambda s: evaluate(field, s, parity, METHOD_BINOMIAL, 1e-12, settings).value,
                 p.location,
@@ -283,7 +284,7 @@ def residue_checks(field: QuadraticField, k_max: int = 2, m_max: int = 3) -> lis
             ana = p.residue_odd if parity == PARITY_ODD else p.residue_even
             worst_rel = max(worst_rel, abs(num - ana) / max(1.0, abs(ana)))
     worst_cancel = 0.0
-    for p in pole_lattice(field, k_max, m_max, PARITY_ODD):
+    for p in poles:
         if not p.survives_in_combined:
             worst_cancel = max(worst_cancel, abs(p.residue_odd + p.residue_even))
     return [

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from fibzeta import ZetaEvaluation, make_field, pole_lattice
 from fibzeta.cli import GridRequest, build_parser, main, parse_complex
 from fibzeta.errors import DomainError
 
@@ -203,6 +204,16 @@ def test_eval_json_output(capsys):
     record = json.loads(out)
     assert record["method"] == "binomial"
     assert abs(float(record["value_re"]) - 2.426320751167241) < 1e-9
+
+
+def test_eval_prints_the_fields_of_the_record(capsys):
+    """eval prints each field of ZetaEvaluation, value as its two parts."""
+    fields = list(ZetaEvaluation._fields)
+    keys = ["value_re", "value_im", *fields[1:]]
+    code, out, _ = run_cli(capsys, "eval", "--D", "5", "--s", "0.5+3i", "--json")
+    assert code == 0 and list(json.loads(out)) == keys
+    code, out, _ = run_cli(capsys, "eval", "--D", "5", "--s", "0.5+3i")
+    assert code == 0 and [line.split(":")[0] for line in out.splitlines()] == keys
 
 
 def test_eval_bad_complex_is_usage_error(capsys):
@@ -530,11 +541,53 @@ def test_negative_table_sizes_are_usage_errors(capsys, argv, flag):
 
 # ----------------------------------------------------------------------- poles
 
-def test_poles_odd_table(capsys):
+def test_poles_split_table(capsys):
     code, out, _ = run_cli(capsys, "poles", "--D", "5", "--kmax", "1", "--mmax", "1")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert len(rows) == 6
+    assert run_cli(capsys, "poles", "--D", "5", "--kmax", "1", "--mmax", "1",
+                   "--which", "split") == (0, out, "")
+
+
+@pytest.mark.parametrize("which", ["odd", "even"])
+def test_poles_which_names_a_lattice_not_a_parity(capsys, which):
+    code, out, err = run_cli(capsys, "poles", "--D", "5", "--which", which)
+    assert code == 2 and out == "" and "invalid choice" in err
+
+
+@pytest.mark.parametrize("kmax, mmax, which, rows", [
+    ("5", "1000000000", "split", 12000000006),
+    ("0", "500000", "split", 1000001),
+    ("1", "999999", "combined", 1999999),
+])
+def test_poles_refuses_a_table_of_too_many_rows_before_building_it(
+        capsys, monkeypatch, kmax, mmax, which, rows):
+    def no_table(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr("fibzeta.crosscheck.pole_lattice", no_table)
+    code, out, err = run_cli(capsys, "poles", "--D", "5", "--kmax", kmax, "--mmax", mmax,
+                             "--which", which)
+    assert code == 4 and out == ""
+    assert err == f"error: DomainError: poles table has {rows} rows, more than 1000000\n"
+
+
+@pytest.mark.parametrize("which", ["split", "combined"])
+def test_poles_row_count_is_that_of_the_table(capsys, monkeypatch, which):
+    """The count the refusal names is the table's own: a cap at that count
+    passes the table, one below it refuses."""
+    field = make_field(5)
+    for k_max in range(4):
+        for m_max in range(4):
+            rows = len(pole_lattice(field, k_max, m_max, which))
+            argv = ("poles", "--D", "5", "--kmax", str(k_max), "--mmax", str(m_max),
+                    "--which", which)
+            monkeypatch.setattr("fibzeta.cli.MAX_GRID_ROWS", rows)
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and out.count("\n") == rows + 1
+            monkeypatch.setattr("fibzeta.cli.MAX_GRID_ROWS", rows - 1)
+            assert run_cli(capsys, *argv)[0] == 4
 
 
 def test_poles_combined_filters(capsys):
@@ -630,6 +683,16 @@ def test_verify_unknown_suite_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "astrology")
     assert code == 2
     assert "unknown suite" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("--suite", "sequences,sequences"), "--suite repeats sequences"),
+    (("--suite", "golden,sequences,golden"), "--suite repeats golden"),
+    (("--suite", "pell", "--D", "5,5"), "--D repeats 5"),
+    (("--suite", "sequences", "--D", "10,5,13,5"), "--D repeats 5"),
+])
+def test_verify_refuses_a_repeated_suite_or_field(capsys, argv, named):
+    assert run_cli(capsys, "verify", *argv, "--bound", "10") == (2, "", f"error: {named}\n")
 
 
 @pytest.mark.parametrize("flag", [["--points", "4"], ["--points", "-5"], ["--bound", "0"]])
@@ -729,7 +792,7 @@ PACKAGE_EXPORTS = [
     "NormPlusOneError", "NotSquarefreeError", "NumericalError", "OutOfRegionError",
     "PARITY_COMBINED", "PARITY_EVEN", "PARITY_ODD", "PoleAtNonpositiveIntegerError",
     "PoleAtOneError", "PoleProximityError", "PoleSpec", "QuadraticField", "RegionSelector",
-    "SequenceTerm", "SeriesTail", "Settings", "TooSlowConvergenceError", "UnitElement",
+    "SequenceTerm", "Settings", "TooSlowConvergenceError", "UnitElement",
     "ZetaEvaluation", "complexfn", "config", "continuation", "crosscheck", "default_settings",
     "dispatch", "errors", "evaluate", "fib", "fib_upto", "is_fib", "iter_sequence", "lucas",
     "make_field", "nearest_lattice_pole", "poisson", "pole_lattice", "quadfield", "r1",

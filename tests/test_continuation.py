@@ -62,7 +62,7 @@ def test_direct_odd_d5_at_two():
     assert abs(ev.value - 1.2969300248114331) < 1e-14
     assert ev.tail_bound < 1e-30
     assert ev.terms_used == 40
-    assert ev.tail.rigorous
+    assert ev.tail_rigorous
 
 
 def test_direct_even_d10_at_one():

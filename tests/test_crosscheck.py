@@ -37,7 +37,7 @@ FINE_GUARD = Settings(pole_guard_radius=1e-4)
 # ---------------------------------------------------------------- pole lattice
 
 def test_pole_lattice_counts_and_locations():
-    poles = pole_lattice(F5, 1, 1, "odd")
+    poles = pole_lattice(F5, 1, 1)
     assert len(poles) == 6  # k in {0,1} x m in {-1,0,1}
     origin = [p for p in poles if p.k == 0 and p.m == 0][0]
     assert origin.location == 0
@@ -53,11 +53,11 @@ def test_pole_lattice_combined_keeps_half():
 
 def test_pole_lattice_rejects_norm_plus_one():
     with pytest.raises(NormPlusOneError):
-        pole_lattice(make_field(3), 1, 1, "odd")
+        pole_lattice(make_field(3), 1, 1)
 
 
 def test_residue_cancellation_iff_m_plus_k_odd():
-    for p in pole_lattice(F10, 2, 3, "odd"):
+    for p in pole_lattice(F10, 2, 3):
         total = p.residue_odd + p.residue_even
         if (p.m + p.k) % 2 == 1:
             assert total == 0  # exact: the (-1)^m and (-1)^k factors cancel
@@ -90,7 +90,7 @@ def test_numeric_residue_at_origin():
 
 def test_numeric_residues_match_analytic():
     for which in ("odd", "even"):
-        for p in pole_lattice(F5, 1, 2, which):
+        for p in pole_lattice(F5, 1, 2):
             num = residue_numeric(
                 lambda s, which=which: evaluate(F5, s, which, "binomial", 1e-12, FINE_GUARD).value,
                 p.location,
@@ -113,7 +113,7 @@ def test_combined_residue_vanishes_at_cancelled_point():
 
 def test_even_poisson_residue_at_imaginary_pole():
     s0 = complex(0.0, math.pi / F5.log_eps)
-    spec = [p for p in pole_lattice(F5, 0, 1, "even") if p.m == 1][0]
+    spec = [p for p in pole_lattice(F5, 0, 1) if p.m == 1][0]
     res = residue_numeric(
         lambda s: evaluate(F5, s, "even", "poisson", 1e-12, FINE_GUARD).value,
         s0,

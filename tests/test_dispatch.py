@@ -170,9 +170,16 @@ def test_evaluate_matches_frozen_dispatch(d, method, parity):
                 assert pole == [f"k={exc.value.k}", f"m={exc.value.m}"]
             continue
         ev = fibzeta.evaluate(field, s, parity, method, 1e-12)
-        got = (ev.value, ev.method, ev.terms_used, ev.tail.bound, ev.tail.rigorous,
-               ev.nearest_pole_distance)
-        assert got == expected
+        assert tuple(ev) == expected
+
+
+def test_an_evaluation_is_one_flat_record():
+    assert fibzeta.ZetaEvaluation._fields == (
+        "value", "method", "terms_used", "tail_bound", "tail_rigorous", "nearest_pole_distance")
+    assert not hasattr(fibzeta, "SeriesTail")
+    ev = fibzeta.evaluate(make_field(5), S_STRIP, "odd", "poisson", 1e-12)
+    assert type(ev) is fibzeta.ZetaEvaluation
+    assert (type(ev.tail_bound), ev.tail_rigorous) == (float, False)
 
 
 @pytest.mark.parametrize("d", [3, 6, 7, 11])
@@ -224,7 +231,7 @@ def test_shifted_convolution_returns_the_scan_only_within_tol():
     ev = fibzeta.evaluate(field, 2.0, "odd", "shifted_convolution", 1e-8)
     assert ev[:4] == fibzeta.crosscheck.shifted_convolution_odd(field, 2.0)[:4]
     assert ev.nearest_pole_distance == fibzeta.nearest_lattice_pole(field, 2.0)[3]
-    assert ev.tail.bound <= 1e-8 * abs(ev.value)
+    assert ev.tail_bound <= 1e-8 * abs(ev.value)
     with pytest.raises(fibzeta.TooSlowConvergenceError):
         fibzeta.evaluate(field, 2.0, "odd", "shifted_convolution", 1e-12)
 
