@@ -400,10 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", required=True,
                    help="comma list of suite names, or all; an unknown name lists them")
-    p.add_argument("--D", help="comma list of fields, e.g. 5,10")
+    p.add_argument("--D", help="comma list of fields, e.g. 5,10; read by every suite "
+                   "except sequences, golden and special-functions")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=1_000_000, help="pell enumeration bound")
-    p.add_argument("--points", type=int, default=200, help="grid points per field")
+    p.add_argument("--bound", type=int, default=1_000_000,
+                   help="pell enumeration bound; read by pell alone")
+    p.add_argument("--points", type=int, default=200,
+                   help="grid points per field; read by cross-method alone")
     p.set_defaults(fun=cmd_verify)
 
     p = sub.add_parser("sequence", help="print sequence terms")

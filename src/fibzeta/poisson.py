@@ -8,11 +8,16 @@ Poisson summation over the odd integers gives a two-sided gamma series
 
 v_m = pi m / (2 log eps), whose terms decay like exp(-pi v_m).  The 1/Gamma(s)
 prefactor forces zeros at negative odd integers.  Left of Re s = 1 both
-gammas of a term reflect, and the pair takes two sines (complexfn._log_sin_pi)
-and two log-gamma sums (complexfn._log_gamma_right).  A far pair, v_m >
-|Im s|/2 + 7, needs no sine: both are single exponentials there (the branch
-_log_sin_pi takes past |Im z| = 7), and the pair is one exp of
-log 4 pi^2 - 2 pi v_m less the two log-gammas.
+gammas of a term reflect.  With a = s/2 and L the two log-gamma sums
+log Gamma(1 - a -+ i v) (complexfn._log_gamma_right), the pair is
+pi^2 e^-L / (sin^2 pi a + sinh^2 pi v), since sin pi(a + i v)
+sin pi(a - i v) = sin^2 pi a + sinh^2 pi v (DLMF 4.21): one log sine
+(complexfn._log_sin_pi) an evaluation, shared with the m = 0 term, and
+real functions of v, no sine a pair.  The denominator has two ranges, and
+is taken over a quarter of its size e^(2 pi max(|Im a|, v)), which joins L
+in the one exp: for v <= |Im a| sin^2 pi a leads, past it sinh^2 pi v.  A
+far pair, v_m > |Im s|/2 + 7, is one exp of log 4 pi^2 - 2 pi v_m - L, the
+form past |Im a| with its denominator rounded to 1.
 
 Even-indexed case: the summand vanishes at n=0 only after regularizing by
 (4 x log eps)^(-s), and truncated Poisson summation yields one evaluator,
@@ -20,26 +25,27 @@ zeta_even_poisson, with two regions: the direct series for Re s >= 1/2,
 and the gamma-ratio pair sum for Re s < 1/2.  The pair sum is accelerated
 exactly: the ratio Gamma(z + a)/Gamma(z + 1 - a) admits an asymptotic
 expansion in even powers of 1/z, which holds only past |z| ~ |s| and is a
-series in |s/2|^(3/2) / |z|.  So the pairs below
-m0 = ceil(max(|s| + 4, |s/2|^(3/2) / 2) / step) + 1 are summed plainly;
-from m0 on the orders z^0 .. z^-12 are subtracted from each pair, which
-leaves a remainder falling like m^(Re s - 15), and they are added back
-through the Hurwitz tails sum_{m >= m0} m^(s-1-2j), weighted and summed
-together from m0 on (direct terms, then the Euler-Maclaurin tail every
-order and zeta share) rather than formed as zeta(1 + 2j - s) less its
-first terms; for Re s > 0 the order-0 tail diverges and is its analytic
-continuation.  The truncation is modelled as the larger of two bounds on
-the last residual: residual m / max(2, 10 - Re s), the sum of a remainder
-falling like m^(Re s - 11) (an overestimate, kept because it stops no
-earlier than the tol asks), and the floor residual sqrt(m).  The two
-ratios of a pair +-m share their log-gamma values: since Re s < 1/2, the
-reflection of each numerator Gamma(s/2 -+ i v_m) needs
-log Gamma(1 - s/2 +- i v_m), the other ratio's denominator, so a pair
-costs two log-gamma sums, not four, and two sines.  A far pair,
-v_m > |Im s|/2 + 7, folds its two terms into one exp,
-4 pi sin(pi s/2) exp(-pi v_m - L) with L the two log-gammas, and needs no
-sine.  For a norm +1 unit the even-indexed evaluator puts eps^(1/2) in
-place of eps and returns the full zeta.
+series in |s/2|^(3/2) / |z|.  So the pairs are summed as they are, and
+from m0 = ceil(max(|s| + 4, |s/2|^(3/2) / 2) / step) + 1 on the orders
+z^0 .. z^-12 are subtracted from each pair only to judge where to stop:
+the residual falls like m^(Re s - 15).  The orders of the pairs past the
+last one summed are added through the Hurwitz tails
+sum_{m > m_last} m^(s-1-2j), weighted and summed together (direct terms,
+then the Euler-Maclaurin tail every order and zeta share) rather than
+formed as zeta(1 + 2j - s) less its first terms; for Re s > 0 the order-0
+tail diverges and is its analytic continuation.  The truncation is
+modelled as the larger of two bounds on the last residual: residual
+m / max(2, 10 - Re s), the sum of a remainder falling like m^(Re s - 11)
+(an overestimate, kept because it stops no earlier than the tol asks),
+and residual sqrt(m), the floor of the rounding that the noise-floor stop
+lets the loop end on.  The two ratios of a pair +-m share their
+log-gamma values: since Re s < 1/2, the reflection of each numerator
+Gamma(s/2 -+ i v_m) needs log Gamma(1 - s/2 +- i v_m), the other ratio's
+denominator, so a pair costs two log-gamma sums, not four, and by the
+same sine product it is 2 pi sin(pi a) cosh(pi v) e^-L over the odd
+pair's denominator.  A far pair folds its two terms into one exp,
+4 pi sin(pi s/2) exp(-pi v_m - L).  For a norm +1 unit the even-indexed
+evaluator puts eps^(1/2) in place of eps and returns the full zeta.
 """
 
 from __future__ import annotations
@@ -78,8 +84,8 @@ REGION_LEFT = "left"
 REGION_DIRECT_MIN = 0.5
 # hard cap on Fourier-side summation lengths
 MAX_FOURIER_TERMS = 2_000_000
-# a pair at v > |Im s/2| + _FAR_MARGIN is far: both of its sines are single
-# exponentials to e^(-14 pi) ~ 8e-20, the branch _log_sin_pi takes past |Im z| = 7
+# a pair at v > |Im s/2| + _FAR_MARGIN is far: its denominator over
+# e^(2 pi v) / 4 is 1 to e^(-14 pi) ~ 8e-20
 _FAR_MARGIN = 7.0
 _TWO_PI = 2.0 * math.pi
 _LOG_FOUR_PI_SQ = math.log(4.0 * math.pi * math.pi)
@@ -122,19 +128,36 @@ class _in_double_range:
         return False
 
 
-def _odd_reflected_pair(a: complex, one_minus_a: complex, v: float, far_v: float) -> complex:
-    """Gamma(a + i v) Gamma(a - i v) for Re a < 1/2, both reflected, from
-    L = log Gamma(1 - a - i v) + log Gamma(1 - a + i v).  A near pair adds
-    the two log sines as log_gamma would; a far one (v > far_v) is
-    exp(log 4 pi^2 - 2 pi v - L), since the product of its sines is then
-    e^(2 pi v) / 4 to e^(-14 pi) ~ 8e-20."""
+def _odd_reflected_pair(
+    one_minus_a: complex, v: float, h: float, sin2: complex, e2h: float, far_v: float
+) -> complex:
+    """Gamma(a + i v) Gamma(a - i v) for Re a < 1/2, both reflected: with L =
+    log Gamma(1 - a - i v) + log Gamma(1 - a + i v) it is
+    pi^2 e^-L / (sin^2 pi a + sinh^2 pi v), by sin pi(a + i v) sin pi(a - i v)
+    = sin^2 pi a + sinh^2 pi v (DLMF 4.21).  Numerator and denominator are
+    taken times 4 e^(-2 pi M), M = max(h, v) and h = |Im a|, which goes into
+    the one exp with L, so that no factor leaves double range and the
+    denominator is about 1 past h:
+    D = sin2 + e^(-2 pi (h - v)) t^2 for v <= h, and
+    sin2 e^(-2 pi (v - h)) + t^2 past it, where sin2 = (2 sin(pi a)
+    e^(-pi h))^2, e2h = e^(-2 pi h) and t = 2 sinh(pi v) e^(-pi v) =
+    1 - e^(-2 pi v), each exponential formed directly.  A far pair
+    (v > far_v) is exp(log 4 pi^2 - 2 pi v - L): its D is 1 to
+    e^(-14 pi) ~ 8e-20."""
     iv = 1j * v
     l_minus = _log_gamma_right(one_minus_a - iv)
     l_plus = _log_gamma_right(one_minus_a + iv)
     if v > far_v:
         return cmath.exp((_LOG_FOUR_PI_SQ - _TWO_PI * v) - (l_minus + l_plus))
-    return cmath.exp(
-        (_LOG_PI_C - _log_sin_pi(a + iv) - l_minus) + (_LOG_PI_C - _log_sin_pi(a - iv) - l_plus)
+    if v > h:
+        r2 = math.exp(_TWO_PI * (h - v))
+        t = 1.0 - r2 * e2h
+        return cmath.exp((_LOG_FOUR_PI_SQ - _TWO_PI * v) - (l_minus + l_plus)) / (
+            sin2 * r2 + t * t
+        )
+    t = -math.expm1(-_TWO_PI * v)
+    return cmath.exp((_LOG_FOUR_PI_SQ - _TWO_PI * h) - (l_minus + l_plus)) / (
+        sin2 + math.exp(_TWO_PI * (v - h)) * (t * t)
     )
 
 
@@ -142,11 +165,10 @@ def zeta_odd_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> Z
     """Odd-indexed zeta via the two-sided gamma series (valid on all of C).
 
     Whether s/2 + i v_m reflects is decided once, by log_gamma's own test on
-    Re(s/2): left of it _odd_reflected_pair forms each pair, from two sines
-    and two log-gamma sums combined as the two reflected log_gamma values
-    would be, or, for a far pair (v_m > |Im s|/2 + 7), in closed form from
-    two log-gamma sums; right of it the two log-gamma sums of s/2 -+ i v_m
-    are called directly.  The tail estimate
+    Re(s/2): left of it _odd_reflected_pair forms each pair from two
+    log-gamma sums and the sine product, with log sin(pi s/2) taken once
+    for the evaluation and the m = 0 term; right of it the two log-gamma
+    sums of s/2 -+ i v_m are called directly.  The tail estimate
     term * decay / (1 - decay), decay = exp(-pi v_1), models the geometric
     fall of the terms, which holds only past the saddle, m > |Im s| / (2 v_1);
     before it the terms stay near exp(-pi |Im s| / 2) in size.
@@ -159,10 +181,20 @@ def zeta_odd_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> Z
     # log_gamma's own test: Re(s/2 +- i v) = Re(s/2) for every m
     reflected = not half_s.real >= 0.5
     one_minus_a = _ONE - half_s
-    far_v = abs(half_s.imag) + _FAR_MARGIN
+    h = abs(half_s.imag)
+    far_v = h + _FAR_MARGIN
     exp, log_gamma_right, reflected_pair = cmath.exp, _log_gamma_right, _odd_reflected_pair
     with _in_double_range("Gamma(s/2 + i v_m) Gamma(s/2 - i v_m)", s):
-        total = exp(2.0 * log_gamma(half_s))
+        if reflected:
+            # log_gamma's reflection, its log sine kept for the pairs:
+            # sin(pi s/2) e^(-pi h) is in double range at any height
+            log_sin = _log_sin_pi(half_s)
+            total = exp(2.0 * (_LOG_PI_C - log_sin - log_gamma_right(one_minus_a)))
+            two_sin = 2.0 * exp(log_sin - _PI * h)
+            sin2 = two_sin * two_sin
+            e2h = math.exp(-_TWO_PI * h)
+        else:
+            total = exp(2.0 * log_gamma_right(half_s))
         m = 0
         term_abs = abs(total)
         sign = 2.0  # 2 (-1)^m, flipped before each term
@@ -171,7 +203,7 @@ def zeta_odd_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> Z
             v = half_step * m
             sign = -sign
             if reflected:
-                pair = reflected_pair(half_s, one_minus_a, v, far_v)
+                pair = reflected_pair(one_minus_a, v, h, sin2, e2h, far_v)
             else:
                 iv = 1j * v
                 pair = exp(log_gamma_right(half_s + iv) + log_gamma_right(half_s - iv))
@@ -272,21 +304,35 @@ def _restored_orders(
 
 
 def _even_pair(
-    a: complex, one_minus_a: complex, v: float, far_v: float, four_pi_sin: complex
+    one_minus_a: complex, v: float, h: float, sin2: complex, e2h: float, far_v: float,
+    four_pi_sin_h: complex, four_pi_sin: complex,
 ) -> complex:
     """ratio(m) + ratio(-m), ratio(+-m) = Gamma(a -+ i v) / Gamma(1 - a -+ i v),
-    for Re a < 1/2, from the two log Gamma(1 - a -+ i v).  A near pair
-    reflects each numerator as log_gamma does, from its log sine and the
-    other ratio's denominator, and subtracts its own denominator; a far one
-    (v > far_v) is 4 pi sin(pi a) exp(-pi v - L), L the sum of the two
-    log-gammas, to e^(-14 pi) ~ 8e-20."""
+    for Re a < 1/2.  Both numerators reflect, each needing the other ratio's
+    denominator, so with L the sum of the two log Gamma(1 - a -+ i v) the
+    pair is 2 pi sin(pi a) cosh(pi v) e^-L / (sin^2 pi a + sinh^2 pi v): the
+    denominator of _odd_reflected_pair, taken as there times
+    4 e^(-2 pi M).  The numerator's growth e^(pi (h + v)) less e^(2 pi M) is
+    e^(-pi |v - h|), which goes into the one exp with L; four_pi_sin_h is
+    4 pi sin(pi a) e^(-pi h), sin2 and e2h are as there, and
+    2 cosh(pi v) e^(-pi v) = 1 + e^(-2 pi v).  A far pair (v > far_v) is
+    four_pi_sin exp(-pi v - L), four_pi_sin = 4 pi sin(pi a), to
+    e^(-14 pi) ~ 8e-20."""
     iv = 1j * v
     l_minus = _log_gamma_right(one_minus_a - iv)
     l_plus = _log_gamma_right(one_minus_a + iv)
     if v > far_v:
         return four_pi_sin * cmath.exp(-math.pi * v - (l_minus + l_plus))
-    return cmath.exp((_LOG_PI_C - _log_sin_pi(a - iv) - l_plus) - l_minus) + cmath.exp(
-        (_LOG_PI_C - _log_sin_pi(a + iv) - l_minus) - l_plus
+    if v > h:
+        r2 = math.exp(_TWO_PI * (h - v))
+        x2 = r2 * e2h  # e^(-2 pi v)
+        t = 1.0 - x2
+        return four_pi_sin_h * (1.0 + x2) * cmath.exp(
+            math.pi * (h - v) - (l_minus + l_plus)
+        ) / (sin2 * r2 + t * t)
+    x2_1 = math.expm1(-_TWO_PI * v)  # e^(-2 pi v) - 1
+    return four_pi_sin_h * (2.0 + x2_1) * cmath.exp(math.pi * (v - h) - (l_minus + l_plus)) / (
+        sin2 + math.exp(_TWO_PI * (v - h)) * (x2_1 * x2_1)
     )
 
 
@@ -314,20 +360,22 @@ def _even_left(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEva
     expansion holds only past the saddle v_m ~ |s| and is a series in
     |s/2|^(3/2) / v_m, so the pairs with m < m0 (_first_subtracted_pair)
     are summed as they are; from m0 on, orders z^0 .. z^-12 are subtracted
-    from every pair, which leaves a remainder falling like m^(Re s - 15),
-    and they are restored by _restored_orders as sum_j w_j H_j over the
-    Hurwitz tails H_j = sum_{m >= m0} m^(s-1-2j).  The tail is the larger
-    of residual m / max(2, 10 - Re s), the sum of a remainder falling like
-    m^(Re s - 11) and so an overestimate here, and residual sqrt(m); a
-    noise-floor stop ends the loop where the residual sinks below the
-    rounding error of the pair terms.
+    from every pair as well, which leaves a residual falling like
+    m^(Re s - 15) that decides where the sum stops, and the orders of the
+    pairs past the last one, m_last, are added by _restored_orders as
+    sum_j w_j H_j over the Hurwitz tails H_j = sum_{m > m_last} m^(s-1-2j).
+    The tail is the larger of residual m / max(2, 10 - Re s), the sum of a
+    remainder falling like m^(Re s - 11) and so an overestimate here, and
+    residual sqrt(m); a noise-floor stop ends the loop where the residual
+    sinks below the rounding error of the pair terms.
 
     Since Re s < 1/2, both numerators Gamma(a -+ i v) of a pair (a = s/2)
     reflect, each needing log Gamma(1 - a +- i v), the other ratio's
-    denominator.  _even_pair forms a near pair from two sines and these two
-    log-gammas, and a far one (v > |Im a| + 7) in closed form from the two
-    log-gammas alone.  The m = 0 term Gamma(a) / Gamma(1 - a) is
-    pi / (sin(pi a) Gamma(1 - a)^2), from one log Gamma(1 - a).
+    denominator.  _even_pair forms a near pair from these two log-gammas and
+    the sine product, with log sin(pi a) taken once for the evaluation, and
+    a far one (v > |Im a| + 7) in closed form.  The m = 0 term
+    Gamma(a) / Gamma(1 - a) is pi / (sin(pi a) Gamma(1 - a)^2), from the
+    same log sin(pi a) and one log Gamma(1 - a).
     """
     s = complex(s)
     if not s.real < REGION_DIRECT_MIN:
@@ -347,36 +395,35 @@ def _even_left(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEva
 
     one_minus_a = _ONE - a
     exp, log, pair_at = cmath.exp, math.log, _even_pair
-    total = _PI * exp(-_log_sin_pi(a) - 2.0 * _log_gamma_right(one_minus_a))
     s_1 = s - 1.0
-    far_v = abs(a.imag) + _FAR_MARGIN
+    h = abs(a.imag)
+    log_sin = _log_sin_pi(a)
+    total = _PI * exp(-log_sin - 2.0 * _log_gamma_right(one_minus_a))
+    two_sin = 2.0 * exp(log_sin - _PI * h)
+    e2h = math.exp(-_TWO_PI * h)
+    sin2 = two_sin * two_sin
+    four_pi_sin_h = _TWO_PI * two_sin
+    far_v = h + _FAR_MARGIN
     four_pi_sin = _TWO_PI * two_sin_half
     for m in range(1, m0):
-        total += pair_at(a, one_minus_a, half_step * m, far_v, four_pi_sin)
+        v = half_step * m
+        total += pair_at(one_minus_a, v, h, sin2, e2h, far_v, four_pi_sin_h, four_pi_sin)
 
-    # the restored orders: 2 sin(pi s/2) step^(s-1) sum_j (-1)^j e_2j
-    # step^(-2j) H_j
-    q = -1.0 / (half_step * half_step)
-    q2 = q * q
-    q3 = q2 * q
-    weights = (_ONE, e2 * q, e4 * q2, e6 * q3, e8 * (q2 * q2), e10 * (q2 * q3), e12 * (q3 * q3))
-    total += two_sin_half * exp(s_1 * log(half_step)) * _restored_orders(s, m0, weights)
-
-    # residual pairs from m0 on, stopped by a tail model or the noise floor
+    # the pairs from m0 on, stopped by a tail model or the noise floor on
+    # their residuals after the asymptotic orders
     m = m0 - 1
     residual_abs = 0.0
     tail_factor = 1.0 / max(2.0, 10.0 - s.real)
     while True:
         m += 1
         v = half_step * m
-        pair = pair_at(a, one_minus_a, v, far_v, four_pi_sin)
+        pair = pair_at(one_minus_a, v, h, sin2, e2h, far_v, four_pi_sin_h, four_pi_sin)
         w = -1.0 / (v * v)
         asym = two_sin_half * exp(s_1 * log(v)) * (
             _ONE + w * (e2 + w * (e4 + w * (e6 + w * (e8 + w * (e10 + w * e12)))))
         )
-        residual = pair - asym
-        total += residual
-        residual_abs = abs(residual)
+        total += pair
+        residual_abs = abs(pair - asym)
         # the gamma ratio is exponentiated from log differences of size
         # ~ pi v, so its rounding error (the noise floor) scales with v
         if (
@@ -386,6 +433,14 @@ def _even_left(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEva
             break
         if m > MAX_FOURIER_TERMS:
             raise TooSlowConvergenceError(float(m), MAX_FOURIER_TERMS)
+
+    # the orders of the pairs past m: 2 sin(pi s/2) step^(s-1) sum_j (-1)^j
+    # e_2j step^(-2j) H_j, the Hurwitz tails from m + 1
+    q = -1.0 / (half_step * half_step)
+    q2 = q * q
+    q3 = q2 * q
+    weights = (_ONE, e2 * q, e4 * q2, e6 * q3, e8 * (q2 * q2), e10 * (q2 * q3), e12 * (q3 * q3))
+    total += two_sin_half * exp(s_1 * log(half_step)) * _restored_orders(s, m + 1, weights)
     tail = max(residual_abs * m * tail_factor, residual_abs * math.sqrt(m))
     return ZetaEvaluation(pref * total, METHOD_POISSON, 2 * m + 1, tail * abs(pref), False)
 

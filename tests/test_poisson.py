@@ -4,11 +4,12 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings as hyp_settings
+from hypothesis import assume, example, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from fibzeta import (
     FactorOverflowError,
+    FibZetaError,
     NormPlusOneError,
     OutOfRegionError,
     PoleProximityError,
@@ -19,7 +20,8 @@ from fibzeta import (
     zeta_functional_reconstruction,
 )
 from fibzeta.continuation import direct_terms_for, zeta_direct, zeta_even_binomial, zeta_odd_binomial
-from fibzeta.complexfn import _euler_maclaurin_tail, _log_gamma_right, _log_sin_pi, czeta, log_gamma
+from fibzeta import poisson
+from fibzeta.complexfn import _euler_maclaurin_tail, _log_sin_pi, czeta
 from fibzeta.poisson import (
     RegionSelector,
     _asymptotic_coefficients,
@@ -33,13 +35,10 @@ from fibzeta.poisson import (
     zeta_odd_poisson,
 )
 
+from test_continuation import mp_binomial_reference
+
 F5 = make_field(5)
 F10 = make_field(10)
-
-
-def _gamma_ratio(s, w):
-    """Gamma(s/2 - i w) / Gamma(1 - s/2 - i w), in log space."""
-    return cmath.exp(log_gamma(0.5 * s - 1j * w) - log_gamma(1.0 - 0.5 * s - 1j * w))
 
 
 # ------------------------------------------------------------------ odd series
@@ -432,56 +431,123 @@ def test_zeta_cancellation_out_of_region():
 # ------------------------------------------------------- gamma-ratio pairs
 
 RATIO_PAIR_FIELDS = {d: make_field(d) for d in (5, 13, 29)}
+# a float m puts v at |Im a| + m, the seam of the two ranges of the pair
+# denominator, instead of at the pair index m
+SEAM_OFFSETS = (-1e-9, 1e-9)
+# |Im s| up to 450, past which the even pair sum refuses sin(pi s/2)
+IM_S = st.one_of(st.floats(min_value=-80.0, max_value=80.0),
+                 st.floats(min_value=-450.0, max_value=450.0))
+PAIR_INDEX = st.one_of(st.integers(min_value=1, max_value=200), st.sampled_from(SEAM_OFFSETS))
 
 
 def _pair_args(re_s, im_s, d, m):
     s = complex(re_s, im_s)
-    v = m * math.pi / (2.0 * RATIO_PAIR_FIELDS[d].log_eps)
-    return s, v, 0.5 * s
+    a = 0.5 * s
+    if isinstance(m, float):
+        v = abs(a.imag) + m
+    else:
+        v = m * math.pi / (2.0 * RATIO_PAIR_FIELDS[d].log_eps)
+    return s, v, a
 
 
-@given(
-    re_s=st.floats(min_value=-8.0, max_value=1.0, exclude_max=True),
-    im_s=st.floats(min_value=-80.0, max_value=80.0),
-    d=st.sampled_from(sorted(RATIO_PAIR_FIELDS)),
-    m=st.integers(min_value=1, max_value=200),
-)
-# (Im(s/2 - i v), Im(s/2 + i v)) on each side of -7 and 7, where _log_sin_pi
-# switches branch: (6.95, 13.48), (7.05, 12.31), (-12.67, -6.95),
-# (-9.68, -7.05), (-15.52, 17.12), (-0.50, 1.41)
+def _sine_of(a):
+    """(h, sin2, e2h, 2 sin(pi a) e^(-pi h)), h = |Im a|, sin2 the square of
+    the last, e2h = e^(-2 pi h), as the pair loops form them from the one
+    log sine of the evaluation."""
+    h = abs(a.imag)
+    two_sin = 2.0 * cmath.exp(_log_sin_pi(a) - math.pi * h)
+    return h, two_sin * two_sin, math.exp(-2.0 * math.pi * h), two_sin
+
+
+def _odd_pair_at(a, v, far_v):
+    """The odd pair at s = 2a as the pair loop forms it."""
+    h, sin2, e2h, _ = _sine_of(a)
+    return _odd_reflected_pair(1 - a, v, h, sin2, e2h, far_v)
+
+
+def _even_pair_at(a, v, far_v):
+    """The even pair at s = 2a as the pair loops form it."""
+    h, sin2, e2h, two_sin = _sine_of(a)
+    return _even_pair(1 - a, v, h, sin2, e2h, far_v,
+                      2.0 * math.pi * two_sin, 4.0 * math.pi * cmath.sin(math.pi * a))
+
+
+def _pair_references(a, v):
+    """Gamma(a + i v) Gamma(a - i v), ratio(m) + ratio(-m) and
+    |ratio(m)| + |ratio(-m)|, ratio(+-m) = Gamma(a -+ i v) / Gamma(1 - a -+ i v),
+    from mpmath's gammas at 30 digits."""
+    with mp.workdps(30):
+        am, iv = mp.mpc(a), mp.mpc(0, v)
+        plus, minus = mp.gamma(am + iv), mp.gamma(am - iv)
+        ratio_m, ratio_minus_m = minus / mp.gamma(1 - am - iv), plus / mp.gamma(1 - am + iv)
+        return plus * minus, ratio_m + ratio_minus_m, abs(ratio_m) + abs(ratio_minus_m)
+
+
+def _assert_pair_close(value, ref, size, a, v):
+    """value is ref to 1e-14 (1 + |a| + v) of the terms' size, plus
+    4 2^-53 (1 + |a| + v) / dist next to a pole of the gammas at distance
+    dist, plus a few steps of 2^-1074 where the pair is subnormal.  The first
+    term is the rounding of the two log-gammas, whose arguments have size
+    |a| + v (complexfn: up to 5e-13 at |z| = 300); the second, that of their
+    arguments and of the sine product next to its zeros (the same floor as
+    test_reflected_routes_keep_their_digits_next_to_the_poles).  Against
+    mpmath, 1e-14 (1 + v) alone is out of reach where |a| is large and v
+    small: on |Im s| <= 80 both the sine-product pairs and the log-sine
+    forms they replaced miss it by up to 1.9 times, at v ~ 1 to 2 and
+    |Im s| ~ 40 to 75.
+    test_far_pairs_equal_the_near_pair_in_closed_form holds the two forms
+    of a pair, which share their log-gammas, to 1e-14 (1 + v) of each
+    other."""
+    dist = min(abs(z - min(round(z.real), 0)) for z in (a + 1j * v, a - 1j * v))
+    scale = 1.0 + abs(a) + v
+    with mp.workdps(30):
+        err = abs(mp.mpc(value) - ref)
+        assert err <= scale * (1e-14 + 4.0 * 2.0**-53 / dist) * size + 64 * 2.0**-1074, (
+            float(err / size), a, v)
+
+
+@given(re_s=st.floats(min_value=-8.0, max_value=1.0, exclude_max=True), im_s=IM_S,
+       d=st.sampled_from(sorted(RATIO_PAIR_FIELDS)), m=PAIR_INDEX)
+# points that pinned the log-sine forms on each side of the branch of
+# _log_sin_pi at |Im z| = 7, and points on each side of the seam v = |Im a|,
+# one of them 1e-9 from a pole of Gamma(a - i v)
 @example(re_s=-2.0, im_s=20.43, d=5, m=1)
 @example(re_s=0.9, im_s=19.36, d=13, m=2)
 @example(re_s=-0.5, im_s=-19.62, d=29, m=3)
 @example(re_s=-5.0, im_s=-16.73, d=13, m=1)
 @example(re_s=-3.3, im_s=1.6, d=5, m=5)
 @example(re_s=-7.9, im_s=0.91, d=29, m=1)
+@example(re_s=-3.3, im_s=300.0, d=5, m=1e-9)
+@example(re_s=0.7, im_s=-450.0, d=13, m=-1e-9)
+@example(re_s=-8.0, im_s=-41.5, d=29, m=1e-9)
 @hyp_settings(max_examples=400, deadline=None)
-def test_odd_reflected_pair_equals_the_two_log_gammas_exactly(re_s, im_s, d, m):
+def test_odd_reflected_pair_matches_mpmath(re_s, im_s, d, m):
     """A near pair (far_v = inf here, so at any v) is the product of the two
-    reflected gammas as log_gamma forms them: Re(s/2) < 1/2, so log_gamma
-    reflects both and builds 1 - (s/2 +- i v), the pair's (1 - s/2) -+ i v."""
+    gammas, from their reflected log-gammas and the sine product, on both
+    sides of the seam v = |Im a| of its denominator and up to |Im s| = 450."""
     _, v, a = _pair_args(re_s, im_s, d, m)
-    iv = 1j * v
-    expected = cmath.exp(log_gamma(a + iv) + log_gamma(a - iv))
-    assert _odd_reflected_pair(a, 1 - a, v, math.inf) == expected
+    assume(v > 0.0 and a != 0)  # at s = 0 the m = 0 term is a pole: no pair is formed
+    ref, _, _ = _pair_references(a, v)
+    _assert_pair_close(_odd_pair_at(a, v, math.inf), ref, abs(ref), a, v)
 
 
-@given(
-    re_s=st.floats(min_value=-8.0, max_value=0.5, exclude_max=True),
-    im_s=st.floats(min_value=-80.0, max_value=80.0),
-    d=st.sampled_from(sorted(RATIO_PAIR_FIELDS)),
-    m=st.integers(min_value=1, max_value=200),
-)
+@given(re_s=st.floats(min_value=-8.0, max_value=0.5, exclude_max=True), im_s=IM_S,
+       d=st.sampled_from(sorted(RATIO_PAIR_FIELDS)), m=PAIR_INDEX)
 @example(re_s=-3.3, im_s=17.0, d=13, m=41)
 @example(re_s=-2.0, im_s=20.43, d=5, m=1)
 @example(re_s=-0.5, im_s=-19.62, d=29, m=3)
+@example(re_s=-0.7, im_s=450.0, d=5, m=-1e-9)
+@example(re_s=-6.0, im_s=222.2, d=13, m=1e-9)
 @hyp_settings(max_examples=400, deadline=None)
-def test_even_pair_equals_the_two_ratio_sum_exactly(re_s, im_s, d, m):
-    """A near pair (far_v = inf here) shares its two log-gammas between the
-    ratios and gives the float _gamma_ratio(s, v) + _gamma_ratio(s, -v)."""
-    s, v, a = _pair_args(re_s, im_s, d, m)
-    pair = _even_pair(a, 1 - a, v, math.inf, 4.0 * math.pi * cmath.sin(math.pi * a))
-    assert pair == _gamma_ratio(s, v) + _gamma_ratio(s, -v)
+def test_even_pair_matches_mpmath(re_s, im_s, d, m):
+    """A near pair (far_v = inf here) is ratio(m) + ratio(-m), from the two
+    log-gammas the ratios share and the sine product, measured against the
+    size of the two ratios, which cancel where sin(pi s/2) = 0."""
+    _, v, a = _pair_args(re_s, im_s, d, m)
+    assume(v > 0.0 and a != 0)  # at s = 0 the m = 0 term is a pole: no pair is formed
+    _, ref, size = _pair_references(a, v)
+    assume(size < 1e300)  # a pair out of double range raises OverflowError
+    _assert_pair_close(_even_pair_at(a, v, math.inf), ref, size, a, v)
 
 
 # repr values that must repeat exactly: (D, form, s, value, terms_used).  The
@@ -495,31 +561,37 @@ def test_even_pair_equals_the_two_ratio_sum_exactly(re_s, im_s, d, m):
 # to the one pair sum: against the mpmath binomial series each error is
 # within 4% of its old one (D = 3's -0.1+5.5i: 4.90e-14 -> 5.09e-14
 # relative), except D = 13's 0.45-12.25i, which went from 8.3e-13 to
-# 5.4e-13 with 61 terms, not 59
+# 5.4e-13 with 61 terms, not 59.  Eighteen rows were recorded again when
+# the pairs took the sine product, from one log sine an evaluation, and the
+# even sum its orders from past its last pair (all but the odd rows at
+# 1.5-15i, which do not reflect, D = 5's odd 0.3+2i and even -1.5+0.5i,
+# which round to the same bits): the same terms, and each error against the
+# mpmath binomial series as before but by rounding (the largest move
+# 3.0e-15 -> 6.5e-15 relative, D = 13's odd -2.5+7i)
 FROZEN_POISSON = [
-    (5, "even", complex(0.3, 2.0), (0.5610063221455395-0.21275098527986172j), 7),
-    (5, "even", complex(-0.1, 5.5), (1.2642077950512998+1.2078408782122785j), 11),
-    (5, "even", complex(0.45, -12.25), (1.9159361237016765+0.2825351332733127j), 25),
+    (5, "even", complex(0.3, 2.0), (0.5610063221455392-0.2127509852798622j), 7),
+    (5, "even", complex(-0.1, 5.5), (1.264207795051301+1.2078408782122811j), 11),
+    (5, "even", complex(0.45, -12.25), (1.9159361237016785+0.28253513327331314j), 25),
     (5, "even", complex(-1.5, 0.5), (-0.6266072680550561+0.24076014735815732j), 7),
-    (5, "even", complex(-3.7, 11.0), (-1.662764711447706+0.45735393141602965j), 17),
-    (5, "even", complex(-6.2, -4.3), (0.09907639642712336-0.0668096571794473j), 11),
+    (5, "even", complex(-3.7, 11.0), (-1.6627647114477053+0.45735393141602865j), 17),
+    (5, "even", complex(-6.2, -4.3), (0.09907639642712338-0.06680965717944706j), 11),
     (5, "odd", complex(0.3, 2.0), (0.7910265627061279-0.5578800190552203j), 7),
-    (5, "odd", complex(-2.5, 7.0), (1.6345150077047115-3.2297347629570283j), 9),
+    (5, "odd", complex(-2.5, 7.0), (1.634515007704711-3.2297347629570323j), 9),
     (5, "odd", complex(1.5, -15.0), (0.8606687303594445-0.35064956105364753j), 13),
-    (13, "even", complex(0.3, 2.0), (-0.10776260209554524-0.6605860001960902j), 13),
-    (13, "even", complex(-0.1, 5.5), (0.14974411161247425-1.5487687587253265j), 25),
-    (13, "even", complex(0.45, -12.25), (0.41413577017886893+0.3073608431949224j), 61),
-    (13, "even", complex(-1.5, 0.5), (-0.1443136655844526-0.02209891861181497j), 13),
-    (13, "even", complex(-3.7, 11.0), (-0.17007778341484128-0.112630717197928j), 35),
-    (13, "even", complex(-6.2, -4.3), (-0.007526025088378017-0.005655825606078445j), 21),
-    (13, "odd", complex(0.3, 2.0), (0.748996155491138+0.38827349199207123j), 17),
-    (13, "odd", complex(-2.5, 7.0), (0.03811172025876877-0.11880438161733517j), 19),
+    (13, "even", complex(0.3, 2.0), (-0.10776260209554496-0.6605860001960904j), 13),
+    (13, "even", complex(-0.1, 5.5), (0.14974411161247614-1.548768758725327j), 25),
+    (13, "even", complex(0.45, -12.25), (0.4141357701788674+0.30736084319491985j), 61),
+    (13, "even", complex(-1.5, 0.5), (-0.14431366558445258-0.022098918611814965j), 13),
+    (13, "even", complex(-3.7, 11.0), (-0.17007778341484103-0.11263071719792862j), 35),
+    (13, "even", complex(-6.2, -4.3), (-0.007526025088378008-0.005655825606078442j), 21),
+    (13, "odd", complex(0.3, 2.0), (0.7489961554911383+0.3882734919920713j), 17),
+    (13, "odd", complex(-2.5, 7.0), (0.03811172025876857-0.11880438161733628j), 19),
     (13, "odd", complex(1.5, -15.0), (0.9686751243662619+0.001413793591019702j), 27),
     # norm +1, recorded before the even form lost its overlap bands
-    (3, "even", complex(0.3, 2.0), (0.600050544594124-0.06933418371246042j), 9),
-    (3, "even", complex(-0.1, 5.5), (0.05369817964590046-0.602567377075632j), 15),
-    (3, "even", complex(-1.5, 0.5), (-0.2542844224566854+0.02552933020668366j), 9),
-    (3, "even", complex(-3.7, 11.0), (-0.1264954920263387+0.08759374873035126j), 21),
+    (3, "even", complex(0.3, 2.0), (0.6000505445941233-0.06933418371246139j), 9),
+    (3, "even", complex(-0.1, 5.5), (0.053698179645900956-0.6025673770756317j), 15),
+    (3, "even", complex(-1.5, 0.5), (-0.2542844224566854+0.025529330206683624j), 9),
+    (3, "even", complex(-3.7, 11.0), (-0.1264954920263389+0.08759374873035117j), 21),
 ]
 
 
@@ -541,16 +613,16 @@ def test_poisson_values_repeat_bit_for_bit(d, form, s, value, terms):
     ("odd", complex(0.7, 2.0), 9, True),  # the last pair is far
     ("odd", complex(1.5, -7.0), 12, False),  # Re(s/2) >= 1/2: no reflection
 ])
-def test_pair_loops_take_two_sines_and_two_log_gammas_per_near_pair(
+def test_pair_loops_take_one_sine_an_evaluation_and_two_log_gammas_a_pair(
     monkeypatch, parity, s, pairs, reflected
 ):
     """Outside the pair loops fibzeta.poisson calls log_gamma for Gamma(1 - s)
-    (even) or for the m = 0 term (odd); the even m = 0 ratio takes one
-    _log_sin_pi and one _log_gamma_right call.  A near reflected pair takes
-    two _log_sin_pi and two _log_gamma_right calls; a far one (v_m >
-    |Im s|/2 + 7) and a pair where s/2 does not reflect take the two
-    _log_gamma_right calls alone."""
-    seen = {"log_gamma": 0, "log_sin_pi": 0, "log_gamma_right": 0}
+    (even) and _log_gamma_right once for the m = 0 term.  Where s/2
+    reflects, the evaluation takes one _log_sin_pi, which serves the m = 0
+    term and every pair, and every pair, near or far, two _log_gamma_right
+    calls and no sine."""
+    names = ("log_gamma", "_log_sin_pi", "_log_gamma_right")
+    seen = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def wrapper(*args):
@@ -558,56 +630,248 @@ def test_pair_loops_take_two_sines_and_two_log_gammas_per_near_pair(
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr("fibzeta.poisson.log_gamma", counting("log_gamma", log_gamma))
-    monkeypatch.setattr("fibzeta.poisson._log_sin_pi", counting("log_sin_pi", _log_sin_pi))
-    monkeypatch.setattr(
-        "fibzeta.poisson._log_gamma_right", counting("log_gamma_right", _log_gamma_right)
-    )
+    for name in names:
+        monkeypatch.setattr(f"fibzeta.poisson.{name}", counting(name, getattr(poisson, name)))
     evaluator = zeta_even_poisson if parity == "even" else zeta_odd_poisson
-    field = RATIO_PAIR_FIELDS[29]
-    ev = evaluator(field, s, tol=1e-10)
+    ev = evaluator(RATIO_PAIR_FIELDS[29], s, tol=1e-10)
     assert ev.terms_used == 2 * pairs + 1
-    step = math.pi / (2.0 * field.half_unit.log_eta)  # log eps for a norm -1 unit
-    far = sum(1 for m in range(1, pairs + 1) if step * m > abs(s.imag) / 2 + 7.0)
-    m0_term = 1 if parity == "even" else 0
     assert seen == {
-        "log_gamma": 1,
-        "log_sin_pi": (2 * (pairs - far) if reflected else 0) + m0_term,
-        "log_gamma_right": 2 * pairs + m0_term,
+        "log_gamma": 1 if parity == "even" else 0,
+        "_log_sin_pi": 1 if reflected else 0,
+        "_log_gamma_right": 2 * pairs + 1,
     }
 
 
 @given(
     re_s=st.floats(min_value=-8.0, max_value=4.0),
-    im_s=st.floats(min_value=-20.0, max_value=20.0),
+    im_s=st.one_of(st.floats(min_value=-20.0, max_value=20.0),
+                   st.floats(min_value=-450.0, max_value=450.0)),
     beyond=st.floats(min_value=0.0, max_value=300.0, exclude_min=True),
 )
 @example(re_s=-0.5, im_s=0.0, beyond=1e-12)
 @example(re_s=-7.9, im_s=-20.0, beyond=299.0)
 @example(re_s=0.0, im_s=10.224334928717653, beyond=215.60345177386932)
+@example(re_s=-3.0, im_s=450.0, beyond=1e-12)
+@hyp_settings(max_examples=300, deadline=None)
+def test_far_pairs_match_mpmath_in_closed_form(re_s, im_s, beyond):
+    """Past v = |Im s|/2 + 7 each pair is one exp of its two log-gammas in
+    closed form: against mpmath's gammas it errs as a near pair does, for
+    the even ratio pair and the odd reflected gamma product, on the grid box
+    Re s in [-8, 4], |Im s| <= 20, and up to |Im s| = 450 (the odd pair
+    reflects only where Re s < 1; the even reflection holds on all of it).
+    Far out the odd pair is subnormal (5.6e-313 at the third example)."""
+    a = 0.5 * complex(re_s, im_s)
+    assume(a != 0)  # at s = 0 the m = 0 term is a pole: no pair is formed
+    far_v = abs(a.imag) + 7.0
+    v = far_v + beyond
+    odd_ref, even_ref, size = _pair_references(a, v)
+    if size < 1e300:  # the even pairs grow like e^(pi |Im a|) v^(2 Re a - 1)
+        _assert_pair_close(_even_pair_at(a, v, far_v), even_ref, size, a, v)
+    if re_s < 1.0:
+        _assert_pair_close(_odd_pair_at(a, v, far_v), odd_ref, abs(odd_ref), a, v)
+
+
+@given(
+    re_s=st.floats(min_value=-8.0, max_value=4.0),
+    im_s=st.one_of(st.floats(min_value=-20.0, max_value=20.0),
+                   st.floats(min_value=-450.0, max_value=450.0)),
+    beyond=st.floats(min_value=0.0, max_value=300.0, exclude_min=True),
+)
+@example(re_s=-0.5, im_s=0.0, beyond=1e-12)
+@example(re_s=-7.9, im_s=-20.0, beyond=299.0)
+@example(re_s=0.0, im_s=10.224334928717653, beyond=215.60345177386932)
+@example(re_s=-3.0, im_s=450.0, beyond=1e-12)
 @hyp_settings(max_examples=300, deadline=None)
 def test_far_pairs_equal_the_near_pair_in_closed_form(re_s, im_s, beyond):
-    """Past v = |Im s|/2 + 7 each pair folds its sines into one exp: the
-    closed form is the pair its two sines and two log-gammas give, to
-    1e-14 (1 + v) relative, for the even ratio pair and the odd reflected
-    gamma product, on the grid box Re s in [-8, 4], |Im s| <= 20 (the odd
-    pair reflects only where Re s < 1; the even reflection holds on all of
-    it).  Far out the odd pair is subnormal (5.6e-313 at the third example),
-    where its two forms may differ by a step of 2^-1074 that the relative
-    bound is below, so its comparison allows a few such steps."""
-    s = complex(re_s, im_s)
-    a = 0.5 * s
+    """Past v = |Im s|/2 + 7 each pair folds its denominator into one exp:
+    the closed form is the near form at the same v (far_v = inf), from the
+    same two log-gammas, to 1e-14 (1 + v) relative, for the even ratio pair
+    and the odd reflected gamma product, on the grid box Re s in [-8, 4],
+    |Im s| <= 20, and up to |Im s| = 450 (the odd pair reflects only where
+    Re s < 1; the even reflection holds on all of it).  Far out the odd pair
+    is subnormal (5.6e-313 at the third example), where its two forms may
+    differ by a step of 2^-1074 that the relative bound is below, so its
+    comparison allows a few such steps."""
+    a = 0.5 * complex(re_s, im_s)
+    assume(a != 0)  # at s = 0 the m = 0 term is a pole: no pair is formed
     far_v = abs(a.imag) + 7.0
     v = far_v + beyond
     # the two terms of the even pair cancel where sin(pi s/2) = 0, so its
     # error is measured against their size
-    terms = (_gamma_ratio(s, v), _gamma_ratio(s, -v))
-    closed = _even_pair(a, 1 - a, v, far_v, 4.0 * math.pi * cmath.sin(math.pi * a))
-    assert abs(closed - sum(terms)) <= 1e-14 * (1.0 + v) * (abs(terms[0]) + abs(terms[1]))
+    _, _, size = _pair_references(a, v)
+    if size < 1e300:  # the even pairs grow like e^(pi |Im a|) v^(2 Re a - 1)
+        near = _even_pair_at(a, v, math.inf)
+        assert abs(_even_pair_at(a, v, far_v) - near) <= 1e-14 * (1.0 + v) * float(size)
     if re_s < 1.0:
-        odd = _odd_reflected_pair(a, 1 - a, v, math.inf)
-        closed = _odd_reflected_pair(a, 1 - a, v, far_v)
-        assert abs(closed - odd) <= 1e-14 * (1.0 + v) * abs(odd) + 4.0 * 2.0**-1074
+        near = _odd_pair_at(a, v, math.inf)
+        closed = _odd_pair_at(a, v, far_v)
+        assert abs(closed - near) <= 1e-14 * (1.0 + v) * abs(near) + 4.0 * 2.0**-1074
+
+
+@pytest.mark.parametrize("d", [5, 13, 29])
+def test_reflected_routes_keep_their_digits_next_to_the_poles(d):
+    """Odd and even Poisson (both reflected: Re s <= 0.01) at distance
+    1e-2 .. 1e-6 from the poles -2k + pi i m / log eta, k <= 3, of the
+    split lattice, in a direction that turns from one distance to the next.
+    There the pair denominator sin^2 pi a + sinh^2 pi v of one pair
+    vanishes at the pole, and rounding s costs 2^-53 (1 + |s|) / dist of the
+    value; each route stays within 4 times that of the binomial series in
+    mpmath."""
+    field = make_field(d)
+    spacing = math.pi / field.half_unit.log_eta
+    for k in range(4):
+        for m in (-3, -1, 1, 2, 5):
+            for i, dist in enumerate((1e-2, 1e-3, 1e-4, 1e-5, 1e-6)):
+                s = complex(-2.0 * k, m * spacing) + dist * cmath.exp(1j * (0.7 + 1.3 * i))
+                for route, kind in ((zeta_odd_poisson, "odd"), (zeta_even_poisson, "even")):
+                    value = route(field, s, tol=1e-12).value
+                    ref = mp_binomial_reference(field, s, kind)
+                    err = abs(value - ref) / abs(ref)
+                    assert err <= 4.0 * 2.0**-53 * (1.0 + abs(s)) / dist, (kind, s, err)
+
+
+# evaluate(make_field(5), complex(re_s, im_s), parity, "poisson", 1e-12) before
+# the pairs took the sine product: its relative error against
+# mp_binomial_reference where that was at most 1e-10, None where it was not
+# (the odd route far up the axis, ROADMAP item 3), or what it refused with,
+# the factor of a FactorOverflowError or the class of any other error
+FAR_UP_BEFORE = [
+    (-12.0, 40.0, "odd", None),
+    (-12.0, 40.0, "even", 3.31e-14),
+    (-12.0, -60.0, "odd", None),
+    (-12.0, -60.0, "even", 2.86e-14),
+    (-12.0, 100.0, "odd", None),
+    (-12.0, 100.0, "even", 1.06e-14),
+    (-12.0, -150.0, "odd", None),
+    (-12.0, -150.0, "even", 2.04e-13),
+    (-12.0, 200.0, "odd", None),
+    (-12.0, 200.0, "even", 1.29e-13),
+    (-12.0, 300.0, "odd", "1/Gamma(s)"),
+    (-12.0, 300.0, "even", 1.23e-13),
+    (-12.0, -380.0, "odd", "1/Gamma(s)"),
+    (-12.0, -380.0, "even", 1.11e-12),
+    (-12.0, 420.0, "odd", "1/Gamma(s)"),
+    (-12.0, 420.0, "even", 3.19e-13),
+    (-12.0, 450.0, "odd", "1/Gamma(s)"),
+    (-12.0, 450.0, "even", 6.06e-14),
+    (-12.0, 451.9, "odd", "1/Gamma(s)"),
+    (-12.0, 451.9, "even", "TooSlowConvergenceError"),
+    (-3.0, 40.0, "odd", 1.37e-14),
+    (-3.0, 40.0, "even", 4.12e-14),
+    (-3.0, -60.0, "odd", None),
+    (-3.0, -60.0, "even", 6.14e-14),
+    (-3.0, 100.0, "odd", None),
+    (-3.0, 100.0, "even", 4.75e-14),
+    (-3.0, -150.0, "odd", None),
+    (-3.0, -150.0, "even", 3.97e-14),
+    (-3.0, 200.0, "odd", None),
+    (-3.0, 200.0, "even", 8.58e-14),
+    (-3.0, 300.0, "odd", "1/Gamma(s)"),
+    (-3.0, 300.0, "even", 1.49e-14),
+    (-3.0, -380.0, "odd", "1/Gamma(s)"),
+    (-3.0, -380.0, "even", 3.66e-13),
+    (-3.0, 420.0, "odd", "1/Gamma(s)"),
+    (-3.0, 420.0, "even", 9.41e-13),
+    (-3.0, 450.0, "odd", "1/Gamma(s)"),
+    (-3.0, 450.0, "even", 5.61e-13),
+    (-3.0, 451.9, "odd", "1/Gamma(s)"),
+    (-3.0, 451.9, "even", "TooSlowConvergenceError"),
+    (-0.7, 40.0, "odd", 7.95e-15),
+    (-0.7, 40.0, "even", 1.48e-13),
+    (-0.7, -60.0, "odd", None),
+    (-0.7, -60.0, "even", 8.53e-14),
+    (-0.7, 100.0, "odd", None),
+    (-0.7, 100.0, "even", 5.02e-14),
+    (-0.7, -150.0, "odd", None),
+    (-0.7, -150.0, "even", 4.26e-14),
+    (-0.7, 200.0, "odd", None),
+    (-0.7, 200.0, "even", 1.86e-13),
+    (-0.7, 300.0, "odd", "1/Gamma(s)"),
+    (-0.7, 300.0, "even", 1.9e-13),
+    (-0.7, -380.0, "odd", "1/Gamma(s)"),
+    (-0.7, -380.0, "even", 4.89e-13),
+    (-0.7, 420.0, "odd", "1/Gamma(s)"),
+    (-0.7, 420.0, "even", 2.01e-13),
+    (-0.7, 450.0, "odd", "1/Gamma(s)"),
+    (-0.7, 450.0, "even", 1.42e-13),
+    (-0.7, 451.9, "odd", "1/Gamma(s)"),
+    (-0.7, 451.9, "even", "in the poisson route"),
+    (0.3, 40.0, "odd", 3.6e-14),
+    (0.3, 40.0, "even", 1.55e-13),
+    (0.3, -60.0, "odd", None),
+    (0.3, -60.0, "even", 4.92e-13),
+    (0.3, 100.0, "odd", None),
+    (0.3, 100.0, "even", 4.55e-13),
+    (0.3, -150.0, "odd", None),
+    (0.3, -150.0, "even", 1.2e-12),
+    (0.3, 200.0, "odd", None),
+    (0.3, 200.0, "even", 2.78e-13),
+    (0.3, 300.0, "odd", "1/Gamma(s)"),
+    (0.3, 300.0, "even", 4.66e-13),
+    (0.3, -380.0, "odd", "1/Gamma(s)"),
+    (0.3, -380.0, "even", 1.46e-11),
+    (0.3, 420.0, "odd", "1/Gamma(s)"),
+    (0.3, 420.0, "even", 2.16e-12),
+    (0.3, 450.0, "odd", "1/Gamma(s)"),
+    (0.3, 450.0, "even", 1.38e-12),
+    (0.3, 451.9, "odd", "1/Gamma(s)"),
+    (0.3, 451.9, "even", "in the poisson route"),
+    (2.0, 40.0, "odd", 1.42e-14),
+    (2.0, 40.0, "even", 6.76e-16),
+    (2.0, -60.0, "odd", None),
+    (2.0, -60.0, "even", 3.06e-16),
+    (2.0, 100.0, "odd", None),
+    (2.0, 100.0, "even", 9.16e-16),
+    (2.0, -150.0, "odd", None),
+    (2.0, -150.0, "even", 2.01e-15),
+    (2.0, 200.0, "odd", None),
+    (2.0, 200.0, "even", 1.25e-15),
+    (2.0, 300.0, "odd", None),
+    (2.0, 300.0, "even", 3.98e-15),
+    (2.0, -380.0, "odd", None),
+    (2.0, -380.0, "even", 2.4e-15),
+    (2.0, 420.0, "odd", None),
+    (2.0, 420.0, "even", 4.73e-15),
+    (2.0, 450.0, "odd", None),
+    (2.0, 450.0, "even", 2.61e-15),
+    (2.0, 451.9, "odd", None),
+    (2.0, 451.9, "even", 5.39e-15),
+]
+
+
+def test_reflected_routes_far_up_refuse_and_err_as_before(monkeypatch):
+    """Up to |Im s| = 451.9, where sin(pi s/2) nears the end of double range,
+    every point refuses as it did before the sine-product forms, never with
+    a bare OverflowError; where the value was right to 1e-10 it still is,
+    and the errors of those points together are within 1.1 times their old
+    total.  Single points are not held to their old error: the two
+    log-gamma sums of a pair err by up to 5e-13 at these heights, in both
+    forms, so that any change in how a pair is rounded moves single points
+    either way.
+
+    The even points at 451.9i with Re s <= -3 overflow their far pairs to
+    inf and sum NaN residuals up to the pair cap before they refuse, which
+    takes 7 s each at the cap of 2,000,000; the cap is 20,000 here, and every
+    other point stops before 4,000 pairs."""
+    monkeypatch.setattr("fibzeta.poisson.MAX_FOURIER_TERMS", 20_000)
+    field = make_field(5)
+    total_before = total_now = 0.0
+    for re_s, im_s, parity, before in FAR_UP_BEFORE:
+        s = complex(re_s, im_s)
+        try:
+            value = evaluate(field, s, parity, "poisson", 1e-12).value
+        except FibZetaError as exc:
+            assert before == getattr(exc, "factor", type(exc).__name__), (s, parity, exc)
+            continue
+        assert not isinstance(before, str), (s, parity, before)
+        if before is None:
+            continue
+        ref = mp_binomial_reference(field, s, parity)
+        err = abs(value - ref) / abs(ref)
+        assert err <= 1e-10, (s, parity, err, before)
+        total_before += before
+        total_now += err
+    assert total_now <= 1.1 * total_before, (total_now, total_before)
 
 
 def test_in_double_range_turns_only_overflow_into_factor_overflow():
