@@ -10,10 +10,10 @@ each value can be cross-validated.  evaluate(field, s, parity, method, tol)
 is the single entry point that picks the route and guards the poles; the
 route functions themselves are unguarded kernels of their modules.
 
-Importing the package loads no verification module: the five crosscheck
-exports (pole_lattice, residue_numeric, the s = -1 special value and their
-records) import it on first access, through the module __getattr__ below
-(PEP 562).
+Importing the package loads no verification module: the four crosscheck
+exports (pole_lattice with its PoleSpec record, residue_numeric and
+special_value, the exact rational at each negative odd integer) import it
+on first access, through the module __getattr__ below (PEP 562).
 """
 
 from .config import Settings, default_settings
@@ -66,11 +66,10 @@ from .quadfield import (
 __version__ = "0.1.0"
 
 _CROSSCHECK_EXPORTS = (
-    "EvenMinusOneValue",
     "PoleSpec",
     "pole_lattice",
     "residue_numeric",
-    "special_value_even_minus_one",
+    "special_value",
 )
 
 __all__ = sorted(

@@ -9,8 +9,8 @@
   or zeta.  Its scan reads the field's residue tables, which depend only on
   D and ell, so the support is still found without the unit (eps enters
   only the tail bound);
-- the exact rational value of the even zeta at s = -1, computed in Q(sqrt(q))
-  with big-integer rationals, plus its Galois-cancellation witness.
+- the exact rational value of the even zeta at every negative odd integer,
+  from the integer F and L sequences alone.
 """
 
 from __future__ import annotations
@@ -28,8 +28,13 @@ from .continuation import (
     ZetaEvaluation,
     _q_power,
 )
-from .errors import ContourThroughPoleError, OutOfRegionError, TooSlowConvergenceError
-from .quadfield import FrozenRecord, QuadraticField, pell_solutions_upto
+from .errors import (
+    ContourThroughPoleError,
+    DomainError,
+    OutOfRegionError,
+    TooSlowConvergenceError,
+)
+from .quadfield import QuadraticField, pell_solutions_upto, sequence_terms
 
 __all__ = [
     "PoleSpec",
@@ -37,9 +42,7 @@ __all__ = [
     "residue_numeric",
     "shifted_convolution_odd",
     "shifted_convolution_even",
-    "Surd",
-    "EvenMinusOneValue",
-    "special_value_even_minus_one",
+    "special_value",
 ]
 
 # default scan bound of the shifted-convolution series: 10^5 square
@@ -205,107 +208,38 @@ def shifted_convolution_even(
     return _shifted_convolution(field, s, n_max, +1)
 
 
-class Surd(FrozenRecord):
-    """x + y sqrt(n) with exact rational x, y.  Not a tuple, so that 2 * surd
-    raises TypeError rather than repeating it."""
+def special_value(field: QuadraticField, n: int) -> Fraction:
+    """The exact rational Z_even(-n) for a positive odd integer n; for a norm
+    +1 unit the full zeta there, the even function of eta = eps^(1/2).  Any
+    other n raises DomainError.
 
-    x: Fraction
-    y: Fraction
-    n: int
-    __slots__ = _fields = ("x", "y", "n")
+    At s = -n the binomial series stops after k = n:
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Surd(self.x + other.x, self.y + other.y, self.n)
+        Z_even(-n) = q^(-n/2) sum_{k=0..n} C(n,k) (-1)^k / (eps^(j_k) - 1)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    with j_k = 4k - 2n for a norm -1 unit and 2k - n for norm +1 (eps^j_k is
+    eta^(4k - 2n) either way, and j_k is never 0).  Writing eps^j =
+    (L(j) + F(j) sqrt(q))/2 with the field's own sequences, where
+    L(j)^2 - q F(j)^2 = 4 since N(eps)^j = 1,
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Surd(self.x - other.x, self.y - other.y, self.n)
+        1/(eps^j - 1) = -1/2 + F(j) sqrt(q) / (2 (L(j) - 2)).
 
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+    The -1/2 parts sum to -1/2 sum_k C(n,k) (-1)^k = 0.  Since n is odd and
+    j_(n-k) = -j_k, where F changes sign and L does not, terms k and n - k
+    are equal.  What is left is sqrt(q) sum_{k > n/2} C(n,k) (-1)^k F(j_k) /
+    (L(j_k) - 2), and times q^(-n/2) only even powers of sqrt(q) remain: the
+    value is rational, fixed by the Galois conjugation, with no witness to
+    compute.  At D=5, n = 1, 3, 5 it is -1, 1/2, -7/22.
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return Surd(
-            self.x * other.x + self.n * self.y * other.y,
-            self.x * other.y + self.y * other.x,
-            self.n,
-        )
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        denom = other.x * other.x - self.n * other.y * other.y
-        if denom == 0:
-            raise ZeroDivisionError("division by zero surd")
-        rx = (self.x * other.x - self.n * self.y * other.y) / denom
-        ry = (self.y * other.x - self.x * other.y) / denom
-        return Surd(rx, ry, self.n)
-
-    def conjugate(self) -> "Surd":
-        return Surd(self.x, -self.y, self.n)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.y == 0
-
-    def _coerce(self, other) -> "Surd":
-        if isinstance(other, Surd):
-            if other.n != self.n:
-                raise ValueError("mixed radicands")
-            return other
-        return Surd(Fraction(other), Fraction(0), self.n)
-
-    def __float__(self) -> float:
-        return float(self.x) + float(self.y) * math.sqrt(self.n)
-
-    def __str__(self) -> str:
-        return f"{self.x} + {self.y}*sqrt({self.n})"
-
-
-class EvenMinusOneValue(NamedTuple):
-    """Exact value of the even zeta at s = -1 (and of the full zeta there).
-
-    value = (1 + eps^2) / ((1 - eps^2) sqrt(q)) simplifies to a rational;
-    the witness is that the same expression with eps replaced by its
-    conjugate (keeping +sqrt(q)) sums with it to exactly zero, so the value
-    is Galois-fixed.  The odd part vanishes at -1, hence combined = value.
+    Z_odd(-n) = 0 beside it: 1/Gamma(s) in the odd continuation forces the
+    trivial zeros there.
     """
-
-    rational: Fraction
-    combined: Fraction
-    unit_ratio: Surd  # (1 + eps^2)/(1 - eps^2), a pure sqrt(q) multiple
-    galois_sum_is_zero: bool
-
-    @property
-    def value(self) -> float:
-        return float(self.rational)
-
-
-def special_value_even_minus_one(field: QuadraticField) -> EvenMinusOneValue:
-    """Exact rational Z_even(-1), with the Galois-cancellation witness."""
-    field.require_norm_minus_one()
-    q = field.q
-    eps = Surd(Fraction(field.eps.a, 2), Fraction(field.eps.b, 2), q)
-    one = Surd(Fraction(1), Fraction(0), q)
-    sqrt_q = Surd(Fraction(0), Fraction(1), q)
-
-    ratio = (one + eps * eps) / (one - eps * eps)
-    value = ratio / sqrt_q
-    if not value.is_rational:
-        raise AssertionError(f"even zeta at -1 did not simplify to a rational for D={field.D}")
-
-    eps_bar = eps.conjugate()
-    ratio_bar = (one + eps_bar * eps_bar) / (one - eps_bar * eps_bar)
-    witness = ratio / sqrt_q + ratio_bar / sqrt_q
-    galois_zero = witness.x == 0 and witness.y == 0
-
-    return EvenMinusOneValue(
-        rational=value.x,
-        combined=value.x,
-        unit_ratio=ratio,
-        galois_sum_is_zero=galois_zero,
-    )
+    if not isinstance(n, int) or n < 1 or n % 2 == 0:
+        raise DomainError(f"special values are taken at s = -n for a positive odd n, got {n!r}")
+    step = 2 if field.is_norm_minus_one else 1
+    terms = sequence_terms(field, step * n + 1)
+    total = Fraction(0)
+    for k in range((n + 1) // 2, n + 1):
+        t = terms[step * (2 * k - n)]
+        total += (-1) ** k * math.comb(n, k) * Fraction(t.fib, t.lucas - 2)
+    return total / field.q ** ((n - 1) // 2)

@@ -385,9 +385,14 @@ def _even_left(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEva
         gamma_1ms = cmath.exp(log_gamma(1.0 - s))
     pref = _q_power(field, s) * gamma_1ms / (4.0 * log_eta)
     tol_abs = tol / max(abs(pref), 1e-30)
-    # sin(pi s/2) leaves double range past |Im s| ~ 452
+    # sin(pi s/2) leaves double range past |Im s| ~ 452, 4 pi sin(pi s/2) a
+    # little before; every far pair is a multiple of the latter, so where it
+    # is not finite the pairs would sum inf or NaN up to the pair cap
     with _in_double_range("sin(pi s/2)", s):
         two_sin_half = 2.0 * cmath.sin(0.5 * math.pi * s)
+    four_pi_sin = _TWO_PI * two_sin_half
+    if not cmath.isfinite(four_pi_sin):
+        raise FactorOverflowError("4 pi sin(pi s/2)", s)
     half_step = math.pi / (2.0 * log_eta)
     a = 0.5 * s
     e2, e4, e6, e8, e10, e12 = _asymptotic_coefficients(a)
@@ -404,7 +409,6 @@ def _even_left(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEva
     sin2 = two_sin * two_sin
     four_pi_sin_h = _TWO_PI * two_sin
     far_v = h + _FAR_MARGIN
-    four_pi_sin = _TWO_PI * two_sin_half
     for m in range(1, m0):
         v = half_step * m
         total += pair_at(one_minus_a, v, h, sin2, e2h, far_v, four_pi_sin_h, four_pi_sin)

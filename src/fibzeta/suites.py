@@ -32,7 +32,7 @@ from .crosscheck import (
     residue_numeric,
     shifted_convolution_even,
     shifted_convolution_odd,
-    special_value_even_minus_one,
+    special_value,
 )
 from .dispatch import evaluate
 from .poisson import zeta_functional_reconstruction
@@ -297,46 +297,42 @@ def residue_checks(field: QuadraticField, k_max: int = 2, m_max: int = 3) -> lis
 
 # ---------------------------------------------------------------- trivial zeros
 
+# the n of the trivial zeros and special values checked, at s = -n
+_ODD_N = (1, 3, 5, 7, 9)
+
+
 def trivial_zero_checks(field: QuadraticField) -> list[CheckResult]:
-    def size(s: float, parity: str, method: str) -> float:
-        return abs(evaluate(field, s, parity, method, 1e-13).value)
+    def size(s: int, method: str) -> float:
+        return abs(evaluate(field, s, PARITY_ODD, method, 1e-13).value)
 
     worst_p = worst_b = 0.0
-    even_min = math.inf
-    for j in range(1, 6):
-        s = -(2.0 * j - 1.0)
-        worst_p = max(worst_p, size(s, PARITY_ODD, METHOD_POISSON))
-        worst_b = max(worst_b, size(s, PARITY_ODD, METHOD_BINOMIAL))
-        even_min = min(even_min, size(s, PARITY_EVEN, METHOD_POISSON))
+    for n in _ODD_N:
+        worst_p = max(worst_p, size(-n, METHOD_POISSON))
+        worst_b = max(worst_b, size(-n, METHOD_BINOMIAL))
     return [
         CheckResult(f"trivial-zeros poisson D={field.D}", worst_p < 1e-10, worst_p, 1e-10,
                     "s = -1, -3, ..., -9"),
         CheckResult(f"trivial-zeros binomial D={field.D}", worst_b < 1e-10, worst_b, 1e-10,
                     "same points"),
-        CheckResult(f"even-nonzero-at-odd-integers D={field.D}", even_min > 1e-8, even_min,
-                    1e-8, "no zero forced on the even part"),
     ]
 
 
 # -------------------------------------------------------------- special values
 
 def special_value_checks(field: QuadraticField) -> list[CheckResult]:
-    val = special_value_even_minus_one(field)
-    exact = float(val.rational)
-    worst = max(abs(evaluate(field, -1.0, PARITY_EVEN, method, 1e-13).value - exact)
-                for method in (METHOD_BINOMIAL, METHOD_POISSON))
-    out = [
-        CheckResult(
-            f"special-value even(-1) D={field.D}",
-            worst < 1e-9 and val.galois_sum_is_zero,
-            worst,
-            1e-9,
-            f"exact {val.rational}, combined {val.combined}",
-        )
-    ]
+    """Each route against the exact crosscheck.special_value at s = -1, ...,
+    -9, on the even part, or on the full zeta of a norm +1 field."""
+    parity = field.half_unit.direct_parity
+    exact = {n: special_value(field, n) for n in _ODD_N}
+    out = []
+    for method in (METHOD_BINOMIAL, METHOD_POISSON):
+        worst = max(abs(evaluate(field, -n, parity, method, 1e-12).value / float(value) - 1.0)
+                    for n, value in exact.items())
+        out.append(CheckResult(f"special-values {method} D={field.D}", worst < 1e-12, worst,
+                               1e-12, f"{parity} at s = -1, -3, ..., -9, relative"))
     if field.D == 5:
-        out.append(CheckResult("special-value Z5_even(-1) = -1", val.rational == -1,
-                               abs(exact + 1.0), 0.0, "exact rational"))
+        out.append(CheckResult("special-value Z5_even(-1) = -1", exact[1] == -1,
+                               abs(float(exact[1]) + 1.0), 0.0, "exact rational"))
     return out
 
 

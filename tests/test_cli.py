@@ -663,6 +663,15 @@ def test_verify_special_values(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_special_values_on_a_norm_plus_one_field(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "special-values", "--D", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS special-values binomial D=3", "PASS special-values poisson D=3"]
+    assert all("[combined at s = -1, -3, ..., -9, relative]" in line for line in lines)
+
+
 def test_verify_cross_method_on_norm_plus_one_fields(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "cross-method", "--D", "3,7")
     assert code == 0
@@ -786,7 +795,7 @@ def test_usage_error_exit_code(capsys):
 
 # the package's exports, the crosscheck names among them, resolved on first access
 PACKAGE_EXPORTS = [
-    "ContourThroughPoleError", "DomainError", "EvenMinusOneValue", "FactorOverflowError",
+    "ContourThroughPoleError", "DomainError", "FactorOverflowError",
     "FibZetaError", "MEMBER", "MEMBER_EVEN_INDEX", "MEMBER_ODD_INDEX", "METHOD_BINOMIAL",
     "METHOD_DIRECT", "METHOD_POISSON", "METHOD_SHIFTED", "MembershipResult", "NOT_MEMBER",
     "NormPlusOneError", "NotSquarefreeError", "NumericalError", "OutOfRegionError",
@@ -796,7 +805,7 @@ PACKAGE_EXPORTS = [
     "ZetaEvaluation", "complexfn", "config", "continuation", "crosscheck", "default_settings",
     "dispatch", "errors", "evaluate", "fib", "fib_upto", "is_fib", "iter_sequence", "lucas",
     "make_field", "nearest_lattice_pole", "poisson", "pole_lattice", "quadfield", "r1",
-    "residue_numeric", "sequence_terms", "special_value_even_minus_one",
+    "residue_numeric", "sequence_terms", "special_value",
     "zeta_functional_reconstruction",
 ]
 

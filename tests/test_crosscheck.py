@@ -3,10 +3,12 @@ import functools
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from fibzeta import (
     ContourThroughPoleError,
+    DomainError,
     NormPlusOneError,
     OutOfRegionError,
     Settings,
@@ -16,12 +18,11 @@ from fibzeta import (
     pole_lattice,
     r1,
     residue_numeric,
-    special_value_even_minus_one,
+    special_value,
 )
 from fibzeta.continuation import zeta_direct, zeta_even_binomial
 from fibzeta.crosscheck import (
     SHIFTED_CONV_BOUND,
-    Surd,
     _square_pair_support,
     shifted_convolution_even,
     shifted_convolution_odd,
@@ -249,65 +250,64 @@ def test_shifted_convolution_values_repeat_bit_for_bit(d, parity, s, value, term
 
 # ------------------------------------------------------------- special values
 
-def test_exact_even_minus_one_values():
-    assert special_value_even_minus_one(F5).rational == Fraction(-1)
-    assert special_value_even_minus_one(F10).rational == Fraction(-1, 6)
-    assert special_value_even_minus_one(make_field(2)).rational == Fraction(-1, 2)
-    assert special_value_even_minus_one(make_field(13)).rational == Fraction(-1, 3)
+SPECIAL_FIELDS = (2, 3, 5, 7, 10, 13, 29, 61)
+SPECIAL_N = (1, 3, 5, 7, 9)
 
 
-def test_exact_even_minus_one_is_minus_f1_squared_over_f2():
-    # the closed form collapses to -F(1)^2/F(2) = -b/a; for the b=1 fields
-    # that is -1/F(2)
+def test_special_values_at_d5():
+    assert [special_value(F5, n) for n in SPECIAL_N] == [
+        Fraction(-1), Fraction(1, 2), Fraction(-7, 22), Fraction(139, 638), Fraction(-1877, 12122)]
+
+
+def mp_special_value(field, n):
+    """The terminating binomial series at s = -n, q^(-n/2) sum_{k<=n} C(n,k)
+    (-1)^k / (eta^(4k-2n) - 1), in 40-digit mpmath (eta = eps for a norm -1
+    unit, eps^(1/2) for norm +1)."""
+    with mp.workdps(40):
+        q = mp.mpf(field.q)
+        eta = (mp.mpf(field.eps.a) + mp.mpf(field.eps.b) * mp.sqrt(q)) / 2
+        if not field.is_norm_minus_one:
+            eta = mp.sqrt(eta)
+        total = mp.fsum(mp.binomial(n, k) * (-1) ** k / (eta ** (4 * k - 2 * n) - 1)
+                        for k in range(n + 1))
+        return total * q ** (mp.mpf(-n) / 2)
+
+
+@pytest.mark.parametrize("d", SPECIAL_FIELDS)
+def test_special_value_is_the_terminating_binomial_series(d):
+    field = make_field(d)
+    for n in SPECIAL_N:
+        exact = special_value(field, n)
+        assert isinstance(exact, Fraction)
+        with mp.workdps(40):
+            ref = mp_special_value(field, n)
+            err = abs(mp.mpf(exact.numerator) / exact.denominator - ref) / abs(ref)
+        assert err < mp.mpf(10) ** -35, (d, n, err)
+
+
+def test_special_value_at_minus_one_is_minus_f1_squared_over_f2():
+    # the n = 1 sum collapses to -F(1)^2/F(2) = -b/a on a norm -1 field; for
+    # the b=1 fields that is -1/F(2)
     for d in (2, 5, 10, 13, 61):
         field = make_field(d)
-        val = special_value_even_minus_one(field)
+        val = special_value(field, 1)
         f1 = field.eps.b
         f2 = [t.fib for t in fib_upto(field, 10**12) if t.index == 2][0]
-        assert val.rational == Fraction(-f1 * f1, f2)
-        assert val.rational == Fraction(-field.eps.b, field.eps.a)
-
-
-def test_galois_cancellation_witness():
-    for d in (2, 5, 10, 13):
-        val = special_value_even_minus_one(make_field(d))
-        assert val.galois_sum_is_zero
-        assert val.combined == val.rational  # odd part vanishes at -1
-        assert val.unit_ratio.x == 0  # pure sqrt(q) multiple
+        assert val == Fraction(-f1 * f1, f2)
+        assert val == Fraction(-field.eps.b, field.eps.a)
 
 
 def test_special_value_agrees_with_float_methods():
     for d in (2, 5, 10, 13):
         field = make_field(d)
-        exact = float(special_value_even_minus_one(field).rational)
+        exact = float(special_value(field, 1))
         b = zeta_even_binomial(field, -1.0, tol=1e-13).value
         p = zeta_even_poisson(field, -1.0, tol=1e-13).value
         assert abs(b - exact) < 1e-9
         assert abs(p - exact) < 1e-9
 
 
-def test_special_value_rejects_norm_plus_one():
-    with pytest.raises(NormPlusOneError):
-        special_value_even_minus_one(make_field(3))
-
-
-# ----------------------------------------------------------------------- surds
-
-def test_surd_arithmetic():
-    a = Surd(Fraction(1), Fraction(1), 5)
-    b = Surd(Fraction(2), Fraction(-1), 5)
-    assert (a * b) == Surd(Fraction(-3), Fraction(1), 5)
-    assert (a / a) == Surd(Fraction(1), Fraction(0), 5)
-    assert (a + b).is_rational
-    assert float(Surd(Fraction(0), Fraction(1), 4)) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        a + Surd(Fraction(1), Fraction(0), 7)
-
-
-def test_surds_are_frozen_and_not_sequences():
-    a = Surd(Fraction(1), Fraction(1), 5)
-    with pytest.raises(AttributeError):
-        a.x = Fraction(2)
-    with pytest.raises(TypeError):
-        2 * a  # no __rmul__: a tuple would be repeated instead
-    assert a * 2 == Surd(Fraction(2), Fraction(2), 5)
+@pytest.mark.parametrize("n", [0, 2, -1])
+def test_special_value_needs_a_positive_odd_n(n):
+    with pytest.raises(DomainError):
+        special_value(F5, n)

@@ -734,7 +734,10 @@ def test_reflected_routes_keep_their_digits_next_to_the_poles(d):
 # the pairs took the sine product: its relative error against
 # mp_binomial_reference where that was at most 1e-10, None where it was not
 # (the odd route far up the axis, ROADMAP item 3), or what it refused with,
-# the factor of a FactorOverflowError or the class of any other error
+# the factor of a FactorOverflowError or the class of any other error.  The
+# even points at 451.9i refuse at once now, on the factor 4 pi sin(pi s/2):
+# before, those with Re s <= -3 summed NaN pairs up to the pair cap and
+# raised TooSlowConvergenceError, and the others ended in inf
 FAR_UP_BEFORE = [
     (-12.0, 40.0, "odd", None),
     (-12.0, 40.0, "even", 3.31e-14),
@@ -755,7 +758,7 @@ FAR_UP_BEFORE = [
     (-12.0, 450.0, "odd", "1/Gamma(s)"),
     (-12.0, 450.0, "even", 6.06e-14),
     (-12.0, 451.9, "odd", "1/Gamma(s)"),
-    (-12.0, 451.9, "even", "TooSlowConvergenceError"),
+    (-12.0, 451.9, "even", "4 pi sin(pi s/2)"),
     (-3.0, 40.0, "odd", 1.37e-14),
     (-3.0, 40.0, "even", 4.12e-14),
     (-3.0, -60.0, "odd", None),
@@ -775,7 +778,7 @@ FAR_UP_BEFORE = [
     (-3.0, 450.0, "odd", "1/Gamma(s)"),
     (-3.0, 450.0, "even", 5.61e-13),
     (-3.0, 451.9, "odd", "1/Gamma(s)"),
-    (-3.0, 451.9, "even", "TooSlowConvergenceError"),
+    (-3.0, 451.9, "even", "4 pi sin(pi s/2)"),
     (-0.7, 40.0, "odd", 7.95e-15),
     (-0.7, 40.0, "even", 1.48e-13),
     (-0.7, -60.0, "odd", None),
@@ -795,7 +798,7 @@ FAR_UP_BEFORE = [
     (-0.7, 450.0, "odd", "1/Gamma(s)"),
     (-0.7, 450.0, "even", 1.42e-13),
     (-0.7, 451.9, "odd", "1/Gamma(s)"),
-    (-0.7, 451.9, "even", "in the poisson route"),
+    (-0.7, 451.9, "even", "4 pi sin(pi s/2)"),
     (0.3, 40.0, "odd", 3.6e-14),
     (0.3, 40.0, "even", 1.55e-13),
     (0.3, -60.0, "odd", None),
@@ -815,7 +818,7 @@ FAR_UP_BEFORE = [
     (0.3, 450.0, "odd", "1/Gamma(s)"),
     (0.3, 450.0, "even", 1.38e-12),
     (0.3, 451.9, "odd", "1/Gamma(s)"),
-    (0.3, 451.9, "even", "in the poisson route"),
+    (0.3, 451.9, "even", "4 pi sin(pi s/2)"),
     (2.0, 40.0, "odd", 1.42e-14),
     (2.0, 40.0, "even", 6.76e-16),
     (2.0, -60.0, "odd", None),
@@ -839,21 +842,15 @@ FAR_UP_BEFORE = [
 ]
 
 
-def test_reflected_routes_far_up_refuse_and_err_as_before(monkeypatch):
+def test_reflected_routes_far_up_refuse_and_err_as_before():
     """Up to |Im s| = 451.9, where sin(pi s/2) nears the end of double range,
-    every point refuses as it did before the sine-product forms, never with
-    a bare OverflowError; where the value was right to 1e-10 it still is,
+    every point refuses as FAR_UP_BEFORE records, never with a bare
+    OverflowError; where the value was right to 1e-10 it still is,
     and the errors of those points together are within 1.1 times their old
     total.  Single points are not held to their old error: the two
     log-gamma sums of a pair err by up to 5e-13 at these heights, in both
     forms, so that any change in how a pair is rounded moves single points
-    either way.
-
-    The even points at 451.9i with Re s <= -3 overflow their far pairs to
-    inf and sum NaN residuals up to the pair cap before they refuse, which
-    takes 7 s each at the cap of 2,000,000; the cap is 20,000 here, and every
-    other point stops before 4,000 pairs."""
-    monkeypatch.setattr("fibzeta.poisson.MAX_FOURIER_TERMS", 20_000)
+    either way.  Every point that sums stops before 4,000 pairs."""
     field = make_field(5)
     total_before = total_now = 0.0
     for re_s, im_s, parity, before in FAR_UP_BEFORE:
