@@ -401,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    help="comma list of suite names, or all; an unknown name lists them")
     p.add_argument("--D", help="comma list of fields, e.g. 5,10; read by every suite "
-                   "except sequences, golden and special-functions")
+                   "except sequences, golden and special-functions; splitting, residues "
+                   "and trivial-zeros skip a norm +1 field such as 3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int, default=1_000_000,
                    help="pell enumeration bound; read by pell alone")

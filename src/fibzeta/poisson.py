@@ -70,9 +70,15 @@ from .continuation import (
     ZetaEvaluation,
     _q_power,
     direct_terms_for,
+    nearest_lattice_pole,
     zeta_direct,
 )
-from .errors import FactorOverflowError, OutOfRegionError, TooSlowConvergenceError
+from .errors import (
+    FactorOverflowError,
+    OutOfRegionError,
+    PoleProximityError,
+    TooSlowConvergenceError,
+)
 from .quadfield import QuadraticField
 
 REGION_DIRECT = "direct"
@@ -172,8 +178,14 @@ def zeta_odd_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> Z
     term * decay / (1 - decay), decay = exp(-pi v_1), models the geometric
     fall of the terms, which holds only past the saddle, m > |Im s| / (2 v_1);
     before it the terms stay near exp(-pi |Im s| / 2) in size.
+
+    At a real-axis pole s = -2k exactly (k >= 0) sin(pi s/2) is 0 and the
+    m = 0 term has no value, so the route raises PoleProximityError there,
+    as evaluate does; off the axis this costs one comparison.
     """
     s = complex(s)
+    if s.imag == 0.0 and s.real <= 0.0 and s.real % 2.0 == 0.0:
+        raise PoleProximityError(s, *nearest_lattice_pole(field, s))
     log_eps = field.log_eps
     half_step = math.pi / (2.0 * log_eps)
     decay = math.exp(-math.pi * half_step)  # per-unit-m asymptotic shrink factor
@@ -375,11 +387,16 @@ def _even_left(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEva
     the sine product, with log sin(pi a) taken once for the evaluation, and
     a far one (v > |Im a| + 7) in closed form.  The m = 0 term
     Gamma(a) / Gamma(1 - a) is pi / (sin(pi a) Gamma(1 - a)^2), from the
-    same log sin(pi a) and one log Gamma(1 - a).
+    same log sin(pi a) and one log Gamma(1 - a).  At s = -2k exactly that
+    sine is 0, and the branch raises PoleProximityError, as zeta_odd_poisson
+    does.
     """
     s = complex(s)
     if not s.real < REGION_DIRECT_MIN:
         raise OutOfRegionError(f"the pair sum needs Re s < {REGION_DIRECT_MIN}, got {s.real}")
+    if s.imag == 0.0 and s.real % 2.0 == 0.0:
+        # Re s < 1/2 already, so s is -2k with k >= 0
+        raise PoleProximityError(s, *nearest_lattice_pole(field, s))
     log_eta = field.half_unit.log_eta
     with _in_double_range("Gamma(1 - s)", s):
         gamma_1ms = cmath.exp(log_gamma(1.0 - s))

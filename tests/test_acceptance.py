@@ -60,7 +60,7 @@ def test_criterion_3_cross_method_agreement():
 
 def test_criterion_4_golden_specialization():
     t0 = time.time()
-    results = golden_specialization_checks(random.Random(4))
+    results = golden_specialization_checks()
     report("4 golden-specialization", results, t0, 5.0)
 
 

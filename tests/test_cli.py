@@ -681,6 +681,20 @@ def test_verify_cross_method_on_norm_plus_one_fields(capsys):
     assert "binomial-vs-shifted-convolution D=7" in lines[5]
 
 
+def test_verify_split_suites_skip_a_norm_plus_one_field(capsys):
+    """splitting, trivial-zeros and residues check the odd and even parts,
+    which D=3 (norm +1) does not have: they print for 3,5 what they print
+    for 5 alone, and the whole run passes on D=3."""
+    suites = "splitting,trivial-zeros,residues"
+    both = run_cli(capsys, "verify", "--suite", suites, "--D", "3,5")
+    five = run_cli(capsys, "verify", "--suite", suites, "--D", "5")
+    assert both == five and five[0] == 0 and len(five[1].splitlines()) == 5
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--D", "3",
+                             "--bound", "2000", "--points", "10")
+    assert (code, err) == (0, "")
+    assert "FAIL" not in out and "D=3" in out
+
+
 def test_verify_pell_small_bound(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "pell", "--D", "5",
                            "--bound", "20000")

@@ -28,6 +28,7 @@ from fibzeta.crosscheck import (
     shifted_convolution_odd,
 )
 from fibzeta.poisson import zeta_even_poisson
+from fibzeta import suites
 
 F5 = make_field(5)
 F10 = make_field(10)
@@ -99,6 +100,42 @@ def test_numeric_residues_match_analytic():
             )
             ana = p.residue_odd if which == "odd" else p.residue_even
             assert abs(num - ana) <= 1e-6 * max(1.0, abs(ana)), (which, p.k, p.m)
+
+
+@pytest.mark.parametrize("d", suites.DEFAULT_FIELDS)
+def test_sixteen_contour_points_give_the_residues_of_sixty_four(d):
+    """The residues suite takes 16 points a contour.  On a circle of radius
+    r the trapezoid rule errs by about (r/R)^N, R the distance to the next
+    pole: R >= 1.72 on these fields, so at r = 1e-3 the rule is exact to
+    rounding at 16 points as at 64, on every pole the suite checks."""
+    field = make_field(d)
+    for parity in ("odd", "even"):
+        def zfun(s):
+            return evaluate(field, s, parity, "binomial", 1e-12, FINE_GUARD).value
+
+        for p in pole_lattice(field, 2, 3):
+            ana = p.residue_odd if parity == "odd" else p.residue_even
+            scale = max(1.0, abs(ana))
+            n16 = residue_numeric(zfun, p.location, 1e-3, num_points=16)
+            n64 = residue_numeric(zfun, p.location, 1e-3, num_points=64)
+            assert abs(n16 - ana) <= 1e-11 * scale, (parity, p.k, p.m)
+            assert abs(n16 - n64) <= 1e-12 * scale, (parity, p.k, p.m)
+
+
+def test_residue_suite_fails_on_a_residue_off_by_one_part_in_ten_to_the_five(monkeypatch):
+    """16 points still tell a residue from one scaled by 1 + 1e-5."""
+    lattice = pole_lattice(F5, 2, 3)
+    worst = max(range(len(lattice)), key=lambda i: abs(lattice[i].residue_odd))
+
+    def mutated(field, k_max, m_max):
+        out = pole_lattice(field, k_max, m_max)
+        out[worst] = out[worst]._replace(residue_odd=out[worst].residue_odd * (1.0 + 1e-5))
+        return out
+
+    assert all(res.passed for res in suites.residue_checks(F5))
+    monkeypatch.setattr(suites, "pole_lattice", mutated)
+    contour = suites.residue_checks(F5)[0]
+    assert contour.line().startswith("FAIL residues-contour-vs-analytic D=5")
 
 
 def test_combined_residue_vanishes_at_cancelled_point():

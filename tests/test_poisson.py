@@ -68,6 +68,23 @@ def test_odd_poisson_rejects_norm_plus_one():
         evaluate(make_field(3), 2.0, "odd", "poisson", 1e-12)
 
 
+@pytest.mark.parametrize("d, route", [(5, zeta_odd_poisson), (5, zeta_even_poisson),
+                                      (5, zeta_even_poisson_strip), (3, zeta_even_poisson)])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_poisson_kernels_refuse_the_real_axis_poles(d, route, k):
+    """At s = -2k exactly sin(pi s/2) is 0: the kernels once raised a bare
+    ValueError at s = 0 and returned values near 1e15 at s = -2 and -4.  They
+    refuse as evaluate does, naming the pole, and a point beside it, off the
+    axis, still has a value."""
+    field = make_field(d)
+    s = -2.0 * k
+    with pytest.raises(PoleProximityError) as info:
+        route(field, s)
+    assert (info.value.location, info.value.k, info.value.m, info.value.distance) == (
+        complex(-2 * k, 0.0), k, 0, 0.0)
+    assert math.isfinite(abs(route(field, complex(s, 1e-3)).value))
+
+
 # ----------------------------------------------------------------- even series
 
 def test_even_poisson_exact_minus_one():
