@@ -16,7 +16,6 @@ special_value, the exact rational at each negative odd integer) import it
 on first access, through the module __getattr__ below (PEP 562).
 """
 
-from .config import Settings, default_settings
 from .continuation import (
     METHOD_BINOMIAL,
     METHOD_DIRECT,
@@ -30,7 +29,6 @@ from .continuation import (
 )
 from .dispatch import evaluate
 from .errors import (
-    ContourThroughPoleError,
     DomainError,
     FactorOverflowError,
     FibZetaError,

@@ -3,7 +3,9 @@
 Subcommands: eval, grid, poles, verify, sequence, detect.  Output is plain
 key: value records, CSV (17 significant digits, bit-exact round trips;
 comma-separated, CRLF line ends, never quoted), or JSON.  Exit codes:
-0 success, 2 usage, 3 numerical failure, 4 domain error.
+0 success, 2 usage, 3 numerical failure, 4 domain error.  eval and grid
+refuse a bad --pole-guard before any output; a verify that checks nothing
+exits 2.
 
 Fixed costs stay out of every call: a grid row is formatted once, as its CSV
 line (an ok row by one %-format of its labels and four .17g values read
@@ -20,14 +22,13 @@ import argparse
 import math
 import re
 import sys
-from functools import cache, lru_cache
-from typing import NamedTuple, Sequence
+from functools import cache, lru_cache, partial
+from typing import Callable, NamedTuple, Sequence
 
-from .config import Settings, default_settings
 from .continuation import LATTICE_COMBINED, LATTICE_SPLIT, METHODS, PARITIES, PARITY_COMBINED
-from .dispatch import MAX_ABS_S, check_tol, evaluate
+from .dispatch import MAX_ABS_S, check_pole_guard, check_tol, evaluate
 from .errors import DomainError, NumericalError, PoleProximityError
-from .quadfield import QuadraticField, is_fib, make_field, sequence_terms
+from .quadfield import QuadraticField, is_fib, iter_sequence, make_field, sequence_terms
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _PURE_REAL_RE = re.compile(rf"^\s*(?P<re>[+-]?{_NUM})\s*$")
@@ -137,18 +138,20 @@ class GridRequest(_GridRequestFields):
 
 # -------------------------------------------------------------------- commands
 
-def _settings(args: argparse.Namespace) -> Settings:
-    """Settings for eval and grid, the only commands whose output they change."""
+def _evaluator(args: argparse.Namespace) -> Callable:
+    """evaluate, with --pole-guard as its pole_guard keyword where given,
+    checked before eval or grid prints a line or opens --out."""
     if args.pole_guard is None:
-        return default_settings()
-    return Settings(pole_guard_radius=args.pole_guard)
+        return evaluate
+    check_pole_guard(args.pole_guard)
+    return partial(evaluate, pole_guard=args.pole_guard)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    settings = _settings(args)
+    run = _evaluator(args)
     field = make_field(args.D)
     s = parse_complex(args.s)
-    ev = evaluate(field, s, args.parity, args.method, args.tol, settings)
+    ev = run(field, s, args.parity, args.method, args.tol)
     record = {
         "value_re": fmt(ev.value.real),
         "value_im": fmt(ev.value.imag),
@@ -173,10 +176,10 @@ def _cached_field(d: int) -> QuadraticField:
     return make_field(d)
 
 
-def _grid_rows(field: QuadraticField, request: GridRequest, settings: Settings) -> list[str]:
-    """One CSV line per (point, method), Im s outer, Re s inner, methods
-    innermost.  Each value is formatted by fmt's .17g spec, an ok row's
-    four by one %-format."""
+def _grid_rows(field: QuadraticField, request: GridRequest, run: Callable) -> list[str]:
+    """One CSV line per (point, method), evaluated by run, Im s outer, Re s
+    inner, methods innermost.  Each value is formatted by fmt's .17g spec,
+    an ok row's four by one %-format."""
     re_axis = request.axis("re")
     re_labels = [fmt(re_part) for re_part in re_axis]
     # read once: a named tuple's field is read through a descriptor
@@ -188,7 +191,7 @@ def _grid_rows(field: QuadraticField, request: GridRequest, settings: Settings) 
             s = complex(re_part, im)
             for method in methods:
                 try:
-                    ev = evaluate(field, s, parity, method, tol, settings)
+                    ev = run(field, s, parity, method, tol)
                     v = ev.value
                     lines.append("%s,%s,%s,%.17g,%.17g,%.17g,%.17g,ok" % (
                         re_label, im_label, method, v.real, v.imag, ev.tail_bound,
@@ -213,7 +216,7 @@ def _write_csv(out, header: list[str], lines: list[str]) -> None:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    settings = _settings(args)
+    run = _evaluator(args)
     request = GridRequest(
         D=args.D,
         parity=args.parity,
@@ -234,7 +237,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise UsageError(f"cannot write --out {args.out}: {exc.strerror}")
     try:
-        lines = _grid_rows(field, request, settings)
+        lines = _grid_rows(field, request, run)
         if request.output == "csv":
             _write_csv(out, GRID_HEADER, lines)
         else:
@@ -310,12 +313,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for i, item in enumerate(items):
             if item in items[:i]:
                 raise UsageError(f"{flag} repeats {item}")
-    failed = 0
+    failed = checked = 0
     for name in names:
         results = run_suite(name, d_list, seed=args.seed, bound=args.bound, points=args.points)
         for res in results:
             print(res.line())
             failed += 0 if res.passed else 1
+        checked += len(results)
+    if not checked:
+        raise UsageError(f"--suite {','.join(names)} checks nothing on --D {args.D}: "
+                         "splitting, residues and trivial-zeros skip a norm +1 field")
     if failed:
         print(f"{failed} check(s) FAILED", file=sys.stderr)
         return 3
@@ -326,6 +333,16 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError(f"--n must be at least 0, got {args.n}")
     field = make_field(args.D)
+    # Python prints no int of more digits than limit (0: no limit; before
+    # 3.11 no such function).  L(n), the longest number of a row, has about
+    # n log10(eps) + 1 of them, so the exact walk runs only near the limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.n * field.log_eps >= (limit - 1) * math.log(10.0):
+        ceiling = 10**limit
+        n_max = next(t.index for t in iter_sequence(field) if t.lucas >= ceiling) - 1
+        if args.n > n_max:
+            raise DomainError(f"--n {args.n} at D={args.D} would print an L(n) of more than "
+                              f"{limit} digits, Python's limit; the largest --n allowed is {n_max}")
     rows = []
     for t in sequence_terms(field, args.n + 1):
         ok = t.lucas**2 - field.q * t.fib**2 == 4 * field.norm_eps**t.index

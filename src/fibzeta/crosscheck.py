@@ -19,7 +19,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .continuation import (
     LATTICE_COMBINED,
@@ -28,12 +28,7 @@ from .continuation import (
     ZetaEvaluation,
     _q_power,
 )
-from .errors import (
-    ContourThroughPoleError,
-    DomainError,
-    OutOfRegionError,
-    TooSlowConvergenceError,
-)
+from .errors import DomainError, OutOfRegionError, TooSlowConvergenceError
 from .quadfield import QuadraticField, pell_solutions_upto, sequence_terms
 
 __all__ = [
@@ -70,22 +65,36 @@ class PoleSpec(NamedTuple):
     survives_in_combined: bool
 
 
-def _binomial_coefficient(s0: complex, k: int) -> complex:
-    """C(-s0, k) by the recurrence C(-s, j+1) = C(-s, j) (-s - j)/(j + 1).
+_RESCALE = 2.0**512
 
-    continuation._binomial_sum runs the same recurrence inline, one step per
-    series term.
-    """
+
+def _binomial_coefficient(s0: complex, k: int, q: float) -> complex:
+    """C(-s0, k) q^(-k) by the recurrence c(j+1) = c(j) (-s0 - j)/((j + 1) q),
+    which continuation._binomial_sum runs inline at q = 1.  Its partial
+    products rise, then fall to the result, and can pass double range where
+    the result does not (from k of about 1950 at s0 = -2k, q = 5), so one
+    above _RESCALE is divided by it and multiplied back once below 1: both
+    exact, as powers of two."""
     out: complex = 1.0 + 0j
+    scalings = 0
     for j in range(k):
-        out = out * (-s0 - j) / (j + 1.0)
+        out = out * (-s0 - j) / ((j + 1.0) * q)
+        if abs(out) > _RESCALE:
+            out, scalings = out / _RESCALE, scalings + 1
+        elif scalings and abs(out) < 1.0:
+            out, scalings = out * _RESCALE, scalings - 1
+    for _ in range(scalings):
+        out *= _RESCALE
     return out
 
 
 def _pole_spec(field: QuadraticField, k: int, m: int) -> PoleSpec:
     log_eps = field.log_eps
     s0 = complex(-2 * k, math.pi * m / log_eps)  # +0.0, not -0.0, at k = 0
-    base = _q_power(field, s0) * _binomial_coefficient(s0, k) / (2.0 * log_eps)
+    # q^(s0/2) = q^(-k) q^(i Im s0/2): the q^(-k) is folded into the
+    # binomial coefficient, whose own size it offsets step by step
+    base = (_q_power(field, complex(0.0, s0.imag)) * _binomial_coefficient(s0, k, field.q)
+            / (2.0 * log_eps))
     res_odd = base * ((-1) ** m)
     res_even = base * ((-1) ** k)
     return PoleSpec(
@@ -123,8 +132,6 @@ def residue_numeric(
     s0: complex,
     radius: float = 1e-3,
     num_points: int = 64,
-    avoid: Iterable[complex] = (),
-    guard: float | None = None,
 ) -> complex:
     """(1/2 pi i) contour integral of zfun around s0, N-point trapezoid rule.
 
@@ -133,20 +140,10 @@ def residue_numeric(
     residue (Trefethen & Weideman, "The exponentially convergent
     trapezoidal rule", SIAM Review 56, 2014).  So the minimum, N = 16, is
     exact to rounding once r/R is below 0.1; a radius closer to the next
-    pole needs N >= 16 / -log10(r/R) points (54 at r/R = 1/2).  `avoid`
-    lists other poles; the contour must stay at least `guard` (default:
-    radius/10) away from each of them.
+    pole needs N >= 16 / -log10(r/R) points (54 at r/R = 1/2).
     """
     if num_points < 16:
         raise ValueError("at least 16 contour points required")
-    guard = radius * 0.1 if guard is None else guard
-    for p in avoid:
-        gap = abs(abs(p - s0) - radius)
-        if p != s0 and gap <= guard:
-            raise ContourThroughPoleError(
-                f"contour of radius {radius} around {s0} passes within "
-                f"{gap:.2e} of the pole at {p}"
-            )
     acc = 0j
     for j in range(num_points):
         rot = cmath.exp(2j * math.pi * j / num_points)

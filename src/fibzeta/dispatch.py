@@ -6,13 +6,14 @@ by their module-level names at call time, so a wrapper installed on one of
 those names sees every dispatched call.
 
 The evaluators are unguarded series; evaluate() alone applies the pole
-policy.  A norm -1 combined value reports its distance to the combined
-lattice, any other value to the split one.  Binomial refuses near the lattice
-it reports, Poisson near the split one, where each of its parts is singular;
-direct and shifted convolution only report.  Each evaluation searches the
-lattice once, but a norm -1 combined Poisson value twice (the guard on the
-split lattice, the report on the combined one), and copies the route's
-record once, by tuple.__new__, to fill in the distance.
+policy, within its keyword pole_guard, the program's one setting.  A norm -1
+combined value reports its distance to the combined lattice, any other value
+to the split one.  Binomial refuses near the lattice it reports, Poisson
+near the split one, where each of its parts is singular; direct and shifted
+convolution only report.  Each evaluation searches the lattice once, but a
+norm -1 combined Poisson value twice (the guard on the split lattice, the
+report on the combined one), and copies the route's record once, by
+tuple.__new__, to fill in the distance.
 
 No evaluation returns a value or a bound that is not finite: evaluate()
 raises FactorOverflowError where a route overflows or ends in inf or NaN,
@@ -29,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 
-from .config import Settings
 from .continuation import (
     LATTICE_COMBINED,
     LATTICE_SPLIT,
@@ -53,7 +53,6 @@ from .errors import DomainError, FactorOverflowError, PoleProximityError, TooSlo
 from .poisson import zeta_even_poisson, zeta_odd_poisson
 from .quadfield import QuadraticField
 
-_DEFAULT_SETTINGS = Settings()
 _UNIT_ROUNDOFF = 2.0**-53
 MAX_ABS_S = 1e300
 
@@ -64,8 +63,14 @@ def check_tol(tol: float) -> None:
         raise DomainError(f"tol must be in (0, 1e-2], got {tol}")
 
 
+def check_pole_guard(pole_guard: float) -> None:
+    """Raise ValueError unless pole_guard is finite and > 0 (so NaN too)."""
+    if not 0.0 < pole_guard < math.inf:
+        raise ValueError(f"pole_guard must be finite and > 0, got {pole_guard}")
+
+
 def _pole_distance(field: QuadraticField, s: complex, parity: str, method: str,
-                   tol: float, settings: Settings | None) -> float:
+                   tol: float, pole_guard: float) -> float:
     """The pole policy of the module docstring: the distance to the lattice the
     value reports, or PoleProximityError where its route refuses."""
     combined = parity == PARITY_COMBINED and field.is_norm_minus_one
@@ -84,8 +89,8 @@ def _pole_distance(field: QuadraticField, s: complex, parity: str, method: str,
     else:
         return nearest_lattice_pole(field, s, lattice)[3]
     loc, k, m, dist = nearest_lattice_pole(field, s, guarded)
-    # the radius is the larger of min_radius and the settings' guard radius
-    if dist <= min_radius or dist <= (settings or _DEFAULT_SETTINGS).pole_guard_radius:
+    # the radius is the larger of min_radius and pole_guard
+    if dist <= min_radius or dist <= pole_guard:
         raise PoleProximityError(s, loc, k, m, dist)
     return dist if guarded == lattice else nearest_lattice_pole(field, s, lattice)[3]
 
@@ -123,7 +128,8 @@ def evaluate(
     parity: str,
     method: str,
     tol: float,
-    settings: Settings | None = None,
+    *,
+    pole_guard: float = 1e-3,
 ) -> ZetaEvaluation:
     """Z(s) of the given parity by the given method.
 
@@ -135,7 +141,8 @@ def evaluate(
     TooSlowConvergenceError when its tail bound there exceeds tol relative to
     the value.  A route that overflows, or whose value or bound is not
     finite, raises FactorOverflowError.  The pole policy (see the module
-    docstring) reads its radius from settings, default Settings().
+    docstring) refuses within pole_guard of a pole; a pole_guard that is not
+    finite and > 0 raises ValueError (check_pole_guard).
     """
     if parity not in PARITIES:
         raise DomainError(f"parity must be one of {PARITIES}, got {parity!r}")
@@ -145,10 +152,11 @@ def evaluate(
             raise DomainError(f"s must be finite, got {s!r}")
         raise DomainError(f"|s| must be at most {MAX_ABS_S:g}, got {s!r}")
     check_tol(tol)
+    check_pole_guard(pole_guard)
     if parity != PARITY_COMBINED:
         field.require_norm_minus_one()
     s = complex(s)
-    dist = _pole_distance(field, s, parity, method, tol, settings)
+    dist = _pole_distance(field, s, parity, method, tol, pole_guard)
     try:
         if method == METHOD_DIRECT:
             ev = zeta_direct(field, s, parity, direct_terms_for(field, s, tol, parity))

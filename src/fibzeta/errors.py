@@ -84,7 +84,3 @@ class TooSlowConvergenceError(NumericalError):
         )
         self.needed = needed
         self.cap = cap
-
-
-class ContourThroughPoleError(NumericalError):
-    """Integration circle passes too close to another pole."""

@@ -64,7 +64,6 @@ from .complexfn import (
     log_gamma,
     rgamma,
 )
-from .config import Settings
 from .continuation import (
     METHOD_POISSON,
     ZetaEvaluation,
@@ -108,9 +107,10 @@ class RegionSelector:
         return REGION_LEFT if complex(s).real < REGION_DIRECT_MIN else REGION_DIRECT
 
     @staticmethod
-    def from_settings(settings: Settings) -> "RegionSelector":
+    def from_settings(settings: object) -> "RegionSelector":
         # the boundaries are fixed; bench/tracing.py names each even-index
-        # evaluation by its region through this call
+        # evaluation by its region through this call, with the argument
+        # config.default_settings() returns
         return RegionSelector()
 
 

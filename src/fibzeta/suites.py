@@ -16,7 +16,6 @@ import random
 from typing import Callable, NamedTuple, Sequence
 
 from .complexfn import cgamma, czeta
-from .config import Settings
 from .continuation import (
     METHOD_BINOMIAL,
     METHOD_DIRECT,
@@ -262,7 +261,6 @@ def golden_specialization_checks() -> list[CheckResult]:
 
 def residue_checks(field: QuadraticField, k_max: int = 2, m_max: int = 3) -> list[CheckResult]:
     # the contour of radius 1e-3 passes inside the default pole guard
-    settings = Settings(pole_guard_radius=1e-4)
     poles = pole_lattice(field, k_max, m_max)
     worst_rel = 0.0
     for parity in (PARITY_ODD, PARITY_EVEN):
@@ -272,7 +270,7 @@ def residue_checks(field: QuadraticField, k_max: int = 2, m_max: int = 3) -> lis
             # Review 56, 2014): r = 1e-3 and R >= 1.72 for the default fields,
             # so 16 points leave about 1e-52, far below rounding
             num = residue_numeric(
-                lambda s: evaluate(field, s, parity, METHOD_BINOMIAL, 1e-12, settings).value,
+                lambda s: evaluate(field, s, parity, METHOD_BINOMIAL, 1e-12, pole_guard=1e-4).value,
                 p.location,
                 1e-3,
                 num_points=16,

@@ -550,6 +550,18 @@ def test_poles_split_table(capsys):
                    "--which", "split") == (0, out, "")
 
 
+def test_poles_far_down_the_real_axis_are_neither_zero_nor_nan(capsys):
+    """From k = 463 at D=5 q^(s0/2) alone underflows, and from k = 511
+    C(-s0, k) alone overflows; every residue to k = 600 is in double range."""
+    code, out, _ = run_cli(capsys, "poles", "--D", "5", "--kmax", "600", "--mmax", "0")
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert code == 0 and len(rows) == 601
+    for row in rows:
+        res_odd, res_even = float(row[4]), float(row[6])
+        assert math.isfinite(res_odd) and res_odd != 0.0 and abs(res_even) == abs(res_odd), row
+    assert float(rows[500][4]) == pytest.approx(9.19303042091676e-51, rel=1e-13)
+
+
 @pytest.mark.parametrize("which", ["odd", "even"])
 def test_poles_which_names_a_lattice_not_a_parity(capsys, which):
     code, out, err = run_cli(capsys, "poles", "--D", "5", "--which", which)
@@ -641,6 +653,41 @@ def test_sequence_d5(capsys):
     assert rows[-1][:3] == ["10", "55", "123"]
 
 
+def _first_lucas_index_of_more_digits(digits):
+    """The first n with a Lucas number L(n) of more than `digits` digits."""
+    n, a, b = 0, 2, 1
+    while a < 10**digits:
+        n, a, b = n + 1, b, a + b
+    return n
+
+
+def test_sequence_refuses_an_n_whose_terms_python_cannot_print(capsys):
+    """Python prints no int of more than sys.get_int_max_str_digits() digits;
+    at its smallest setting, 640, the Lucas numbers pass it at n = 3063."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no limit on printing an int")
+    first = _first_lucas_index_of_more_digits(640)
+    assert first == 3063
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "sequence", "--D", "5", "--n", str(first - 1))
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == first and len(rows[-1][2]) == 640
+        code, out, err = run_cli(capsys, "sequence", "--D", "5", "--n", str(first))
+        assert code == 4 and out == ""
+        assert f"the largest --n allowed is {first - 1}" in err
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_sequence_runs_where_python_has_no_print_limit(capsys, monkeypatch):
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    code, out, _ = run_cli(capsys, "sequence", "--D", "5", "--n", "10")
+    assert code == 0 and out.splitlines()[-1] == "10,55,123,ok"
+
+
 # ---------------------------------------------------------------------- detect
 
 def test_detect_even_member(capsys):
@@ -691,8 +738,18 @@ def test_verify_split_suites_skip_a_norm_plus_one_field(capsys):
     assert both == five and five[0] == 0 and len(five[1].splitlines()) == 5
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--D", "3",
                              "--bound", "2000", "--points", "10")
-    assert (code, err) == (0, "")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 15
     assert "FAIL" not in out and "D=3" in out
+
+
+@pytest.mark.parametrize("suite", ["residues", "splitting", "trivial-zeros",
+                                   "splitting,trivial-zeros,residues"])
+def test_verify_that_checks_nothing_is_a_usage_error(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--D", "3")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --suite {suite} checks nothing on --D 3")
+    code, out, err = run_cli(capsys, "verify", "--suite", f"{suite},golden", "--D", "3")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 2
 
 
 def test_verify_pell_small_bound(capsys):
@@ -763,12 +820,16 @@ def test_pole_guard_flag_sets_the_radius(capsys):
 
 
 @pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
-def test_pole_guard_must_be_finite_and_positive(capsys, radius):
+def test_pole_guard_must_be_finite_and_positive(capsys, tmp_path, radius):
+    target = tmp_path / "grid.csv"
     for argv in (["eval", "--D", "5", "--s", "0", "--parity", "odd", "--method", "binomial"],
                  ["grid", "--D", "5", "--parity", "odd", "--re", "0", "1", "1",
-                  "--im", "0", "0", "1", "--methods", "binomial"]):
+                  "--im", "0", "0", "1", "--methods", "binomial"],
+                 ["grid", "--D", "5", "--re", "0", "1", "1", "--im", "0", "0", "1",
+                  "--out", str(target)]):
         code, out, err = run_cli(capsys, *argv, f"--pole-guard={radius}")
-        assert code == 2 and out == "" and "pole_guard_radius" in err
+        assert code == 2 and out == "" and "pole_guard" in err
+    assert not target.exists()
 
 
 def test_settings_flags_only_where_they_change_output(capsys):
@@ -809,14 +870,14 @@ def test_usage_error_exit_code(capsys):
 
 # the package's exports, the crosscheck names among them, resolved on first access
 PACKAGE_EXPORTS = [
-    "ContourThroughPoleError", "DomainError", "FactorOverflowError",
+    "DomainError", "FactorOverflowError",
     "FibZetaError", "MEMBER", "MEMBER_EVEN_INDEX", "MEMBER_ODD_INDEX", "METHOD_BINOMIAL",
     "METHOD_DIRECT", "METHOD_POISSON", "METHOD_SHIFTED", "MembershipResult", "NOT_MEMBER",
     "NormPlusOneError", "NotSquarefreeError", "NumericalError", "OutOfRegionError",
     "PARITY_COMBINED", "PARITY_EVEN", "PARITY_ODD", "PoleAtNonpositiveIntegerError",
     "PoleAtOneError", "PoleProximityError", "PoleSpec", "QuadraticField", "RegionSelector",
-    "SequenceTerm", "Settings", "TooSlowConvergenceError", "UnitElement",
-    "ZetaEvaluation", "complexfn", "config", "continuation", "crosscheck", "default_settings",
+    "SequenceTerm", "TooSlowConvergenceError", "UnitElement",
+    "ZetaEvaluation", "complexfn", "continuation", "crosscheck",
     "dispatch", "errors", "evaluate", "fib", "fib_upto", "is_fib", "iter_sequence", "lucas",
     "make_field", "nearest_lattice_pole", "poisson", "pole_lattice", "quadfield", "r1",
     "residue_numeric", "sequence_terms", "special_value",

@@ -14,7 +14,6 @@ from fibzeta import (
     NormPlusOneError,
     OutOfRegionError,
     PoleProximityError,
-    Settings,
     TooSlowConvergenceError,
     evaluate,
     fib,
@@ -246,7 +245,7 @@ def test_simple_pole_signature():
             mags = []
             for theta in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
                 s = s0 + delta * cmath.exp(1j * theta)
-                ev = evaluate(F5, s, "odd", "binomial", 1e-12, Settings(pole_guard_radius=delta / 4))
+                ev = evaluate(F5, s, "odd", "binomial", 1e-12, pole_guard=delta / 4)
                 mags.append(abs(ev.value) * delta)
             assert max(mags) / min(mags) < 1.05, (k, m)
 

@@ -7,11 +7,9 @@ import mpmath as mp
 import pytest
 
 from fibzeta import (
-    ContourThroughPoleError,
     DomainError,
     NormPlusOneError,
     OutOfRegionError,
-    Settings,
     evaluate,
     fib_upto,
     make_field,
@@ -23,6 +21,7 @@ from fibzeta import (
 from fibzeta.continuation import zeta_direct, zeta_even_binomial
 from fibzeta.crosscheck import (
     SHIFTED_CONV_BOUND,
+    _pole_spec,
     _square_pair_support,
     shifted_convolution_even,
     shifted_convolution_odd,
@@ -33,7 +32,7 @@ from fibzeta import suites
 F5 = make_field(5)
 F10 = make_field(10)
 # the residue contours of radius 1e-3 pass inside the default pole guard
-FINE_GUARD = Settings(pole_guard_radius=1e-4)
+FINE_GUARD = 1e-4
 
 
 # ---------------------------------------------------------------- pole lattice
@@ -79,10 +78,28 @@ def test_unit_power_identity_at_pole():
             assert abs(val - (-1.0) ** m) < 1e-10
 
 
+@pytest.mark.parametrize("d, k, m", [(5, 300, 0), (5, 500, 0), (5, 2000, 0), (2, 500, -3),
+                                     (5, 2, 1000)])
+def test_analytic_residues_match_mpmath_far_down_and_far_up(d, k, m):
+    """At D=5, q^(s0/2) underflows from k = 463 and C(-s0, k) overflows from
+    k = 511, though their product (9.19e-51 at k = 500) does not; past k of
+    about 1950 the partial products of C(-s0, k) q^(-k) pass double range
+    too.  The reference takes the same double s0."""
+    field = make_field(d)
+    p = _pole_spec(field, k, m)
+    with mp.workdps(40):
+        s0 = mp.mpc(p.location.real, p.location.imag)
+        log_eps = mp.log((field.eps.a + field.eps.b * mp.sqrt(field.q)) / 2)
+        ref = mp.power(field.q, s0 / 2) * mp.binomial(-s0, k) / (2 * log_eps)
+    for got, sign in ((p.residue_odd, (-1) ** m), (p.residue_even, (-1) ** k)):
+        assert got != 0 and cmath.isfinite(got)
+        assert abs(got - complex(sign * ref)) <= 1e-11 * abs(ref), (got, ref)
+
+
 # ------------------------------------------------------------- contour residues
 
 def zfun_odd(s):
-    return evaluate(F5, s, "odd", "binomial", 1e-12, FINE_GUARD).value
+    return evaluate(F5, s, "odd", "binomial", 1e-12, pole_guard=FINE_GUARD).value
 
 
 def test_numeric_residue_at_origin():
@@ -94,7 +111,8 @@ def test_numeric_residues_match_analytic():
     for which in ("odd", "even"):
         for p in pole_lattice(F5, 1, 2):
             num = residue_numeric(
-                lambda s, which=which: evaluate(F5, s, which, "binomial", 1e-12, FINE_GUARD).value,
+                lambda s, which=which: evaluate(F5, s, which, "binomial", 1e-12,
+                                                pole_guard=FINE_GUARD).value,
                 p.location,
                 1e-3,
             )
@@ -111,7 +129,7 @@ def test_sixteen_contour_points_give_the_residues_of_sixty_four(d):
     field = make_field(d)
     for parity in ("odd", "even"):
         def zfun(s):
-            return evaluate(field, s, parity, "binomial", 1e-12, FINE_GUARD).value
+            return evaluate(field, s, parity, "binomial", 1e-12, pole_guard=FINE_GUARD).value
 
         for p in pole_lattice(field, 2, 3):
             ana = p.residue_odd if parity == "odd" else p.residue_even
@@ -142,7 +160,7 @@ def test_combined_residue_vanishes_at_cancelled_point():
     # k=0, m=1: cancelled in the combined zeta
     s0 = complex(0.0, math.pi / F5.log_eps)
     res = residue_numeric(
-        lambda s: evaluate(F5, s, "combined", "binomial", 1e-12, FINE_GUARD).value,
+        lambda s: evaluate(F5, s, "combined", "binomial", 1e-12, pole_guard=FINE_GUARD).value,
         s0,
         1e-3,
     )
@@ -153,16 +171,11 @@ def test_even_poisson_residue_at_imaginary_pole():
     s0 = complex(0.0, math.pi / F5.log_eps)
     spec = [p for p in pole_lattice(F5, 0, 1) if p.m == 1][0]
     res = residue_numeric(
-        lambda s: evaluate(F5, s, "even", "poisson", 1e-12, FINE_GUARD).value,
+        lambda s: evaluate(F5, s, "even", "poisson", 1e-12, pole_guard=FINE_GUARD).value,
         s0,
         1e-3,
     )
     assert abs(res - spec.residue_even) < 1e-6 * abs(spec.residue_even)
-
-
-def test_contour_through_pole_detected():
-    with pytest.raises(ContourThroughPoleError):
-        residue_numeric(zfun_odd, 0j, 2.0, avoid=[complex(-2.0, 0.0)])
 
 
 # ------------------------------------------------------- shifted convolutions

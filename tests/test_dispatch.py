@@ -250,15 +250,20 @@ ROUTE_KERNELS = [
 ]
 
 
-def test_settings_hold_only_the_pole_guard():
-    assert fibzeta.Settings._fields == ("pole_guard_radius",)
+def test_only_evaluate_takes_the_pole_guard():
+    guard = inspect.signature(fibzeta.evaluate).parameters["pole_guard"]
+    assert guard.kind is inspect.Parameter.KEYWORD_ONLY and guard.default == 1e-3
+    assert list(inspect.signature(fibzeta.evaluate).parameters)[-1] == "pole_guard"
+    # evaluate and the two helpers that check and apply its radius: the
+    # routes below them are plain series
+    takers = set()
     for module in (fibzeta.continuation, fibzeta.poisson, fibzeta.crosscheck, fibzeta.dispatch):
         for name, fun in inspect.getmembers(module, inspect.isfunction):
-            assert "pole_guard" not in inspect.signature(fun).parameters, name
-    # only evaluate reads settings: the routes below it are plain series
-    for module in (fibzeta.continuation, fibzeta.poisson, fibzeta.crosscheck):
-        for name, fun in inspect.getmembers(module, inspect.isfunction):
-            assert "settings" not in inspect.signature(fun).parameters, name
+            params = inspect.signature(fun).parameters
+            assert "settings" not in params, name
+            if "pole_guard" in params:
+                takers.add(name)
+    assert takers == {"evaluate", "check_pole_guard", "_pole_distance"}
 
 
 def test_the_package_exports_evaluate_and_no_unguarded_route():
@@ -267,13 +272,24 @@ def test_the_package_exports_evaluate_and_no_unguarded_route():
 
 
 @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
-def test_settings_reject_a_pole_guard_that_is_not_finite_and_positive(radius):
-    with pytest.raises(ValueError, match="pole_guard_radius"):
-        fibzeta.Settings(pole_guard_radius=radius)
-    with pytest.raises(ValueError, match="pole_guard_radius"):
-        fibzeta.default_settings()._replace(pole_guard_radius=radius)
-    with pytest.raises(ValueError, match="pole_guard_radius"):
-        fibzeta.Settings._make([radius])
+def test_evaluate_rejects_a_pole_guard_that_is_not_finite_and_positive(radius):
+    field = make_field(5)
+    for method in ("binomial", "poisson"):
+        with pytest.raises(ValueError, match="pole_guard"):
+            fibzeta.evaluate(field, 2.0, "odd", method, 1e-12, pole_guard=radius)
+
+
+@pytest.mark.parametrize("method", ["binomial", "poisson"])
+def test_evaluate_refuses_inside_the_pole_guard_and_returns_outside(method):
+    field = make_field(5)
+    s = complex(-2.0, 0.3)  # 0.3 above the pole at -2 (k = 1, m = 0)
+    with pytest.raises(fibzeta.PoleProximityError) as exc:
+        fibzeta.evaluate(field, s, "odd", method, 1e-12, pole_guard=0.31)
+    assert (exc.value.k, exc.value.m) == (1, 0)
+    assert exc.value.distance == pytest.approx(0.3)
+    ev = fibzeta.evaluate(field, s, "odd", method, 1e-12, pole_guard=0.29)
+    assert ev.nearest_pole_distance == pytest.approx(0.3)
+    assert ev == fibzeta.evaluate(field, s, "odd", method, 1e-12)
 
 
 @pytest.mark.parametrize("s", [complex(math.inf, 0.0), complex(0.0, math.inf),
@@ -343,7 +359,7 @@ def test_evaluate_returns_finite_numbers_or_raises_a_fibzeta_error(
 # Below the resolution of a double the guard lets through points that are
 # lattice poles to working precision; no route may then divide by zero or
 # return a value that has lost the digits tol asks for.
-TINY_GUARD = fibzeta.Settings(pole_guard_radius=1e-30)
+TINY_GUARD = 1e-30
 NEAR_ZERO = [1e-20, -1e-20, complex(1e-20, 1e-20), 1e-17, 1e-16, 1e-12, 1e-10, 1e-8]
 ROUTE_POINTS = [(method, complex(s)) for method in fibzeta.continuation.METHODS
                 for s in NEAR_ZERO]
@@ -370,11 +386,11 @@ def test_routes_raise_a_numerical_error_instead_of_dividing_by_zero(method, s, p
     expected = _near_zero_outcome(method, s)
     if expected is not None:
         with pytest.raises(expected) as exc:
-            fibzeta.evaluate(field, s, parity, method, 1e-12, TINY_GUARD)
+            fibzeta.evaluate(field, s, parity, method, 1e-12, pole_guard=TINY_GUARD)
         if expected is fibzeta.PoleProximityError:
             assert (exc.value.k, exc.value.m) == (0, 0) and exc.value.distance == abs(s)
         return
-    ev = fibzeta.evaluate(field, s, parity, method, 1e-12, TINY_GUARD)
+    ev = fibzeta.evaluate(field, s, parity, method, 1e-12, pole_guard=TINY_GUARD)
     assert cmath.isfinite(ev.value)
     if method == "poisson":
         # Z_odd and Z_even both behave like 1/(2 s log eps) + O(1) at the pole

@@ -13,7 +13,6 @@ from fibzeta import (
     NormPlusOneError,
     OutOfRegionError,
     PoleProximityError,
-    Settings,
     evaluate,
     make_field,
     nearest_lattice_pole,
@@ -146,7 +145,7 @@ def test_region_selector_classification():
     assert sel.classify(complex(0.5 - 1e-16, 5.0)) == "left"
     assert sel.classify(complex(0.5, 5.0)) == "direct"
     assert sel.classify(complex(1.02, 0.0)) == "direct"  # inside the s=1 disk
-    assert RegionSelector.from_settings(Settings(pole_guard_radius=0.5)).classify(0.2) == "left"
+    assert RegionSelector.from_settings(None).classify(0.2) == "left"
 
 
 def test_even_poisson_near_one_takes_the_direct_series():

@@ -15,7 +15,6 @@ from fibzeta import (
     MEMBER_ODD_INDEX,
     NOT_MEMBER,
     NotSquarefreeError,
-    Settings,
     fib,
     fib_upto,
     is_fib,
@@ -164,8 +163,7 @@ def test_records_survive_a_pickle_round_trip():
     logs = log_fib_upto(field, 30)  # builds the caches that the pickle leaves out
     member = is_fib(field, 13)
     assert field.half_unit.direct_parity == "even"
-    records = [field, member, is_fib(field, 4), Settings(pole_guard_radius=0.25), field.eps,
-               sequence_terms(field, 8)[7]]
+    records = [field, member, is_fib(field, 4), field.eps, sequence_terms(field, 8)[7]]
     for record in records:
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record) and copy == record
