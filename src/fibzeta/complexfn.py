@@ -20,7 +20,9 @@ past 100,000 of them (|s| above about 1.7e5).
 There is one Euler-Maclaurin tail, _euler_maclaurin_tail: a weighted sum
 of Hurwitz tails sum_{m >= n} m^(s-1-2j), which zeta takes with one unit
 weight and the even Poisson pair sums take for their restored orders.  Its
-corrections stop at the first below 2^-53 of its leading term, at most 14.
+corrections stop at the first below the larger of 2^-53 of its leading
+term and the caller's floor, at most 14; zeta passes no floor, and the
+pair sum passes its share of tol.
 Stirling's coefficients and the Euler-Maclaurin weights both come from the
 one table of Bernoulli numbers, _BERNOULLI_EVEN, held as exact fractions.
 
@@ -193,7 +195,9 @@ def _zeta_euler_maclaurin(s: complex) -> complex:
     return acc + _euler_maclaurin_tail(1.0 - s, n, (_ONE,))
 
 
-def _euler_maclaurin_tail(s: complex, n: int, weights: tuple[complex, ...]) -> complex:
+def _euler_maclaurin_tail(
+    s: complex, n: int, weights: tuple[complex, ...], floor: float = 0.0
+) -> complex:
     """sum_j w_j H_j for j = 0 .. len(weights) - 1, H_j = sum_{m >= n}
     m^(s - 1 - 2j), the Hurwitz zeta(alpha_j, n) with alpha_j = 1 - s + 2j,
     by Euler-Maclaurin: n^(1 - alpha_j) / (alpha_j - 1) + n^(-alpha_j) / 2
@@ -202,7 +206,11 @@ def _euler_maclaurin_tail(s: complex, n: int, weights: tuple[complex, ...]) -> c
     alpha_0 + 2j, each correction is n^s T_(i+j) / R_j with T_k =
     (alpha_0)_(2k-1) n^(-2k) one shared sequence and R_j = (alpha_0)_(2j).
     Each order's corrections stop at the first whose weighted size is below
-    2^-53 of the weighted leading term of order 0."""
+    the larger of 2^-53 of the weighted leading term of order 0 and the
+    caller's floor, an absolute size in units of the result (0, the
+    default, leaves the first alone).  Once n >= 0.6 |alpha_j| + 6 the
+    corrections fall geometrically, so those an order leaves out are about
+    the size of the last one it takes, below the floor."""
     # the orders over n^s: n^(-2j) / (alpha_j - 1) + n^(-2j-1) / 2 + sum_i
     # B_2i/(2i)! T_(i+j) / R_j each
     alpha = _ONE - s
@@ -212,10 +220,15 @@ def _euler_maclaurin_tail(s: complex, n: int, weights: tuple[complex, ...]) -> c
     n_pow = 1.0
     r = _ONE
     tail = 0j
+    log_n = math.log(n)
+    if floor:
+        # the floor in units of the orders, which are taken over n^s
+        n_s_abs = math.exp(s.real * log_n)
+        floor = floor / n_s_abs if n_s_abs else math.inf
     for j, w in enumerate(weights):
         acc = w * n_pow * (1.0 / (2 * j - s) + half_inv_n)
         if j == 0:
-            floor = 2.0**-53 * abs(acc)
+            floor = max(2.0**-53 * abs(acc), floor)
         scaled = w / r
         for i, b in enumerate(_EULER_MACLAURIN_WEIGHTS, start=1):
             k = i + j
@@ -228,7 +241,7 @@ def _euler_maclaurin_tail(s: complex, n: int, weights: tuple[complex, ...]) -> c
         tail += acc
         n_pow *= inv_n2
         r *= (alpha + 2 * j) * (alpha + (2 * j + 1))
-    return cmath.exp(s * math.log(n)) * tail
+    return cmath.exp(s * log_n) * tail
 
 
 # Near s = 0 the functional equation multiplies sin(pi s/2) ~ 0 by the pole

@@ -28,7 +28,7 @@ from .continuation import (
     ZetaEvaluation,
     _q_power,
 )
-from .errors import DomainError, OutOfRegionError, TooSlowConvergenceError
+from .errors import DomainError, FactorOverflowError, OutOfRegionError, TooSlowConvergenceError
 from .quadfield import QuadraticField, pell_solutions_upto, sequence_terms
 
 __all__ = [
@@ -89,12 +89,16 @@ def _binomial_coefficient(s0: complex, k: int, q: float) -> complex:
 
 
 def _pole_spec(field: QuadraticField, k: int, m: int) -> PoleSpec:
+    """The pole (k, m) with its residues; FactorOverflowError where they
+    leave double range (|residue| 7.9e318 at D=5, k = 190, m = 2600)."""
     log_eps = field.log_eps
     s0 = complex(-2 * k, math.pi * m / log_eps)  # +0.0, not -0.0, at k = 0
     # q^(s0/2) = q^(-k) q^(i Im s0/2): the q^(-k) is folded into the
     # binomial coefficient, whose own size it offsets step by step
     base = (_q_power(field, complex(0.0, s0.imag)) * _binomial_coefficient(s0, k, field.q)
             / (2.0 * log_eps))
+    if not cmath.isfinite(base):
+        raise FactorOverflowError(f"residue (k={k}, m={m})", s0)
     res_odd = base * ((-1) ** m)
     res_even = base * ((-1) ** k)
     return PoleSpec(
@@ -117,12 +121,19 @@ def pole_lattice(
 
     The lattices are those of nearest_lattice_pole: "split" is every pole of
     Z_odd and Z_even (the two share their locations), "combined" only the
-    half where m + k is even, which survives in Z_odd + Z_even.
+    half where m + k is even, which survives in Z_odd + Z_even.  A residue
+    that leaves double range raises FactorOverflowError, naming its (k, m).
     """
     if lattice not in (LATTICE_SPLIT, LATTICE_COMBINED):
         raise ValueError(f"unknown lattice {lattice!r}")
     field.require_norm_minus_one()
     split = lattice == LATTICE_SPLIT
+    if m_max > 0:
+        # at each k the residue grows with |m|, so the lattice pole of
+        # largest |m| tells at once whether a row of that k leaves double
+        # range: such a table refuses before the rest of it is computed
+        for k in range(k_max + 1):
+            _pole_spec(field, k, m_max if split or (k + m_max) % 2 == 0 else m_max - 1)
     return [_pole_spec(field, k, m) for k in range(k_max + 1)
             for m in range(-m_max, m_max + 1) if split or (k + m) % 2 == 0]
 

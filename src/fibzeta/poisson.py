@@ -17,7 +17,12 @@ real functions of v, no sine a pair.  The denominator has two ranges, and
 is taken over a quarter of its size e^(2 pi max(|Im a|, v)), which joins L
 in the one exp: for v <= |Im a| sin^2 pi a leads, past it sinh^2 pi v.  A
 far pair, v_m > |Im s|/2 + 7, is one exp of log 4 pi^2 - 2 pi v_m - L, the
-form past |Im a| with its denominator rounded to 1.
+form past |Im a| with its denominator rounded to 1.  The terms stay near
+e^(-pi |Im s|/2) in size up to the saddle v_m = |Im s|/2 and fall
+geometrically only past it, by r = max(e^(-pi step), |term_m/term_(m-1)|) a
+pair, step = pi / (2 log eps).  So the sum stops only past the saddle, at
+the first pair whose tail |term| r / (1 - r) is within tol/8 of the sum, r
+below 1, and that tail is the reported bound.
 
 Even-indexed case: the summand vanishes at n=0 only after regularizing by
 (4 x log eps)^(-s), and truncated Poisson summation yields one evaluator,
@@ -33,12 +38,15 @@ last one summed are added through the Hurwitz tails
 sum_{m > m_last} m^(s-1-2j), weighted and summed together (direct terms,
 then the Euler-Maclaurin tail every order and zeta share) rather than
 formed as zeta(1 + 2j - s) less its first terms; for Re s > 0 the order-0
-tail diverges and is its analytic continuation.  The truncation is
-modelled as the larger of two bounds on the last residual: residual
+tail diverges and is its analytic continuation.  The Euler-Maclaurin
+corrections of each order stop once they fall below tol/100 of the pair
+sum, or below rounding if that is larger.  The truncation is modelled as
+the larger of two bounds on the last residual: residual
 m / max(2, 10 - Re s), the sum of a remainder falling like m^(Re s - 11)
 (an overestimate, kept because it stops no earlier than the tol asks),
 and residual sqrt(m), the floor of the rounding that the noise-floor stop
-lets the loop end on.  The two ratios of a pair +-m share their
+lets the loop end on, plus the tol/100 each of the seven orders may leave
+out.  The two ratios of a pair +-m share their
 log-gamma values: since Re s < 1/2, the reflection of each numerator
 Gamma(s/2 -+ i v_m) needs log Gamma(1 - s/2 +- i v_m), the other ratio's
 denominator, so a pair costs two log-gamma sums, not four, and by the
@@ -94,6 +102,14 @@ MAX_FOURIER_TERMS = 2_000_000
 _FAR_MARGIN = 7.0
 _TWO_PI = 2.0 * math.pi
 _LOG_FOUR_PI_SQ = math.log(4.0 * math.pi * math.pi)
+# the shares of tol that the truncation of each sum may take: the odd pairs'
+# geometric tail, and the Euler-Maclaurin corrections each restored order of
+# the even pair sum leaves out.  The rest of tol is left to rounding, which
+# next to a pole (a pair denominator near 0) takes most of it: with all of
+# tol given to the odd tail, D=29, s = -3.99-1.90i (1e-5 from a pole) errs
+# 2.43e-13 at tol 1e-12, past the 2.40e-13 its rounding alone may cost
+_ODD_TAIL_SHARE = 1.0 / 8.0
+_EVEN_ORDERS_SHARE = 1.0 / 100.0
 
 
 class RegionSelector:
@@ -174,10 +190,17 @@ def zeta_odd_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> Z
     Re(s/2): left of it _odd_reflected_pair forms each pair from two
     log-gamma sums and the sine product, with log sin(pi s/2) taken once
     for the evaluation and the m = 0 term; right of it the two log-gamma
-    sums of s/2 -+ i v_m are called directly.  The tail estimate
-    term * decay / (1 - decay), decay = exp(-pi v_1), models the geometric
-    fall of the terms, which holds only past the saddle, m > |Im s| / (2 v_1);
-    before it the terms stay near exp(-pi |Im s| / 2) in size.
+    sums of s/2 -+ i v_m are called directly.
+
+    The terms fall geometrically only past the saddle v_m > |Im s|/2, m >
+    |Im s| / (2 v_1); before it they stay near exp(-pi |Im s| / 2) in size,
+    far below any absolute floor (the sum is 8e-54 at D=5, s = 1+80.3i), and
+    a sum stopped there erred by about 100% far up the axis.  So a pair past
+    the saddle, no larger than the one before it, ends the sum once its
+    geometric tail |term| r / (1 - r), r = max(exp(-pi v_1),
+    |term_m / term_(m-1)|) below 1, is within tol/8 (_ODD_TAIL_SHARE) of
+    |total|; that tail times |prefactor| is the reported bound.  A pair
+    that underflows to 0 there leaves no tail.
 
     At a real-axis pole s = -2k exactly (k >= 0) sin(pi s/2) is 0 and the
     m = 0 term has no value, so the route raises PoleProximityError there,
@@ -209,6 +232,7 @@ def zeta_odd_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> Z
             total = exp(2.0 * log_gamma_right(half_s))
         m = 0
         term_abs = abs(total)
+        share = _ODD_TAIL_SHARE * tol
         sign = 2.0  # 2 (-1)^m, flipped before each term
         while True:
             m += 1
@@ -221,15 +245,20 @@ def zeta_odd_poisson(field: QuadraticField, s: complex, tol: float = 1e-12) -> Z
                 pair = exp(log_gamma_right(half_s + iv) + log_gamma_right(half_s - iv))
             term = sign * pair
             total += term
-            term_abs = abs(term)
-            if m >= 3 and term_abs <= tol * max(abs(total), 1e-30):
-                break
+            last_abs, term_abs = term_abs, abs(term)
+            # past the saddle the terms fall geometrically, at e^(-pi step)
+            # or at the last ratio if that is slower; a term that underflows
+            # to 0 there leaves no tail
+            if v > h and term_abs <= last_abs:
+                ratio = max(decay, term_abs / last_abs) if term_abs else decay
+                if ratio < 1.0 and term_abs * ratio <= share * abs(total) * (1.0 - ratio):
+                    break
             if m > MAX_FOURIER_TERMS:
                 raise TooSlowConvergenceError(float(m), MAX_FOURIER_TERMS)
     with _in_double_range("1/Gamma(s)", s):
         gamma_factor = rgamma(s)
     prefactor = _q_power(field, s) * gamma_factor / (8.0 * log_eps)
-    tail = term_abs * decay / (1.0 - decay) * abs(prefactor)
+    tail = term_abs * ratio / (1.0 - ratio) * abs(prefactor)
     return ZetaEvaluation(prefactor * total, METHOD_POISSON, 2 * m + 1, tail, False)
 
 
@@ -293,6 +322,7 @@ def _restored_orders(
     s: complex,
     m0: int,
     weights: tuple[complex, complex, complex, complex, complex, complex, complex],
+    floor: float = 0.0,
 ) -> complex:
     """sum_j w_j H_j for j = 0 .. 6, weights = (w_0, .., w_6), and H_j =
     sum_{m >= m0} m^(s - 1 - 2j), the Hurwitz zeta(alpha_j, m0) with
@@ -301,7 +331,8 @@ def _restored_orders(
     The terms from m0 up to n = max(m0, 0.6 (|s| + 13) + 6) are summed
     directly, one exp and one Horner over the weights in m^-2 per m.  From
     n on complexfn's one Euler-Maclaurin tail serves every order, since n is
-    at least 0.6 |alpha_j| + 6 for each of them."""
+    at least 0.6 |alpha_j| + 6 for each of them; its corrections stop at
+    floor, an absolute size of the result, if that is above rounding."""
     n = max(m0, int(0.6 * (abs(s) + 13.0)) + 6)
     w0, w1, w2, w3, w4, w5, w6 = weights
     exp, log = cmath.exp, math.log
@@ -312,7 +343,7 @@ def _restored_orders(
         direct += exp(s_1 * log(m)) * (
             w0 + x * (w1 + x * (w2 + x * (w3 + x * (w4 + x * (w5 + x * w6)))))
         )
-    return direct + _euler_maclaurin_tail(s, n, weights)
+    return direct + _euler_maclaurin_tail(s, n, weights, floor)
 
 
 def _even_pair(
@@ -456,13 +487,18 @@ def _even_left(field: QuadraticField, s: complex, tol: float = 1e-12) -> ZetaEva
             raise TooSlowConvergenceError(float(m), MAX_FOURIER_TERMS)
 
     # the orders of the pairs past m: 2 sin(pi s/2) step^(s-1) sum_j (-1)^j
-    # e_2j step^(-2j) H_j, the Hurwitz tails from m + 1
+    # e_2j step^(-2j) H_j, the Hurwitz tails from m + 1, whose corrections
+    # stop at their share of tol
     q = -1.0 / (half_step * half_step)
     q2 = q * q
     q3 = q2 * q
     weights = (_ONE, e2 * q, e4 * q2, e6 * q3, e8 * (q2 * q2), e10 * (q2 * q3), e12 * (q3 * q3))
-    total += two_sin_half * exp(s_1 * log(half_step)) * _restored_orders(s, m + 1, weights)
-    tail = max(residual_abs * m * tail_factor, residual_abs * math.sqrt(m))
+    scale = two_sin_half * exp(s_1 * log(half_step))
+    orders_left = _EVEN_ORDERS_SHARE * tol * abs(total)
+    total += scale * _restored_orders(s, m + 1, weights, orders_left / abs(scale))
+    # each order leaves out less than orders_left
+    tail = (max(residual_abs * m * tail_factor, residual_abs * math.sqrt(m))
+            + len(weights) * orders_left)
     return ZetaEvaluation(pref * total, METHOD_POISSON, 2 * m + 1, tail * abs(pref), False)
 
 

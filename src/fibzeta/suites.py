@@ -232,11 +232,31 @@ def splitting_check(
 
 # ------------------------------------------------------ golden specialization
 
+def _odd_at_one_by_theta(field: QuadraticField) -> float:
+    """Z_odd(1) = (sqrt(q)/4) theta_2(0, x)^2, x = eps^-2, from Jacobi's
+    two-square theta series theta_2(0, x) = 2 sum_{k>=0} x^((k+1/2)^2).
+
+    Its square is the Lambert series 4 sum_{n>=0} x^(n+1/2) / (1 + x^(2n+1)),
+    whose n-th term is 4 / (eps^j + eps^-j) = 4 / (sqrt(q) F(j)) at the odd
+    j = 2n + 1 (for a norm -1 unit F(j) = (eps^j + eps^-j) / sqrt(q)).  The
+    series needs a handful of terms: x^((k+1/2)^2) falls below 2^-53 of the
+    sum at k = 6 at D=5, and sooner on fields with a larger unit."""
+    x = math.exp(-2.0 * field.log_eps)
+    half_theta, k = 0.0, 0
+    while True:
+        term = x ** ((k + 0.5) ** 2)
+        half_theta += term
+        if term <= 2.0**-53 * half_theta:
+            return math.sqrt(field.q) * half_theta * half_theta
+        k += 1
+
+
 def golden_specialization_checks() -> list[CheckResult]:
     """At D=5 the combined series is the classical golden-ratio
     continuation: its values at s = -1, -3, ..., -9 must be the exact
-    special values (the odd part vanishes there), and its value at s=1 the
-    reciprocal Fibonacci constant."""
+    special values (the odd part vanishes there), its value at s=1 the
+    reciprocal Fibonacci constant, and the odd part there Jacobi's theta
+    value (_odd_at_one_by_theta)."""
     field = make_field(5)
     worst_rel = max(
         abs(evaluate(field, -n, PARITY_COMBINED, METHOD_BINOMIAL, 1e-14).value
@@ -244,16 +264,18 @@ def golden_specialization_checks() -> list[CheckResult]:
         for n in _ODD_N
     )
 
-    terms = [t.fib for t in sequence_terms(field, 102)]
-    recip = sum(1.0 / terms[n] for n in range(1, 101))
     at_one = evaluate(field, 1.0, PARITY_COMBINED, METHOD_BINOMIAL, 1e-14).value
     dev_one = abs(at_one - 3.359885666243)
+    odd_at_one = evaluate(field, 1.0, PARITY_ODD, METHOD_BINOMIAL, 1e-14).value
+    dev_theta = abs(odd_at_one / _odd_at_one_by_theta(field) - 1.0)
 
     return [
         CheckResult("golden-specialization exact D=5", worst_rel < 1e-12, worst_rel, 1e-12,
                     "combined binomial at s = -1, -3, ..., -9, relative"),
-        CheckResult("reciprocal-fibonacci value", dev_one < 1e-9 and abs(at_one - recip) < 1e-9,
-                    dev_one, 1e-9, "Z(1) at D=5"),
+        CheckResult("reciprocal-fibonacci value", dev_theta < 1e-12 and dev_one < 1e-9,
+                    dev_theta, 1e-12,
+                    "Z_odd(1) at D=5 against sqrt(5)/4 theta_2(0, eps^-2)^2, relative;"
+                    " Z(1) within 1e-9 of 3.359885666243"),
     ]
 
 

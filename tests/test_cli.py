@@ -562,6 +562,19 @@ def test_poles_far_down_the_real_axis_are_neither_zero_nor_nan(capsys):
     assert float(rows[500][4]) == pytest.approx(9.19303042091676e-51, rel=1e-13)
 
 
+@pytest.mark.parametrize("which, k", [("split", 182), ("combined", 182)])
+def test_poles_refuses_a_residue_out_of_double_range_before_any_row(capsys, which, k):
+    """The 993,391-row table of D=5, k <= 190, |m| <= 2600 printed nan from
+    k = 182, m = +-2600 on, after 946,000 rows of work.  Since the residue
+    grows with |m| at each k, the row of largest |m| at each k is tried
+    first, and the table refuses in milliseconds with no row written."""
+    code, out, err = run_cli(capsys, "poles", "--D", "5", "--kmax", "190", "--mmax", "2600",
+                             "--which", which)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: FactorOverflowError: the factor residue (k={k}, m=2600) ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("which", ["odd", "even"])
 def test_poles_which_names_a_lattice_not_a_parity(capsys, which):
     code, out, err = run_cli(capsys, "poles", "--D", "5", "--which", which)

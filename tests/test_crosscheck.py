@@ -8,6 +8,7 @@ import pytest
 
 from fibzeta import (
     DomainError,
+    FactorOverflowError,
     NormPlusOneError,
     OutOfRegionError,
     evaluate,
@@ -94,6 +95,36 @@ def test_analytic_residues_match_mpmath_far_down_and_far_up(d, k, m):
     for got, sign in ((p.residue_odd, (-1) ** m), (p.residue_even, (-1) ** k)):
         assert got != 0 and cmath.isfinite(got)
         assert abs(got - complex(sign * ref)) <= 1e-11 * abs(ref), (got, ref)
+
+
+@pytest.mark.parametrize("m", [2600, -2600])
+def test_pole_spec_refuses_a_residue_out_of_double_range(m):
+    """At D=5, k = 190, |m| = 2600 the residue is about 7.9e318 in mpmath,
+    past the largest double: the spec refuses with the residue's (k, m),
+    where it gave nan+nanj."""
+    with mp.workdps(30):
+        log_eps = mp.log((F5.eps.a + F5.eps.b * mp.sqrt(F5.q)) / 2)
+        s0 = mp.mpc(-380, mp.pi * m / log_eps)
+        assert abs(mp.power(F5.q, s0 / 2) * mp.binomial(-s0, 190) / (2 * log_eps)) > mp.mpf("7e318")
+    with pytest.raises(FactorOverflowError) as info:
+        _pole_spec(F5, 190, m)
+    assert info.value.factor == f"residue (k=190, m={m})"
+    assert info.value.s.real == -380.0
+
+
+@pytest.mark.parametrize("d", [2, 5, 10, 13, 29])
+def test_odd_zeta_at_one_is_jacobis_theta_value(d):
+    """Z_odd(1) = (sqrt(q)/4) theta_2(0, eps^-2)^2, the reference of the
+    golden suite's reciprocal-fibonacci line: the direct series agrees to
+    rounding, and the theta series to a 30-digit one in mpmath."""
+    field = make_field(d)
+    value = suites._odd_at_one_by_theta(field)
+    direct = evaluate(field, 1.0, "odd", "direct", 1e-15).value
+    assert abs(direct / value - 1.0) <= 1e-15
+    with mp.workdps(30):
+        x = 1 / ((field.eps.a + field.eps.b * mp.sqrt(field.q)) / 2) ** 2
+        ref = mp.sqrt(field.q) / 4 * mp.jtheta(2, 0, x) ** 2
+    assert abs(value - float(ref)) <= 1e-15 * float(ref)
 
 
 # ------------------------------------------------------------- contour residues
