@@ -170,8 +170,8 @@ def _square_pair_support(
     n <= n_max, ascending.
 
     Only n = t^2 can count (r1 kills the rest), and D t^2 +- ell must be a
-    square: quadfield.pell_solutions_upto finds those t through the same
-    residue tables that screen is_fib.  The product r1 r1 / 4 is 1 at every
+    square: quadfield.pell_solutions_upto finds those t with the membership
+    kernel behind is_fib.  The product r1 r1 / 4 is 1 at every
     hit (both factors 2).  Cached, since every scan at one (field, sign,
     n_max) finds the same support; a tuple, so callers share it safely.
     """

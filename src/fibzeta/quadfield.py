@@ -60,9 +60,10 @@ def _squares_mod(m: int) -> bytes:
 # import.  Together the two moduli pass 1.6-3.7% of the is_fib arguments of
 # D = 2, 5, 10, 13 on to isqrt; a single table mod 64*63*5 was no faster per
 # call, passed up to 24% and took three times as long to build.  is_square
-# reads them at its argument.  is_fib and pell_solutions_upto read them
-# through per-field tables indexed by n (or t) itself (_membership_table):
-# the mod-4032 table alone settles 55-82% of n <= 10^6, both pass 3.1-7.3%.
+# reads them at its argument.  Membership reads them through per-field
+# tables indexed by n itself (_membership_table), in bulk: _pell_roots
+# repeats both tables along a block of n and ANDs them in C, and both pass
+# 3.1-7.3% of n <= 10^6 on to the exact isqrt.
 _SQUARES_MOD_4032 = _squares_mod(64 * 63)
 _SQUARES_MOD_2431 = _squares_mod(11 * 13 * 17)
 
@@ -72,7 +73,7 @@ def _membership_table(d: int, ell: int, m: int, squares: bytes) -> bytes:
     bit 1 is squares[(d r^2 + ell) mod m].
 
     d n^2 +- ell mod m depends only on n mod m, so t[n % m] is the residue
-    screen of both is_fib arguments without forming them.
+    screen of both membership arguments without forming them.
     """
     return bytes(
         squares[(d * r * r - ell) % m] | squares[(d * r * r + ell) % m] << 1
@@ -261,9 +262,10 @@ class QuadraticField(FrozenRecord):
     @cached_property
     def _membership_tables(self) -> tuple[bytes, bytes]:
         """The residue screens of D n^2 +- ell mod 4032 and mod 2431 (bit 0
-        the minus sign, bit 1 the plus sign), read by is_fib and by
-        pell_solutions_upto.  Built on first use (about 2 ms), so that fields
-        which never test membership or scan for squares skip them."""
+        the minus sign, bit 1 the plus sign), read a block of n at a time by
+        _pell_roots, the membership kernel.  Built on first use (about 2 ms),
+        so that fields which never test membership or scan for squares skip
+        them."""
         return (
             _membership_table(self.D, self.ell, 4032, _SQUARES_MOD_4032),
             _membership_table(self.D, self.ell, 2431, _SQUARES_MOD_2431),
@@ -482,38 +484,63 @@ def _exact_root(x: int) -> int:
     return r if r * r == x else 0
 
 
-def is_fib(field: QuadraticField, n: int) -> MembershipResult:
-    """Pell-type membership test: is n a term of the F sequence?
+# n screened per block by _pell_roots: a block costs a few C passes over
+# this many bytes (the table repeats, the AND, the translate), so 2^16
+# spreads that set-up over enough n to vanish beside the exact tests, and
+# keeps memory at a few hundred KB whatever the range
+_PELL_BLOCK = 1 << 16
+# maps a screen byte to 1 where any sign bit is set, so that bytes.find
+# steps from survivor to survivor without touching the n in between
+_ANY_SIGN = bytes((0, 1, 1, 1)) + bytes(252)
 
-    Decides solvability of X^2 = q n^2 +- 4 exactly (reduced to
-    Y^2 = D n^2 +- 1 when q = 4D, witness X = 2Y), so both arguments are
-    D n^2 +- ell.  The field's residue tables, read at n mod 4032 and n mod
-    2431, reject almost every non-member with no big-integer product: the
-    mod-4032 table alone settles most n, and the mod-2431 table is read only
-    for those it passes.  Only the signs that pass both get the exact isqrt
-    test.  A non-member gets one shared result, so the common case allocates
-    nothing.
-    With a norm -1 unit the solvable sign determines the index parity: -4
-    for odd index, +4 for even.  When both signs solve (only n=1 for D=5),
-    the odd-index verdict is reported.  A norm +1 unit has no split, and its
-    members get the plain MEMBER verdict.
+
+def _periodic(table: bytes, lo: int, count: int) -> bytes:
+    """table[(lo + i) % len(table)] for i in 0 .. count - 1."""
+    r = lo % len(table)
+    return (table * ((r + count) // len(table) + 1))[r : r + count]
+
+
+def _pell_roots(
+    field: QuadraticField, start: int, stop: int, signs: int = 3
+) -> Iterator[tuple[int, int, int]]:
+    """(n, minus_root, plus_root) for each n in [start, stop), ascending, for
+    which D n^2 - ell or D n^2 + ell is a square; a root is isqrt of that
+    argument, or 0 where it is not a square.  signs selects the signs tested
+    (bit 0 minus, bit 1 plus); the root of a sign left out is 0.  start >= 1,
+    so that both arguments are positive.
+
+    The membership kernel: is_fib is its one-n case, and the Pell sweep and
+    the shifted-convolution scan read it over a range.  Each block of n gets
+    the screen bytes of both residue tables at once, ANDed in C, so that
+    entry i is screen_4032[n % 4032] & screen_2431[n % 2431] & signs at
+    n = lo + i.  Every n a screen passes gets the exact isqrt test of each
+    sign its bits admit, so the roots are exact for integers of any size.
     """
-    if n < 1:
-        raise DomainError(f"membership test needs a positive integer, got {n}")
-
     screen_4032, screen_2431 = field._membership_tables
-    signs = screen_4032[n % 4032]
-    if not signs:
-        return _NOT_A_MEMBER
-    signs &= screen_2431[n % 2431]
-    if not signs:
-        return _NOT_A_MEMBER
-    base, ell = field.D * n * n, field.ell
-    minus = signs & 1 and _exact_root(base - ell)
-    plus = signs & 2 and _exact_root(base + ell)
-    if not (minus or plus):
-        return _NOT_A_MEMBER
-    scale = 2 if ell == 1 else 1  # q = 4D: X = 2Y
+    d, ell = field.D, field.ell
+    for lo in range(start, stop, _PELL_BLOCK):
+        count = min(_PELL_BLOCK, stop - lo)
+        screen = (
+            int.from_bytes(_periodic(screen_4032, lo, count), "little")
+            & int.from_bytes(_periodic(screen_2431, lo, count), "little")
+            & int.from_bytes(bytes((signs,)) * count, "little")
+        ).to_bytes(count, "little")
+        find = screen.translate(_ANY_SIGN).find
+        i = find(1)
+        while i >= 0:
+            bits = screen[i]
+            n = lo + i
+            base = d * n * n
+            minus = bits & 1 and _exact_root(base - ell)
+            plus = bits & 2 and _exact_root(base + ell)
+            if minus or plus:
+                yield n, minus, plus
+            i = find(1, i + 1)
+
+
+def _membership_result(field: QuadraticField, minus: int, plus: int) -> MembershipResult:
+    """The verdict of a kernel hit with these roots (see is_fib)."""
+    scale = 2 if field.ell == 1 else 1  # q = 4D: X = 2Y
     if field.norm_eps == -1:
         if minus:
             return MembershipResult(MEMBER_ODD_INDEX, scale * minus)
@@ -521,25 +548,34 @@ def is_fib(field: QuadraticField, n: int) -> MembershipResult:
     return MembershipResult(MEMBER, scale * (plus or minus))
 
 
+def is_fib(field: QuadraticField, n: int) -> MembershipResult:
+    """Pell-type membership test: is n a term of the F sequence?
+
+    Decides solvability of X^2 = q n^2 +- 4 exactly (reduced to
+    Y^2 = D n^2 +- 1 when q = 4D, witness X = 2Y), so both arguments are
+    D n^2 +- ell.  This is the one-n case of _pell_roots, the kernel the
+    Pell sweep runs over a range: the field's residue tables, read at
+    n mod 4032 and n mod 2431, reject almost every non-member with no
+    big-integer product, and only the signs that pass both get the exact
+    isqrt test.  A call costs about 2 us, most of it the kernel's block
+    set-up.  Every non-member gets one shared result.
+    With a norm -1 unit the solvable sign determines the index parity: -4
+    for odd index, +4 for even.  When both signs solve (only n=1 for D=5),
+    the odd-index verdict is reported.  A norm +1 unit has no split, and its
+    members get the plain MEMBER verdict.
+    """
+    if n < 1:
+        raise DomainError(f"membership test needs a positive integer, got {n}")
+    for _, minus, plus in _pell_roots(field, n, n + 1):
+        return _membership_result(field, minus, plus)
+    return _NOT_A_MEMBER
+
+
 def pell_solutions_upto(field: QuadraticField, sign: int, t_max: int) -> tuple[int, ...]:
     """Every t with 1 <= t <= t_max for which D t^2 + sign*ell is a positive
     square, ascending; sign is +1 or -1.
 
-    The field's residue tables screen t as is_fib screens n: the walk visits
-    only the classes r mod 4032 whose entry has the sign's bit, steps
-    t = r, r + 4032, ... through each (4032, 8064, ... for r = 0), and gives
-    the exact isqrt test only to the t that the mod-2431 table also passes,
-    so the result is exact.
+    The hits of _pell_roots over 1 .. t_max with only this sign tested, so
+    the same screens and exact isqrt tests as is_fib decide each t.
     """
-    bit = 2 if sign > 0 else 1
-    d, shift = field.D, sign * field.ell  # D - ell >= 1, so every argument is > 0
-    screen_4032, screen_2431 = field._membership_tables
-    found = [
-        t
-        for r in range(4032)
-        if screen_4032[r] & bit
-        for t in range(r or 4032, t_max + 1, 4032)
-        if screen_2431[t % 2431] & bit and _exact_root(d * t * t + shift)
-    ]
-    found.sort()
-    return tuple(found)
+    return tuple(t for t, _, _ in _pell_roots(field, 1, t_max + 1, 2 if sign > 0 else 1))

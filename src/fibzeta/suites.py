@@ -38,10 +38,10 @@ from .quadfield import (
     MEMBER,
     MEMBER_EVEN_INDEX,
     MEMBER_ODD_INDEX,
-    NOT_MEMBER,
     QuadraticField,
+    _membership_result,
+    _pell_roots,
     fib_upto,
-    is_fib,
     make_field,
     sequence_terms,
 )
@@ -113,15 +113,16 @@ def sequence_checks() -> list[CheckResult]:
 # ----------------------------------------------------------------------- pell
 
 def pell_check(field: QuadraticField, bound: int = 1_000_000) -> CheckResult:
-    """Compare is_fib's verdict on every n in 1 .. bound with the terms
+    """Compare the membership verdict on every n in 1 .. bound with the terms
     fib_upto enumerates.
 
     A member must get the verdict of its index: the parity verdict of an odd
     or even index on a norm -1 field (either one for a value at both, such as
     1 on D=5), MEMBER on a norm +1 field; any other n must get NOT_MEMBER.
     The max deviation is the number of n whose verdict disagrees, so the
-    check passes only at 0.  Every n goes through is_fib, and the loop keeps
-    only its hits, so the sweep costs little more than those calls.
+    check passes only at 0.  One call of the membership kernel behind
+    is_fib screens every n in bulk and gives its hits, each mapped to a
+    verdict by is_fib's rule; an n it does not give is a non-member.
     """
     if field.norm_eps == -1:
         index_verdicts = (MEMBER_EVEN_INDEX, MEMBER_ODD_INDEX)
@@ -130,7 +131,10 @@ def pell_check(field: QuadraticField, bound: int = 1_000_000) -> CheckResult:
     allowed: dict[int, set[str]] = {}
     for t in fib_upto(field, bound):
         allowed.setdefault(t.fib, set()).add(index_verdicts[t.index % 2])
-    hits = [(n, v) for n in range(1, bound + 1) if (v := is_fib(field, n).verdict) != NOT_MEMBER]
+    hits = [
+        (n, _membership_result(field, minus, plus).verdict)
+        for n, minus, plus in _pell_roots(field, 1, bound + 1)
+    ]
     found = {n for n, _ in hits}
     mismatches = sum(v not in allowed.get(n, ()) for n, v in hits)
     mismatches += sum(n not in found for n in allowed)

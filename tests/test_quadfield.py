@@ -24,12 +24,17 @@ from fibzeta import (
     r1,
     sequence_terms,
 )
+from fibzeta import quadfield
 from fibzeta.quadfield import (
+    _NOT_A_MEMBER,
+    _PELL_BLOCK,
     _SQUARES_MOD_2431,
     _SQUARES_MOD_4032,
     _VALIDATION_SCAN_CAP,
     MembershipResult,
     UnitElement,
+    _membership_result,
+    _pell_roots,
     _unit_by_search,
     is_square,
     log_fib_upto,
@@ -317,35 +322,38 @@ def test_membership_tables_screen_both_signs_by_residue_of_n(d):
             assert table[r] == minus | plus << 1, (m, r)
 
 
-def test_pell_check_sends_every_integer_through_is_fib(monkeypatch):
+def test_pell_check_screens_every_integer_once_through_the_kernel(monkeypatch):
     from fibzeta import suites
 
-    seen = []
+    ranges = []
 
-    def counting_is_fib(field, n):
-        seen.append(n)
-        return is_fib(field, n)
+    def counting_kernel(field, start, stop):
+        ranges.append((start, stop))
+        return _pell_roots(field, start, stop)
 
-    monkeypatch.setattr(suites, "is_fib", counting_is_fib)
+    monkeypatch.setattr(suites, "_pell_roots", counting_kernel)
     for d in (5, 3):  # norm -1 and norm +1
-        seen.clear()
+        ranges.clear()
         assert suites.pell_check(make_field(d), bound=5000).passed
-        assert seen == list(range(1, 5001))
+        assert [n for start, stop in ranges for n in range(start, stop)] == list(range(1, 5001))
 
 
 @pytest.mark.parametrize("d, wrong", [
-    # a swapped parity at F(6) = 8, no verdict at F(7) = 13, a member verdict at 4
-    (5, {8: MEMBER_ODD_INDEX, 13: NOT_MEMBER, 4: MEMBER_EVEN_INDEX}),
-    # norm +1: a parity verdict at F(3) = 15, none at F(4) = 56, MEMBER at 5
-    (3, {15: MEMBER_ODD_INDEX, 56: NOT_MEMBER, 5: MEMBER}),
+    # a swapped parity at F(6) = 8 (5*64 + 4 = 18^2), no hit at F(7) = 13,
+    # a false member at 4
+    (5, {8: (18, 0), 13: None, 4: (0, 6)}),
+    # norm +1: no hit at F(4) = 56, false members at 5 and 6, one per sign
+    (3, {56: None, 5: (0, 1), 6: (1, 0)}),
 ])
 def test_pell_check_counts_each_disagreeing_integer_once(monkeypatch, d, wrong):
     from fibzeta import suites
 
-    def lying_is_fib(field, n):
-        return MembershipResult(wrong[n], None) if n in wrong else is_fib(field, n)
+    def lying_kernel(field, start, stop):
+        hits = {n: (minus, plus) for n, minus, plus in _pell_roots(field, start, stop)}
+        hits.update(wrong)
+        return ((n, *hits[n]) for n in sorted(hits) if hits[n] is not None)
 
-    monkeypatch.setattr(suites, "is_fib", lying_is_fib)
+    monkeypatch.setattr(suites, "_pell_roots", lying_kernel)
     result = suites.pell_check(make_field(d), bound=1000)
     assert not result.passed and result.max_deviation == 3.0
 
@@ -380,11 +388,78 @@ def _reference_is_fib(witness_minus, witness_plus, split):
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 29])
-def test_is_fib_matches_plain_isqrt_reference(d):
+def test_pell_roots_match_plain_isqrt_reference(d):
+    # 200 000 spans three block edges of the kernel
     f = make_field(d)
+    scale = 2 if f.q % 4 == 0 else 1
+    found = list(_pell_roots(f, 1, 200_001))
+    assert [n for n, _, _ in found] == sorted({n for n, _, _ in found})
+    hits = {n: (minus, plus) for n, minus, plus in found}
     for n in range(1, 200_001):
         wm, wp = _reference_witnesses(f, n)
+        minus, plus = hits.get(n, (0, 0))
+        assert (scale * minus or None, scale * plus or None) == (wm, wp), n
+        if n in hits:
+            assert _membership_result(f, minus, plus) == _reference_is_fib(
+                wm, wp, f.is_norm_minus_one), n
+
+
+@pytest.mark.parametrize("block", [_PELL_BLOCK, 97])
+@pytest.mark.parametrize("d", [3, 5, 13])
+def test_pell_roots_give_every_screen_survivor_the_exact_test(monkeypatch, d, block):
+    monkeypatch.setattr(quadfield, "_PELL_BLOCK", block)
+    f = make_field(d)
+    screen_4032, screen_2431 = f._membership_tables
+    exact_root = quadfield._exact_root
+    tested = []
+
+    def recording_exact_root(x):
+        tested.append(x)
+        return exact_root(x)
+
+    monkeypatch.setattr(quadfield, "_exact_root", recording_exact_root)
+    for start, stop in ((1, _PELL_BLOCK + 1000), (10**30, 10**30 + 1000)):
+        for signs in (1, 2, 3):
+            tested.clear()
+            hits = list(_pell_roots(f, start, stop, signs))
+            expected = []
+            for n in range(start, stop):
+                bits = screen_4032[n % 4032] & screen_2431[n % 2431] & signs
+                expected += [f.D * n * n - f.ell] * (bits & 1) + [f.D * n * n + f.ell] * (bits >> 1)
+            assert tested == expected
+            assert all((signs & 1 or not minus) and (signs & 2 or not plus) for _, minus, plus in hits)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 29])
+def test_is_fib_matches_plain_isqrt_reference(d):
+    f = make_field(d)
+    for n in range(1, 20_001):
+        wm, wp = _reference_witnesses(f, n)
         assert is_fib(f, n) == _reference_is_fib(wm, wp, f.is_norm_minus_one), n
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13])
+def test_pell_roots_equal_is_fib_across_block_edges_and_far_from_one(monkeypatch, d):
+    f = make_field(d)
+    far = fib(f, 300) - 3
+
+    def assert_kernel_equals_is_fib(start, stop):
+        hits = {n: _membership_result(f, minus, plus) for n, minus, plus in _pell_roots(f, start, stop)}
+        assert all(start <= n < stop for n in hits)
+        for n in range(start, stop):
+            assert hits.get(n, _NOT_A_MEMBER) == is_fib(f, n), n
+        return hits
+
+    ranges = [(1, 1), (far, far), (1, 3000), (far, far + 3000), (10**30, 10**30 + 3000)]
+    for start, stop in ranges:
+        assert_kernel_equals_is_fib(start, stop)
+    assert far + 3 in assert_kernel_equals_is_fib(far, far + 4)
+    # blocks of 97 n: every range above crosses block edges, at many rotations
+    # of both tables (test_pell_roots_match_plain_isqrt_reference crosses
+    # full-size ones)
+    monkeypatch.setattr(quadfield, "_PELL_BLOCK", 97)
+    for start, stop in ranges:
+        assert_kernel_equals_is_fib(start, stop)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 13, 29])
@@ -416,15 +491,12 @@ def test_membership_matches_enumeration(d):
     even_set = set()
     for t in fib_upto(f, bound):
         (odd_set if t.index % 2 else even_set).add(t.fib)
-    members = odd_set | even_set
-    for n in range(1, bound + 1):
-        r = is_fib(f, n)
-        assert bool(r) == (n in members), (d, n)
-        if f.is_norm_minus_one and r:
-            if r.verdict == MEMBER_ODD_INDEX:
-                assert n in odd_set, (d, n)
-            else:
-                assert n in even_set, (d, n)
+    verdicts = {n: _membership_result(f, minus, plus).verdict
+                for n, minus, plus in _pell_roots(f, 1, bound + 1)}
+    assert set(verdicts) == odd_set | even_set
+    if f.is_norm_minus_one:
+        for n, verdict in verdicts.items():
+            assert n in (odd_set if verdict == MEMBER_ODD_INDEX else even_set), (d, n)
 
 
 # -------------------------------------------------------------------------- r1
