@@ -20,9 +20,13 @@ are meromorphic and agree for large Re s, so the split holds on all of C.
 The binomial evaluators are plain series of (field, s, tol), zeta_direct of
 (field, s, parity, n_max): each returns one flat record of its value, terms
 used, tail bound and rigour.  dispatch.evaluate checks the unit norm, guards
-the pole lattice and fills in the distance to it.  What does not depend on
-s is formed once per field and read from it: log q (QuadraticField.log_q),
-and eta^(-2), eta^(-4) and the pole spacing pi / log eta (HalfUnit).  The
+the pole lattice and fills in the distance to it.  A binomial series
+refuses on its own only a real-axis pole s = -2k itself, to double
+precision, where a denominator 1 - u^2 or 1 - u is exactly 0: it raises
+PoleProximityError there at every k if split (as is a norm +1 field's
+combined series), at even k if combined.  What does not depend on s is
+formed once per field and read from it: log q (QuadraticField.log_q), and
+eta^(-2), eta^(-4) and the pole spacing pi / log eta (HalfUnit).  The
 binomial route builds its record by tuple.__new__, and nearest_lattice_pole
 settles its common case, one clearly nearer lattice line on each axis,
 inline.

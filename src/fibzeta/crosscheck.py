@@ -2,7 +2,8 @@
 
 - the pole lattice s = -2k + pi i m / log eps with analytic residues of the
   odd and even continuations, derived from the unique singular k-term of the
-  binomial series (denominator derivative 2 log eps at the pole);
+  binomial series (denominator derivative 2 log eps at the pole), each
+  column m of a table one running product in k;
 - numeric residues by trapezoid contour integration, for validating them;
 - shifted-convolution Dirichlet series whose coefficients r1(n) r1(D n -+ ell)
   detect pairs of squares: an evaluation route that never touches eps, gamma,
@@ -65,77 +66,59 @@ class PoleSpec(NamedTuple):
     survives_in_combined: bool
 
 
-_RESCALE = 2.0**512
-
-
-def _binomial_coefficient(s0: complex, k: int, q: float) -> complex:
-    """C(-s0, k) q^(-k) by the recurrence c(j+1) = c(j) (-s0 - j)/((j + 1) q),
-    which continuation._binomial_sum runs inline at q = 1.  Its partial
-    products rise, then fall to the result, and can pass double range where
-    the result does not (from k of about 1950 at s0 = -2k, q = 5), so one
-    above _RESCALE is divided by it and multiplied back once below 1: both
-    exact, as powers of two."""
-    out: complex = 1.0 + 0j
-    scalings = 0
-    for j in range(k):
-        out = out * (-s0 - j) / ((j + 1.0) * q)
-        if abs(out) > _RESCALE:
-            out, scalings = out / _RESCALE, scalings + 1
-        elif scalings and abs(out) < 1.0:
-            out, scalings = out * _RESCALE, scalings - 1
-    for _ in range(scalings):
-        out *= _RESCALE
-    return out
-
-
-def _pole_spec(field: QuadraticField, k: int, m: int) -> PoleSpec:
-    """The pole (k, m) with its residues; FactorOverflowError where they
-    leave double range (|residue| 7.9e318 at D=5, k = 190, m = 2600)."""
-    log_eps = field.log_eps
-    s0 = complex(-2 * k, math.pi * m / log_eps)  # +0.0, not -0.0, at k = 0
-    # q^(s0/2) = q^(-k) q^(i Im s0/2): the q^(-k) is folded into the
-    # binomial coefficient, whose own size it offsets step by step
-    base = (_q_power(field, complex(0.0, s0.imag)) * _binomial_coefficient(s0, k, field.q)
-            / (2.0 * log_eps))
-    if not cmath.isfinite(base):
-        raise FactorOverflowError(f"residue (k={k}, m={m})", s0)
-    res_odd = base * ((-1) ** m)
-    res_even = base * ((-1) ** k)
-    return PoleSpec(
-        k=k,
-        m=m,
-        location=s0,
-        residue_odd=res_odd,
-        residue_even=res_even,
-        survives_in_combined=(m + k) % 2 == 0,
-    )
-
-
 def pole_lattice(
     field: QuadraticField,
     k_max: int,
     m_max: int,
     lattice: str = LATTICE_SPLIT,
 ) -> list[PoleSpec]:
-    """Lattice poles with k <= k_max, |m| <= m_max; requires a norm -1 unit.
+    """Lattice poles with k <= k_max, |m| <= m_max, in (k, m) order; requires
+    a norm -1 unit.
 
-    The lattices are those of nearest_lattice_pole: "split" is every pole of
-    Z_odd and Z_even (the two share their locations), "combined" only the
-    half where m + k is even, which survives in Z_odd + Z_even.  A residue
-    that leaves double range raises FactorOverflowError, naming its (k, m).
+    The lattices are those of nearest_lattice_pole, at its own points
+    -2k + i m pi / log eta: "split" is every pole of Z_odd and Z_even (the
+    two share their locations), "combined" only the half where m + k is
+    even, which survives in Z_odd + Z_even.
+
+    Each column m is one running product.  With y = Im s0 the residue is
+    q^(iy/2) c_k / (2 log eps), c_k = C(2k - iy, k) q^(-k) the c_(k-1)
+    before it times (2k - iy)(2k - 1 - iy) / (k (k - iy) q).  So q^(-k)
+    offsets the growth of C(-s0, k) step by step (at D=5 q^(s0/2) underflows
+    from k = 463 and C(-s0, k) overflows from k = 511, their product does
+    not), and every partial product is a row's: on the combined lattice the
+    step over a k with no row is folded into the next one.  A residue that
+    leaves double range raises FactorOverflowError, naming its (k, m).  At
+    each k the residue grows with |m|, so the columns run from the largest
+    |m| down, and a table that refuses does so in its first column.
     """
     if lattice not in (LATTICE_SPLIT, LATTICE_COMBINED):
         raise ValueError(f"unknown lattice {lattice!r}")
     field.require_norm_minus_one()
     split = lattice == LATTICE_SPLIT
-    if m_max > 0:
-        # at each k the residue grows with |m|, so the lattice pole of
-        # largest |m| tells at once whether a row of that k leaves double
-        # range: such a table refuses before the rest of it is computed
+    spacing = field.half_unit.pole_spacing
+    q = field.q
+    two_log_eps = 2.0 * field.log_eps
+    rows: list[PoleSpec] = []
+    for m in sorted(range(-m_max, m_max + 1), key=lambda m: (-abs(m), -m)):
+        y = m * spacing
+        phase = _q_power(field, complex(0.0, y))  # q^(iy/2)
+        c: complex = 1.0 + 0j
+        step: complex = 1.0 + 0j  # the steps since the last row
         for k in range(k_max + 1):
-            _pole_spec(field, k, m_max if split or (k + m_max) % 2 == 0 else m_max - 1)
-    return [_pole_spec(field, k, m) for k in range(k_max + 1)
-            for m in range(-m_max, m_max + 1) if split or (k + m) % 2 == 0]
+            if k:
+                step *= complex(2 * k, -y) * complex(2 * k - 1, -y) / (complex(k, -y) * (k * q))
+            if not split and (k + m) % 2:
+                continue
+            c *= step
+            step = 1.0 + 0j
+            s0 = complex(-2 * k, y)  # -2 * k in integers: +0.0, not -0.0, at k = 0
+            base = phase * c / two_log_eps
+            if not cmath.isfinite(base):
+                raise FactorOverflowError(f"residue (k={k}, m={m})", s0)
+            rows.append(PoleSpec(k, m, s0, base * ((-1) ** m), base * ((-1) ** k),
+                                 (m + k) % 2 == 0))
+    rows.sort()  # by (k, m), the first two fields, unique to a row
+    return rows
 
 
 def residue_numeric(
@@ -165,19 +148,17 @@ def residue_numeric(
 @lru_cache(maxsize=64)
 def _square_pair_support(
     field: QuadraticField, shift_sign: int, n_max: int
-) -> tuple[tuple[int, int], ...]:
-    """All (n, coefficient) with r1(n) r1(D n + shift_sign*ell) != 0 for
-    n <= n_max, ascending.
+) -> tuple[int, ...]:
+    """All n <= n_max with r1(n) r1(D n + shift_sign*ell) != 0, ascending.
 
     Only n = t^2 can count (r1 kills the rest), and D t^2 +- ell must be a
     square: quadfield.pell_solutions_upto finds those t with the membership
-    kernel behind is_fib.  The product r1 r1 / 4 is 1 at every
-    hit (both factors 2).  Cached, since every scan at one (field, sign,
-    n_max) finds the same support; a tuple, so callers share it safely.
+    kernel behind is_fib.  Both factors are 2 at every hit, so the
+    coefficient r1 r1 / 4 is 1 and the support carries none.  Cached, since
+    every scan at one (field, sign, n_max) finds the same support; a tuple,
+    so callers share it safely.
     """
-    return tuple(
-        (t * t, 1) for t in pell_solutions_upto(field, shift_sign, math.isqrt(n_max))
-    )
+    return tuple(t * t for t in pell_solutions_upto(field, shift_sign, math.isqrt(n_max)))
 
 
 def _shifted_convolution(
@@ -188,8 +169,8 @@ def _shifted_convolution(
         raise OutOfRegionError(f"shifted convolution needs Re s > 0, got {s.real}")
     support = _square_pair_support(field, shift_sign, n_max)
     total = 0j
-    for n, coeff in support:
-        total += coeff * cmath.exp(-0.5 * s * math.log(n))
+    for n in support:
+        total += cmath.exp(-0.5 * s * math.log(n))
     # members grow at least geometrically (ratio eta^2 in sqrt(n), eta of
     # HalfUnit), so the tail is below the first candidate past the scan bound
     first_out = math.exp(-0.5 * s.real * math.log(n_max))

@@ -5,15 +5,20 @@ suites, library users - goes through evaluate().  Evaluators are looked up
 by their module-level names at call time, so a wrapper installed on one of
 those names sees every dispatched call.
 
-The evaluators are unguarded series; evaluate() alone applies the pole
-policy, within its keyword pole_guard, the program's one setting.  A norm -1
-combined value reports its distance to the combined lattice, any other value
-to the split one.  Binomial refuses near the lattice it reports, Poisson
-near the split one, where each of its parts is singular; direct and shifted
-convolution only report.  Each evaluation searches the lattice once, but a
-norm -1 combined Poisson value twice (the guard on the split lattice, the
-report on the combined one), and copies the route's record once, by
-tuple.__new__, to fill in the distance.
+The evaluators are series with no guard radius; evaluate() alone applies
+the pole policy, within its keyword pole_guard, the program's one setting.
+Only on a real-axis pole s = -2k itself, where a denominator is 0, does a
+kernel refuse on its own, with PoleProximityError: a binomial series on
+its lattice (s = -2k to double precision; every k for the split series,
+even k for the combined series of a norm -1 field) and the Poisson
+kernels at every k (sin(pi s/2) = 0).  A norm -1 combined value reports
+its distance to the combined lattice, any other value to the split one.
+Binomial refuses near the lattice it reports, Poisson near the split one,
+where each of its parts is singular; direct and shifted convolution only
+report.  Each evaluation searches the lattice once, but a norm -1 combined
+Poisson value twice (the guard on the split lattice, the report on the
+combined one), and copies the route's record once, by tuple.__new__, to
+fill in the distance.
 
 No evaluation returns a value or a bound that is not finite: evaluate()
 raises FactorOverflowError where a route overflows or ends in inf or NaN,

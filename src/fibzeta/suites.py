@@ -73,13 +73,13 @@ def sample_points(
     re_lo: float,
     re_hi: float,
     im_max: float,
-    min_pole_distance: float = 0.05,
 ) -> list[complex]:
-    """Uniform points in the box, rejection-sampled off the pole lattice."""
+    """Uniform points in the box, rejection-sampled to more than 0.05 off the
+    pole lattice."""
     out: list[complex] = []
     while len(out) < count:
         s = complex(rng.uniform(re_lo, re_hi), rng.uniform(-im_max, im_max))
-        if nearest_lattice_pole(field, s)[3] > min_pole_distance:
+        if nearest_lattice_pole(field, s)[3] > 0.05:
             out.append(s)
     return out
 
@@ -150,12 +150,7 @@ def pell_check(field: QuadraticField, bound: int = 1_000_000) -> CheckResult:
 # --------------------------------------------------------------- cross-method
 
 def cross_method_check(
-    field: QuadraticField,
-    rng: random.Random,
-    points: int = 200,
-    tol_cross: float = 1e-8,
-    tol_direct: float = 1e-10,
-    eval_tol: float = 1e-12,
+    field: QuadraticField, rng: random.Random, points: int = 200
 ) -> list[CheckResult]:
     """Binomial vs Poisson on the standard box, plus direct and
     shifted-convolution comparisons on their convergent sub-ranges.
@@ -172,11 +167,11 @@ def cross_method_check(
     parities = (PARITY_ODD, PARITY_EVEN) if field.is_norm_minus_one else (PARITY_COMBINED,)
 
     def value(s: complex, parity: str, method: str) -> complex:
-        return evaluate(field, s, parity, method, eval_tol).value
+        return evaluate(field, s, parity, method, 1e-12).value
 
     # one binomial evaluation per (point, parity) serves every comparison there
     all_pts = box + direct_pts + sc_pts
-    binomial = {parity: [evaluate(field, s, parity, METHOD_BINOMIAL, eval_tol) for s in all_pts]
+    binomial = {parity: [evaluate(field, s, parity, METHOD_BINOMIAL, 1e-12) for s in all_pts]
                 for parity in parities}
     direct_at, sc_at = len(box), len(box) + len(direct_pts)
 
@@ -186,8 +181,8 @@ def cross_method_check(
         worst = 0.0
         for s, b in zip(all_pts, binomial[parity]):
             worst = max(worst, abs(b.value - value(s, parity, METHOD_POISSON)))
-        out.append(CheckResult(f"cross-method {parity} D={d}", worst < tol_cross, worst,
-                               tol_cross, f"{len(all_pts)} points"))
+        out.append(CheckResult(f"cross-method {parity} D={d}", worst < 1e-8, worst, 1e-8,
+                               f"{len(all_pts)} points"))
 
     worst_direct = 0.0
     for i, s in enumerate(direct_pts, direct_at):
@@ -208,8 +203,8 @@ def cross_method_check(
             sc_ok = sc_ok and delta <= allowed
 
     return out + [
-        CheckResult(f"binomial-vs-direct D={d}", worst_direct < tol_direct, worst_direct,
-                    tol_direct, f"{len(direct_pts)} points, Re s >= 0.5"),
+        CheckResult(f"binomial-vs-direct D={d}", worst_direct < 1e-10, worst_direct, 1e-10,
+                    f"{len(direct_pts)} points, Re s >= 0.5"),
         CheckResult(f"binomial-vs-shifted-convolution D={d}", sc_ok, max(worst_sc, 0.0), 0.0,
                     f"{len(sc_pts)} points, Re s >= 1, within summed tail bounds"),
     ]
@@ -217,12 +212,10 @@ def cross_method_check(
 
 # -------------------------------------------------------------------- splitting
 
-def splitting_check(
-    field: QuadraticField, rng: random.Random, points: int = 100
-) -> CheckResult:
+def splitting_check(field: QuadraticField, rng: random.Random) -> CheckResult:
     worst = 0.0
     ok = True
-    for s in sample_points(field, rng, points, -6.0, 4.0, 10.0):
+    for s in sample_points(field, rng, 100, -6.0, 4.0, 10.0):
         odd, even, comb = (evaluate(field, s, parity, METHOD_BINOMIAL, 1e-13)
                            for parity in (PARITY_ODD, PARITY_EVEN, PARITY_COMBINED))
         delta = abs(comb.value - (odd.value + even.value))
@@ -230,7 +223,7 @@ def splitting_check(
         worst = max(worst, delta)
         ok = ok and delta <= allowed
     return CheckResult(
-        f"splitting-identity D={field.D}", ok, worst, 0.0, f"{points} points, within tail bounds"
+        f"splitting-identity D={field.D}", ok, worst, 0.0, "100 points, within tail bounds"
     )
 
 
@@ -285,9 +278,9 @@ def golden_specialization_checks() -> list[CheckResult]:
 
 # -------------------------------------------------------------------- residues
 
-def residue_checks(field: QuadraticField, k_max: int = 2, m_max: int = 3) -> list[CheckResult]:
+def residue_checks(field: QuadraticField) -> list[CheckResult]:
     # the contour of radius 1e-3 passes inside the default pole guard
-    poles = pole_lattice(field, k_max, m_max)
+    poles = pole_lattice(field, 2, 3)
     worst_rel = 0.0
     for parity in (PARITY_ODD, PARITY_EVEN):
         for p in poles:
@@ -309,7 +302,7 @@ def residue_checks(field: QuadraticField, k_max: int = 2, m_max: int = 3) -> lis
             worst_cancel = max(worst_cancel, abs(p.residue_odd + p.residue_even))
     return [
         CheckResult(f"residues-contour-vs-analytic D={field.D}", worst_rel < 1e-6, worst_rel,
-                    1e-6, f"k<={k_max}, |m|<={m_max}, both parities"),
+                    1e-6, "k<=2, |m|<=3, both parities"),
         CheckResult(f"residue-cancellation D={field.D}", worst_cancel < 1e-8, worst_cancel,
                     1e-8, "m+k odd points"),
     ]
@@ -354,17 +347,15 @@ def special_value_checks(field: QuadraticField) -> list[CheckResult]:
 
 # ------------------------------------------------------------ zeta cancellation
 
-def zeta_cancellation_check(
-    field: QuadraticField, rng: random.Random, points: int = 20
-) -> CheckResult:
+def zeta_cancellation_check(field: QuadraticField, rng: random.Random) -> CheckResult:
     worst = 0.0
-    for _ in range(points):
+    for _ in range(20):
         s = complex(rng.uniform(-4.5, -2.5), rng.uniform(-6.0, 6.0))
         recon, ref, _ = zeta_functional_reconstruction(field, s, 1e-11)
         worst = max(worst, abs(recon - ref))
     return CheckResult(
         f"zeta-cancellation D={field.D}", worst < 1e-9, worst, 1e-9,
-        f"{points} points with Re s < 0"
+        "20 points with Re s < 0"
     )
 
 

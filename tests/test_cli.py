@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -802,14 +803,30 @@ def test_verify_rejects_a_bad_field_list(capsys, d_arg, token):
     assert "--D" in err and token in err and "invalid literal" not in err
 
 
+def moved_lines(recorded: str, out: str) -> str:
+    """Each line of out that differs from the recorded line at its place, as
+    a recorded -> now pair ("(none)" where one side has no line there)."""
+    pairs = zip_longest(recorded.splitlines(), out.splitlines(), fillvalue="(none)")
+    return "\n".join(f"{old}\n  -> {new}" for old, new in pairs if old != new)
+
+
 def test_verify_all_matches_the_recorded_output_byte_for_byte(capsys):
     """Every suite at a small bound and sample: the lines were recorded while
     the suites still called each evaluator by hand, before they went through
-    evaluate; any change of route or of a value's last bit changes them."""
+    evaluate; any change of route or of a value's last bit changes them.  A
+    failure lists each moved line, recorded -> now."""
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--seed", "1",
                              "--bound", "2000", "--points", "20")
     assert (code, err) == (0, "")
-    assert out == (GOLDEN / "verify_all_seed1_bound2000_points20.txt").read_text()
+    recorded = (GOLDEN / "verify_all_seed1_bound2000_points20.txt").read_text()
+    assert out == recorded, "moved lines, recorded -> now:\n" + moved_lines(recorded, out)
+
+
+def test_moved_lines_pairs_each_changed_line():
+    recorded = "PASS a: 1.0\nPASS b: 2.0\nPASS c: 3.0\n"
+    out = "PASS a: 1.0\nPASS b: 2.5\nPASS c: 3.0\nPASS d: 4.0\n"
+    assert moved_lines(recorded, out) == "PASS b: 2.0\n  -> PASS b: 2.5\n(none)\n  -> PASS d: 4.0"
+    assert moved_lines(recorded, recorded) == ""
 
 
 def test_verify_deterministic_with_seed(capsys):

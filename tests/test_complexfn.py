@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fibzeta import complexfn
 from fibzeta.complexfn import _log_gamma_right, _log_sin_pi, cgamma, czeta, log_gamma, rgamma
-from fibzeta.crosscheck import _binomial_coefficient
 from fibzeta.errors import PoleAtNonpositiveIntegerError, PoleAtOneError, TooSlowConvergenceError
 
 mp.mp.dps = 30
@@ -349,38 +348,3 @@ def test_zeta_symmetric_functional_equation():
             continue
         worst = max(worst, rel_err(xi(s), xi(1 - s)))
     assert worst < 1e-10
-
-
-# ----------------------------------------------- binomial coefficients C(-s, k)
-
-def test_binomial_stream_first_values():
-    s = complex(2.0, 0.0)
-    assert _binomial_coefficient(s, 0, 1.0) == 1.0  # C(-s, 0)
-    assert _binomial_coefficient(s, 1, 1.0) == -2.0  # C(-s, 1) = -s
-    assert _binomial_coefficient(s, 2, 1.0) == 3.0  # C(-2, 2)
-
-
-def test_binomial_stream_arbitrary_s_first_term():
-    s = complex(0.7, -3.1)
-    assert _binomial_coefficient(s, 0, 1.0) == 1.0
-    assert _binomial_coefficient(s, 1, 1.0) == complex(-0.7, 3.1)
-
-
-@given(
-    st.complex_numbers(min_magnitude=0.0, max_magnitude=6.0, allow_nan=False, allow_infinity=False),
-    st.integers(min_value=0, max_value=40),
-)
-@hyp_settings(max_examples=200, deadline=None)
-def test_binomial_stream_recurrence(s, k):
-    lhs = _binomial_coefficient(s, k + 1, 1.0) * (k + 1)
-    rhs = _binomial_coefficient(s, k, 1.0) * (-s - k)
-    assert cmath.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-300)
-
-
-@pytest.mark.parametrize("s", [1.5, complex(2.5, 1.0), complex(-0.3, 4.0), 3.0])
-def test_binomial_stream_polynomial_growth(s):
-    degree = math.ceil(abs(s))
-    coeffs = [_binomial_coefficient(s, k, 1.0) for k in range(1001)]
-    scale = max(abs(c) / (k + 1) ** degree for k, c in enumerate(coeffs[:50]))
-    for k, c in enumerate(coeffs):
-        assert abs(c) <= 1.0001 * scale * (k + 1) ** degree

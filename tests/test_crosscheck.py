@@ -14,6 +14,7 @@ from fibzeta import (
     evaluate,
     fib_upto,
     make_field,
+    nearest_lattice_pole,
     pole_lattice,
     r1,
     residue_numeric,
@@ -22,7 +23,6 @@ from fibzeta import (
 from fibzeta.continuation import zeta_direct, zeta_even_binomial
 from fibzeta.crosscheck import (
     SHIFTED_CONV_BOUND,
-    _pole_spec,
     _square_pair_support,
     shifted_convolution_even,
     shifted_convolution_odd,
@@ -79,37 +79,71 @@ def test_unit_power_identity_at_pole():
             assert abs(val - (-1.0) ** m) < 1e-10
 
 
+def mp_residue(field, k, s0):
+    """q^(s0/2) C(-s0, k) / (2 log eps) in mpmath at 40 digits, at the double s0."""
+    with mp.workdps(40):
+        s0 = mp.mpc(s0.real, s0.imag)
+        log_eps = mp.log((field.eps.a + field.eps.b * mp.sqrt(field.q)) / 2)
+        return mp.power(field.q, s0 / 2) * mp.binomial(-s0, k) / (2 * log_eps)
+
+
+def assert_residues_match_mpmath(field, p):
+    ref = complex(mp_residue(field, p.k, p.location))
+    for got, sign in ((p.residue_odd, (-1) ** p.m), (p.residue_even, (-1) ** p.k)):
+        assert got != 0 and cmath.isfinite(got)
+        assert abs(got - sign * ref) <= 1e-11 * abs(ref), (p, ref)
+
+
 @pytest.mark.parametrize("d, k, m", [(5, 300, 0), (5, 500, 0), (5, 2000, 0), (2, 500, -3),
                                      (5, 2, 1000)])
 def test_analytic_residues_match_mpmath_far_down_and_far_up(d, k, m):
     """At D=5, q^(s0/2) underflows from k = 463 and C(-s0, k) overflows from
-    k = 511, though their product (9.19e-51 at k = 500) does not; past k of
-    about 1950 the partial products of C(-s0, k) q^(-k) pass double range
-    too.  The reference takes the same double s0."""
+    k = 511, though their product (9.19e-51 at k = 500) does not.  The
+    reference takes the same double s0."""
     field = make_field(d)
-    p = _pole_spec(field, k, m)
-    with mp.workdps(40):
-        s0 = mp.mpc(p.location.real, p.location.imag)
-        log_eps = mp.log((field.eps.a + field.eps.b * mp.sqrt(field.q)) / 2)
-        ref = mp.power(field.q, s0 / 2) * mp.binomial(-s0, k) / (2 * log_eps)
-    for got, sign in ((p.residue_odd, (-1) ** m), (p.residue_even, (-1) ** k)):
-        assert got != 0 and cmath.isfinite(got)
-        assert abs(got - complex(sign * ref)) <= 1e-11 * abs(ref), (got, ref)
+    (p,) = [p for p in pole_lattice(field, k, abs(m)) if (p.k, p.m) == (k, m)]
+    assert_residues_match_mpmath(field, p)
 
 
-@pytest.mark.parametrize("m", [2600, -2600])
-def test_pole_spec_refuses_a_residue_out_of_double_range(m):
+@pytest.mark.parametrize("lattice", ["split", "combined"])
+@pytest.mark.parametrize("d", [2, 5, 13, 29])
+def test_every_row_of_a_table_matches_mpmath(d, lattice):
+    """Each row is a step of its column's running product; every one of the
+    whole table, both residues, is within 1e-11 of mpmath."""
+    field = make_field(d)
+    poles = pole_lattice(field, 6, 6, lattice)
+    assert len(poles) == (91 if lattice == "split" else 46)
+    for p in poles:
+        assert_residues_match_mpmath(field, p)
+
+
+@pytest.mark.parametrize("lattice", ["split", "combined"])
+@pytest.mark.parametrize("d", [2, 5, 13, 29])
+def test_pole_locations_are_nearest_lattice_pole_points(d, lattice):
+    """The table's locations are nearest_lattice_pole's own points, m times
+    the pole spacing, to the last bit; pi m / log eps is an ulp away from
+    them at about 30% of m."""
+    field = make_field(d)
+    for p in pole_lattice(field, 2, 3000, lattice):
+        assert nearest_lattice_pole(field, p.location, lattice)[:3] == (p.location, p.k, p.m)
+
+
+@pytest.mark.parametrize("lattice", ["split", "combined"])
+def test_pole_lattice_refuses_at_its_first_residue_out_of_double_range(lattice):
     """At D=5, k = 190, |m| = 2600 the residue is about 7.9e318 in mpmath,
-    past the largest double: the spec refuses with the residue's (k, m),
-    where it gave nan+nanj."""
-    with mp.workdps(30):
-        log_eps = mp.log((F5.eps.a + F5.eps.b * mp.sqrt(F5.q)) / 2)
-        s0 = mp.mpc(-380, mp.pi * m / log_eps)
-        assert abs(mp.power(F5.q, s0 / 2) * mp.binomial(-s0, 190) / (2 * log_eps)) > mp.mpf("7e318")
+    past the largest double.  The columns run from the largest |m| down, +m
+    first, so the table refuses in its first column, m = 2600, at its first
+    row out of range: k = 182, whose residue is 6.5e308, after 3.5e307 at
+    k = 181."""
+    f5_spacing = F5.half_unit.pole_spacing
+    for m in (2600, -2600):
+        assert abs(mp_residue(F5, 190, complex(-380, m * f5_spacing))) > mp.mpf("7e318")
+    assert abs(mp_residue(F5, 182, complex(-364, 2600 * f5_spacing))) > mp.mpf("6e308")
+    assert abs(mp_residue(F5, 181, complex(-362, 2600 * f5_spacing))) < mp.mpf("4e307")
     with pytest.raises(FactorOverflowError) as info:
-        _pole_spec(F5, 190, m)
-    assert info.value.factor == f"residue (k=190, m={m})"
-    assert info.value.s.real == -380.0
+        pole_lattice(F5, 190, 2600, lattice)
+    assert info.value.factor == "residue (k=182, m=2600)"
+    assert info.value.s == complex(-364, 2600 * f5_spacing)
 
 
 @pytest.mark.parametrize("d", [2, 5, 10, 13, 29])
@@ -264,15 +298,15 @@ def test_support_equality_with_membership(d):
 
 
 @functools.lru_cache(maxsize=None)
-def _plain_isqrt_scan(d: int, sign: int) -> tuple[tuple[int, int], ...]:
-    """(t^2, 1) for every t with d t^2 + sign*ell a positive square, t^2 up to
-    the default bound, by isqrt on every candidate."""
+def _plain_isqrt_scan(d: int, sign: int) -> tuple[int, ...]:
+    """t^2 for every t with d t^2 + sign*ell a positive square, t^2 up to the
+    default bound, by isqrt on every candidate."""
     shift = sign * make_field(d).ell
     plain = []
     for t in range(1, math.isqrt(SHIFTED_CONV_BOUND) + 1):
         other = d * t * t + shift
         if other > 0 and math.isqrt(other) ** 2 == other:
-            plain.append((t * t, 1))
+            plain.append(t * t)
     return tuple(plain)
 
 
@@ -283,7 +317,7 @@ def _plain_isqrt_scan(d: int, sign: int) -> tuple[tuple[int, int], ...]:
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 10, 13, 29])
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_square_pair_support_matches_plain_isqrt_scan(d, sign, n_max):
-    plain = [pair for pair in _plain_isqrt_scan(d, sign) if pair[0] <= n_max]
+    plain = [n for n in _plain_isqrt_scan(d, sign) if n <= n_max]
     assert _square_pair_support(make_field(d), sign, n_max) == tuple(plain)
 
 
