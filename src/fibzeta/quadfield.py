@@ -30,7 +30,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice, takewhile
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, NormPlusOneError, NotSquarefreeError
 
@@ -60,21 +60,31 @@ def _squares_mod(m: int) -> bytes:
 # import.  Together the two moduli pass 1.6-3.7% of the is_fib arguments of
 # D = 2, 5, 10, 13 on to isqrt; a single table mod 64*63*5 was no faster per
 # call, passed up to 24% and took three times as long to build.  is_square
-# reads them at its argument.  Membership reads them through per-field
-# tables indexed by n itself (_membership_table), in bulk: _pell_roots
-# repeats both tables along a block of n and ANDs them in C, and both pass
-# 3.1-7.3% of n <= 10^6 on to the exact isqrt.
+# reads them at its argument.
 _SQUARES_MOD_4032 = _squares_mod(64 * 63)
 _SQUARES_MOD_2431 = _squares_mod(11 * 13 * 17)
 
+# Membership reads residue screens indexed by n itself instead, one table per
+# modulus below (4032, 2431, 437, 899, 1517, 2021), each the AND of the tables
+# of its coprime factors: by the Chinese remainder theorem x is a square mod
+# m1 m2 exactly when it is one mod m1 and mod m2.  _pell_roots ANDs all six
+# along a block of n in C, and they pass 0.017-0.068% of n <= 10^6 on to the
+# exact isqrt for D = 2, 3, 5, 10, 13, 29 (the first two alone pass 3.1-7.3%).
+# Each table of two primes cuts the survivors about fourfold but costs a C
+# pass per block (about 1 ms per 10^6 n); past 47 that pass costs more than
+# the isqrt tests it would save.  Built from the factors, a field's six take
+# about 0.2 ms on first use, against 3.4 ms residue by residue.
+_SCREEN_FACTORS = ((64, 63), (11, 13, 17), (19, 23), (29, 31), (37, 41), (43, 47))
 
-def _membership_table(d: int, ell: int, m: int, squares: bytes) -> bytes:
-    """Table t over r mod m: bit 0 of t[r] is squares[(d r^2 - ell) mod m],
-    bit 1 is squares[(d r^2 + ell) mod m].
+
+def _membership_table(d: int, ell: int, m: int) -> bytes:
+    """Table t over r mod m: bit 0 of t[r] is 1 when d r^2 - ell is a square
+    mod m, bit 1 when d r^2 + ell is.
 
     d n^2 +- ell mod m depends only on n mod m, so t[n % m] is the residue
     screen of both membership arguments without forming them.
     """
+    squares = _squares_mod(m)
     return bytes(
         squares[(d * r * r - ell) % m] | squares[(d * r * r + ell) % m] << 1
         for r in range(m)
@@ -260,15 +270,16 @@ class QuadraticField(FrozenRecord):
         return math.log(self.q)
 
     @cached_property
-    def _membership_tables(self) -> tuple[bytes, bytes]:
-        """The residue screens of D n^2 +- ell mod 4032 and mod 2431 (bit 0
-        the minus sign, bit 1 the plus sign), read a block of n at a time by
-        _pell_roots, the membership kernel.  Built on first use (about 2 ms),
-        so that fields which never test membership or scan for squares skip
-        them."""
-        return (
-            _membership_table(self.D, self.ell, 4032, _SQUARES_MOD_4032),
-            _membership_table(self.D, self.ell, 2431, _SQUARES_MOD_2431),
+    def _membership_tables(self) -> tuple[bytes, ...]:
+        """The residue screens of D n^2 +- ell, one per modulus of
+        _SCREEN_FACTORS (bit 0 the minus sign, bit 1 the plus sign), read a
+        block of n at a time by _pell_roots, the membership kernel.  Each is
+        the kernel's own AND, over one period, of its factors' tables.
+        Built on first use (about 0.2 ms), so that fields which never test
+        membership or scan for squares skip them."""
+        return tuple(
+            _screen([_membership_table(self.D, self.ell, m) for m in factors], 0, math.prod(factors))
+            for factors in _SCREEN_FACTORS
         )
 
     @cached_property
@@ -485,19 +496,32 @@ def _exact_root(x: int) -> int:
 
 
 # n screened per block by _pell_roots: a block costs a few C passes over
-# this many bytes (the table repeats, the AND, the translate), so 2^16
-# spreads that set-up over enough n to vanish beside the exact tests, and
-# keeps memory at a few hundred KB whatever the range
+# this many bytes (per table a repeat and an AND, then the translate), so
+# 2^16 spreads that set-up over enough n to vanish beside the Python steps
+# of the survivors, and keeps memory at a few hundred KB whatever the range
 _PELL_BLOCK = 1 << 16
-# maps a screen byte to 1 where any sign bit is set, so that bytes.find
-# steps from survivor to survivor without touching the n in between
-_ANY_SIGN = bytes((0, 1, 1, 1)) + bytes(252)
+# _ANY_SIGN[signs] maps a screen byte to 1 where it has a bit of signs set, so
+# that bytes.find steps from survivor to survivor without touching the n in
+# between
+_ANY_SIGN = tuple(bytes(b & signs != 0 for b in range(256)) for signs in range(4))
 
 
 def _periodic(table: bytes, lo: int, count: int) -> bytes:
     """table[(lo + i) % len(table)] for i in 0 .. count - 1."""
     r = lo % len(table)
     return (table * ((r + count) // len(table) + 1))[r : r + count]
+
+
+def _screen(tables: Iterable[bytes], lo: int, count: int) -> bytes:
+    """Byte i is the AND of table[(lo + i) % len(table)] over the tables, for
+    i in 0 .. count - 1: one int AND in C per table.  Once the AND is 0 no
+    further table can pass an n, so the rest are not read."""
+    screen = -1
+    for table in tables:
+        screen &= int.from_bytes(_periodic(table, lo, count), "little")
+        if not screen:
+            break
+    return screen.to_bytes(count, "little")
 
 
 def _pell_roots(
@@ -511,24 +535,21 @@ def _pell_roots(
 
     The membership kernel: is_fib is its one-n case, and the Pell sweep and
     the shifted-convolution scan read it over a range.  Each block of n gets
-    the screen bytes of both residue tables at once, ANDed in C, so that
-    entry i is screen_4032[n % 4032] & screen_2431[n % 2431] & signs at
+    the screen bytes of all the field's residue tables at once, ANDed in C,
+    so that entry i is the AND of table[n % len(table)] over the tables at
     n = lo + i.  Every n a screen passes gets the exact isqrt test of each
-    sign its bits admit, so the roots are exact for integers of any size.
+    sign in signs that its bits admit, so the roots are exact for integers
+    of any size.
     """
-    screen_4032, screen_2431 = field._membership_tables
+    tables = field._membership_tables
     d, ell = field.D, field.ell
+    any_sign = _ANY_SIGN[signs]
     for lo in range(start, stop, _PELL_BLOCK):
-        count = min(_PELL_BLOCK, stop - lo)
-        screen = (
-            int.from_bytes(_periodic(screen_4032, lo, count), "little")
-            & int.from_bytes(_periodic(screen_2431, lo, count), "little")
-            & int.from_bytes(bytes((signs,)) * count, "little")
-        ).to_bytes(count, "little")
-        find = screen.translate(_ANY_SIGN).find
+        screen = _screen(tables, lo, min(_PELL_BLOCK, stop - lo))
+        find = screen.translate(any_sign).find
         i = find(1)
         while i >= 0:
-            bits = screen[i]
+            bits = screen[i] & signs
             n = lo + i
             base = d * n * n
             minus = bits & 1 and _exact_root(base - ell)
@@ -554,11 +575,13 @@ def is_fib(field: QuadraticField, n: int) -> MembershipResult:
     Decides solvability of X^2 = q n^2 +- 4 exactly (reduced to
     Y^2 = D n^2 +- 1 when q = 4D, witness X = 2Y), so both arguments are
     D n^2 +- ell.  This is the one-n case of _pell_roots, the kernel the
-    Pell sweep runs over a range: the field's residue tables, read at
-    n mod 4032 and n mod 2431, reject almost every non-member with no
-    big-integer product, and only the signs that pass both get the exact
-    isqrt test.  A call costs about 2 us, most of it the kernel's block
-    set-up.  Every non-member gets one shared result.
+    Pell sweep runs over a range: the field's six residue tables, read at
+    n mod 4032, 2431, 437, 899, 1517 and 2021, reject almost every
+    non-member with no big-integer product, and only the signs that pass
+    all six get the exact isqrt test.  A call costs about 1.5 us for a
+    non-member, which the first table most often rejects, and about 6 us
+    for a member, which reads all six and takes the exact test.  Every
+    non-member gets one shared result.
     With a norm -1 unit the solvable sign determines the index parity: -4
     for odd index, +4 for even.  When both signs solve (only n=1 for D=5),
     the odd-index verdict is reported.  A norm +1 unit has no split, and its

@@ -2,6 +2,7 @@ import math
 import pickle
 import sys
 import threading
+from itertools import islice
 
 import mpmath as mp
 import pytest
@@ -313,13 +314,52 @@ def test_membership_tables_screen_both_signs_by_residue_of_n(d):
     assert "_membership_tables" not in vars(f)  # built on the first is_fib call
     is_fib(f, 1)
     assert "_membership_tables" in vars(f)
-    for m, squares, table in zip((4032, 2431), (_SQUARES_MOD_4032, _SQUARES_MOD_2431),
-                                 f._membership_tables):
-        assert len(table) == m
+    tables = f._membership_tables
+    assert [len(table) for table in tables] == [64 * 63, 11 * 13 * 17, 19 * 23, 29 * 31, 37 * 41, 43 * 47]
+    for table in tables:
+        m = len(table)
+        squares = {i * i % m for i in range(m)}
         for r in range(m):
-            minus = squares[(d * r * r - f.ell) % m]
-            plus = squares[(d * r * r + f.ell) % m]
+            minus = (d * r * r - f.ell) % m in squares
+            plus = (d * r * r + f.ell) % m in squares
             assert table[r] == minus | plus << 1, (m, r)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 29])
+def test_membership_tables_pass_every_term_far_out_on_the_sign_of_its_index(d):
+    # X^2 = q F(k)^2 + 4 N(eps)^k with X = L(k), so F(k) must pass every
+    # table on the minus sign where N(eps)^k = -1 and on the plus sign
+    # elsewhere, at terms far past any n a sweep to 10^6 reaches
+    f = make_field(d)
+    index_verdicts = {}
+    for term in islice(iter_sequence(f), 1, 401):
+        odd = f.is_norm_minus_one and term.index % 2 == 1
+        for table in f._membership_tables:
+            assert table[term.fib % len(table)] & (1 if odd else 2), (term.index, len(table))
+        verdict = (MEMBER_ODD_INDEX if odd else MEMBER_EVEN_INDEX) if f.is_norm_minus_one else MEMBER
+        index_verdicts.setdefault(term.fib, set()).add(verdict)
+    assert term.fib > 10**80
+    for n, verdicts in index_verdicts.items():
+        assert is_fib(f, n).verdict in verdicts, n
+
+
+@pytest.mark.parametrize("d", [2, 5, 10, 13])
+def test_membership_tables_leave_few_exact_tests_up_to_a_million(monkeypatch, d):
+    # the six tables pass 184-393 arguments of n <= 10^6 on to the exact
+    # test for these fields (the two tables mod 4032 and 2431 alone passed
+    # 31 460-73 054); without any one of the six, every count is above 550
+    exact_root = quadfield._exact_root
+    tested = []
+
+    def recording_exact_root(x):
+        tested.append(x)
+        return exact_root(x)
+
+    monkeypatch.setattr(quadfield, "_exact_root", recording_exact_root)
+    f = make_field(d)
+    hits = list(_pell_roots(f, 1, 10**6 + 1))
+    assert len(hits) == len({t.fib for t in fib_upto(f, 10**6)})
+    assert len(tested) <= 500, len(tested)
 
 
 def test_pell_check_screens_every_integer_once_through_the_kernel(monkeypatch):
@@ -409,7 +449,7 @@ def test_pell_roots_match_plain_isqrt_reference(d):
 def test_pell_roots_give_every_screen_survivor_the_exact_test(monkeypatch, d, block):
     monkeypatch.setattr(quadfield, "_PELL_BLOCK", block)
     f = make_field(d)
-    screen_4032, screen_2431 = f._membership_tables
+    tables = f._membership_tables
     exact_root = quadfield._exact_root
     tested = []
 
@@ -424,7 +464,9 @@ def test_pell_roots_give_every_screen_survivor_the_exact_test(monkeypatch, d, bl
             hits = list(_pell_roots(f, start, stop, signs))
             expected = []
             for n in range(start, stop):
-                bits = screen_4032[n % 4032] & screen_2431[n % 2431] & signs
+                bits = signs
+                for table in tables:
+                    bits &= table[n % len(table)]
                 expected += [f.D * n * n - f.ell] * (bits & 1) + [f.D * n * n + f.ell] * (bits >> 1)
             assert tested == expected
             assert all((signs & 1 or not minus) and (signs & 2 or not plus) for _, minus, plus in hits)
@@ -455,7 +497,7 @@ def test_pell_roots_equal_is_fib_across_block_edges_and_far_from_one(monkeypatch
         assert_kernel_equals_is_fib(start, stop)
     assert far + 3 in assert_kernel_equals_is_fib(far, far + 4)
     # blocks of 97 n: every range above crosses block edges, at many rotations
-    # of both tables (test_pell_roots_match_plain_isqrt_reference crosses
+    # of every table (test_pell_roots_match_plain_isqrt_reference crosses
     # full-size ones)
     monkeypatch.setattr(quadfield, "_PELL_BLOCK", 97)
     for start, stop in ranges:
