@@ -68,12 +68,16 @@ _SQUARES_MOD_2431 = _squares_mod(11 * 13 * 17)
 # modulus below (4032, 2431, 437, 899, 1517, 2021), each the AND of the tables
 # of its coprime factors: by the Chinese remainder theorem x is a square mod
 # m1 m2 exactly when it is one mod m1 and mod m2.  _pell_roots ANDs all six
-# along a block of n in C, and they pass 0.017-0.068% of n <= 10^6 on to the
-# exact isqrt for D = 2, 3, 5, 10, 13, 29 (the first two alone pass 3.1-7.3%).
-# Each table of two primes cuts the survivors about fourfold but costs a C
-# pass per block (about 1 ms per 10^6 n); past 47 that pass costs more than
-# the isqrt tests it would save.  Built from the factors, a field's six take
-# about 0.2 ms on first use, against 3.4 ms residue by residue.
+# along a block of n in C, packed at 2 bits per n, and they pass 0.017-0.068%
+# of n <= 10^6 on to the exact isqrt for D = 2, 3, 5, 10, 13, 29 (the first
+# two alone pass 3.1-7.3%).  Each table of two primes cuts the survivors
+# two- to fourfold but costs a C pass per block (about 0.2 ms per 10^6 n
+# packed), more than the isqrt tests it would save past 47: the pell suite
+# over n <= 10^6 at D = 2, 5, 10, 13 took 11.2 ms with these six, 12.1 ms
+# with 53*59 added (exact tests 256/369/184/393 -> 82/115/59/109) and 13.2 ms
+# with 61*67 as well (36/49/16/37), medians of 12 alternating rounds.  Built
+# from the factors, a field's six take about 0.16 ms on first use (against
+# 3.4 ms residue by residue) and packing them 0.12 ms more.
 _SCREEN_FACTORS = ((64, 63), (11, 13, 17), (19, 23), (29, 31), (37, 41), (43, 47))
 
 
@@ -88,6 +92,28 @@ def _membership_table(d: int, ell: int, m: int) -> bytes:
     return bytes(
         squares[(d * r * r - ell) % m] | squares[(d * r * r + ell) % m] << 1
         for r in range(m)
+    )
+
+
+def _and_tables(tables: Iterable[bytes], m: int) -> bytes:
+    """Entry r is the AND of table[r % len(table)] over the tables, for
+    r < m, a common multiple of their lengths: one int AND in C per table."""
+    screen = -1
+    for table in tables:
+        screen &= int.from_bytes(table * (m // len(table)), "little")
+    return screen.to_bytes(m, "little")
+
+
+def _packed(table: bytes) -> bytes:
+    """table at 2 bits per n, four n to a byte: bits 2k and 2k + 1 of byte j
+    hold table[(4 j + k) % p], p = len(table).  The pattern covers 4 p n in
+    p bytes and repeats, so the entry of n lies at byte (n % 4p) // 4, bits
+    2 (n % 4).  Each strided slice [k::4] of the table repeated four times
+    holds the entries of one k; the fields are disjoint, so the sum of the
+    shifted slices is their OR."""
+    four = table * 4
+    return sum(int.from_bytes(four[k::4], "little") << 2 * k for k in range(4)).to_bytes(
+        len(table), "little"
     )
 
 
@@ -272,14 +298,26 @@ class QuadraticField(FrozenRecord):
     @cached_property
     def _membership_tables(self) -> tuple[bytes, ...]:
         """The residue screens of D n^2 +- ell, one per modulus of
-        _SCREEN_FACTORS (bit 0 the minus sign, bit 1 the plus sign), read a
-        block of n at a time by _pell_roots, the membership kernel.  Each is
-        the kernel's own AND, over one period, of its factors' tables.
-        Built on first use (about 0.2 ms), so that fields which never test
-        membership or scan for squares skip them."""
+        _SCREEN_FACTORS (bit 0 the minus sign, bit 1 the plus sign), a byte
+        per residue: the definition that _packed_screens packs for
+        _pell_roots, the membership kernel.  Each is the AND, over one
+        period, of its factors' tables.  Built on first use (about 0.2 ms),
+        so that fields which never test membership or scan for squares skip
+        them."""
         return tuple(
-            _screen([_membership_table(self.D, self.ell, m) for m in factors], 0, math.prod(factors))
+            _and_tables([_membership_table(self.D, self.ell, m) for m in factors], math.prod(factors))
             for factors in _SCREEN_FACTORS
+        )
+
+    @cached_property
+    def _packed_screens(self) -> tuple[tuple[int, int, bytes], ...]:
+        """(4 p, p, pattern) for each of _membership_tables, of modulus p,
+        with the table packed at 2 bits per n (see _packed): the form that
+        _pell_roots reads, with both periods at hand, since a len() per
+        table made a one-n call of a member 7% slower.  About 0.12 ms to
+        pack the six, 11 337 bytes."""
+        return tuple(
+            (4 * len(table), len(table), _packed(table)) for table in self._membership_tables
         )
 
     @cached_property
@@ -496,32 +534,15 @@ def _exact_root(x: int) -> int:
 
 
 # n screened per block by _pell_roots: a block costs a few C passes over
-# this many bytes (per table a repeat and an AND, then the translate), so
-# 2^16 spreads that set-up over enough n to vanish beside the Python steps
-# of the survivors, and keeps memory at a few hundred KB whatever the range
+# its packed screen, a quarter of a byte per n (per table a repeat, a slice
+# and an AND, then the translate), so 2^16 spreads that set-up over enough n
+# to vanish beside the Python steps of the survivors, and keeps memory under
+# 100 KB whatever the range
 _PELL_BLOCK = 1 << 16
-# _ANY_SIGN[signs] maps a screen byte to 1 where it has a bit of signs set, so
-# that bytes.find steps from survivor to survivor without touching the n in
-# between
-_ANY_SIGN = tuple(bytes(b & signs != 0 for b in range(256)) for signs in range(4))
-
-
-def _periodic(table: bytes, lo: int, count: int) -> bytes:
-    """table[(lo + i) % len(table)] for i in 0 .. count - 1."""
-    r = lo % len(table)
-    return (table * ((r + count) // len(table) + 1))[r : r + count]
-
-
-def _screen(tables: Iterable[bytes], lo: int, count: int) -> bytes:
-    """Byte i is the AND of table[(lo + i) % len(table)] over the tables, for
-    i in 0 .. count - 1: one int AND in C per table.  Once the AND is 0 no
-    further table can pass an n, so the rest are not read."""
-    screen = -1
-    for table in tables:
-        screen &= int.from_bytes(_periodic(table, lo, count), "little")
-        if not screen:
-            break
-    return screen.to_bytes(count, "little")
+# _ANY_SIGN[signs] maps a packed screen byte to 1 where one of its four n has
+# a bit of signs set, so that bytes.find steps from byte to byte of survivors
+# without touching the bytes in between
+_ANY_SIGN = tuple(bytes(b & signs * 0x55 != 0 for b in range(256)) for signs in range(4))
 
 
 def _pell_roots(
@@ -535,27 +556,50 @@ def _pell_roots(
 
     The membership kernel: is_fib is its one-n case, and the Pell sweep and
     the shifted-convolution scan read it over a range.  Each block of n gets
-    the screen bytes of all the field's residue tables at once, ANDed in C,
-    so that entry i is the AND of table[n % len(table)] over the tables at
-    n = lo + i.  Every n a screen passes gets the exact isqrt test of each
-    sign in signs that its bits admit, so the roots are exact for integers
-    of any size.
+    the screen of all the field's residue tables at once, ANDed in C at 2
+    bits per n (bit 0 minus, bit 1 plus), four n to a byte.  The pattern of
+    a table of modulus p repeats every 4p n (see _packed), so every table is
+    read from byte (lo % 4p) // 4 of its pattern on, with n = lo + i at bits
+    2 (a + i) and 2 (a + i) + 1 for the same a = lo % 4: the tables line up
+    with no shift, and a mask clears the n outside the block.  Once the AND
+    is 0 no n of the block passes, and the rest of its tables are not read.
+    Otherwise bytes.find steps from one byte with a survivor to the next,
+    and each of its n that passes gets the exact isqrt test of each sign in
+    signs that its bits admit, so the roots are exact for integers of any
+    size.
     """
-    tables = field._membership_tables
+    packed = field._packed_screens
     d, ell = field.D, field.ell
     any_sign = _ANY_SIGN[signs]
     for lo in range(start, stop, _PELL_BLOCK):
-        screen = _screen(tables, lo, min(_PELL_BLOCK, stop - lo))
+        count = min(_PELL_BLOCK, stop - lo)
+        a = lo & 3
+        size = a + count + 3 >> 2
+        screen = (1 << 2 * count) - 1 << 2 * a
+        for period, p, pattern in packed:
+            first = lo % period >> 2
+            end = first + size
+            screen &= int.from_bytes((pattern * (end // p + 1))[first:end], "little")
+            if not screen:
+                break
+        if not screen:
+            continue
+        screen = screen.to_bytes(size, "little")
         find = screen.translate(any_sign).find
         i = find(1)
         while i >= 0:
-            bits = screen[i] & signs
-            n = lo + i
-            base = d * n * n
-            minus = bits & 1 and _exact_root(base - ell)
-            plus = bits & 2 and _exact_root(base + ell)
-            if minus or plus:
-                yield n, minus, plus
+            quad = screen[i]
+            n = lo - a + 4 * i
+            while quad:
+                bits = quad & signs
+                if bits:
+                    base = d * n * n
+                    minus = bits & 1 and _exact_root(base - ell)
+                    plus = bits & 2 and _exact_root(base + ell)
+                    if minus or plus:
+                        yield n, minus, plus
+                quad >>= 2
+                n += 1
             i = find(1, i + 1)
 
 
@@ -578,10 +622,11 @@ def is_fib(field: QuadraticField, n: int) -> MembershipResult:
     Pell sweep runs over a range: the field's six residue tables, read at
     n mod 4032, 2431, 437, 899, 1517 and 2021, reject almost every
     non-member with no big-integer product, and only the signs that pass
-    all six get the exact isqrt test.  A call costs about 1.5 us for a
-    non-member, which the first table most often rejects, and about 6 us
-    for a member, which reads all six and takes the exact test.  Every
-    non-member gets one shared result.
+    all six get the exact isqrt test.  A call costs about 1.4 us for a
+    non-member, which the first table most often rejects (its one-n block
+    then ends before any bytes.find), and about 7 us for a member, which
+    reads all six and takes the exact test.  Every non-member gets one
+    shared result.
     With a norm -1 unit the solvable sign determines the index parity: -4
     for odd index, +4 for even.  When both signs solve (only n=1 for D=5),
     the odd-index verdict is reported.  A norm +1 unit has no split, and its
@@ -601,4 +646,6 @@ def pell_solutions_upto(field: QuadraticField, sign: int, t_max: int) -> tuple[i
     The hits of _pell_roots over 1 .. t_max with only this sign tested, so
     the same screens and exact isqrt tests as is_fib decide each t.
     """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     return tuple(t for t, _, _ in _pell_roots(field, 1, t_max + 1, 2 if sign > 0 else 1))

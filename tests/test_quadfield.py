@@ -2,6 +2,7 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 from itertools import islice
 
 import mpmath as mp
@@ -39,6 +40,7 @@ from fibzeta.quadfield import (
     _unit_by_search,
     is_square,
     log_fib_upto,
+    pell_solutions_upto,
     squarefree_violation,
 )
 
@@ -470,6 +472,110 @@ def test_pell_roots_give_every_screen_survivor_the_exact_test(monkeypatch, d, bl
                 expected += [f.D * n * n - f.ell] * (bits & 1) + [f.D * n * n + f.ell] * (bits >> 1)
             assert tested == expected
             assert all((signs & 1 or not minus) and (signs & 2 or not plus) for _, minus, plus in hits)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 29])
+def test_packed_screens_decode_to_the_membership_tables(d):
+    f = make_field(d)
+    assert "_packed_screens" not in vars(f)  # built on the first is_fib call
+    is_fib(f, 1)
+    assert "_packed_screens" in vars(f)
+    packed = f._packed_screens
+    assert len(packed) == len(f._membership_tables)
+    for table, (period, p, pattern) in zip(f._membership_tables, packed):
+        assert (period, p, len(pattern)) == (4 * len(table), len(table), len(table))
+        # n = 0 .. 4p - 1 starts every residue mod p at every offset mod 4
+        far = 10**30 - 10**30 % period
+        for n in (*range(period), *range(far, far + 8), far - 1):
+            assert pattern[n % period // 4] >> 2 * (n % 4) & 3 == table[n % p], (p, n)
+
+
+def _byte_screen_roots(field, start, stop, signs):
+    """_pell_roots by a byte per n: the AND of the byte tables at each n of
+    [start, stop), masked to signs, then the exact test of each sign left."""
+    count = stop - start
+    screen = -1
+    for table in field._membership_tables:
+        r = start % len(table)
+        screen &= int.from_bytes((table * ((r + count) // len(table) + 1))[r : r + count], "little")
+    hits = []
+    for i, bits in enumerate(screen.to_bytes(count, "little")):
+        bits &= signs
+        if bits:
+            n = start + i
+            minus = bits & 1 and quadfield._exact_root(field.D * n * n - field.ell)
+            plus = bits & 2 and quadfield._exact_root(field.D * n * n + field.ell)
+            if minus or plus:
+                hits.append((n, minus, plus))
+    return hits
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 29])
+def test_pell_roots_equal_a_byte_per_n_screen(monkeypatch, d):
+    # blocks of 5 and 3 n start at every offset mod 4, and of 97 at every
+    # offset and at many residues of every table; both give every survivor
+    # of the byte tables, and only those, the same exact tests in order
+    exact_root = quadfield._exact_root
+    tested = []
+
+    def recording_exact_root(x):
+        tested.append(x)
+        return exact_root(x)
+
+    monkeypatch.setattr(quadfield, "_exact_root", recording_exact_root)
+    f = make_field(d)
+    for block in (_PELL_BLOCK, 97, 5, 4, 3):
+        monkeypatch.setattr(quadfield, "_PELL_BLOCK", block)
+        for start, stop in ((1, 3 * block + 7), (10**30, 10**30 + 10**5)):
+            for signs in (1, 2, 3):
+                tested.clear()
+                expected = _byte_screen_roots(f, start, stop, signs)
+                expected_tests = tested[:]
+                tested.clear()
+                assert list(_pell_roots(f, start, stop, signs)) == expected, (block, start, signs)
+                assert tested == expected_tests, (block, start, signs)
+
+
+def test_pell_block_patched_after_the_first_membership_test_changes_no_hit(monkeypatch):
+    # the packed screens are sized by their moduli, not by the block that
+    # first read them
+    f = make_field(5)
+    assert is_fib(f, 1)
+    packed = f._packed_screens
+    ranges = ((1, 20_000), (10**30, 10**30 + 20_000))
+    expected = [list(_pell_roots(f, start, stop)) for start, stop in ranges]
+    for block in (97, 5, 4, 3, 1 << 18):
+        monkeypatch.setattr(quadfield, "_PELL_BLOCK", block)
+        assert [list(_pell_roots(f, start, stop)) for start, stop in ranges] == expected, block
+        assert f._packed_screens is packed
+
+
+def test_pell_sweep_memory_stays_under_100_kib_whatever_the_range():
+    # a block of 2^16 n holds a few 16 KB packed screens at once: the traced
+    # peak of a sweep over 1 .. 10^6, less its hits, is 71 409 bytes (at a
+    # byte per n it was 341 574)
+    f = make_field(5)
+    is_fib(f, 1)  # the tables are the field's, not the sweep's
+    tracemalloc.start()
+    try:
+        hits = list(_pell_roots(f, 1, 10**6 + 1))
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(hits) == len({t.fib for t in fib_upto(f, 10**6)})
+    assert peak - current < 100 * 1024, peak - current
+
+
+@pytest.mark.parametrize("sign", [0, 2, 7, -2])
+def test_pell_solutions_upto_refuses_a_sign_other_than_plus_or_minus_one(sign):
+    with pytest.raises(ValueError, match="sign"):
+        pell_solutions_upto(make_field(5), sign, 100)
+
+
+def test_pell_solutions_upto_gives_each_sign_its_own_solutions():
+    f = make_field(5)  # 5 t^2 - 4 is a square at odd-index F, 5 t^2 + 4 at even
+    assert pell_solutions_upto(f, -1, 100) == (1, 2, 5, 13, 34, 89)
+    assert pell_solutions_upto(f, 1, 100) == (1, 3, 8, 21, 55)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 29])
